@@ -1,137 +1,13 @@
 """Layered runtime defenses against self-propagating payloads in
 file-mediated multi-agent systems: a taint-tracking reference monitor, a
-deterministic ecosystem simulator, and an independent trace auditor."""
+deterministic ecosystem simulator, and an independent trace auditor.
 
-from .memgate import (
-    FORBIDDEN_SCHEMAS,
-    Lease,
-    MemoryCandidate,
-    MemoryStores,
-    PromotionPolicy,
-    default_policy,
-    promote,
-    promotion_checks,
-)
-from .model import (
-    ActionKind,
-    AutoloadPolicy,
-    Carrier,
-    CarrierClass,
-    CarrierScope,
-    Decision,
-    Event,
-    EventKind,
-    GuardMode,
-    InjectionPosition,
-    Layer,
-    PayloadFacets,
-    Privilege,
-    Provenance,
-    Reason,
-    ReentryGuardError,
-    SchemaKind,
-    TaintLabel,
-    Trace,
-    Verdict,
-)
-from .policy import EnforcementConfig, MediationError, classify_write, cut_point_for, mediate
-from .rtw import enforce_exposed_read, is_rtw_safe, rtw_word
-from .scenarios import (
-    bundled_names,
-    load_bundled,
-    load_scenario,
-    load_suite,
-    random_scenario,
-    resolve_scenario,
-    scenario_from_dict,
-)
-from .sim import (
-    AgentProfile,
-    Ecosystem,
-    FrameworkProfile,
-    Injection,
-    RunResult,
-    Scenario,
-    ScenarioError,
-    run_scenario,
-    transform_payload,
-)
-from .taint import initial_label, propagate_on_write
-from .tracelog import parse_trace, render_trace
-from .verifier import (
-    ChainWitness,
-    Report,
-    audit_rtw,
-    build_report,
-    count_hops,
-    find_chains,
-    is_zero_click,
-)
+Everything else is imported from its submodule (``reentryguard.sim``,
+``reentryguard.verifier``, ...)."""
+
+from .scenarios import load_bundled
+from .sim import run_scenario
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ActionKind",
-    "AgentProfile",
-    "AutoloadPolicy",
-    "Carrier",
-    "CarrierClass",
-    "CarrierScope",
-    "ChainWitness",
-    "Decision",
-    "Ecosystem",
-    "EnforcementConfig",
-    "Event",
-    "EventKind",
-    "FORBIDDEN_SCHEMAS",
-    "FrameworkProfile",
-    "GuardMode",
-    "Injection",
-    "InjectionPosition",
-    "Layer",
-    "Lease",
-    "MediationError",
-    "MemoryCandidate",
-    "MemoryStores",
-    "PayloadFacets",
-    "Privilege",
-    "PromotionPolicy",
-    "Provenance",
-    "Reason",
-    "ReentryGuardError",
-    "Report",
-    "RunResult",
-    "Scenario",
-    "ScenarioError",
-    "SchemaKind",
-    "TaintLabel",
-    "Trace",
-    "Verdict",
-    "audit_rtw",
-    "build_report",
-    "bundled_names",
-    "classify_write",
-    "count_hops",
-    "cut_point_for",
-    "default_policy",
-    "enforce_exposed_read",
-    "find_chains",
-    "initial_label",
-    "is_rtw_safe",
-    "is_zero_click",
-    "load_bundled",
-    "load_scenario",
-    "load_suite",
-    "mediate",
-    "parse_trace",
-    "promote",
-    "promotion_checks",
-    "propagate_on_write",
-    "random_scenario",
-    "render_trace",
-    "resolve_scenario",
-    "rtw_word",
-    "run_scenario",
-    "scenario_from_dict",
-    "transform_payload",
-]
+__all__ = ["load_bundled", "run_scenario"]

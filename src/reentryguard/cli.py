@@ -90,7 +90,7 @@ def _bool(v: bool) -> str:
     return "1" if v else "0"
 
 
-def report_record(report: Report, seed: int | None = None, ticks: int | None = None) -> dict[str, str]:
+def report_record(report: Report) -> dict[str, str]:
     infected = ",".join(
         f"{agent}@{tick}" for agent, tick in zip(report.infected, report.infection_ticks)
     )
@@ -98,8 +98,8 @@ def report_record(report: Report, seed: int | None = None, ticks: int | None = N
         "scenario": report.scenario,
         "enforce": _enforce_label(report.flags),
         "guard": report.guard,
-        "seed": str(report.meta.seed if seed is None else seed),
-        "ticks": str(report.meta.ticks if ticks is None else ticks),
+        "seed": str(report.meta.seed),
+        "ticks": str(report.meta.ticks),
         "events": str(report.event_count),
         "persistence": _bool(report.persistence),
         "re_entry": _bool(report.re_entry),
@@ -284,10 +284,9 @@ def _mode_suite(args: argparse.Namespace, out) -> int:
         enforcement = EnforcementConfig.from_names(entry.enforce, guard)
         seeds = entry.seeds or (base.seed,)
         for seed in seeds:
-            for _ in range(entry.reps):
-                scenario = replace(base, enforcement=enforcement, seed=seed)
-                scenario.validate()
-                records.append(report_record(run_scenario(scenario).report))
+            scenario = replace(base, enforcement=enforcement, seed=seed)
+            scenario.validate()
+            records.append(report_record(run_scenario(scenario).report))
     if args.report == "machine":
         for record in records:
             print(render_machine("report", record), file=out)

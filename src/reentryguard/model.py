@@ -69,7 +69,6 @@ class CarrierClass(str, Enum):
 class InjectionPosition(str, Enum):
     SYSTEM_PROMPT = "system_prompt"
     USER_PROMPT = "user_prompt"
-    NOT_INJECTED = "not_injected"
 
 
 class AutoloadPolicy(str, Enum):
@@ -97,11 +96,9 @@ class ActionKind(str, Enum):
     WRITE_AUTOLOADED = "write_autoloaded"
     WRITE_TRUSTED_MEMORY = "write_trusted_memory"
     WRITE_CONFIG = "write_config"
-    WRITE_EXECUTABLE = "write_executable"
     SEND_MESSAGE = "send_message"
     INVOKE_SHELL = "invoke_shell"
     INVOKE_NETWORK = "invoke_network"
-    MODIFY_POLICY = "modify_policy"
     COMMIT_CROSS_SESSION = "commit_cross_session"
 
 
@@ -308,7 +305,6 @@ class Carrier:
     scope: CarrierScope
     label: TaintLabel = TaintLabel.CLEAN
     content: PayloadFacets | None = None
-    provenance: Provenance = Provenance.SIGNED_BASELINE
 
     def __post_init__(self) -> None:
         if self.cls is CarrierClass.STATIC_CONFIG and self.autoload is not AutoloadPolicy.SESSION_START:
@@ -391,14 +387,3 @@ class Trace:
 
     def __iter__(self):
         return iter(self.events)
-
-
-def project_carrier(trace: Trace, carrier_id: int) -> list[Event]:
-    """Per-carrier projection: writes and exposed reads of one carrier, in
-    trace order. Opaque reads and events on other carriers are excluded."""
-    keep = (EventKind.WRITE, EventKind.EXPOSED_READ)
-    return [
-        ev
-        for ev in trace.events
-        if ev.carrier_id == carrier_id and ev.kind in keep
-    ]

@@ -24,12 +24,10 @@ beats silently allowing it.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from enum import Enum
 
 from .memgate import Lease, MemoryStores, PromotionPolicy, check_lease_write, promote
 from .model import (
     ActionKind,
-    AutoloadPolicy,
     Carrier,
     CarrierClass,
     CarrierScope,
@@ -39,7 +37,6 @@ from .model import (
     GuardMode,
     Reason,
     ReentryGuardError,
-    TaintLabel,
 )
 from .rtw import enforce_exposed_read, enforce_opaque_read
 from .taint import AgentDecisionState
@@ -98,36 +95,6 @@ class EnforcementConfig:
 
 
 # ---------------------------------------------------------------------------
-# cut points
-# ---------------------------------------------------------------------------
-
-
-class CutPoint(str, Enum):
-    WRITE_TIME = "write_time"
-    EXPOSED_READ_TIME = "exposed_read_time"
-    PROMOTION_TIME = "promotion_time"
-    POST_READ_ATTENUATION = "post_read_attenuation"
-
-
-_CUT_POINTS: dict[CarrierClass, CutPoint] = {
-    CarrierClass.STATIC_CONFIG: CutPoint.WRITE_TIME,
-    CarrierClass.WORKSPACE_FILE: CutPoint.EXPOSED_READ_TIME,
-    CarrierClass.SHARED_CHANNEL_LOG: CutPoint.EXPOSED_READ_TIME,
-    CarrierClass.TRUSTED_MEMORY: CutPoint.PROMOTION_TIME,
-    CarrierClass.CANDIDATE_MEMORY: CutPoint.PROMOTION_TIME,
-    CarrierClass.TASK_LOCAL_STATE: CutPoint.PROMOTION_TIME,
-    CarrierClass.EXTERNAL_SOURCE: CutPoint.POST_READ_ATTENUATION,
-}
-
-
-def cut_point_for(cls: CarrierClass) -> CutPoint:
-    """Total map from carrier class to the point where its flow is cut.
-    Unavoidable external sources cannot be cut at read time at all, which is
-    why their cut sits after the read, on the actions of the reader."""
-    return _CUT_POINTS[cls]
-
-
-# ---------------------------------------------------------------------------
 # attenuation
 # ---------------------------------------------------------------------------
 
@@ -139,19 +106,18 @@ def classify_write(carrier: Carrier) -> ActionKind | None:
         return ActionKind.WRITE_CONFIG
     if carrier.cls is CarrierClass.TRUSTED_MEMORY:
         return ActionKind.WRITE_TRUSTED_MEMORY
-    if carrier.autoload in (AutoloadPolicy.SESSION_START, AutoloadPolicy.HEARTBEAT):
+    if carrier.autoloaded:
         return ActionKind.WRITE_AUTOLOADED
     if carrier.scope is CarrierScope.SHARED_CROSS_AGENT:
         return ActionKind.COMMIT_CROSS_SESSION
     return None
 
 
-def attenuate(state: AgentDecisionState, action: ActionKind, config: EnforcementConfig) -> Decision:
+def attenuate(state: AgentDecisionState, config: EnforcementConfig) -> Decision:
     """Post-contamination gate on high-risk actions. With the layer enabled,
     a contaminated context gets deny (or a guard escalation, depending on
-    guard mode) for every high-risk action, whatever its capability map said
+    guard mode) for every high-risk action, whatever capabilities it held
     before contamination."""
-    del action  # every ActionKind is high-risk by construction
     if config.attenuation and state.contaminated:
         if config.guard_mode is GuardMode.APPROVE_ALL:
             return Decision.guard(Reason.ATTENUATED_HIGHRISK)
@@ -191,11 +157,8 @@ def _mediate_write(event: Event, ctx: MediationContext, config: EnforcementConfi
         # gate bypass no matter who asks
         return Decision.deny(Reason.PROMOTION_REJECTED)
 
-    risk = classify_write(carrier)
-    if risk is not None:
-        verdict = attenuate(writer, risk, config)
-        if verdict.verdict.value != "allow":
-            return verdict
+    if classify_write(carrier) is not None:
+        return attenuate(writer, config)
     return Decision.allow()
 
 
@@ -206,9 +169,9 @@ def _mediate_exposed_read(event: Event, ctx: MediationContext, config: Enforceme
 
     if carrier.cls in (CarrierClass.WORKSPACE_FILE, CarrierClass.SHARED_CHANNEL_LOG) and config.rtw:
         return enforce_exposed_read(label, reader)
-    # external sources are unavoidable reads: cut sits after the read;
-    # memory, task state and config carriers have their cuts at promotion
-    # and write time respectively
+    # external sources are unavoidable reads: cut sits after the read, on
+    # the reader's actions; trusted memory, task state and config are gated
+    # when they are written or promoted into
     return Decision.allow()
 
 
@@ -238,14 +201,9 @@ def mediate(event: Event, ctx: MediationContext, config: EnforcementConfig) -> D
     if kind is EventKind.PROMOTE:
         return _mediate_promote(event, ctx, config)
     if kind in (EventKind.HIGH_RISK, EventKind.MSG_SEND):
-        action = event.action if event.action is not None else ActionKind.SEND_MESSAGE
-        return attenuate(ctx.states[event.agent], action, config)
+        return attenuate(ctx.states[event.agent], config)
     if kind is EventKind.DECLASSIFY:
         # declassification events are runtime-initiated; authorization is
         # checked by the taint engine before the event is even proposed
         return Decision.allow()
     raise MediationError(f"event kind {kind.value} has no mediation rule")
-
-
-def effective_label_after_read(label: TaintLabel | None, carrier: Carrier) -> TaintLabel:
-    return label if label is not None else carrier.label

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .model import Decision, Event, EventKind, Reason, TaintLabel
+from .model import Decision, Reason, TaintLabel
 from .taint import AgentDecisionState
 
 WRITE_SYM = "W"
@@ -28,19 +28,6 @@ READ_SYM = "R"
 class RtwVerdict:
     safe: bool
     first_violation: tuple[int, int] | None = None  # (write index, read index)
-
-
-def rtw_word(projection: Iterable[Event]) -> str:
-    """Collapse a per-carrier projection into its {W, R} word."""
-    out = []
-    for ev in projection:
-        if ev.kind is EventKind.WRITE:
-            out.append(WRITE_SYM)
-        elif ev.kind is EventKind.EXPOSED_READ:
-            out.append(READ_SYM)
-        else:
-            raise ValueError(f"projection contains foreign event kind {ev.kind}")
-    return "".join(out)
 
 
 def is_rtw_safe(word: Iterable[str]) -> RtwVerdict:
@@ -66,7 +53,7 @@ def enforce_exposed_read(carrier_label: TaintLabel, state: AgentDecisionState) -
     content: it cannot act on it, and the contamination marking downstream
     keeps it that way.
     """
-    if carrier_label.untrusted and state.any_high_cap:
+    if carrier_label.untrusted and state.high_cap:
         return Decision.deny(Reason.RTW_RE_ENTRY)
     return Decision.allow()
 

@@ -202,8 +202,10 @@ def scenario_from_dict(data: dict, default_name: str = "scenario") -> Scenario:
     for item in data.get("seeded") or []:
         if not isinstance(item, dict) or not {"agent", "slot"} <= set(item):
             raise _fail("seeded: each entry needs agent, slot, facets")
+        # provenance is validated for compatibility with existing files;
+        # every seeded slot starts labeled external, whatever it says
         try:
-            provenance = Provenance(item.get("provenance", "external_sync"))
+            Provenance(item.get("provenance", "external_sync"))
         except ValueError as exc:
             raise _fail(f"seeded: {exc}") from exc
         seeded.append(
@@ -211,7 +213,6 @@ def scenario_from_dict(data: dict, default_name: str = "scenario") -> Scenario:
                 agent=str(item["agent"]),
                 slot=str(item["slot"]),
                 facets=_parse_facets(item.get("facets", "1111"), "seeded"),
-                provenance=provenance,
             )
         )
 
@@ -294,7 +295,6 @@ class SuiteEntry:
     enforce: str = "none"
     guard: str = "deny"
     seeds: tuple[int, ...] = ()
-    reps: int = 1
 
 
 @dataclass(frozen=True)
@@ -311,14 +311,13 @@ def suite_from_dict(data: dict, default_name: str = "suite") -> SuiteSpec:
     for raw in data["entries"]:
         if not isinstance(raw, dict) or "scenario" not in raw:
             raise _fail("suite entries need a scenario reference")
-        _check_keys(raw, {"scenario", "enforce", "guard", "seeds", "reps"}, "suite entry")
+        _check_keys(raw, {"scenario", "enforce", "guard", "seeds"}, "suite entry")
         entries.append(
             SuiteEntry(
                 scenario=str(raw["scenario"]),
                 enforce=str(raw.get("enforce", "none")),
                 guard=str(raw.get("guard", "deny")),
                 seeds=tuple(int(s) for s in raw.get("seeds", [])),
-                reps=int(raw.get("reps", 1)),
             )
         )
     spec = SuiteSpec(name=str(data.get("name", default_name)), entries=tuple(entries))

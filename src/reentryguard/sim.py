@@ -44,7 +44,6 @@ from .model import (
     InjectionPosition,
     PayloadFacets,
     Privilege,
-    Provenance,
     ReentryGuardError,
     SchemaKind,
     TaintLabel,
@@ -54,6 +53,7 @@ from .policy import EnforcementConfig, MediationContext, mediate
 from .taint import (
     AgentDecisionState,
     attenuate_capabilities,
+    content_label,
     context_reset,
     declassify_carrier,
     fresh_state,
@@ -77,12 +77,10 @@ FACET_DROP_ORDER = ("verbatim", "harm", "propagate", "persist")
 PERSIST_DROP_STRENGTH = len(FACET_DROP_ORDER)
 
 
-def transform_payload(facets: PayloadFacets, strength: int, seed: int | None = None) -> PayloadFacets:
+def transform_payload(facets: PayloadFacets, strength: int) -> PayloadFacets:
     """Lossy per-hop transformation. Strength k clears the first k facets in
     FACET_DROP_ORDER; 0 is the identity. Deterministic given (facets,
-    strength); the seed parameter is accepted for signature stability and
-    unused by the fixed-order pipeline."""
-    del seed
+    strength)."""
     if strength < 0:
         raise ValueError("transform strength must be non-negative")
     if strength == 0:
@@ -230,7 +228,6 @@ class SeededCarrier:
     agent: str
     slot: str  # "heartbeat" | "task" | "ondemand"
     facets: PayloadFacets
-    provenance: Provenance = Provenance.EXTERNAL_SYNC
 
 
 @dataclass
@@ -317,15 +314,6 @@ class Message:
 # ---------------------------------------------------------------------------
 
 
-def _content_label(writer: AgentDecisionState, origin: TaintLabel) -> TaintLabel:
-    """Label of content an agent emits: conservative writer rule."""
-    if writer.contaminated:
-        return TaintLabel.TAINTED_DERIVED
-    if origin.untrusted:
-        return TaintLabel.TAINTED
-    return TaintLabel.CLEAN
-
-
 @dataclass
 class _TurnSource:
     facets: PayloadFacets
@@ -353,6 +341,15 @@ class Ecosystem:
         self.candidate_submitted: set[str] = set()
         self._next_carrier = 1
         self._build()
+        # one context for the whole run: mediate() sees every later change
+        # because the simulator mutates these containers in place
+        self.ctx = MediationContext(
+            carriers=self.carriers,
+            states=self.states,
+            stores=self.stores,
+            leases=self.leases,
+            promotion_policy=scenario.promotion_policy,
+        )
 
     # -- construction -------------------------------------------------------
 
@@ -364,6 +361,30 @@ class Ecosystem:
         cid = self._next_carrier
         self._next_carrier += 1
         return cid
+
+    def _slot_carrier(
+        self,
+        name: str,
+        cls: CarrierClass,
+        autoload: AutoloadPolicy,
+        owner: str,
+        seed: SeededCarrier | None,
+    ) -> int:
+        """An agent-local, user-prompt carrier; a seeded slot starts as
+        external content carrying the seed's facets."""
+        return self._add_carrier(
+            Carrier(
+                id=self._new_id(),
+                name=name,
+                cls=cls,
+                owner=owner,
+                injection=InjectionPosition.USER_PROMPT,
+                autoload=autoload,
+                scope=CarrierScope.AGENT_LOCAL,
+                label=TaintLabel.EXTERNAL if seed else TaintLabel.CLEAN,
+                content=seed.facets if seed else None,
+            )
+        )
 
     def _build(self) -> None:
         seeded = {(sc.agent, sc.slot): sc for sc in self.scenario.seeded_carriers}
@@ -398,37 +419,21 @@ class Ecosystem:
             )
             ids.append(memory_id)
 
-            hb_seed = seeded.get((agent_id, "heartbeat"))
-            heartbeat_id = self._add_carrier(
-                Carrier(
-                    id=self._new_id(),
-                    name=f"{agent_id}.taskfile",
-                    cls=CarrierClass.WORKSPACE_FILE,
-                    owner=agent_id,
-                    injection=InjectionPosition.USER_PROMPT,
-                    autoload=AutoloadPolicy.HEARTBEAT,
-                    scope=CarrierScope.AGENT_LOCAL,
-                    label=TaintLabel.EXTERNAL if hb_seed else TaintLabel.CLEAN,
-                    content=hb_seed.facets if hb_seed else None,
-                    provenance=hb_seed.provenance if hb_seed else Provenance.SIGNED_BASELINE,
-                )
+            heartbeat_id = self._slot_carrier(
+                f"{agent_id}.taskfile",
+                CarrierClass.WORKSPACE_FILE,
+                AutoloadPolicy.HEARTBEAT,
+                agent_id,
+                seeded.get((agent_id, "heartbeat")),
             )
             ids.append(heartbeat_id)
 
-            task_seed = seeded.get((agent_id, "task"))
-            task_id = self._add_carrier(
-                Carrier(
-                    id=self._new_id(),
-                    name=f"{agent_id}.taskstate",
-                    cls=CarrierClass.TASK_LOCAL_STATE,
-                    owner=agent_id,
-                    injection=InjectionPosition.USER_PROMPT,
-                    autoload=AutoloadPolicy.HEARTBEAT,
-                    scope=CarrierScope.AGENT_LOCAL,
-                    label=TaintLabel.EXTERNAL if task_seed else TaintLabel.CLEAN,
-                    content=task_seed.facets if task_seed else None,
-                    provenance=task_seed.provenance if task_seed else Provenance.SIGNED_BASELINE,
-                )
+            task_id = self._slot_carrier(
+                f"{agent_id}.taskstate",
+                CarrierClass.TASK_LOCAL_STATE,
+                AutoloadPolicy.HEARTBEAT,
+                agent_id,
+                seeded.get((agent_id, "task")),
             )
             ids.append(task_id)
 
@@ -436,21 +441,13 @@ class Ecosystem:
             # surface matches the framework shape
             pad = fw.system_carriers + fw.user_carriers - len(ids)
             for i in range(pad):
-                od_seed = seeded.get((agent_id, "ondemand")) if i == 0 else None
                 ids.append(
-                    self._add_carrier(
-                        Carrier(
-                            id=self._new_id(),
-                            name=f"{agent_id}.notes{i}",
-                            cls=CarrierClass.WORKSPACE_FILE,
-                            owner=agent_id,
-                            injection=InjectionPosition.USER_PROMPT,
-                            autoload=AutoloadPolicy.ON_DEMAND,
-                            scope=CarrierScope.AGENT_LOCAL,
-                            label=TaintLabel.EXTERNAL if od_seed else TaintLabel.CLEAN,
-                            content=od_seed.facets if od_seed else None,
-                            provenance=od_seed.provenance if od_seed else Provenance.SIGNED_BASELINE,
-                        )
+                    self._slot_carrier(
+                        f"{agent_id}.notes{i}",
+                        CarrierClass.WORKSPACE_FILE,
+                        AutoloadPolicy.ON_DEMAND,
+                        agent_id,
+                        seeded.get((agent_id, "ondemand")) if i == 0 else None,
                     )
                 )
 
@@ -462,9 +459,7 @@ class Ecosystem:
                 all_ids=ids,
             )
             self.states[agent_id] = fresh_state(
-                agent_id,
-                profile.privilege,
-                _base_action_caps(profile.privilege, profile.capabilities),
+                agent_id, _base_action_caps(profile.privilege, profile.capabilities)
             )
             self.stores[agent_id] = MemoryStores()
             lease = self.scenario.task_leases.get(agent_id)
@@ -482,7 +477,6 @@ class Ecosystem:
                     autoload=AutoloadPolicy.NEVER,
                     scope=CarrierScope.SHARED_CROSS_AGENT,
                     label=TaintLabel.EXTERNAL,
-                    provenance=Provenance.EXTERNAL_SYNC,
                 )
             )
             self.channel_log[ch] = self._add_carrier(
@@ -503,28 +497,16 @@ class Ecosystem:
 
     # -- mediation plumbing --------------------------------------------------
 
-    def _ctx(self) -> MediationContext:
-        return MediationContext(
-            carriers=self.carriers,
-            states=self.states,
-            stores=self.stores,
-            leases=self.leases,
-            promotion_policy=self.scenario.promotion_policy,
-        )
-
-    def _record(self, event: Event) -> None:
-        self.trace.append_event(event)
-
     def _mediated(self, event: Event) -> bool:
         """Mediate, record, and report whether the event takes effect."""
-        event.decision = mediate(event, self._ctx(), self.config)
+        event.decision = mediate(event, self.ctx, self.config)
         self.trace.append_event(event)
         return event.decision.effective(self.config.guard_mode)
 
     # -- state transitions ---------------------------------------------------
 
-    def _contaminate(self, agent: str, source_carrier: int | None) -> None:
-        state = mark_contamination(self.states[agent], source_carrier)
+    def _contaminate(self, agent: str) -> None:
+        state = mark_contamination(self.states[agent])
         if self.config.attenuation:
             state = attenuate_capabilities(state)
         self.states[agent] = state
@@ -549,13 +531,13 @@ class Ecosystem:
         if not self._mediated(ev):
             return False
         if label.untrusted:
-            self._contaminate(agent, carrier.id)
+            self._contaminate(agent)
         return True
 
     def _message_turn(self, tick: int, agent: str, msg: Message, delivered: PayloadFacets) -> None:
         profile = self.agents[agent]
         src = self.carriers[self.channel_source[msg.channel]]
-        self._record(
+        self.trace.append_event(
             Event(
                 tick=tick,
                 agent=agent,
@@ -621,7 +603,7 @@ class Ecosystem:
     def _heartbeat_turn(self, tick: int, agent: str) -> None:
         profile = self.agents[agent]
         cset = self.carrier_sets[agent]
-        self._record(Event(tick=tick, agent=agent, kind=EventKind.HEARTBEAT))
+        self.trace.append_event(Event(tick=tick, agent=agent, kind=EventKind.HEARTBEAT))
 
         # routine config validity probe: opaque, so any label is fine and
         # nothing enters the decision context
@@ -696,7 +678,7 @@ class Ecosystem:
                 kind=EventKind.WRITE,
                 carrier_id=target.id,
                 facets=facets,
-                label=_content_label(state, origin),
+                label=content_label(state, origin),
             )
             if self._mediated(ev):
                 self._apply_write(agent, target, facets, origin)
@@ -713,7 +695,7 @@ class Ecosystem:
                 kind=EventKind.WRITE,
                 carrier_id=config_carrier.id,
                 facets=facets,
-                label=_content_label(state, origin),
+                label=content_label(state, origin),
             )
             if self._mediated(ev):
                 self._apply_write(agent, config_carrier, facets, origin)
@@ -741,12 +723,12 @@ class Ecosystem:
                 carrier_id=candidate.id,
                 schema=candidate.schema,
                 facets=facets,
-                label=_content_label(state, origin),
+                label=content_label(state, origin),
             )
             if self._mediated(ev):
                 store.admit(candidate.id, tick)
                 memory_carrier = self.carriers[cset.memory_id]
-                memory_carrier.label = _content_label(state, origin)
+                memory_carrier.label = content_label(state, origin)
 
         if facets.propagate and can_send:
             for ch in sorted(profile.channels):
@@ -756,7 +738,7 @@ class Ecosystem:
                     kind=EventKind.MSG_SEND,
                     channel=ch,
                     facets=facets,
-                    label=_content_label(state, origin),
+                    label=content_label(state, origin),
                     action=ActionKind.SEND_MESSAGE,
                 )
                 if self._mediated(ev):
@@ -771,7 +753,7 @@ class Ecosystem:
                     agent=agent,
                     kind=EventKind.HIGH_RISK,
                     action=ActionKind.INVOKE_SHELL,
-                    label=_content_label(state, origin),
+                    label=content_label(state, origin),
                 )
                 self._mediated(ev)
             exfil_ch = self.scenario.exfil_channel
@@ -784,7 +766,7 @@ class Ecosystem:
                     kind=EventKind.MSG_SEND,
                     channel=exfil_ch,
                     facets=facets,
-                    label=_content_label(self.states[agent], origin),
+                    label=content_label(self.states[agent], origin),
                     action=ActionKind.SEND_MESSAGE,
                     exfil=True,
                 )
@@ -806,7 +788,7 @@ class Ecosystem:
         injection = self.scenario.injection
         assert injection is not None
         facets = injection.facets
-        self._record(
+        self.trace.append_event(
             Event(
                 tick=tick,
                 agent=ATTACKER,
@@ -842,7 +824,7 @@ class Ecosystem:
     def _scheduled_maintenance(self, tick: int) -> None:
         for agent, when in self.scenario.resets:
             if when == tick:
-                self._record(Event(tick=tick, agent=agent, kind=EventKind.CONTEXT_RESET))
+                self.trace.append_event(Event(tick=tick, agent=agent, kind=EventKind.CONTEXT_RESET))
                 self.states[agent] = context_reset(self.states[agent])
         for agent, when in self.scenario.declassify_carrier_of:
             if when == tick:

@@ -1,4 +1,4 @@
-"""Taint engine: label assignment, propagation on write, contamination.
+"""Taint engine: label propagation on write, contamination, declassification.
 
 Propagation is deliberately over-conservative. Once an agent's decision
 state has been exposed to untrusted content, everything it writes is
@@ -11,16 +11,13 @@ paraphrase" is ever load-bearing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .model import (
     ActionKind,
     Authorizer,
     Carrier,
-    CarrierClass,
     DeclassProcedure,
-    Privilege,
-    Provenance,
     TaintLabel,
 )
 
@@ -29,50 +26,21 @@ from .model import (
 class AgentDecisionState:
     """Per-agent security state between turns.
 
-    high_cap maps each high-risk action kind to whether this decision
-    context currently retains it. Attenuation zeroes the map; a context
-    reset restores base_caps. The base set encodes both privilege tier and
-    any scenario-level capability restrictions, so "no messaging" deployments
-    simply never have SEND_MESSAGE in base_caps.
+    high_cap says whether this decision context still holds any high-risk
+    capability. Attenuation clears it; a context reset restores it from
+    base_caps. The base set encodes both privilege tier and any
+    scenario-level capability restrictions, so a context whose deployment
+    grants no high-risk action never holds high_cap.
     """
 
     agent: str
     contaminated: bool = False
-    high_cap: dict[ActionKind, bool] = field(default_factory=dict)
+    high_cap: bool = False
     base_caps: frozenset[ActionKind] = frozenset()
-    contamination_sources: frozenset[int] = frozenset()
-
-    @property
-    def any_high_cap(self) -> bool:
-        return any(self.high_cap.values())
 
 
-def fresh_state(
-    agent: str,
-    privilege: Privilege,
-    capabilities: frozenset[ActionKind] | None = None,
-) -> AgentDecisionState:
-    if capabilities is None:
-        capabilities = default_capabilities(privilege)
-    return AgentDecisionState(
-        agent=agent,
-        contaminated=False,
-        high_cap={kind: True for kind in sorted(capabilities, key=lambda k: k.value)},
-        base_caps=frozenset(capabilities),
-    )
-
-
-def default_capabilities(privilege: Privilege) -> frozenset[ActionKind]:
-    low = {
-        ActionKind.WRITE_AUTOLOADED,
-        ActionKind.WRITE_TRUSTED_MEMORY,
-        ActionKind.WRITE_CONFIG,
-        ActionKind.SEND_MESSAGE,
-        ActionKind.COMMIT_CROSS_SESSION,
-    }
-    if privilege is Privilege.HIGH:
-        return frozenset(low | {ActionKind.INVOKE_SHELL, ActionKind.INVOKE_NETWORK})
-    return frozenset(low)
+def fresh_state(agent: str, capabilities: frozenset[ActionKind]) -> AgentDecisionState:
+    return AgentDecisionState(agent=agent, high_cap=bool(capabilities), base_caps=frozenset(capabilities))
 
 
 # ---------------------------------------------------------------------------
@@ -80,19 +48,19 @@ def default_capabilities(privilege: Privilege) -> frozenset[ActionKind]:
 # ---------------------------------------------------------------------------
 
 
-def initial_label(
-    cls: CarrierClass,
-    provenance: Provenance,
-    writer_contaminated: bool = False,
-) -> TaintLabel:
-    """Label for a carrier at creation time, before any mediated write."""
-    if provenance is Provenance.SIGNED_BASELINE:
-        return TaintLabel.CLEAN
-    if provenance in (Provenance.USER_PROVIDED, Provenance.DOWNLOADED, Provenance.EXTERNAL_SYNC):
-        return TaintLabel.EXTERNAL
-    if provenance is Provenance.AGENT_WRITTEN:
-        return TaintLabel.TAINTED_DERIVED if writer_contaminated else TaintLabel.CLEAN
-    raise ValueError(f"unhandled provenance {provenance}")
+def content_label(writer: AgentDecisionState, origin: TaintLabel) -> TaintLabel:
+    """Label of content an agent emits: conservative writer rule.
+
+    Contaminated writer: tainted_derived, regardless of what was written.
+    Clean writer relaying untrusted content: tainted (the relay is itself
+    a write, so downstream re-entry checks must see it). Clean writer,
+    clean content: clean.
+    """
+    if writer.contaminated:
+        return TaintLabel.TAINTED_DERIVED
+    if origin.untrusted:
+        return TaintLabel.TAINTED
+    return TaintLabel.CLEAN
 
 
 def propagate_on_write(
@@ -100,44 +68,30 @@ def propagate_on_write(
     target: Carrier,
     content_origin: TaintLabel,
 ) -> TaintLabel:
-    """Label the target carrier takes after an allowed write.
-
-    Contaminated writer: tainted_derived, regardless of what was written.
-    Clean writer relaying untrusted content: tainted (the relay is itself
-    a write, so downstream re-entry checks must see it). Clean writer,
-    clean content: the target label is unchanged; overwriting a tainted
-    carrier with clean bytes is not a declassification.
+    """Label the target carrier takes after an allowed write: the content
+    label, except that clean content leaves the target label unchanged;
+    overwriting a tainted carrier with clean bytes is not a declassification.
     """
-    if writer.contaminated:
-        return TaintLabel.TAINTED_DERIVED
-    if content_origin.untrusted:
-        return TaintLabel.TAINTED
-    return target.label
+    label = content_label(writer, content_origin)
+    return target.label if label is TaintLabel.CLEAN else label
 
 
-def mark_contamination(state: AgentDecisionState, source_carrier: int | None) -> AgentDecisionState:
-    sources = state.contamination_sources
-    if source_carrier is not None:
-        sources = sources | {source_carrier}
-    return replace(state, contaminated=True, contamination_sources=sources)
+def mark_contamination(state: AgentDecisionState) -> AgentDecisionState:
+    return replace(state, contaminated=True)
 
 
 def attenuate_capabilities(state: AgentDecisionState) -> AgentDecisionState:
-    return replace(state, high_cap={kind: False for kind in state.high_cap})
+    return replace(state, high_cap=False)
 
 
 def restore_capabilities(state: AgentDecisionState) -> AgentDecisionState:
-    return replace(
-        state,
-        high_cap={kind: True for kind in sorted(state.base_caps, key=lambda k: k.value)},
-    )
+    return replace(state, high_cap=bool(state.base_caps))
 
 
 def context_reset(state: AgentDecisionState) -> AgentDecisionState:
     """Runtime-initiated reset: contamination cleared, capabilities restored.
     Carrier labels are untouched; a reset wipes the decision state, not disk."""
-    cleared = replace(state, contaminated=False, contamination_sources=frozenset())
-    return restore_capabilities(cleared)
+    return restore_capabilities(replace(state, contaminated=False))
 
 
 # ---------------------------------------------------------------------------
@@ -180,12 +134,3 @@ def declassify_carrier(carrier: Carrier, authorizer: Authorizer, procedure: Decl
         carrier.label = TaintLabel.CLEAN
         carrier.content = None
     return result
-
-
-def declassify_state(
-    state: AgentDecisionState, authorizer: Authorizer, procedure: DeclassProcedure
-) -> tuple[AgentDecisionState, DeclassResult]:
-    result = declassify(authorizer, procedure)
-    if result.cleared:
-        return context_reset(state), result
-    return state, result

@@ -333,7 +333,10 @@ def parse_trace(text: str) -> tuple[TraceMeta, list[LogEvent]]:
         if not line.strip():
             continue
         if line.startswith("#"):
-            _parse_header_line(line, line_no, meta)
+            try:
+                _parse_header_line(line, line_no, meta)
+            except (IndexError, ValueError) as exc:
+                raise TraceFormatError(f"line {line_no}: bad header {line!r}: {exc}") from exc
             continue
         if line == COLUMN_ROW:
             saw_columns = True

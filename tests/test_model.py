@@ -1,10 +1,6 @@
-"""Core vocabulary: labels, facets, decisions, carriers, traces, projection."""
-
-import random
+"""Core vocabulary: labels, facets, decisions, carriers, traces."""
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from reentryguard.model import (
     REASON_LAYER,
@@ -25,7 +21,6 @@ from reentryguard.model import (
     Trace,
     TraceOrderError,
     Verdict,
-    project_carrier,
 )
 
 
@@ -157,50 +152,3 @@ class TestTrace:
     def test_negative_tick_rejected(self):
         with pytest.raises(ValueError):
             ev(-1, EventKind.HEARTBEAT)
-
-
-class TestProjection:
-    def test_empty_trace(self):
-        assert project_carrier(Trace(), 1) == []
-
-    def test_opaque_reads_and_other_carriers_excluded(self):
-        t = Trace()
-        w1 = ev(0, EventKind.WRITE, 1)
-        r2 = ev(1, EventKind.EXPOSED_READ, 2)
-        o1 = ev(2, EventKind.OPAQUE_READ, 1)
-        w2 = ev(3, EventKind.WRITE, 1)
-        r1 = ev(4, EventKind.EXPOSED_READ, 1)
-        for e in (w1, r2, o1, w2, r1):
-            t.append_event(e)
-        assert project_carrier(t, 1) == [w1, w2, r1]
-
-    def test_untouched_carrier_gives_empty(self):
-        t = Trace()
-        t.append_event(ev(0, EventKind.WRITE, 1))
-        assert project_carrier(t, 9) == []
-
-    def test_random_traces_match_linear_filter(self):
-        """Projection equals an independently coded scan over the same events."""
-        rng = random.Random(2024)
-        kinds = [EventKind.WRITE, EventKind.EXPOSED_READ, EventKind.OPAQUE_READ, EventKind.HEARTBEAT]
-        for _ in range(300):
-            t = Trace()
-            n = rng.randint(0, 10)
-            for i in range(n):
-                t.append_event(ev(i, rng.choice(kinds), rng.choice([1, 2, None])))
-            for cid in (1, 2):
-                expected = [
-                    e
-                    for e in t.events
-                    if e.carrier_id == cid
-                    and e.kind in (EventKind.WRITE, EventKind.EXPOSED_READ)
-                ]
-                assert project_carrier(t, cid) == expected
-
-    @given(st.lists(st.tuples(st.sampled_from(list(EventKind)), st.sampled_from([1, 2])), max_size=20))
-    def test_alphabet_soundness(self, spec):
-        t = Trace()
-        for i, (kind, cid) in enumerate(spec):
-            t.append_event(ev(i, kind, cid))
-        for e in project_carrier(t, 1):
-            assert e.kind in (EventKind.WRITE, EventKind.EXPOSED_READ)

@@ -1,4 +1,4 @@
-"""Policy engine: cut points, mediation dispatch, attenuation, layer ownership."""
+"""Policy engine: mediation dispatch, attenuation, layer ownership."""
 
 import pytest
 
@@ -18,18 +18,17 @@ from reentryguard.model import (
     Verdict,
 )
 from reentryguard.policy import (
-    CutPoint,
     EnforcementConfig,
     MediationContext,
     MediationError,
     attenuate,
     classify_write,
-    cut_point_for,
     mediate,
 )
 from reentryguard.taint import fresh_state, mark_contamination
-from reentryguard.model import Privilege
 from tests.test_model import make_carrier
+
+ALL_CAPS = frozenset(ActionKind)
 
 
 def ctx_with(carriers: dict, states: dict, leases=None, stores=None) -> MediationContext:
@@ -44,21 +43,6 @@ def ctx_with(carriers: dict, states: dict, leases=None, stores=None) -> Mediatio
 
 def write_event(carrier_id: int, agent: str = "a1", tick: int = 1) -> Event:
     return Event(tick=tick, agent=agent, kind=EventKind.WRITE, carrier_id=carrier_id)
-
-
-class TestCutPoints:
-    def test_fixed_assignment(self):
-        assert cut_point_for(CarrierClass.STATIC_CONFIG) is CutPoint.WRITE_TIME
-        assert cut_point_for(CarrierClass.WORKSPACE_FILE) is CutPoint.EXPOSED_READ_TIME
-        assert cut_point_for(CarrierClass.SHARED_CHANNEL_LOG) is CutPoint.EXPOSED_READ_TIME
-        assert cut_point_for(CarrierClass.TRUSTED_MEMORY) is CutPoint.PROMOTION_TIME
-        assert cut_point_for(CarrierClass.CANDIDATE_MEMORY) is CutPoint.PROMOTION_TIME
-        assert cut_point_for(CarrierClass.TASK_LOCAL_STATE) is CutPoint.PROMOTION_TIME
-        assert cut_point_for(CarrierClass.EXTERNAL_SOURCE) is CutPoint.POST_READ_ATTENUATION
-
-    def test_total_over_carrier_classes(self):
-        for cls in CarrierClass:
-            assert cut_point_for(cls) in CutPoint
 
 
 class TestClassifyWrite:
@@ -85,24 +69,24 @@ class TestClassifyWrite:
 
 class TestAttenuate:
     def test_contaminated_deny_all(self):
-        state = mark_contamination(fresh_state("a1", Privilege.HIGH), 1)
-        decision = attenuate(state, ActionKind.SEND_MESSAGE, EnforcementConfig.all_enabled())
+        state = mark_contamination(fresh_state("a1", ALL_CAPS))
+        decision = attenuate(state, EnforcementConfig.all_enabled())
         assert decision.verdict is Verdict.DENY
         assert decision.reason is Reason.ATTENUATED_HIGHRISK
 
     def test_contaminated_approve_all_guards(self):
-        state = mark_contamination(fresh_state("a1", Privilege.HIGH), 1)
+        state = mark_contamination(fresh_state("a1", ALL_CAPS))
         config = EnforcementConfig.all_enabled(GuardMode.APPROVE_ALL)
-        decision = attenuate(state, ActionKind.INVOKE_SHELL, config)
+        decision = attenuate(state, config)
         assert decision.verdict is Verdict.GUARD
 
     def test_clean_agent_allowed(self):
-        state = fresh_state("a1", Privilege.HIGH)
-        assert attenuate(state, ActionKind.INVOKE_SHELL, EnforcementConfig.all_enabled()).verdict is Verdict.ALLOW
+        state = fresh_state("a1", ALL_CAPS)
+        assert attenuate(state, EnforcementConfig.all_enabled()).verdict is Verdict.ALLOW
 
     def test_layer_disabled_allows(self):
-        state = mark_contamination(fresh_state("a1", Privilege.HIGH), 1)
-        assert attenuate(state, ActionKind.WRITE_CONFIG, EnforcementConfig.none()).verdict is Verdict.ALLOW
+        state = mark_contamination(fresh_state("a1", ALL_CAPS))
+        assert attenuate(state, EnforcementConfig.none()).verdict is Verdict.ALLOW
 
 
 class TestMediateWrite:
@@ -110,7 +94,7 @@ class TestMediateWrite:
         config_carrier = make_carrier(
             cid=1, cls=CarrierClass.STATIC_CONFIG, autoload=AutoloadPolicy.SESSION_START
         )
-        ctx = ctx_with({1: config_carrier}, {"a1": fresh_state("a1", Privilege.LOW)})
+        ctx = ctx_with({1: config_carrier}, {"a1": fresh_state("a1", ALL_CAPS)})
         decision = mediate(write_event(1), ctx, EnforcementConfig.from_names("seal"))
         assert decision.verdict is Verdict.DENY
         assert decision.reason is Reason.SEALED_CONFIG
@@ -120,14 +104,14 @@ class TestMediateWrite:
         config_carrier = make_carrier(
             cid=1, cls=CarrierClass.STATIC_CONFIG, autoload=AutoloadPolicy.SESSION_START
         )
-        ctx = ctx_with({1: config_carrier}, {"a1": fresh_state("a1", Privilege.LOW)})
+        ctx = ctx_with({1: config_carrier}, {"a1": fresh_state("a1", ALL_CAPS)})
         assert mediate(write_event(1), ctx, EnforcementConfig.none()).verdict is Verdict.ALLOW
 
     def test_task_local_write_needs_live_lease(self):
         task = make_carrier(cid=1, cls=CarrierClass.TASK_LOCAL_STATE)
         ctx = ctx_with(
             {1: task},
-            {"a1": fresh_state("a1", Privilege.LOW)},
+            {"a1": fresh_state("a1", ALL_CAPS)},
             leases=[Lease(carrier_id=1, t0=0, t1=4)],
         )
         config = EnforcementConfig.from_names("memgate")
@@ -138,14 +122,14 @@ class TestMediateWrite:
 
     def test_trusted_memory_direct_write_is_gate_bypass(self):
         memory = make_carrier(cid=1, cls=CarrierClass.TRUSTED_MEMORY)
-        ctx = ctx_with({1: memory}, {"a1": fresh_state("a1", Privilege.LOW)})
+        ctx = ctx_with({1: memory}, {"a1": fresh_state("a1", ALL_CAPS)})
         decision = mediate(write_event(1), ctx, EnforcementConfig.from_names("memgate"))
         assert decision.verdict is Verdict.DENY
         assert decision.reason is Reason.PROMOTION_REJECTED
 
     def test_contaminated_high_risk_write_attenuated(self):
         heartbeat = make_carrier(cid=1, autoload=AutoloadPolicy.HEARTBEAT)
-        state = mark_contamination(fresh_state("a1", Privilege.LOW), 9)
+        state = mark_contamination(fresh_state("a1", ALL_CAPS))
         ctx = ctx_with({1: heartbeat}, {"a1": state})
         decision = mediate(write_event(1), ctx, EnforcementConfig.from_names("attenuation"))
         assert decision.verdict is Verdict.DENY
@@ -155,7 +139,7 @@ class TestMediateWrite:
         # on-demand local files are below the high-risk bar even for a
         # contaminated writer; labels carry the consequence instead
         notes = make_carrier(cid=1, autoload=AutoloadPolicy.ON_DEMAND)
-        state = mark_contamination(fresh_state("a1", Privilege.LOW), 9)
+        state = mark_contamination(fresh_state("a1", ALL_CAPS))
         ctx = ctx_with({1: notes}, {"a1": state})
         assert mediate(write_event(1), ctx, EnforcementConfig.all_enabled()).verdict is Verdict.ALLOW
 
@@ -163,7 +147,7 @@ class TestMediateWrite:
 class TestMediateRead:
     def test_tainted_workspace_read_by_high_cap_denied(self):
         f = make_carrier(cid=1, label=TaintLabel.TAINTED)
-        ctx = ctx_with({1: f}, {"a1": fresh_state("a1", Privilege.HIGH)})
+        ctx = ctx_with({1: f}, {"a1": fresh_state("a1", ALL_CAPS)})
         event = Event(tick=1, agent="a1", kind=EventKind.EXPOSED_READ, carrier_id=1, label=TaintLabel.TAINTED)
         decision = mediate(event, ctx, EnforcementConfig.from_names("rtw"))
         assert decision.verdict is Verdict.DENY
@@ -172,13 +156,13 @@ class TestMediateRead:
     def test_external_source_read_not_rtw_gated(self):
         # unavoidable input: its cut sits after the read, on the actions
         src = make_carrier(cid=1, cls=CarrierClass.EXTERNAL_SOURCE, label=TaintLabel.EXTERNAL)
-        ctx = ctx_with({1: src}, {"a1": fresh_state("a1", Privilege.HIGH)})
+        ctx = ctx_with({1: src}, {"a1": fresh_state("a1", ALL_CAPS)})
         event = Event(tick=1, agent="a1", kind=EventKind.EXPOSED_READ, carrier_id=1, label=TaintLabel.EXTERNAL)
         assert mediate(event, ctx, EnforcementConfig.all_enabled()).verdict is Verdict.ALLOW
 
     def test_opaque_read_always_allowed(self):
         f = make_carrier(cid=1, label=TaintLabel.TAINTED)
-        ctx = ctx_with({1: f}, {"a1": fresh_state("a1", Privilege.HIGH)})
+        ctx = ctx_with({1: f}, {"a1": fresh_state("a1", ALL_CAPS)})
         event = Event(tick=1, agent="a1", kind=EventKind.OPAQUE_READ, carrier_id=1)
         decision = mediate(event, ctx, EnforcementConfig.all_enabled())
         assert decision.verdict is Verdict.ALLOW
@@ -194,7 +178,7 @@ class TestMediatePromote:
         from reentryguard.model import SchemaKind
 
         stores.submit_candidate(candidate(cid=2, schema=SchemaKind.FREE_FORM_INSTRUCTION))
-        return ctx_with({}, {"a1": fresh_state("a1", Privilege.LOW)}, stores={"a1": stores})
+        return ctx_with({}, {"a1": fresh_state("a1", ALL_CAPS)}, stores={"a1": stores})
 
     def test_conforming_promotion_allowed(self):
         event = Event(tick=1, agent="a1", kind=EventKind.PROMOTE, carrier_id=1)
@@ -213,7 +197,7 @@ class TestMediatePromote:
 
 class TestMediationTotality:
     def test_unknown_kind_raises(self):
-        ctx = ctx_with({}, {"a1": fresh_state("a1", Privilege.LOW)})
+        ctx = ctx_with({}, {"a1": fresh_state("a1", ALL_CAPS)})
         event = Event(tick=1, agent="a1", kind=EventKind.HEARTBEAT)
         with pytest.raises(MediationError):
             mediate(event, ctx, EnforcementConfig.all_enabled())
@@ -222,7 +206,7 @@ class TestMediationTotality:
         config_carrier = make_carrier(
             cid=1, cls=CarrierClass.STATIC_CONFIG, autoload=AutoloadPolicy.SESSION_START
         )
-        state = mark_contamination(fresh_state("a1", Privilege.HIGH), 1)
+        state = mark_contamination(fresh_state("a1", ALL_CAPS))
         ctx = ctx_with({1: config_carrier}, {"a1": state})
         for event in (
             write_event(1),

@@ -5,8 +5,8 @@ from itertools import product
 import pytest
 
 from reentryguard.model import (
+    ActionKind,
     EventKind,
-    Privilege,
     Reason,
     TaintLabel,
     Verdict,
@@ -17,10 +17,10 @@ from reentryguard.rtw import (
     enforce_exposed_read,
     enforce_opaque_read,
     is_rtw_safe,
-    rtw_word,
 )
 from reentryguard.taint import attenuate_capabilities, fresh_state
-from tests.test_model import ev
+
+ALL_CAPS = frozenset(ActionKind)
 
 
 def brute_force_safe(word: str) -> tuple[bool, tuple[int, int] | None]:
@@ -72,39 +72,25 @@ class TestIsRtwSafe:
                 assert verdict.first_violation == witness, word
 
 
-class TestRtwWord:
-    def test_projection_to_word(self):
-        events = [
-            ev(0, EventKind.EXPOSED_READ, 1),
-            ev(1, EventKind.WRITE, 1),
-            ev(2, EventKind.WRITE, 1),
-        ]
-        assert rtw_word(events) == "RWW"
-
-    def test_foreign_kind_rejected(self):
-        with pytest.raises(ValueError):
-            rtw_word([ev(0, EventKind.OPAQUE_READ, 1)])
-
-
 class TestEnforceExposedRead:
     def test_tainted_high_cap_denied(self):
-        state = fresh_state("a1", Privilege.HIGH)
+        state = fresh_state("a1", ALL_CAPS)
         decision = enforce_exposed_read(TaintLabel.TAINTED, state)
         assert decision.verdict is Verdict.DENY
         assert decision.reason is Reason.RTW_RE_ENTRY
 
     def test_clean_high_cap_allowed(self):
-        state = fresh_state("a1", Privilege.HIGH)
+        state = fresh_state("a1", ALL_CAPS)
         assert enforce_exposed_read(TaintLabel.CLEAN, state).verdict is Verdict.ALLOW
 
     def test_tainted_attenuated_allowed(self):
         # a context that cannot act may read; contamination marking downstream
         # keeps it harmless
-        state = attenuate_capabilities(fresh_state("a1", Privilege.HIGH))
+        state = attenuate_capabilities(fresh_state("a1", ALL_CAPS))
         assert enforce_exposed_read(TaintLabel.TAINTED, state).verdict is Verdict.ALLOW
 
     def test_every_untrusted_label_triggers(self):
-        state = fresh_state("a1", Privilege.LOW)
+        state = fresh_state("a1", ALL_CAPS)
         for label in (TaintLabel.EXTERNAL, TaintLabel.TAINTED, TaintLabel.TAINTED_DERIVED):
             assert enforce_exposed_read(label, state).verdict is Verdict.DENY
 

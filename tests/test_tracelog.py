@@ -2,6 +2,7 @@
 
 import pytest
 
+from reentryguard.cli import main
 from reentryguard.model import (
     ActionKind,
     Decision,
@@ -119,6 +120,20 @@ class TestParseErrors:
         text = "1|a1|heartbeat|-|-|-|-\n" + COLUMN_ROW + "\n"
         with pytest.raises(TraceFormatError):
             parse_trace(text)
+
+    @pytest.mark.parametrize(
+        "header",
+        ["# seed", "# attacker", "# trace-format", "# seed x", "# agent a1 period=x", "# carrier x"],
+    )
+    def test_malformed_header_names_its_line(self, header, bundled, tmp_path, capsys):
+        lines = bundled("fwA").trace_text.splitlines()
+        text = "\n".join([lines[0], header, *lines[1:]]) + "\n"
+        with pytest.raises(TraceFormatError, match=r"^line 2: "):
+            parse_trace(text)
+        path = tmp_path / "bad.trace"
+        path.write_text(text)
+        assert main(["--verify-trace", str(path)]) == 2
+        assert "line 2: " in capsys.readouterr().err
 
 
 class TestTraceRoundTrip:
