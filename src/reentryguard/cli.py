@@ -188,24 +188,14 @@ _SUITE_COLUMNS = (
 )
 
 
-def render_suite_table(records: list[dict[str, str]]) -> str:
-    header = {c: c for c in _SUITE_COLUMNS}
-    rows = [header] + [
-        {c: _mark(c, r[c]) if c in _CHECKED_FIELDS else r[c] for c in _SUITE_COLUMNS}
-        for r in records
-    ]
-    widths = {c: max(len(row[c]) for row in rows) for c in _SUITE_COLUMNS}
-    return "\n".join("  ".join(f"{row[c]:<{widths[c]}}" for c in _SUITE_COLUMNS).rstrip() for row in rows)
+_MATRIX_COLUMNS = ("config", "persistence", "propagation")
 
 
-def render_matrix_table(records: list[dict[str, str]]) -> str:
-    cols = ("config", "persistence", "propagation")
-    header = {c: c for c in cols}
-    rows = [header] + [
-        {c: _mark(c, r[c]) if c in _CHECKED_FIELDS else r[c] for c in cols} for r in records
-    ]
-    widths = {c: max(len(row[c]) for row in rows) for c in cols}
-    return "\n".join("  ".join(f"{row[c]:<{widths[c]}}" for c in cols).rstrip() for row in rows)
+def render_columns(records: list[dict[str, str]], columns: tuple[str, ...]) -> str:
+    """Left-aligned column table: a header row, then one row per record."""
+    rows = [{c: c for c in columns}] + [{c: _mark(c, r[c]) for c in columns} for r in records]
+    widths = {c: max(len(row[c]) for row in rows) for c in columns}
+    return "\n".join("  ".join(f"{row[c]:<{widths[c]}}" for c in columns).rstrip() for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +261,7 @@ def _mode_matrix(args: argparse.Namespace, out) -> int:
         for record in records:
             print(render_machine("matrix", record), file=out)
     else:
-        print(render_matrix_table(records), file=out)
+        print(render_columns(records, _MATRIX_COLUMNS), file=out)
     return EXIT_OK
 
 
@@ -291,7 +281,7 @@ def _mode_suite(args: argparse.Namespace, out) -> int:
         for record in records:
             print(render_machine("report", record), file=out)
     else:
-        print(render_suite_table(records), file=out)
+        print(render_columns(records, _SUITE_COLUMNS), file=out)
     return EXIT_OK
 
 

@@ -31,6 +31,7 @@ from .sim import (
     CAPABILITY_PRESETS,
     FRAMEWORKS,
     NEVER,
+    SEEDED_SLOTS,
     AgentProfile,
     Capability,
     CompliancePolicy,
@@ -202,6 +203,7 @@ def scenario_from_dict(data: dict, default_name: str = "scenario") -> Scenario:
     for item in data.get("seeded") or []:
         if not isinstance(item, dict) or not {"agent", "slot"} <= set(item):
             raise _fail("seeded: each entry needs agent, slot, facets")
+        _check_keys(item, {"agent", "slot", "facets", "provenance"}, "seeded")
         # provenance is validated for compatibility with existing files;
         # every seeded slot starts labeled external, whatever it says
         try:
@@ -413,7 +415,7 @@ def random_scenario(seed: int, enforcement: EnforcementConfig | None = None) -> 
         seeded.append(
             SeededCarrier(
                 agent=f"n{rng.randrange(n)}",
-                slot=rng.choice(["heartbeat", "task", "ondemand"]),
+                slot=rng.choice(SEEDED_SLOTS),
                 facets=PayloadFacets.from_token(rng.choice(["1111", "1110", "1010", "0110"])),
             )
         )

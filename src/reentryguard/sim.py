@@ -226,8 +226,11 @@ class SeededCarrier:
     an agent's workspace/task carriers as externally sourced content."""
 
     agent: str
-    slot: str  # "heartbeat" | "task" | "ondemand"
+    slot: str  # one of SEEDED_SLOTS
     facets: PayloadFacets
+
+
+SEEDED_SLOTS = ("heartbeat", "task", "ondemand")
 
 
 @dataclass
@@ -288,12 +291,15 @@ class Scenario:
             if ch not in known:
                 raise ScenarioError(f"heartbeat log for unknown channel {ch!r}")
         agent_set = set(ids)
-        for agent, _tick in self.resets:
-            if agent not in agent_set:
-                raise ScenarioError(f"reset for unknown agent {agent!r}")
+        for where, pairs in (("reset", self.resets), ("declassify", self.declassify_carrier_of)):
+            for agent, _tick in pairs:
+                if agent not in agent_set:
+                    raise ScenarioError(f"{where} for unknown agent {agent!r}")
         for sc in self.seeded_carriers:
             if sc.agent not in agent_set:
                 raise ScenarioError(f"seeded carrier for unknown agent {sc.agent!r}")
+            if sc.slot not in SEEDED_SLOTS:
+                raise ScenarioError(f"seeded carrier slot {sc.slot!r} is not one of {', '.join(SEEDED_SLOTS)}")
 
     def strength_for(self, channel: str) -> int:
         return self.transform_strength.get(channel, self.transform_default)
@@ -511,10 +517,49 @@ class Ecosystem:
             state = attenuate_capabilities(state)
         self.states[agent] = state
 
-    def _apply_write(self, agent: str, carrier: Carrier, facets: PayloadFacets | None, origin: TaintLabel) -> None:
-        carrier.label = propagate_on_write(self.states[agent], carrier, origin)
+    def _write(
+        self, tick: int, agent: str, carrier: Carrier, facets: PayloadFacets | None, origin: TaintLabel
+    ) -> None:
+        """Propose a write of content from origin; when it takes effect the
+        carrier takes the writer's label and any facets."""
+        state = self.states[agent]
+        ev = Event(
+            tick=tick,
+            agent=agent,
+            kind=EventKind.WRITE,
+            carrier_id=carrier.id,
+            facets=facets,
+            label=content_label(state, origin),
+        )
+        if not self._mediated(ev):
+            return
+        carrier.label = propagate_on_write(state, carrier, origin)
         if facets is not None and facets.any:
             carrier.content = facets
+
+    def _send(
+        self,
+        tick: int,
+        agent: str,
+        channel: str,
+        facets: PayloadFacets,
+        origin: TaintLabel,
+        exfil: bool = False,
+    ) -> None:
+        """Propose a message send; when it takes effect the message is queued
+        for next tick's delivery."""
+        ev = Event(
+            tick=tick,
+            agent=agent,
+            kind=EventKind.MSG_SEND,
+            channel=channel,
+            facets=facets,
+            label=content_label(self.states[agent], origin),
+            action=ActionKind.SEND_MESSAGE,
+            exfil=exfil,
+        )
+        if self._mediated(ev):
+            self._queue_message(Message(sender=agent, channel=channel, facets=facets, label=ev.label, exfil=exfil))
 
     def _queue_message(self, msg: Message) -> None:
         self.queued[msg.channel].append(msg)
@@ -570,34 +615,23 @@ class Ecosystem:
                 read_ids.append(log.id)
         for cid in sorted(read_ids):
             carrier = self.carriers[cid]
-            if cid == cset.memory_id:
-                if self.config.memgate:
-                    entries = store.live_entries(tick)
-                    if not entries:
-                        continue
-                    if not self._exposed_read(tick, agent, carrier, carrier.label):
-                        continue
-                    # gated render: typed projection only, facets never surface
-                    store.render_projection(tick)
-                    sources.append(
-                        _TurnSource(PayloadFacets.none(), carrier.injection, carrier.label)
-                    )
-                else:
-                    raw = store.raw_render()
-                    if not raw:
-                        continue
-                    if not self._exposed_read(tick, agent, carrier, carrier.label):
-                        continue
-                    facets = PayloadFacets.none()
-                    for cand in raw:
-                        if cand.content is not None:
-                            facets = facets.union(cand.content)
-                    sources.append(_TurnSource(facets, carrier.injection, carrier.label))
-                continue
-            if not self._exposed_read(tick, agent, carrier, carrier.label):
-                continue
-            facets = carrier.content if carrier.content is not None else PayloadFacets.none()
-            sources.append(_TurnSource(facets, carrier.injection, carrier.label))
+            if cid != cset.memory_id:
+                facets = carrier.content if carrier.content is not None else PayloadFacets.none()
+            elif self.config.memgate:
+                # gated render: typed projection only, facets never surface
+                if not store.live_entries(tick):
+                    continue
+                facets = PayloadFacets.none()
+            else:
+                raw = store.raw_render()
+                if not raw:
+                    continue
+                facets = PayloadFacets.none()
+                for cand in raw:
+                    if cand.content is not None:
+                        facets = facets.union(cand.content)
+            if self._exposed_read(tick, agent, carrier, carrier.label):
+                sources.append(_TurnSource(facets, carrier.injection, carrier.label))
         return sources
 
     def _heartbeat_turn(self, tick: int, agent: str) -> None:
@@ -624,16 +658,7 @@ class Ecosystem:
         # routine task bookkeeping under lease; a compromised agent's turn is
         # payload-driven, so only clean agents keep their routine
         if Capability.FILE_WRITE in profile.capabilities and not self.states[agent].contaminated:
-            task = self.carriers[cset.task_id]
-            ev = Event(
-                tick=tick,
-                agent=agent,
-                kind=EventKind.WRITE,
-                carrier_id=task.id,
-                label=TaintLabel.CLEAN,
-            )
-            if self._mediated(ev):
-                self._apply_write(agent, task, None, TaintLabel.CLEAN)
+            self._write(tick, agent, self.carriers[cset.task_id], None, TaintLabel.CLEAN)
 
         complied: list[_TurnSource] = []
         decided: dict[InjectionPosition, bool] = {}
@@ -665,40 +690,18 @@ class Ecosystem:
         if not facets.any:
             return
         profile = self.agents[agent]
-        state = self.states[agent]
         cset = self.carrier_sets[agent]
         can_write = Capability.FILE_WRITE in profile.capabilities
         can_send = Capability.MESSAGING in profile.capabilities
 
         if facets.persist and was_clean and can_write:
-            target = self.carriers[cset.heartbeat_id]
-            ev = Event(
-                tick=tick,
-                agent=agent,
-                kind=EventKind.WRITE,
-                carrier_id=target.id,
-                facets=facets,
-                label=content_label(state, origin),
-            )
-            if self._mediated(ev):
-                self._apply_write(agent, target, facets, origin)
+            self._write(tick, agent, self.carriers[cset.heartbeat_id], facets, origin)
 
-        state = self.states[agent]
-        if not state.contaminated:
+        if not self.states[agent].contaminated:
             return
 
         if facets.persist and can_write:
-            config_carrier = self.carriers[cset.config_id]
-            ev = Event(
-                tick=tick,
-                agent=agent,
-                kind=EventKind.WRITE,
-                carrier_id=config_carrier.id,
-                facets=facets,
-                label=content_label(state, origin),
-            )
-            if self._mediated(ev):
-                self._apply_write(agent, config_carrier, facets, origin)
+            self._write(tick, agent, self.carriers[cset.config_id], facets, origin)
 
         # persistent memory lives in storage too: without the file-write
         # permission there is nothing to admit into
@@ -723,28 +726,15 @@ class Ecosystem:
                 carrier_id=candidate.id,
                 schema=candidate.schema,
                 facets=facets,
-                label=content_label(state, origin),
+                label=content_label(self.states[agent], origin),
             )
             if self._mediated(ev):
                 store.admit(candidate.id, tick)
-                memory_carrier = self.carriers[cset.memory_id]
-                memory_carrier.label = content_label(state, origin)
+                self.carriers[cset.memory_id].label = ev.label
 
         if facets.propagate and can_send:
             for ch in sorted(profile.channels):
-                ev = Event(
-                    tick=tick,
-                    agent=agent,
-                    kind=EventKind.MSG_SEND,
-                    channel=ch,
-                    facets=facets,
-                    label=content_label(state, origin),
-                    action=ActionKind.SEND_MESSAGE,
-                )
-                if self._mediated(ev):
-                    self._queue_message(
-                        Message(sender=agent, channel=ch, facets=facets, label=ev.label)
-                    )
+                self._send(tick, agent, ch, facets, origin)
 
         if facets.harm and profile.privilege is Privilege.HIGH:
             if Capability.SHELL in profile.capabilities:
@@ -753,27 +743,14 @@ class Ecosystem:
                     agent=agent,
                     kind=EventKind.HIGH_RISK,
                     action=ActionKind.INVOKE_SHELL,
-                    label=content_label(state, origin),
+                    label=content_label(self.states[agent], origin),
                 )
                 self._mediated(ev)
             exfil_ch = self.scenario.exfil_channel
             if exfil_ch is not None and exfil_ch in profile.channels and can_send:
                 config_carrier = self.carriers[cset.config_id]
                 self._exposed_read(tick, agent, config_carrier, config_carrier.label)
-                ev = Event(
-                    tick=tick,
-                    agent=agent,
-                    kind=EventKind.MSG_SEND,
-                    channel=exfil_ch,
-                    facets=facets,
-                    label=content_label(self.states[agent], origin),
-                    action=ActionKind.SEND_MESSAGE,
-                    exfil=True,
-                )
-                if self._mediated(ev):
-                    self._queue_message(
-                        Message(sender=agent, channel=exfil_ch, facets=facets, label=ev.label, exfil=True)
-                    )
+                self._send(tick, agent, exfil_ch, facets, origin, exfil=True)
 
     # -- per-tick schedule ----------------------------------------------------
 

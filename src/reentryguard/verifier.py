@@ -8,11 +8,17 @@ test failures instead of being defined away.
 
 The central check is the temporal pattern: an effective untrusted write to a
 carrier, followed by an effective exposed read of that carrier, followed by an
-effective high-risk action by the reader, with no context reset of the reader
-between read and action and no declassification of the carrier between write
-and read. A trace is safe when no such chain completes. find_chains returns
-one minimal witness per offending write: the earliest qualifying read that has
-a qualifying action, and the earliest such action.
+effective high-risk action by the reader, with no context reset and no
+effective declassification by the reader between read and action. (The
+simulator's declassification clears a carrier, not an agent; the two rules
+do not yet agree.) A trace is safe when no such chain completes. chains_in
+finds one minimal witness per offending write, the earliest qualifying read
+that has a qualifying action and the earliest such action, in one backward
+scan over the events with one pending action per agent and one pending read
+per carrier.
+
+The entry points are build_report, which parses a trace and runs every pass,
+and find_chains, which returns the chain witnesses alone.
 
 "Effective" means the decision column says allow, or says guard while the
 header says approve-mode guards. Denied events never count: a blocked write
@@ -21,7 +27,6 @@ taints nothing, a blocked action harms nothing.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -37,7 +42,7 @@ from .model import (
     ReentryGuardError,
     Verdict,
 )
-from .tracelog import CarrierMeta, LogEvent, TraceMeta, parse_trace
+from .tracelog import LogEvent, TraceMeta, parse_trace
 
 APPROVE = "approve"
 
@@ -113,30 +118,23 @@ def _untrusted(ev: LogEvent) -> bool:
     return ev.label is not None and ev.label.untrusted
 
 
-def _carrier_index(meta: TraceMeta) -> dict[int, CarrierMeta]:
-    return {c.id: c for c in meta.carriers}
+def _high_risk_carriers(meta: TraceMeta) -> frozenset[int]:
+    """Carriers a write to which is a high-risk action: those that feed future
+    contexts or cross agents; ordinary on-demand local files are below the
+    bar."""
+    return frozenset(
+        c.id
+        for c in meta.carriers
+        if c.cls in (CarrierClass.STATIC_CONFIG.value, CarrierClass.TRUSTED_MEMORY.value)
+        or c.autoload in (AutoloadPolicy.SESSION_START.value, AutoloadPolicy.HEARTBEAT.value)
+        or c.scope == CarrierScope.SHARED_CROSS_AGENT.value
+    )
 
 
-def _write_is_high_risk(cm: CarrierMeta | None) -> bool:
-    """A write is a high-risk action when its target feeds future contexts or
-    crosses agents; ordinary on-demand local files are below the bar."""
-    if cm is None:
-        return False
-    if cm.cls in (CarrierClass.STATIC_CONFIG.value, CarrierClass.TRUSTED_MEMORY.value):
+def is_high_risk_action(ev: LogEvent, risky: frozenset[int]) -> bool:
+    if ev.kind is EventKind.HIGH_RISK or ev.kind is EventKind.MSG_SEND:
         return True
-    if cm.autoload in (AutoloadPolicy.SESSION_START.value, AutoloadPolicy.HEARTBEAT.value):
-        return True
-    return cm.scope == CarrierScope.SHARED_CROSS_AGENT.value
-
-
-def is_high_risk_action(ev: LogEvent, carriers: dict[int, CarrierMeta]) -> bool:
-    if ev.kind is EventKind.HIGH_RISK:
-        return True
-    if ev.kind is EventKind.MSG_SEND:
-        return True
-    if ev.kind is EventKind.WRITE:
-        return _write_is_high_risk(carriers.get(ev.carrier_id) if ev.carrier_id is not None else None)
-    return False
+    return ev.kind is EventKind.WRITE and ev.carrier_id in risky
 
 
 def _contaminated_before(events: list[LogEvent], meta: TraceMeta) -> list[bool]:
@@ -154,11 +152,6 @@ def _contaminated_before(events: list[LogEvent], meta: TraceMeta) -> list[bool]:
     return out
 
 
-def _none_between(sorted_indices: list[int], lo: int, hi: int) -> bool:
-    """True when no index in sorted_indices falls strictly between lo and hi."""
-    return bisect_left(sorted_indices, hi) <= bisect_right(sorted_indices, lo)
-
-
 def _validate(events: list[LogEvent]) -> None:
     for i, ev in enumerate(events):
         if ev.kind in EFFECTFUL_KINDS and ev.verdict is None:
@@ -173,62 +166,51 @@ def _validate(events: list[LogEvent]) -> None:
 
 
 def chains_in(events: list[LogEvent], meta: TraceMeta) -> list[ChainWitness]:
-    """One minimal witness per offending write: earliest untrusted effective
-    read of the written carrier that is followed by an effective high-risk
-    action of the reading agent, with no reset or declassification of that
-    agent strictly between read and action."""
-    carriers = _carrier_index(meta)
-    reads: dict[int, list[int]] = {}
-    actions: dict[str, list[int]] = {}
-    breakers: dict[str, list[int]] = {}
-    for i, ev in enumerate(events):
-        if ev.kind is EventKind.CONTEXT_RESET:
-            breakers.setdefault(ev.agent, []).append(i)
-            continue
-        if ev.kind is EventKind.DECLASSIFY and is_effective(ev, meta):
-            breakers.setdefault(ev.agent, []).append(i)
-            continue
-        if not is_effective(ev, meta):
-            continue
-        if ev.kind is EventKind.EXPOSED_READ and ev.carrier_id is not None and _untrusted(ev):
-            reads.setdefault(ev.carrier_id, []).append(i)
-        if is_high_risk_action(ev, carriers):
-            actions.setdefault(ev.agent, []).append(i)
+    """One minimal witness per offending write, found in one backward scan.
 
+    next_action[agent] holds the agent's next effective high-risk action, or
+    None when a reset or effective declassification of the agent comes
+    first. first_read[carrier] holds the earliest later effective untrusted
+    read of the carrier whose reader has a next action, with that action. An
+    effective untrusted write takes its carrier's first_read as its witness."""
+    risky = _high_risk_carriers(meta)
+    next_action: dict[str, int | None] = {}
+    first_read: dict[int, tuple[int, int]] = {}
+    found: list[tuple[int, int, int]] = []
+    for i in range(len(events) - 1, -1, -1):
+        ev = events[i]
+        if ev.kind is EventKind.CONTEXT_RESET:
+            next_action[ev.agent] = None
+        elif not is_effective(ev, meta):
+            continue
+        elif ev.kind is EventKind.DECLASSIFY:
+            next_action[ev.agent] = None
+        elif ev.kind is EventKind.EXPOSED_READ:
+            action = next_action.get(ev.agent)
+            if action is not None and ev.carrier_id is not None and _untrusted(ev):
+                first_read[ev.carrier_id] = (i, action)
+        else:
+            if ev.kind is EventKind.WRITE and ev.carrier_id in first_read and _untrusted(ev):
+                found.append((i, *first_read[ev.carrier_id]))
+            if is_high_risk_action(ev, risky):
+                next_action[ev.agent] = i
     witnesses: list[ChainWitness] = []
-    for i, ev in enumerate(events):
-        if ev.kind is not EventKind.WRITE or ev.carrier_id is None:
-            continue
-        if not (is_effective(ev, meta) and _untrusted(ev)):
-            continue
-        witness = None
-        for j in reads.get(ev.carrier_id, []):
-            if j <= i:
-                continue
-            reader = events[j].agent
-            blocked = breakers.get(reader, [])
-            for a in actions.get(reader, []):
-                if a <= j:
-                    continue
-                if _none_between(blocked, j, a):
-                    act = events[a]
-                    witness = ChainWitness(
-                        carrier_id=ev.carrier_id,
-                        writer=ev.agent,
-                        write_index=i,
-                        write_tick=ev.tick,
-                        reader=reader,
-                        read_index=j,
-                        read_tick=events[j].tick,
-                        action_index=a,
-                        action_tick=act.tick,
-                        action=act.action.value if act.action else act.kind.value,
-                    )
-                    break
-            if witness is not None:
-                break
-        if witness is not None:
-            witnesses.append(witness)
+    for i, j, a in reversed(found):
+        write, read, act = events[i], events[j], events[a]
+        witnesses.append(
+            ChainWitness(
+                carrier_id=write.carrier_id,
+                writer=write.agent,
+                write_index=i,
+                write_tick=write.tick,
+                reader=read.agent,
+                read_index=j,
+                read_tick=read.tick,
+                action_index=a,
+                action_tick=act.tick,
+                action=act.action.value if act.action else act.kind.value,
+            )
+        )
     return witnesses
 
 
@@ -240,7 +222,7 @@ def chains_in(events: list[LogEvent], meta: TraceMeta) -> list[ChainWitness]:
 def infections_in(events: list[LogEvent], meta: TraceMeta) -> tuple[list[str], list[int]]:
     """Agents that performed an effective untrusted write into a carrier they
     own, in first-infection order, with the tick of each first write."""
-    carriers = _carrier_index(meta)
+    owners = {c.id: c.owner for c in meta.carriers}
     infected: list[str] = []
     ticks: list[int] = []
     seen: set[str] = set()
@@ -249,10 +231,7 @@ def infections_in(events: list[LogEvent], meta: TraceMeta) -> tuple[list[str], l
             continue
         if not (is_effective(ev, meta) and _untrusted(ev)):
             continue
-        cm = carriers.get(ev.carrier_id)
-        if cm is None or cm.owner != ev.agent:
-            continue
-        if ev.agent in seen:
+        if owners.get(ev.carrier_id) != ev.agent or ev.agent in seen:
             continue
         seen.add(ev.agent)
         infected.append(ev.agent)
@@ -393,34 +372,9 @@ def build_report(text: str) -> Report:
     )
 
 
-def _parsed(trace: str) -> tuple[TraceMeta, list[LogEvent]]:
-    meta, events = parse_trace(trace)
-    _validate(events)
-    return meta, events
-
-
 def find_chains(trace: str) -> list[ChainWitness]:
     """Every completed write-read-act chain in a serialized trace, one
     minimal witness per offending write. Empty certifies the run."""
-    meta, events = _parsed(trace)
+    meta, events = parse_trace(trace)
+    _validate(events)
     return chains_in(events, meta)
-
-
-def count_hops(trace: str) -> int:
-    """Distinct agents with an effective untrusted write to a carrier they
-    own."""
-    meta, events = _parsed(trace)
-    infected, _ = infections_in(events, meta)
-    return len(infected)
-
-
-def is_zero_click(trace: str) -> bool:
-    meta, events = _parsed(trace)
-    return zero_click_in(events, meta)
-
-
-def audit_rtw(trace: str) -> bool:
-    """True when no carrier shows an effective untrusted write followed by an
-    effective exposed read that reached a high-capability reader."""
-    meta, events = _parsed(trace)
-    return not rtw_violations_in(events, meta)

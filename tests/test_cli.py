@@ -150,6 +150,17 @@ class TestExitCodes:
         assert code == 2
         assert "reentryguard:" in err
 
+    def test_declassify_for_unknown_agent_is_config_error(self, capsys, tmp_path):
+        path = tmp_path / "ghost.yaml"
+        path.write_text(
+            "channels: [c0]\n"
+            "agents:\n  - id: a1\n    channels: [c0]\n"
+            "declassify: [[ghost, 1]]\n"
+        )
+        code, _, err = run_cli(capsys, "--scenario", str(path))
+        assert code == 2
+        assert "ghost" in err
+
     def test_mediation_gap_is_internal_error(self, capsys, monkeypatch):
         def explode(scenario):
             raise MediationError("no rule for kind heartbeat")

@@ -125,8 +125,8 @@ class TestEnforceOpaqueRead:
 class TestEnforcedRunSafety:
     def test_no_untrusted_write_then_highcap_read_when_rtw_on(self, bundled):
         """The runtime rule implies the audit passes on every rtw-enabled run."""
-        from reentryguard.verifier import audit_rtw
+        from reentryguard.verifier import build_report
 
         for name in ("fwA", "fwB", "fwC", "cross_framework"):
-            assert audit_rtw(bundled(name, enforce="rtw").trace_text)
-            assert audit_rtw(bundled(name, enforce="all").trace_text)
+            assert not build_report(bundled(name, enforce="rtw").trace_text).rtw_violations
+            assert not build_report(bundled(name, enforce="all").trace_text).rtw_violations

@@ -2,7 +2,7 @@
 
 import pytest
 
-from reentryguard.model import GuardMode, InjectionPosition, Privilege
+from reentryguard.model import GuardMode, InjectionPosition, PayloadFacets, Privilege
 from reentryguard.policy import EnforcementConfig
 from reentryguard.scenarios import (
     bundled_names,
@@ -17,7 +17,7 @@ from reentryguard.scenarios import (
     with_capabilities,
     with_enforcement,
 )
-from reentryguard.sim import CAPABILITY_PRESETS, Capability, ScenarioError, run_scenario
+from reentryguard.sim import CAPABILITY_PRESETS, Capability, ScenarioError, SeededCarrier, run_scenario
 
 BUNDLED = ["cross_framework", "exfiltration", "fwA", "fwB", "fwC", "privilege_escalation"]
 
@@ -155,6 +155,25 @@ class TestDictParsing:
         }
         with pytest.raises(ScenarioError, match="seeded"):
             scenario_from_dict(data)
+
+    def test_seeded_unknown_key_rejected(self):
+        data = minimal() | {"seeded": [{"agent": "a1", "slot": "task", "facts": "0001"}]}
+        with pytest.raises(ScenarioError, match="facts"):
+            scenario_from_dict(data)
+
+    def test_seeded_unknown_slot_rejected(self):
+        data = minimal() | {"seeded": [{"agent": "a1", "slot": "hearbeat"}]}
+        with pytest.raises(ScenarioError, match="hearbeat"):
+            scenario_from_dict(data)
+        # a scenario built in code is held to the same rule
+        scenario = scenario_from_dict(minimal())
+        scenario.seeded_carriers.append(SeededCarrier("a1", "hearbeat", PayloadFacets.full()))
+        with pytest.raises(ScenarioError, match="hearbeat"):
+            scenario.validate()
+
+    def test_declassify_for_unknown_agent_rejected(self):
+        with pytest.raises(ScenarioError, match="ghost"):
+            scenario_from_dict(minimal() | {"declassify": [["ghost", 1]]})
 
     def test_reserved_agent_id(self):
         data = minimal()

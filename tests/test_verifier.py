@@ -6,6 +6,7 @@ so these tests double as format-contract tests.
 """
 
 import random
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -25,16 +26,12 @@ from reentryguard.model import (
     TaintLabel,
     Trace,
 )
+from reentryguard.policy import EnforcementConfig
 from reentryguard.rtw import is_rtw_safe
-from reentryguard.tracelog import CarrierMeta, TraceMeta, render_trace
-from reentryguard.verifier import (
-    VerificationError,
-    audit_rtw,
-    build_report,
-    count_hops,
-    find_chains,
-    is_zero_click,
-)
+from reentryguard.scenarios import bundled_names, random_scenario
+from reentryguard.sim import Ecosystem
+from reentryguard.tracelog import CarrierMeta, TraceMeta, parse_trace, render_trace
+from reentryguard.verifier import VerificationError, build_report, find_chains
 
 ALLOW = Decision.allow()
 DENY = Decision.deny(Reason.ATTENUATED_HIGHRISK)
@@ -225,6 +222,16 @@ def naive_chains(events: list[Event], meta: TraceMeta, guard: str) -> set[tuple[
     return triples
 
 
+def assert_matches_oracle(witnesses: list, oracle: set[tuple[int, int, int]]) -> None:
+    # emptiness agreement
+    assert bool(witnesses) == bool(oracle)
+    # one witness per offending write, at the minimal read/action pair
+    assert {w.write_index for w in witnesses} == {i for i, _, _ in oracle}
+    for w in witnesses:
+        candidate_pairs = sorted((j, k) for i, j, k in oracle if i == w.write_index)
+        assert (w.read_index, w.action_index) == candidate_pairs[0]
+
+
 class TestFindChainsAgainstNaiveScan:
     """Exhaustive toy-run enumeration: one carrier, two agents, every sequence
     of up to five template events, plus a random sample of longer runs over a
@@ -248,19 +255,7 @@ class TestFindChainsAgainstNaiveScan:
 
     def _check(self, events: list[Event]) -> None:
         meta = toy_meta()
-        witnesses = find_chains(render(events, meta))
-        oracle = naive_chains(events, meta, guard="deny")
-        # emptiness agreement
-        assert bool(witnesses) == bool(oracle)
-        # one witness per offending write, at the minimal read/action pair
-        writes_with_witness = {w.write_index for w in witnesses}
-        writes_in_oracle = {i for i, _, _ in oracle}
-        assert writes_with_witness == writes_in_oracle
-        for w in witnesses:
-            candidate_pairs = sorted(
-                (j, k) for i, j, k in oracle if i == w.write_index
-            )
-            assert (w.read_index, w.action_index) == candidate_pairs[0]
+        assert_matches_oracle(find_chains(render(events, meta)), naive_chains(events, meta, guard="deny"))
 
     def test_exhaustive_up_to_five_events(self):
         for length in range(6):
@@ -276,57 +271,84 @@ class TestFindChainsAgainstNaiveScan:
             self._check(events)
 
 
+class TestFindChainsOnSimulatorTraces:
+    """The oracle comparison on whole simulator runs: the reads, actions and
+    resets of several agents interleave in one event stream, and a high-risk
+    write can be both an offending write and another chain's action."""
+
+    def test_bundled_undefended_runs(self, bundled):
+        for name in bundled_names():
+            run = bundled(name)
+            meta, _ = parse_trace(run.trace_text)
+            witnesses = find_chains(run.trace_text)
+            assert witnesses, name
+            assert_matches_oracle(witnesses, naive_chains(run.trace.events, meta, meta.guard))
+
+    def test_undefended_fuzz_runs(self):
+        with_resets = 0
+        for seed in range(50):
+            scenario = random_scenario(seed, EnforcementConfig.from_names("none"))
+            scenario = replace(scenario, max_ticks=min(scenario.max_ticks, 5))
+            with_resets += bool(scenario.resets)
+            eco = Ecosystem(scenario)
+            meta = eco.trace_meta()
+            trace = eco.run()
+            oracle = naive_chains(trace.events, meta, meta.guard)
+            assert_matches_oracle(find_chains(render_trace(trace, meta)), oracle)
+        assert with_resets
+
+
 class TestCountHops:
     def test_no_infection_is_zero(self):
-        assert count_hops(render([R(1, label=TaintLabel.CLEAN)])) == 0
+        assert build_report(render([R(1, label=TaintLabel.CLEAN)])).hops == 0
 
     def test_own_carrier_write_counts_once(self):
         events = [W(1, agent="a1"), W(2, agent="a1")]
-        assert count_hops(render(events)) == 1
+        assert build_report(render(events)).hops == 1
 
     def test_foreign_carrier_write_does_not_count(self):
-        assert count_hops(render([W(1, agent="a2")])) == 0
+        assert build_report(render([W(1, agent="a2")])).hops == 0
 
     def test_denied_write_does_not_count(self):
-        assert count_hops(render([W(1, decision=DENY)])) == 0
+        assert build_report(render([W(1, decision=DENY)])).hops == 0
 
     def test_clean_write_does_not_count(self):
-        assert count_hops(render([W(1, label=TaintLabel.CLEAN)])) == 0
+        assert build_report(render([W(1, label=TaintLabel.CLEAN)])).hops == 0
 
     def test_undefended_three_agent_chain(self, bundled):
-        assert count_hops(bundled("fwA").trace_text) == 3
+        assert build_report(bundled("fwA").trace_text).hops == 3
 
     def test_cross_framework_chain(self, bundled):
-        assert count_hops(bundled("cross_framework").trace_text) == 3
+        assert build_report(bundled("cross_framework").trace_text).hops == 3
 
 
 class TestZeroClick:
     def test_single_injection_no_other_attacker_events(self):
-        assert is_zero_click(render([INJECT(0), W(1)]))
+        assert build_report(render([INJECT(0), W(1)])).zero_click
 
     def test_two_injections(self):
-        assert not is_zero_click(render([INJECT(0), INJECT(1)]))
+        assert not build_report(render([INJECT(0), INJECT(1)])).zero_click
 
     def test_zero_injections_flagged_not_passed(self):
-        assert not is_zero_click(render([W(1)]))
+        assert not build_report(render([W(1)])).zero_click
 
     def test_bundled_runs_are_zero_click(self, bundled):
         for name in ("fwA", "fwB", "fwC", "cross_framework"):
-            assert is_zero_click(bundled(name).trace_text)
+            assert build_report(bundled(name).trace_text).zero_click
 
 
 class TestAuditRtw:
     def test_enforced_run_passes(self, bundled):
-        assert audit_rtw(bundled("fwA", enforce="all").trace_text)
+        assert not build_report(bundled("fwA", enforce="all").trace_text).rtw_violations
 
     def test_planted_violation_fails(self):
-        assert not audit_rtw(render([W(1), R(2)]))
+        assert build_report(render([W(1), R(2)])).rtw_violations
 
     def test_declassify_clears_pending_write(self):
         # read after the declassification is untrusted again (re-tainted),
         # but the pre-declassification write no longer pairs with it
         events = [W(1), DECL(2, agent="runtime"), R(3)]
-        assert audit_rtw(render(events))
+        assert not build_report(render(events)).rtw_violations
 
     def test_attenuated_reader_is_not_high_cap(self):
         """With attenuation on, a reader already contaminated at read time has
@@ -334,13 +356,14 @@ class TestAuditRtw:
         flags = {"rtw": False, "seal": False, "memgate": False, "attenuation": True}
         meta = toy_meta(flags=flags)
         events = [R(1, agent="a2"), W(2, agent="a1"), R(3, agent="a2")]
-        assert audit_rtw(render(events, meta))
+        assert not build_report(render(events, meta)).rtw_violations
         # same trace, attenuation off: the read is a violation
-        assert not audit_rtw(render(events))
+        assert build_report(render(events)).rtw_violations
 
     def test_fuzzed_traces_agree_with_word_scanner(self):
         """Random small traces of untrusted writes and high-cap reads must make
-        audit_rtw coincide with the per-carrier regular-language check."""
+        the report's RTW violations coincide with the per-carrier
+        regular-language check."""
         rng = random.Random(41)
         for _ in range(10_000):
             events = []
@@ -363,7 +386,7 @@ class TestAuditRtw:
                 )
             )
             expected = all(is_rtw_safe("".join(words[cid])).safe for cid in (1, 2))
-            assert audit_rtw(render(events, meta)) == expected
+            assert (not build_report(render(events, meta)).rtw_violations) == expected
 
 
 class TestReportOutcomes:
