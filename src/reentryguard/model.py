@@ -237,8 +237,8 @@ class Layer(str, Enum):
     NONE = "none"
 
 
-# each deny/guard reason is owned by exactly one layer; reports rebuild the
-# layer from the reason, so the trace line does not need a layer column
+# each deny/guard reason is owned by exactly one layer; Decision.layer is
+# derived from the reason, so the trace line does not need a layer column
 REASON_LAYER: dict[Reason, Layer] = {
     Reason.OK: Layer.NONE,
     Reason.SEALED_CONFIG: Layer.SEAL,
@@ -259,26 +259,32 @@ class GuardMode(str, Enum):
 class Decision:
     verdict: Verdict
     reason: Reason
-    layer: Layer
 
     def __post_init__(self) -> None:
-        # deny/guard must explain themselves; allow must not blame a layer
-        if self.verdict is not Verdict.ALLOW and self.reason is Reason.OK:
-            raise ValueError("deny/guard decisions need a non-ok reason")
-        if REASON_LAYER[self.reason] is not self.layer:
-            raise ValueError(f"reason {self.reason} does not belong to layer {self.layer}")
+        if not Decision.admits(self.verdict, self.reason):
+            raise ValueError(f"a {self.verdict.value} decision cannot give reason {self.reason.value}")
+
+    @staticmethod
+    def admits(verdict: Verdict, reason: Reason) -> bool:
+        """A decision is allow exactly when its reason belongs to no layer:
+        deny and guard must blame a layer, allow must not."""
+        return (verdict is Verdict.ALLOW) == (REASON_LAYER[reason] is Layer.NONE)
+
+    @property
+    def layer(self) -> Layer:
+        return REASON_LAYER[self.reason]
 
     @classmethod
     def allow(cls, reason: Reason = Reason.OK) -> "Decision":
-        return cls(Verdict.ALLOW, reason, REASON_LAYER[reason])
+        return cls(Verdict.ALLOW, reason)
 
     @classmethod
     def deny(cls, reason: Reason) -> "Decision":
-        return cls(Verdict.DENY, reason, REASON_LAYER[reason])
+        return cls(Verdict.DENY, reason)
 
     @classmethod
     def guard(cls, reason: Reason) -> "Decision":
-        return cls(Verdict.GUARD, reason, REASON_LAYER[reason])
+        return cls(Verdict.GUARD, reason)
 
     def effective(self, guard_mode: GuardMode) -> bool:
         """Whether the mediated event takes effect under the given guard mode."""

@@ -291,10 +291,16 @@ class Scenario:
             if ch not in known:
                 raise ScenarioError(f"heartbeat log for unknown channel {ch!r}")
         agent_set = set(ids)
+        for agent in self.task_leases:
+            if agent not in agent_set:
+                raise ScenarioError(f"task lease for unknown agent {agent!r}")
+        # ticks above max_ticks are allowed: shortening a run must keep it valid
         for where, pairs in (("reset", self.resets), ("declassify", self.declassify_carrier_of)):
-            for agent, _tick in pairs:
+            for agent, tick in pairs:
                 if agent not in agent_set:
                     raise ScenarioError(f"{where} for unknown agent {agent!r}")
+                if tick < 1:
+                    raise ScenarioError(f"{where} at tick {tick} never runs: ticks start at 1")
         for sc in self.seeded_carriers:
             if sc.agent not in agent_set:
                 raise ScenarioError(f"seeded carrier for unknown agent {sc.agent!r}")
@@ -311,8 +317,6 @@ class Message:
     channel: str
     facets: PayloadFacets
     label: TaintLabel
-    exfil: bool = False
-    from_inject: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +522,7 @@ class Ecosystem:
         self.states[agent] = state
 
     def _write(
-        self, tick: int, agent: str, carrier: Carrier, facets: PayloadFacets | None, origin: TaintLabel
+        self, tick: int, agent: str, carrier: Carrier, facets: PayloadFacets, origin: TaintLabel
     ) -> None:
         """Propose a write of content from origin; when it takes effect the
         carrier takes the writer's label and any facets."""
@@ -534,7 +538,7 @@ class Ecosystem:
         if not self._mediated(ev):
             return
         carrier.label = propagate_on_write(state, carrier, origin)
-        if facets is not None and facets.any:
+        if facets.any:
             carrier.content = facets
 
     def _send(
@@ -555,17 +559,16 @@ class Ecosystem:
             channel=channel,
             facets=facets,
             label=content_label(self.states[agent], origin),
-            action=ActionKind.SEND_MESSAGE,
             exfil=exfil,
         )
         if self._mediated(ev):
-            self._queue_message(Message(sender=agent, channel=channel, facets=facets, label=ev.label, exfil=exfil))
+            self._queue_message(Message(sender=agent, channel=channel, facets=facets, label=ev.label))
 
     def _queue_message(self, msg: Message) -> None:
         self.queued[msg.channel].append(msg)
         log = self.carriers[self.channel_log[msg.channel]]
         if msg.label.untrusted and not log.label.untrusted:
-            log.label = TaintLabel.TAINTED if msg.from_inject else TaintLabel.TAINTED_DERIVED
+            log.label = TaintLabel.TAINTED if msg.sender == ATTACKER else TaintLabel.TAINTED_DERIVED
         if msg.facets.any:
             log.content = (log.content or PayloadFacets.none()).union(msg.facets)
 
@@ -658,7 +661,7 @@ class Ecosystem:
         # routine task bookkeeping under lease; a compromised agent's turn is
         # payload-driven, so only clean agents keep their routine
         if Capability.FILE_WRITE in profile.capabilities and not self.states[agent].contaminated:
-            self._write(tick, agent, self.carriers[cset.task_id], None, TaintLabel.CLEAN)
+            self._write(tick, agent, self.carriers[cset.task_id], PayloadFacets.none(), TaintLabel.CLEAN)
 
         complied: list[_TurnSource] = []
         decided: dict[InjectionPosition, bool] = {}
@@ -776,13 +779,7 @@ class Ecosystem:
             )
         )
         self._queue_message(
-            Message(
-                sender=ATTACKER,
-                channel=injection.channel,
-                facets=facets,
-                label=TaintLabel.TAINTED,
-                from_inject=True,
-            )
+            Message(sender=ATTACKER, channel=injection.channel, facets=facets, label=TaintLabel.TAINTED)
         )
 
     def _deliver(self, tick: int) -> None:
@@ -791,7 +788,7 @@ class Ecosystem:
         for ch in sorted(to_deliver):
             strength = self.scenario.strength_for(ch)
             for msg in to_deliver[ch]:
-                delivered = msg.facets if msg.from_inject else transform_payload(msg.facets, strength)
+                delivered = msg.facets if msg.sender == ATTACKER else transform_payload(msg.facets, strength)
                 for agent in self.agent_order:
                     if agent == msg.sender:
                         continue

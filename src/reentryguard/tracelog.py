@@ -10,8 +10,9 @@ here. Layout:
 * one column row: ``tick|agent|kind|carrier_id|label|decision|reason``
 * event lines in trace order
 
-The ``kind`` column is a colon-joined token; the first part is the event
-kind, the rest is kind-specific detail:
+The ``kind`` column is a colon-joined token: the event kind, then the
+detail fields that ``KIND_FIELDS`` lists for that kind, in order. Rendering
+and parsing both read that one table:
 
     write:1111                      facet bits persist,propagate,harm,verbatim
     exposed_read / opaque_read      carrier or source in the carrier_id column
@@ -26,6 +27,14 @@ kind, the rest is kind-specific detail:
 Missing values are ``-``. Events without a decision are bookkeeping; the
 verifier rejects decision-less lines for effectful kinds.
 
+The parser yields ``model.Event``, the record the simulator writes, and
+fails closed: anything it cannot interpret raises ``TraceFormatError``
+naming the line. That covers a wrong column or detail-field count, an
+unknown kind, enum value or facet token, a negative tick, a sender without
+``from=``, and a decision/reason pair that ``Decision`` does not admit
+(``allow|rtw-re-entry``, ``deny|ok``, ``allow|-``). Every value is looked
+up in a table built once from the model.
+
 Identical runs must serialize byte-identically; nothing here may read the
 clock, the environment, or unordered containers.
 """
@@ -33,9 +42,12 @@ clock, the environment, or unordered containers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from enum import Enum
+from typing import Any, Callable
 
 from .model import (
     ActionKind,
+    Decision,
     DeclassProcedure,
     Event,
     EventKind,
@@ -121,44 +133,92 @@ def render_header(meta: TraceMeta) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# event -> line
+# the kind token
 # ---------------------------------------------------------------------------
 
+# Event fields each kind's token carries after the kind, in order. Both
+# event_to_line and parse_event_line read this table.
+KIND_FIELDS: dict[EventKind, tuple[str, ...]] = {
+    EventKind.WRITE: ("facets",),
+    EventKind.EXPOSED_READ: (),
+    EventKind.OPAQUE_READ: (),
+    EventKind.HIGH_RISK: ("action",),
+    EventKind.MSG_SEND: ("channel", "facets", "exfil"),
+    EventKind.MSG_RECV: ("channel", "facets", "sender"),
+    EventKind.PROMOTE: ("schema", "facets"),
+    EventKind.DECLASSIFY: ("procedure",),
+    EventKind.CONTEXT_RESET: (),
+    EventKind.HEARTBEAT: (),
+    EventKind.INJECT: ("channel", "facets"),
+}
 
-def _facet_token(facets: PayloadFacets | None) -> str:
-    return (facets or PayloadFacets.none()).token()
+
+def _by_value(enum_cls: type[Enum]) -> dict[str, Any]:
+    return {member.value: member for member in enum_cls}
+
+
+def _sender(token: str) -> str:
+    if not token.startswith("from="):
+        raise ValueError(f"sender {token!r} lacks from=")
+    return token[len("from="):]
+
+
+# value tables, built once: token -> model value
+_KINDS = _by_value(EventKind)
+_LABELS = {MISSING: None, **_by_value(TaintLabel)}
+_FACETS = {t: PayloadFacets.from_token(t) for t in (format(i, "04b") for i in range(16))}
+# (verdict, reason) columns -> decision; only the pairs Decision admits
+_DECISIONS = {(MISSING, MISSING): None} | {
+    (v.value, r.value): Decision(v, r) for v in Verdict for r in Reason if Decision.admits(v, r)
+}
+
+_REQUIRED = object()
+# field -> (render, parse, value when the token leaves the field out);
+# exfil is a trailing flag, rendered (not None) only when set
+_CODECS: dict[str, tuple[Callable[[Any], str | None], Callable[[str], Any], Any]] = {
+    "facets": (PayloadFacets.token, _FACETS.__getitem__, _REQUIRED),
+    "action": (lambda v: v.value, _by_value(ActionKind).__getitem__, _REQUIRED),
+    "schema": (lambda v: v.value, _by_value(SchemaKind).__getitem__, _REQUIRED),
+    "procedure": (lambda v: v.value, _by_value(DeclassProcedure).__getitem__, _REQUIRED),
+    "channel": (str, str, _REQUIRED),
+    "sender": (lambda v: "from=" + v, _sender, _REQUIRED),
+    "exfil": (lambda v: "exfil" if v else None, {"exfil": True}.__getitem__, False),
+}
 
 
 def _kind_token(ev: Event) -> str:
-    k = ev.kind
-    if k is EventKind.WRITE:
-        return f"write:{_facet_token(ev.facets)}"
-    if k is EventKind.HIGH_RISK:
-        if ev.action is None:
-            raise TraceFormatError("high_risk event without an action kind")
-        return f"high_risk:{ev.action.value}"
-    if k is EventKind.MSG_SEND:
-        if ev.channel is None:
-            raise TraceFormatError("msg_send event without a channel")
-        token = f"msg_send:{ev.channel}:{_facet_token(ev.facets)}"
-        return token + ":exfil" if ev.exfil else token
-    if k is EventKind.MSG_RECV:
-        if ev.channel is None or ev.sender is None:
-            raise TraceFormatError("msg_recv event needs channel and sender")
-        return f"msg_recv:{ev.channel}:{_facet_token(ev.facets)}:from={ev.sender}"
-    if k is EventKind.PROMOTE:
-        if ev.schema is None:
-            raise TraceFormatError("promote event without a schema kind")
-        return f"promote:{ev.schema.value}:{_facet_token(ev.facets)}"
-    if k is EventKind.DECLASSIFY:
-        if ev.procedure is None:
-            raise TraceFormatError("declassify event without a procedure")
-        return f"declassify:{ev.procedure.value}"
-    if k is EventKind.INJECT:
-        if ev.channel is None:
-            raise TraceFormatError("inject event without a channel")
-        return f"inject:{ev.channel}:{_facet_token(ev.facets)}"
-    return k.value
+    tokens = [ev.kind.value]
+    for name in KIND_FIELDS[ev.kind]:
+        value = getattr(ev, name)
+        if value is None:
+            raise TraceFormatError(f"{ev.kind.value} event without {name}")
+        token = _CODECS[name][0](value)
+        if token is not None:
+            tokens.append(token)
+    return ":".join(tokens)
+
+
+def _kind_detail(token: str) -> tuple[EventKind, dict[str, Any]]:
+    kind_value, *parts = token.split(":")
+    kind = _KINDS[kind_value]
+    names = KIND_FIELDS[kind]
+    if len(parts) > len(names):
+        raise ValueError(f"{kind_value} takes at most {len(names)} detail fields")
+    detail: dict[str, Any] = {}
+    for i, name in enumerate(names):
+        _, parse, absent = _CODECS[name]
+        if i < len(parts):
+            detail[name] = parse(parts[i])
+        elif absent is _REQUIRED:
+            raise ValueError(f"{kind_value} needs {name}")
+        else:
+            detail[name] = absent
+    return kind, detail
+
+
+# ---------------------------------------------------------------------------
+# event <-> line
+# ---------------------------------------------------------------------------
 
 
 def event_to_line(ev: Event) -> str:
@@ -179,102 +239,26 @@ def render_trace(trace: Trace, meta: TraceMeta) -> str:
     return "\n".join(lines) + "\n"
 
 
-# ---------------------------------------------------------------------------
-# line -> parsed event
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class LogEvent:
-    """Parsed trace line. This is deliberately a plain record: the verifier
-    reconstructs all state of interest from these alone."""
-
-    tick: int
-    agent: str
-    kind: EventKind
-    carrier_id: int | None
-    label: TaintLabel | None
-    verdict: Verdict | None
-    reason: Reason | None
-    facets: PayloadFacets
-    channel: str | None = None
-    action: ActionKind | None = None
-    schema: SchemaKind | None = None
-    procedure: DeclassProcedure | None = None
-    sender: str | None = None
-    exfil: bool = False
-
-
-def _parse_kind_token(token: str, line_no: int) -> dict:
-    parts = token.split(":")
-    try:
-        kind = EventKind(parts[0])
-    except ValueError as exc:
-        raise TraceFormatError(f"line {line_no}: unknown event kind {parts[0]!r}") from exc
-    out: dict = {"kind": kind, "facets": PayloadFacets.none()}
-    try:
-        if kind is EventKind.WRITE:
-            out["facets"] = PayloadFacets.from_token(parts[1])
-        elif kind is EventKind.HIGH_RISK:
-            out["action"] = ActionKind(parts[1])
-        elif kind is EventKind.MSG_SEND:
-            out["channel"] = parts[1]
-            out["facets"] = PayloadFacets.from_token(parts[2])
-            out["exfil"] = len(parts) > 3 and parts[3] == "exfil"
-        elif kind is EventKind.MSG_RECV:
-            out["channel"] = parts[1]
-            out["facets"] = PayloadFacets.from_token(parts[2])
-            if not parts[3].startswith("from="):
-                raise ValueError("missing from=")
-            out["sender"] = parts[3][len("from="):]
-        elif kind is EventKind.PROMOTE:
-            out["schema"] = SchemaKind(parts[1])
-            out["facets"] = PayloadFacets.from_token(parts[2])
-        elif kind is EventKind.DECLASSIFY:
-            out["procedure"] = DeclassProcedure(parts[1])
-        elif kind is EventKind.INJECT:
-            out["channel"] = parts[1]
-            out["facets"] = PayloadFacets.from_token(parts[2])
-        elif len(parts) > 1:
-            raise ValueError("unexpected detail")
-    except (IndexError, ValueError) as exc:
-        raise TraceFormatError(f"line {line_no}: bad kind token {token!r}: {exc}") from exc
-    return out
-
-
-def parse_event_line(line: str, line_no: int = 0) -> LogEvent:
+def parse_event_line(line: str, line_no: int = 0) -> Event:
     cols = line.split("|")
     if len(cols) != 7:
         raise TraceFormatError(f"line {line_no}: expected 7 columns, got {len(cols)}")
     raw_tick, agent, kind_token, raw_carrier, raw_label, raw_verdict, raw_reason = cols
     try:
-        tick = int(raw_tick)
+        kind, detail = _kind_detail(kind_token)
+        return Event(
+            tick=int(raw_tick),
+            agent=agent,
+            kind=kind,
+            carrier_id=None if raw_carrier == MISSING else int(raw_carrier),
+            label=_LABELS[raw_label],
+            decision=_DECISIONS[raw_verdict, raw_reason],
+            **detail,
+        )
+    except KeyError as exc:
+        raise TraceFormatError(f"line {line_no}: unknown value {exc} in {line!r}") from exc
     except ValueError as exc:
-        raise TraceFormatError(f"line {line_no}: bad tick {raw_tick!r}") from exc
-    detail = _parse_kind_token(kind_token, line_no)
-    try:
-        carrier_id = None if raw_carrier == MISSING else int(raw_carrier)
-        label = None if raw_label == MISSING else TaintLabel(raw_label)
-        verdict = None if raw_verdict == MISSING else Verdict(raw_verdict)
-        reason = None if raw_reason == MISSING else Reason(raw_reason)
-    except ValueError as exc:
-        raise TraceFormatError(f"line {line_no}: {exc}") from exc
-    return LogEvent(
-        tick=tick,
-        agent=agent,
-        kind=detail["kind"],
-        carrier_id=carrier_id,
-        label=label,
-        verdict=verdict,
-        reason=reason,
-        facets=detail["facets"],
-        channel=detail.get("channel"),
-        action=detail.get("action"),
-        schema=detail.get("schema"),
-        procedure=detail.get("procedure"),
-        sender=detail.get("sender"),
-        exfil=detail.get("exfil", False),
-    )
+        raise TraceFormatError(f"line {line_no}: {exc} in {line!r}") from exc
 
 
 def _parse_header_line(text: str, line_no: int, meta: TraceMeta) -> None:
@@ -325,9 +309,9 @@ def _parse_header_line(text: str, line_no: int, meta: TraceMeta) -> None:
             raise TraceFormatError(f"line {line_no}: unsupported trace format {fieldsv[1]}")
 
 
-def parse_trace(text: str) -> tuple[TraceMeta, list[LogEvent]]:
+def parse_trace(text: str) -> tuple[TraceMeta, list[Event]]:
     meta = TraceMeta(scenario="", seed=0, ticks=0, flags={}, guard="deny", attacker="")
-    events: list[LogEvent] = []
+    events: list[Event] = []
     saw_columns = False
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():

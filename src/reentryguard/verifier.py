@@ -2,7 +2,8 @@
 
 Everything here is reconstructed from the serialized trace text: agent
 contamination, carrier ownership, guard mode, enforcement flags. No simulator
-or policy-engine state is consulted, so a report is reproducible from the
+or policy-engine state is consulted; the parser's model.Event is the only
+thing shared with the simulator. A report is thus reproducible from the
 trace file alone and disagreements between auditor and enforcement surface as
 test failures instead of being defined away.
 
@@ -32,17 +33,16 @@ from dataclasses import dataclass, field
 
 from .model import (
     EFFECTFUL_KINDS,
-    REASON_LAYER,
     ActionKind,
     AutoloadPolicy,
     CarrierClass,
     CarrierScope,
+    Event,
     EventKind,
-    Layer,
     ReentryGuardError,
     Verdict,
 )
-from .tracelog import LogEvent, TraceMeta, parse_trace
+from .tracelog import TraceMeta, parse_trace
 
 APPROVE = "approve"
 
@@ -108,13 +108,14 @@ class Report:
 # ---------------------------------------------------------------------------
 
 
-def is_effective(ev: LogEvent, meta: TraceMeta) -> bool:
-    if ev.verdict is Verdict.ALLOW:
-        return True
-    return ev.verdict is Verdict.GUARD and meta.guard == APPROVE
+def is_effective(ev: Event, meta: TraceMeta) -> bool:
+    if ev.decision is None:
+        return False
+    verdict = ev.decision.verdict
+    return verdict is Verdict.ALLOW or (verdict is Verdict.GUARD and meta.guard == APPROVE)
 
 
-def _untrusted(ev: LogEvent) -> bool:
+def _untrusted(ev: Event) -> bool:
     return ev.label is not None and ev.label.untrusted
 
 
@@ -131,13 +132,13 @@ def _high_risk_carriers(meta: TraceMeta) -> frozenset[int]:
     )
 
 
-def is_high_risk_action(ev: LogEvent, risky: frozenset[int]) -> bool:
+def is_high_risk_action(ev: Event, risky: frozenset[int]) -> bool:
     if ev.kind is EventKind.HIGH_RISK or ev.kind is EventKind.MSG_SEND:
         return True
     return ev.kind is EventKind.WRITE and ev.carrier_id in risky
 
 
-def _contaminated_before(events: list[LogEvent], meta: TraceMeta) -> list[bool]:
+def _contaminated_before(events: list[Event], meta: TraceMeta) -> list[bool]:
     """Per event index: was the acting agent contaminated when the event was
     decided. Contamination starts at an effective exposed read of untrusted
     content and ends at the agent's context reset."""
@@ -152,9 +153,9 @@ def _contaminated_before(events: list[LogEvent], meta: TraceMeta) -> list[bool]:
     return out
 
 
-def _validate(events: list[LogEvent]) -> None:
+def _validate(events: list[Event]) -> None:
     for i, ev in enumerate(events):
-        if ev.kind in EFFECTFUL_KINDS and ev.verdict is None:
+        if ev.kind in EFFECTFUL_KINDS and ev.decision is None:
             raise VerificationError(
                 f"event {i}: effectful kind {ev.kind.value} carries no decision"
             )
@@ -165,7 +166,7 @@ def _validate(events: list[LogEvent]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def chains_in(events: list[LogEvent], meta: TraceMeta) -> list[ChainWitness]:
+def chains_in(events: list[Event], meta: TraceMeta) -> list[ChainWitness]:
     """One minimal witness per offending write, found in one backward scan.
 
     next_action[agent] holds the agent's next effective high-risk action, or
@@ -219,7 +220,7 @@ def chains_in(events: list[LogEvent], meta: TraceMeta) -> list[ChainWitness]:
 # ---------------------------------------------------------------------------
 
 
-def infections_in(events: list[LogEvent], meta: TraceMeta) -> tuple[list[str], list[int]]:
+def infections_in(events: list[Event], meta: TraceMeta) -> tuple[list[str], list[int]]:
     """Agents that performed an effective untrusted write into a carrier they
     own, in first-infection order, with the tick of each first write."""
     owners = {c.id: c.owner for c in meta.carriers}
@@ -239,7 +240,7 @@ def infections_in(events: list[LogEvent], meta: TraceMeta) -> tuple[list[str], l
     return infected, ticks
 
 
-def zero_click_in(events: list[LogEvent], meta: TraceMeta) -> bool:
+def zero_click_in(events: list[Event], meta: TraceMeta) -> bool:
     """One injection did all the work: exactly one inject line and no other
     attacker-attributed activity anywhere in the trace. Zero injections is
     a vacuous run and flagged false, not passed."""
@@ -257,7 +258,7 @@ def zero_click_in(events: list[LogEvent], meta: TraceMeta) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def rtw_violations_in(events: list[LogEvent], meta: TraceMeta) -> list[RtwViolation]:
+def rtw_violations_in(events: list[Event], meta: TraceMeta) -> list[RtwViolation]:
     """Per-carrier check of the forbidden write-then-exposure shape: an
     effective untrusted write later exposure-read, effectively, by a reader
     still holding high capability at read time. Readers attenuated by
@@ -292,7 +293,7 @@ def rtw_violations_in(events: list[LogEvent], meta: TraceMeta) -> list[RtwViolat
 # ---------------------------------------------------------------------------
 
 
-def _outcomes(events: list[LogEvent], meta: TraceMeta) -> dict[str, bool]:
+def _outcomes(events: list[Event], meta: TraceMeta) -> dict[str, bool]:
     persistence = False
     re_entry = False
     propagation = False
@@ -331,13 +332,13 @@ def _outcomes(events: list[LogEvent], meta: TraceMeta) -> dict[str, bool]:
     }
 
 
-def _interventions(events: list[LogEvent]) -> tuple[dict[str, int], dict[str, int]]:
+def _interventions(events: list[Event]) -> tuple[dict[str, int], dict[str, int]]:
     by_reason: Counter[str] = Counter()
     by_layer: Counter[str] = Counter()
     for ev in events:
-        if ev.verdict in (Verdict.DENY, Verdict.GUARD) and ev.reason is not None:
-            by_reason[ev.reason.value] += 1
-            by_layer[REASON_LAYER.get(ev.reason, Layer.NONE).value] += 1
+        if ev.decision is not None and ev.decision.verdict is not Verdict.ALLOW:
+            by_reason[ev.decision.reason.value] += 1
+            by_layer[ev.decision.layer.value] += 1
     return dict(by_reason), dict(by_layer)
 
 

@@ -222,12 +222,9 @@ class TestGateCompleteness:
         from reentryguard.tracelog import parse_trace
 
         meta, events = parse_trace(bundled("fwA", enforce="memgate").trace_text)
-        allowed = [
-            ev for ev in events if ev.kind is EventKind.PROMOTE and ev.verdict is Verdict.ALLOW
-        ]
-        denied = [
-            ev for ev in events if ev.kind is EventKind.PROMOTE and ev.verdict is Verdict.DENY
-        ]
+        promotes = [ev for ev in events if ev.kind is EventKind.PROMOTE]
+        allowed = [ev for ev in promotes if ev.decision.verdict is Verdict.ALLOW]
+        denied = [ev for ev in promotes if ev.decision.verdict is Verdict.DENY]
         # the worm proposes a forbidden-schema promotion on every infected agent
         assert denied, "expected rejected promotions in the undefended-invariant run"
         for ev in denied:

@@ -78,15 +78,19 @@ class TestPayloadFacets:
 class TestDecision:
     def test_deny_requires_non_ok_reason(self):
         with pytest.raises(ValueError):
-            Decision(Verdict.DENY, Reason.OK, Layer.NONE)
+            Decision(Verdict.DENY, Reason.OK)
 
     def test_guard_requires_non_ok_reason(self):
         with pytest.raises(ValueError):
-            Decision(Verdict.GUARD, Reason.OK, Layer.NONE)
+            Decision(Verdict.GUARD, Reason.OK)
 
-    def test_layer_must_own_reason(self):
-        with pytest.raises(ValueError):
-            Decision(Verdict.DENY, Reason.SEALED_CONFIG, Layer.RTW)
+    def test_allow_blames_no_layer(self):
+        for reason in Reason:
+            if REASON_LAYER[reason] is Layer.NONE:
+                assert Decision(Verdict.ALLOW, reason).layer is Layer.NONE
+            else:
+                with pytest.raises(ValueError):
+                    Decision(Verdict.ALLOW, reason)
 
     def test_constructors_pick_owning_layer(self):
         assert Decision.deny(Reason.RTW_RE_ENTRY).layer is Layer.RTW

@@ -175,6 +175,23 @@ class TestDictParsing:
         with pytest.raises(ScenarioError, match="ghost"):
             scenario_from_dict(minimal() | {"declassify": [["ghost", 1]]})
 
+    def test_task_lease_for_unknown_agent_rejected(self):
+        with pytest.raises(ScenarioError, match="ghost"):
+            scenario_from_dict(minimal() | {"task_leases": {"ghost": [0, 1]}})
+
+    def test_reset_before_tick_one_rejected(self):
+        with pytest.raises(ScenarioError, match="tick 0"):
+            scenario_from_dict(minimal() | {"resets": [["a1", 0]]})
+
+    def test_declassify_before_tick_one_rejected(self):
+        with pytest.raises(ScenarioError, match="tick -4"):
+            scenario_from_dict(minimal() | {"declassify": [["a1", -4]]})
+
+    def test_scheduled_step_past_the_budget_still_loads(self):
+        # shortening a run (--ticks, a tick cap) must not invalidate it
+        data = minimal() | {"max_ticks": 3, "resets": [["a1", 99]], "declassify": [["a1", 99]]}
+        assert scenario_from_dict(data).resets == [("a1", 99)]
+
     def test_reserved_agent_id(self):
         data = minimal()
         data["agents"][0]["id"] = "attacker"

@@ -227,7 +227,7 @@ class TestMediationSoundness:
             if ev.carrier_id not in config_ids:
                 continue
             if ev.kind is EventKind.WRITE:
-                assert ev.verdict is Verdict.DENY
+                assert ev.decision.verdict is Verdict.DENY
                 denied += 1
             elif ev.kind is EventKind.OPAQUE_READ:
                 assert ev.label == TaintLabel.CLEAN
@@ -240,7 +240,7 @@ class TestMediationSoundness:
             _, events = parse_trace(bundled(name).trace_text)
             for ev in events:
                 if ev.kind in EFFECTFUL_KINDS:
-                    assert ev.verdict is not None
+                    assert ev.decision is not None
 
     def test_attacker_has_no_events_after_injection(self, bundled):
         for name in ("fwA", "fwB", "fwC", "cross_framework"):

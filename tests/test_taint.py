@@ -193,7 +193,7 @@ class TestTraceLevelProperties:
             contaminated = _contaminated_before(events, meta)
             seen = 0
             for i, ev in enumerate(events):
-                if ev.kind is EventKind.WRITE and ev.verdict is Verdict.ALLOW and contaminated[i]:
+                if ev.kind is EventKind.WRITE and ev.decision.verdict is Verdict.ALLOW and contaminated[i]:
                     assert ev.label is TaintLabel.TAINTED_DERIVED
                     seen += 1
             assert seen > 0
@@ -212,7 +212,7 @@ class TestTraceLevelProperties:
             for ev in events:
                 if ev.carrier_id is None:
                     continue
-                if ev.kind is EventKind.DECLASSIFY and ev.verdict is Verdict.ALLOW:
+                if ev.kind is EventKind.DECLASSIFY and ev.decision.verdict is Verdict.ALLOW:
                     dirty.discard(ev.carrier_id)
                     continue
                 if ev.kind not in reads or ev.label is None:

@@ -5,6 +5,7 @@ import pytest
 from reentryguard.cli import main
 from reentryguard.model import (
     ActionKind,
+    DeclassProcedure,
     Decision,
     Event,
     EventKind,
@@ -35,6 +36,37 @@ def minimal_meta() -> TraceMeta:
         guard="deny",
         attacker="attacker",
     )
+
+
+ONE_PER_KIND = [
+    Event(tick=1, agent="a1", kind=EventKind.WRITE, carrier_id=2, label=TaintLabel.CLEAN,
+          facets=PayloadFacets.none(), decision=Decision.allow()),
+    Event(tick=1, agent="a1", kind=EventKind.EXPOSED_READ, carrier_id=3,
+          label=TaintLabel.TAINTED, decision=Decision.deny(Reason.RTW_RE_ENTRY)),
+    Event(tick=1, agent="a1", kind=EventKind.OPAQUE_READ, carrier_id=3,
+          label=TaintLabel.EXTERNAL, decision=Decision.allow(Reason.NOT_MEDIATED_LOWRISK)),
+    Event(tick=1, agent="a1", kind=EventKind.HIGH_RISK, action=ActionKind.INVOKE_SHELL,
+          decision=Decision.deny(Reason.ATTENUATED_HIGHRISK)),
+    Event(tick=2, agent="a1", kind=EventKind.MSG_SEND, channel="c1", label=TaintLabel.TAINTED_DERIVED,
+          facets=PayloadFacets.from_token("0110"), decision=Decision.allow()),
+    Event(tick=2, agent="a1", kind=EventKind.MSG_SEND, channel="c1", label=TaintLabel.TAINTED_DERIVED,
+          facets=PayloadFacets.full(), exfil=True, decision=Decision.guard(Reason.ATTENUATED_HIGHRISK)),
+    Event(tick=2, agent="a1", kind=EventKind.MSG_RECV, channel="c1", label=TaintLabel.TAINTED,
+          facets=PayloadFacets.full(), sender="a2"),
+    Event(tick=2, agent="a1", kind=EventKind.PROMOTE, carrier_id=4, label=TaintLabel.TAINTED,
+          schema=SchemaKind.TYPED_FACT, facets=PayloadFacets.none(),
+          decision=Decision.deny(Reason.PROMOTION_REJECTED)),
+    Event(tick=3, agent="a1", kind=EventKind.DECLASSIFY, carrier_id=5, label=TaintLabel.TAINTED,
+          procedure=DeclassProcedure.HUMAN_REVIEW, decision=Decision.allow()),
+    Event(tick=3, agent="a1", kind=EventKind.CONTEXT_RESET),
+    Event(tick=3, agent="a1", kind=EventKind.HEARTBEAT),
+    Event(tick=0, agent="attacker", kind=EventKind.INJECT, channel="c0", label=TaintLabel.TAINTED,
+          facets=PayloadFacets.full()),
+]
+
+
+def _kind_id(event: Event) -> str:
+    return event.kind.value + (":exfil" if event.exfil else "")
 
 
 class TestEventLines:
@@ -68,31 +100,17 @@ class TestEventLines:
         assert "msg_send:c0:0110:exfil" in line
         assert line.endswith("deny|attenuated-highrisk")
 
-    def test_line_round_trip_per_kind(self):
-        samples = [
-            Event(tick=1, agent="a1", kind=EventKind.WRITE, carrier_id=2,
-                  label=TaintLabel.CLEAN, facets=PayloadFacets.none(), decision=Decision.allow()),
-            Event(tick=1, agent="a1", kind=EventKind.HIGH_RISK, action=ActionKind.INVOKE_SHELL,
-                  decision=Decision.deny(Reason.ATTENUATED_HIGHRISK)),
-            Event(tick=1, agent="a1", kind=EventKind.MSG_RECV, channel="c1",
-                  facets=PayloadFacets.full(), sender="a2"),
-            Event(tick=1, agent="a1", kind=EventKind.PROMOTE, carrier_id=4,
-                  schema=SchemaKind.TYPED_FACT, facets=PayloadFacets.none(),
-                  decision=Decision.deny(Reason.PROMOTION_REJECTED)),
-            Event(tick=1, agent="a1", kind=EventKind.INJECT, channel="c0",
-                  facets=PayloadFacets.full()),
-        ]
-        for event in samples:
-            parsed = parse_event_line(event_to_line(event))
-            assert parsed.tick == event.tick
-            assert parsed.agent == event.agent
-            assert parsed.kind is event.kind
-            assert parsed.facets == (event.facets or PayloadFacets.none())
-            assert parsed.channel == event.channel
-            assert parsed.action == event.action
-            assert parsed.schema == event.schema
-            assert parsed.sender == event.sender
-            assert parsed.exfil == event.exfil
+    @pytest.mark.parametrize("event", ONE_PER_KIND, ids=_kind_id)
+    def test_line_round_trip_per_kind(self, event):
+        assert parse_event_line(event_to_line(event)) == event
+
+    def test_samples_cover_every_kind(self):
+        assert {ev.kind for ev in ONE_PER_KIND} == set(EventKind)
+
+    def test_detail_field_is_required_to_render(self):
+        # a line that would not parse back to the same event is never written
+        with pytest.raises(TraceFormatError, match="write event without facets"):
+            event_to_line(Event(tick=1, agent="a1", kind=EventKind.WRITE, decision=Decision.allow()))
 
 
 class TestParseErrors:
@@ -115,6 +133,23 @@ class TestParseErrors:
     def test_bad_facet_token(self):
         with pytest.raises(TraceFormatError):
             parse_event_line("1|a1|write:11|7|tainted|allow|ok")
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "1|a1|write:1111:junk|7|tainted|allow|ok",
+            "1|a1|msg_send:c1:1111:junk|-|tainted|allow|ok",
+            "1|a1|msg_recv:c1:1111:from=a2:extra|-|tainted|-|-",
+            "1|a1|exposed_read|7|tainted|allow|rtw-re-entry",
+            "1|a1|exposed_read|7|tainted|deny|ok",
+            "1|a1|exposed_read|7|tainted|allow|-",
+            "1|a1|exposed_read|7|tainted|-|ok",
+            "-1|a1|heartbeat|-|-|-|-",
+        ],
+    )
+    def test_malformed_event_line_names_its_line(self, line):
+        with pytest.raises(TraceFormatError, match=r"^line 2: "):
+            parse_trace(f"{COLUMN_ROW}\n{line}\n")
 
     def test_event_line_before_column_row_rejected(self):
         text = "1|a1|heartbeat|-|-|-|-\n" + COLUMN_ROW + "\n"
@@ -154,45 +189,18 @@ class TestTraceRoundTrip:
         assert events[1].label is TaintLabel.TAINTED_DERIVED
 
     def test_full_run_round_trip(self, bundled):
-        """parse -> rebuild -> render reproduces every event line of a real run."""
-        from reentryguard.model import Verdict
-        from reentryguard.tracelog import LogEvent
-
-        def rebuild(parsed: LogEvent) -> Event:
-            if parsed.verdict is None:
-                decision = None
-            elif parsed.verdict is Verdict.ALLOW:
-                decision = Decision.allow(parsed.reason) if parsed.reason else Decision.allow()
-            elif parsed.verdict is Verdict.DENY:
-                decision = Decision.deny(parsed.reason)
-            else:
-                decision = Decision.guard(parsed.reason)
-            return Event(
-                tick=parsed.tick,
-                agent=parsed.agent,
-                kind=parsed.kind,
-                carrier_id=parsed.carrier_id,
-                label=parsed.label,
-                facets=parsed.facets,
-                channel=parsed.channel,
-                action=parsed.action,
-                schema=parsed.schema,
-                procedure=parsed.procedure,
-                sender=parsed.sender,
-                exfil=parsed.exfil,
-                decision=decision,
-            )
-
+        """parse yields the simulator's own events, and render reproduces
+        every event line of a real run."""
         result = bundled("fwA")
         meta, events = parse_trace(result.trace_text)
         assert meta.scenario == "fwA"
-        assert len(events) == len(result.trace.events)
+        assert events == result.trace.events
         assert len(meta.agents) == 3
         assert meta.carriers, "carrier metadata must survive the round trip"
         original_lines = [
             line for line in result.trace_text.splitlines() if line and not line.startswith("#")
         ][1:]  # drop the column row
-        assert original_lines == [event_to_line(rebuild(p)) for p in events]
+        assert original_lines == [event_to_line(p) for p in events]
 
     def test_header_flags_round_trip(self, bundled):
         meta, _ = parse_trace(bundled("fwA", enforce="rtw,seal").trace_text)
