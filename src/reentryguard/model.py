@@ -274,17 +274,17 @@ class Decision:
     def layer(self) -> Layer:
         return REASON_LAYER[self.reason]
 
-    @classmethod
-    def allow(cls, reason: Reason = Reason.OK) -> "Decision":
-        return cls(Verdict.ALLOW, reason)
+    @staticmethod
+    def allow(reason: Reason = Reason.OK) -> "Decision":
+        return _shared(Verdict.ALLOW, reason)
 
-    @classmethod
-    def deny(cls, reason: Reason) -> "Decision":
-        return cls(Verdict.DENY, reason)
+    @staticmethod
+    def deny(reason: Reason) -> "Decision":
+        return _shared(Verdict.DENY, reason)
 
-    @classmethod
-    def guard(cls, reason: Reason) -> "Decision":
-        return cls(Verdict.GUARD, reason)
+    @staticmethod
+    def guard(reason: Reason) -> "Decision":
+        return _shared(Verdict.GUARD, reason)
 
     def effective(self, guard_mode: GuardMode) -> bool:
         """Whether the mediated event takes effect under the given guard mode."""
@@ -293,6 +293,19 @@ class Decision:
         if self.verdict is Verdict.GUARD:
             return guard_mode is GuardMode.APPROVE_ALL
         return False
+
+
+# Every admitted (verdict, reason) pair, built once. Decision is frozen, so
+# every mediation and every parsed trace line shares these objects.
+DECISIONS: dict[tuple[Verdict, Reason], Decision] = {
+    (v, r): Decision(v, r) for v in Verdict for r in Reason if Decision.admits(v, r)
+}
+
+
+def _shared(verdict: Verdict, reason: Reason) -> Decision:
+    decision = DECISIONS.get((verdict, reason))
+    # a pair outside the table is not admitted: constructing it raises
+    return decision if decision is not None else Decision(verdict, reason)
 
 
 # ---------------------------------------------------------------------------

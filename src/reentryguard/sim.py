@@ -346,6 +346,8 @@ class Ecosystem:
         self.carrier_sets: dict[str, AgentCarrierSet] = {}
         self.channel_source: dict[str, int] = {}
         self.channel_log: dict[str, int] = {}
+        # agent -> sorted ids of the carriers its heartbeat turn reads
+        self.heartbeat_read_ids: dict[str, list[int]] = {}
         self.leases: list[Lease] = []
         self.queued: dict[str, list[Message]] = {ch: [] for ch in scenario.channels}
         self.candidate_submitted: set[str] = set()
@@ -505,6 +507,20 @@ class Ecosystem:
                 )
             )
 
+        # autoload is fixed at construction, so each agent's heartbeat read
+        # list is too
+        for agent_id in self.agent_order:
+            read_ids = [
+                cid
+                for cid in self.carrier_sets[agent_id].all_ids
+                if self.carriers[cid].autoload is AutoloadPolicy.HEARTBEAT
+            ]
+            for ch in self.agents[agent_id].channels:
+                log = self.carriers[self.channel_log[ch]]
+                if log.autoload is AutoloadPolicy.HEARTBEAT:
+                    read_ids.append(log.id)
+            self.heartbeat_read_ids[agent_id] = sorted(read_ids)
+
     # -- mediation plumbing --------------------------------------------------
 
     def _mediated(self, event: Event) -> bool:
@@ -516,7 +532,10 @@ class Ecosystem:
     # -- state transitions ---------------------------------------------------
 
     def _contaminate(self, agent: str) -> None:
-        state = mark_contamination(self.states[agent])
+        state = self.states[agent]
+        if state.contaminated and not (self.config.attenuation and state.high_cap):
+            return  # already marked; the state would not change
+        state = mark_contamination(state)
         if self.config.attenuation:
             state = attenuate_capabilities(state)
         self.states[agent] = state
@@ -570,7 +589,10 @@ class Ecosystem:
         if msg.label.untrusted and not log.label.untrusted:
             log.label = TaintLabel.TAINTED if msg.sender == ATTACKER else TaintLabel.TAINTED_DERIVED
         if msg.facets.any:
-            log.content = (log.content or PayloadFacets.none()).union(msg.facets)
+            if log.content is None:
+                log.content = msg.facets
+            elif not msg.facets.issubset(log.content):
+                log.content = log.content.union(msg.facets)
 
     # -- agent turns ---------------------------------------------------------
 
@@ -607,16 +629,7 @@ class Ecosystem:
         sources: list[_TurnSource] = []
         cset = self.carrier_sets[agent]
         store = self.stores[agent]
-        read_ids = [
-            cid
-            for cid in cset.all_ids
-            if self.carriers[cid].autoload is AutoloadPolicy.HEARTBEAT
-        ]
-        for ch in self.agents[agent].channels:
-            log = self.carriers[self.channel_log[ch]]
-            if log.autoload is AutoloadPolicy.HEARTBEAT:
-                read_ids.append(log.id)
-        for cid in sorted(read_ids):
+        for cid in self.heartbeat_read_ids[agent]:
             carrier = self.carriers[cid]
             if cid != cset.memory_id:
                 facets = carrier.content if carrier.content is not None else PayloadFacets.none()

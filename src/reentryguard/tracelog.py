@@ -20,7 +20,7 @@ and parsing both read that one table:
     msg_send:c1:1111[:exfil]
     msg_recv:c1:0110:from=a2
     promote:free_form_instruction:1111   carrier_id column holds candidate id
-    declassify:human_review         carrier target in carrier_id, else agent
+    declassify:human_review         carrier target in carrier_id
     context_reset / heartbeat
     inject:c0:1111
 
@@ -30,10 +30,21 @@ verifier rejects decision-less lines for effectful kinds.
 The parser yields ``model.Event``, the record the simulator writes, and
 fails closed: anything it cannot interpret raises ``TraceFormatError``
 naming the line. That covers a wrong column or detail-field count, an
-unknown kind, enum value or facet token, a negative tick, a sender without
-``from=``, and a decision/reason pair that ``Decision`` does not admit
-(``allow|rtw-re-entry``, ``deny|ok``, ``allow|-``). Every value is looked
-up in a table built once from the model.
+unknown kind, enum value or facet token, a negative tick, a tick lower than
+the previous event line's, a sender without ``from=``, a decision/reason
+pair that ``Decision`` does not admit (``allow|rtw-re-entry``, ``deny|ok``,
+``allow|-``), and an ``# enforcement`` header whose ``guard=`` is not
+``deny`` or ``approve`` or whose flags are not ``0`` or ``1``. Every value
+is looked up in a table built once from the model; decisions are the
+model's shared ``DECISIONS`` objects.
+
+Most event lines repeat an earlier line but for the tick, so each
+``render_trace`` and ``parse_trace`` call keeps a cache that lives for that
+call only. Render keys it on an event's fields other than the tick
+(``SHAPE_FIELDS``) and stores the line after the tick; parse keys it on
+the line after the tick and stores those fields. The first line of each
+shape goes through the strict ``event_to_line``/``parse_event_line``;
+a later one formats, or parses and checks, only its tick.
 
 Identical runs must serialize byte-identically; nothing here may read the
 clock, the environment, or unordered containers.
@@ -41,23 +52,23 @@ clock, the environment, or unordered containers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
+from operator import attrgetter
 from typing import Any, Callable
 
 from .model import (
+    DECISIONS,
     ActionKind,
-    Decision,
     DeclassProcedure,
     Event,
     EventKind,
+    GuardMode,
     PayloadFacets,
-    Reason,
     ReentryGuardError,
     SchemaKind,
     TaintLabel,
     Trace,
-    Verdict,
 )
 
 FORMAT_VERSION = 1
@@ -166,10 +177,12 @@ def _sender(token: str) -> str:
 # value tables, built once: token -> model value
 _KINDS = _by_value(EventKind)
 _LABELS = {MISSING: None, **_by_value(TaintLabel)}
+_GUARDS = tuple(_by_value(GuardMode))
+_FLAG_BITS = {"0": False, "1": True}
 _FACETS = {t: PayloadFacets.from_token(t) for t in (format(i, "04b") for i in range(16))}
-# (verdict, reason) columns -> decision; only the pairs Decision admits
+# (verdict, reason) columns -> the shared decision; only the pairs Decision admits
 _DECISIONS = {(MISSING, MISSING): None} | {
-    (v.value, r.value): Decision(v, r) for v in Verdict for r in Reason if Decision.admits(v, r)
+    (v.value, r.value): decision for (v, r), decision in DECISIONS.items()
 }
 
 _REQUIRED = object()
@@ -221,7 +234,15 @@ def _kind_detail(token: str) -> tuple[EventKind, dict[str, Any]]:
 # ---------------------------------------------------------------------------
 
 
-def event_to_line(ev: Event) -> str:
+# Every Event field but the tick, in declaration order: render_trace keys
+# its cache on these values and parse_trace rebuilds events from them, so a
+# new Event field is part of both keys without further edits.
+SHAPE_FIELDS = tuple(f.name for f in fields(Event) if f.name != "tick")
+_shape = attrgetter(*SHAPE_FIELDS)
+
+
+def _line_tail(ev: Event) -> str:
+    """The line after the tick column, starting with its separator."""
     carrier = str(ev.carrier_id) if ev.carrier_id is not None else MISSING
     label = ev.label.value if ev.label is not None else MISSING
     if ev.decision is not None:
@@ -230,12 +251,23 @@ def event_to_line(ev: Event) -> str:
     else:
         verdict = MISSING
         reason = MISSING
-    return "|".join([str(ev.tick), ev.agent, _kind_token(ev), carrier, label, verdict, reason])
+    return "|" + "|".join([ev.agent, _kind_token(ev), carrier, label, verdict, reason])
+
+
+def event_to_line(ev: Event) -> str:
+    return str(ev.tick) + _line_tail(ev)
 
 
 def render_trace(trace: Trace, meta: TraceMeta) -> str:
     lines = render_header(meta)
-    lines.extend(event_to_line(ev) for ev in trace)
+    # event fields other than the tick -> line tail; lives for this call
+    tails: dict[tuple[Any, ...], str] = {}
+    for ev in trace:
+        key = _shape(ev)
+        tail = tails.get(key)
+        if tail is None:
+            tail = tails[key] = _line_tail(ev)
+        lines.append(str(ev.tick) + tail)
     return "\n".join(lines) + "\n"
 
 
@@ -276,8 +308,13 @@ def _parse_header_line(text: str, line_no: int, meta: TraceMeta) -> None:
         meta.ticks = int(fieldsv[1])
     elif tag == "enforcement":
         pairs = dict(part.split("=", 1) for part in fieldsv[1:] if "=" in part)
-        meta.guard = pairs.pop("guard", "deny")
-        meta.flags = {k: v == "1" for k, v in pairs.items()}
+        meta.guard = pairs.pop("guard", GuardMode.DENY_ALL.value)
+        if meta.guard not in _GUARDS:
+            raise ValueError(f"guard={meta.guard} is not one of {', '.join(_GUARDS)}")
+        for name, bit in pairs.items():
+            if bit not in _FLAG_BITS:
+                raise ValueError(f"{name}={bit} is not 0 or 1")
+        meta.flags = {k: _FLAG_BITS[v] for k, v in pairs.items()}
     elif tag == "attacker":
         meta.attacker = fieldsv[1]
     elif tag == "agent":
@@ -313,19 +350,35 @@ def parse_trace(text: str) -> tuple[TraceMeta, list[Event]]:
     meta = TraceMeta(scenario="", seed=0, ticks=0, flags={}, guard="deny", attacker="")
     events: list[Event] = []
     saw_columns = False
+    # line tail -> the fields of the event it parsed to; lives for this call
+    shapes: dict[str, tuple[Any, ...]] = {}
+    last_tick = 0
     for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
         if line.startswith("#"):
             try:
                 _parse_header_line(line, line_no, meta)
             except (IndexError, ValueError) as exc:
                 raise TraceFormatError(f"line {line_no}: bad header {line!r}: {exc}") from exc
             continue
-        if line == COLUMN_ROW:
+        raw_tick, _, tail = line.partition("|")
+        shape = shapes.get(tail)
+        if shape is not None:
+            try:
+                ev = Event(int(raw_tick), *shape)
+            except ValueError as exc:
+                raise TraceFormatError(f"line {line_no}: {exc} in {line!r}") from exc
+        elif not line.strip():
+            continue
+        elif line == COLUMN_ROW:
             saw_columns = True
             continue
-        if not saw_columns:
+        elif not saw_columns:
             raise TraceFormatError(f"line {line_no}: event line before column row")
-        events.append(parse_event_line(line, line_no))
+        else:
+            ev = parse_event_line(line, line_no)
+            shapes[tail] = _shape(ev)
+        if ev.tick < last_tick:
+            raise TraceFormatError(f"line {line_no}: tick {ev.tick} after tick {last_tick} in {line!r}")
+        last_tick = ev.tick
+        events.append(ev)
     return meta, events

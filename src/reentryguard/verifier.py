@@ -119,6 +119,11 @@ def _untrusted(ev: Event) -> bool:
     return ev.label is not None and ev.label.untrusted
 
 
+_RISKY_CLASSES = frozenset({CarrierClass.STATIC_CONFIG.value, CarrierClass.TRUSTED_MEMORY.value})
+_RISKY_AUTOLOADS = frozenset({AutoloadPolicy.SESSION_START.value, AutoloadPolicy.HEARTBEAT.value})
+_SHARED_SCOPE = CarrierScope.SHARED_CROSS_AGENT.value
+
+
 def _high_risk_carriers(meta: TraceMeta) -> frozenset[int]:
     """Carriers a write to which is a high-risk action: those that feed future
     contexts or cross agents; ordinary on-demand local files are below the
@@ -126,9 +131,7 @@ def _high_risk_carriers(meta: TraceMeta) -> frozenset[int]:
     return frozenset(
         c.id
         for c in meta.carriers
-        if c.cls in (CarrierClass.STATIC_CONFIG.value, CarrierClass.TRUSTED_MEMORY.value)
-        or c.autoload in (AutoloadPolicy.SESSION_START.value, AutoloadPolicy.HEARTBEAT.value)
-        or c.scope == CarrierScope.SHARED_CROSS_AGENT.value
+        if c.cls in _RISKY_CLASSES or c.autoload in _RISKY_AUTOLOADS or c.scope == _SHARED_SCOPE
     )
 
 
@@ -153,11 +156,26 @@ def _contaminated_before(events: list[Event], meta: TraceMeta) -> list[bool]:
     return out
 
 
-def _validate(events: list[Event]) -> None:
+# kinds whose carrier_id column names a carrier; promote's holds a candidate id
+_CARRIER_KINDS = frozenset(
+    {EventKind.WRITE, EventKind.EXPOSED_READ, EventKind.OPAQUE_READ, EventKind.DECLASSIFY}
+)
+
+
+def _validate(events: list[Event], meta: TraceMeta) -> None:
+    """Refuse what no pass may skip over: an effectful event without a
+    decision, and an event on a carrier the header does not declare (its
+    owner and class, which hops and high-risk writes are judged by, would
+    be unknown)."""
+    declared = {c.id for c in meta.carriers}
     for i, ev in enumerate(events):
         if ev.kind in EFFECTFUL_KINDS and ev.decision is None:
             raise VerificationError(
                 f"event {i}: effectful kind {ev.kind.value} carries no decision"
+            )
+        if ev.kind in _CARRIER_KINDS and ev.carrier_id not in declared:
+            raise VerificationError(
+                f"event {i}: {ev.kind.value} of carrier {ev.carrier_id}, which the header does not declare"
             )
 
 
@@ -349,7 +367,7 @@ def _interventions(events: list[Event]) -> tuple[dict[str, int], dict[str, int]]
 
 def build_report(text: str) -> Report:
     meta, events = parse_trace(text)
-    _validate(events)
+    _validate(events, meta)
     chains = chains_in(events, meta)
     infected, ticks = infections_in(events, meta)
     outcome = _outcomes(events, meta)
@@ -377,5 +395,5 @@ def find_chains(trace: str) -> list[ChainWitness]:
     """Every completed write-read-act chain in a serialized trace, one
     minimal witness per offending write. Empty certifies the run."""
     meta, events = parse_trace(trace)
-    _validate(events)
+    _validate(events, meta)
     return chains_in(events, meta)

@@ -1,0 +1,46 @@
+"""The benchmark's per-layer split wraps names the pipeline looks up at call
+time. A hook whose name the package no longer has is reported as absent and
+its metrics read zero, so a rename must fail here instead.
+
+bench/run.py is read as source, not imported: importing it changes
+process-wide bytecode settings.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import reentryguard
+
+RUN_PY = Path(__file__).resolve().parents[1] / "bench" / "run.py"
+
+
+def _hooks() -> list[tuple[str, str]]:
+    tree = ast.parse(RUN_PY.read_text(), filename=str(RUN_PY))
+    return [
+        (node.args[0].value, node.args[1].value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "Hook"
+    ]
+
+
+HOOKS = _hooks()
+
+
+def test_run_py_declares_hooks():
+    assert ("sim", "mediate") in HOOKS
+    assert ("verifier", "parse_trace") in HOOKS
+
+
+@pytest.mark.parametrize("owner,attr", HOOKS, ids=[f"{o}.{a}" for o, a in HOOKS])
+def test_hook_names_an_attribute_of_the_package(owner, attr):
+    # resolved from the package, as the bench's tracer does
+    importlib.import_module(f"reentryguard.{owner.split('.')[0]}")
+    obj = reentryguard
+    for part in owner.split("."):
+        obj = getattr(obj, part)
+    assert hasattr(obj, attr), f"{owner}.{attr} is gone: the bench would report it absent"

@@ -3,6 +3,7 @@
 import pytest
 
 from reentryguard.model import (
+    DECISIONS,
     REASON_LAYER,
     AutoloadPolicy,
     Carrier,
@@ -101,6 +102,26 @@ class TestDecision:
 
     def test_every_reason_has_exactly_one_layer(self):
         assert set(REASON_LAYER) == set(Reason)
+
+    def test_constructors_share_one_object_per_pair(self):
+        assert Decision.allow() is Decision.allow()
+        assert Decision.allow() is DECISIONS[Verdict.ALLOW, Reason.OK]
+        assert Decision.deny(Reason.RTW_RE_ENTRY) is Decision.deny(Reason.RTW_RE_ENTRY)
+        assert Decision.guard(Reason.ATTENUATED_HIGHRISK) is DECISIONS[Verdict.GUARD, Reason.ATTENUATED_HIGHRISK]
+        assert set(DECISIONS) == {(v, r) for v in Verdict for r in Reason if Decision.admits(v, r)}
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Decision.allow(Reason.RTW_RE_ENTRY),
+            lambda: Decision.deny(Reason.OK),
+            lambda: Decision.guard(Reason.NOT_MEDIATED_LOWRISK),
+        ],
+        ids=["allow-layer-reason", "deny-ok", "guard-lowrisk"],
+    )
+    def test_constructors_refuse_inadmissible_pairs(self, make):
+        with pytest.raises(ValueError):
+            make()
 
     def test_effective_under_guard_modes(self):
         allow = Decision.allow()

@@ -1,9 +1,12 @@
 """Trace serialization: stable line format, header metadata, round-trips."""
 
+from dataclasses import fields
+
 import pytest
 
 from reentryguard.cli import main
 from reentryguard.model import (
+    DECISIONS,
     ActionKind,
     DeclassProcedure,
     Decision,
@@ -18,6 +21,7 @@ from reentryguard.model import (
 from reentryguard.tracelog import (
     COLUMN_ROW,
     MISSING,
+    SHAPE_FIELDS,
     TraceFormatError,
     TraceMeta,
     event_to_line,
@@ -158,7 +162,17 @@ class TestParseErrors:
 
     @pytest.mark.parametrize(
         "header",
-        ["# seed", "# attacker", "# trace-format", "# seed x", "# agent a1 period=x", "# carrier x"],
+        [
+            "# seed",
+            "# attacker",
+            "# trace-format",
+            "# seed x",
+            "# agent a1 period=x",
+            "# carrier x",
+            "# enforcement attenuation=0 memgate=0 rtw=0 seal=0 guard=maybe",
+            "# enforcement attenuation=0 memgate=0 rtw=yes seal=0 guard=deny",
+            "# enforcement attenuation=0 memgate=0 rtw=0 seal= guard=approve",
+        ],
     )
     def test_malformed_header_names_its_line(self, header, bundled, tmp_path, capsys):
         lines = bundled("fwA").trace_text.splitlines()
@@ -169,6 +183,40 @@ class TestParseErrors:
         path.write_text(text)
         assert main(["--verify-trace", str(path)]) == 2
         assert "line 2: " in capsys.readouterr().err
+
+
+class TestLineShapeCache:
+    """parse_trace parses the first line with a given tail strictly and
+    rebuilds later ones from the cached fields; only the tick is new."""
+
+    HEARTBEAT_TAIL = "|a1|heartbeat|-|-|-|-"
+
+    @pytest.mark.parametrize("tick", ["-1", "x", "2", ""])
+    def test_cached_tail_still_checks_its_tick(self, tick):
+        text = f"{COLUMN_ROW}\n3{self.HEARTBEAT_TAIL}\n3{self.HEARTBEAT_TAIL}\n{tick}{self.HEARTBEAT_TAIL}\n"
+        with pytest.raises(TraceFormatError, match=r"^line 4: "):
+            parse_trace(text)
+
+    def test_cached_tail_takes_its_own_tick(self):
+        text = f"{COLUMN_ROW}\n3{self.HEARTBEAT_TAIL}\n5{self.HEARTBEAT_TAIL}\n"
+        _, events = parse_trace(text)
+        assert [ev.tick for ev in events] == [3, 5]
+        assert events[0] is not events[1]
+
+    def test_shape_is_every_event_field_but_tick(self):
+        # Event(tick, *shape) rebuilds a cached line, so tick must come first
+        assert ("tick", *SHAPE_FIELDS) == tuple(f.name for f in fields(Event))
+
+    def test_reversed_event_lines_rejected(self, bundled, tmp_path, capsys):
+        lines = bundled("fwA").trace_text.splitlines()
+        start = lines.index(COLUMN_ROW) + 1
+        text = "\n".join(lines[:start] + lines[start:][::-1]) + "\n"
+        with pytest.raises(TraceFormatError, match=r"^line \d+: tick \d+ after tick \d+"):
+            parse_trace(text)
+        path = tmp_path / "reversed.trace"
+        path.write_text(text)
+        assert main(["--verify-trace", str(path)]) == 2
+        assert "after tick" in capsys.readouterr().err
 
 
 class TestTraceRoundTrip:
@@ -201,6 +249,15 @@ class TestTraceRoundTrip:
             line for line in result.trace_text.splitlines() if line and not line.startswith("#")
         ][1:]  # drop the column row
         assert original_lines == [event_to_line(p) for p in events]
+
+    def test_parser_and_mediate_share_decisions(self, bundled):
+        result = bundled("fwA", enforce="all")
+        _, events = parse_trace(result.trace_text)
+        shared = {id(d) for d in DECISIONS.values()}
+        decided = [ev for ev in result.trace.events if ev.decision is not None]
+        assert decided
+        assert all(id(ev.decision) in shared for ev in decided)
+        assert all(p.decision is s.decision for p, s in zip(events, result.trace.events))
 
     def test_header_flags_round_trip(self, bundled):
         meta, _ = parse_trace(bundled("fwA", enforce="rtw,seal").trace_text)

@@ -11,6 +11,7 @@ from itertools import product
 
 import pytest
 
+from reentryguard.cli import main
 from reentryguard.model import (
     ActionKind,
     AutoloadPolicy,
@@ -23,6 +24,7 @@ from reentryguard.model import (
     InjectionPosition,
     PayloadFacets,
     Reason,
+    SchemaKind,
     TaintLabel,
     Trace,
 )
@@ -156,6 +158,39 @@ class TestFindChainsFixtures:
                     label=TaintLabel.TAINTED, facets=PayloadFacets.full())
         with pytest.raises(VerificationError):
             find_chains(render([bad]))
+
+    @pytest.mark.parametrize(
+        "event",
+        [
+            W(1, cid=999),
+            R(1, cid=999),
+            Event(tick=1, agent="a1", kind=EventKind.OPAQUE_READ, carrier_id=999,
+                  label=TaintLabel.CLEAN, decision=Decision.allow(Reason.NOT_MEDIATED_LOWRISK)),
+            DECL(1, cid=999),
+            R(1, cid=None),
+        ],
+        ids=["write", "exposed_read", "opaque_read", "declassify", "exposed_read-no-id"],
+    )
+    def test_undeclared_carrier_rejected(self, event):
+        with pytest.raises(VerificationError, match=r"^event 1: .*header does not declare"):
+            build_report(render([W(1), event]))
+
+    def test_promote_column_holds_a_candidate_id(self):
+        promote = Event(tick=1, agent="a1", kind=EventKind.PROMOTE, carrier_id=999,
+                        label=TaintLabel.TAINTED, schema=SchemaKind.FREE_FORM_INSTRUCTION,
+                        facets=PayloadFacets.full(), decision=ALLOW)
+        assert build_report(render([promote])).event_count == 1
+
+    def test_trace_without_carrier_lines_rejected(self, bundled, tmp_path):
+        text = "".join(
+            line for line in bundled("fwA").trace_text.splitlines(keepends=True)
+            if not line.startswith("# carrier ")
+        )
+        with pytest.raises(VerificationError, match="header does not declare"):
+            build_report(text)
+        path = tmp_path / "no-carriers.trace"
+        path.write_text(text)
+        assert main(["--verify-trace", str(path)]) == 2
 
 
 def naive_chains(events: list[Event], meta: TraceMeta, guard: str) -> set[tuple[int, int, int]]:
