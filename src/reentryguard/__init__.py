@@ -6,8 +6,7 @@ Everything else is imported from its submodule (``reentryguard.sim``,
 ``reentryguard.verifier``, ...)."""
 
 from .scenarios import load_bundled
-from .sim import run_scenario
 
 __version__ = "0.1.0"
 
-__all__ = ["load_bundled", "run_scenario"]
+__all__ = ["load_bundled"]

@@ -21,15 +21,15 @@ from pathlib import Path
 from .model import GuardMode, ReentryGuardError
 from .policy import LAYER_NAMES, EnforcementConfig, MediationError
 from .scenarios import (
+    Scenario,
     bundled_names,
     load_suite,
     resolve_scenario,
     suite_names,
     with_capabilities,
 )
-from .sim import CAPABILITY_PRESETS, RunResult, Scenario, ScenarioError, run_scenario
-from .tracelog import TraceFormatError
-from .verifier import Report, VerificationError, build_report
+from .sim import RunResult, run_scenario
+from .verifier import Report, build_report
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -286,11 +286,7 @@ def _mode_suite(args: argparse.Namespace, out) -> int:
 
 
 def _mode_verify(args: argparse.Namespace, out) -> int:
-    try:
-        text = Path(args.verify_trace).read_text()
-    except OSError as exc:
-        raise ScenarioError(f"cannot read trace file: {exc}") from exc
-    record = report_record(build_report(text))
+    record = report_record(build_report(Path(args.verify_trace).read_text()))
     if args.report == "machine":
         print(render_machine("report", record), file=out)
     else:
@@ -334,7 +330,7 @@ def main(argv: list[str] | None = None) -> int:
     except MediationError as exc:
         print(f"reentryguard: internal mediation gap: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (ScenarioError, TraceFormatError, VerificationError, ValueError, ReentryGuardError) as exc:
+    except (ValueError, ReentryGuardError) as exc:
         print(f"reentryguard: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -161,17 +161,11 @@ class MemoryStores:
         self.trusted.append(entry)
         return entry
 
-    def _evict_expired(self, tick: int) -> None:
+    def render_projection(self, tick: int) -> list[RenderedEntry]:
+        """Gated render: typed tuples only, expired entries evicted first."""
         # ttl is enforced lazily: expired entries fall out the next time the
         # store is rendered, not on a timer
         self.trusted = [e for e in self.trusted if e.expires_tick >= tick]
-
-    def live_entries(self, tick: int) -> list[PromotedEntry]:
-        self._evict_expired(tick)
-        return list(self.trusted)
-
-    def render_projection(self, tick: int) -> list[RenderedEntry]:
-        """Gated render: typed tuples only, expired entries evicted first."""
         return [
             RenderedEntry(
                 schema=e.candidate.schema,
@@ -179,7 +173,7 @@ class MemoryStores:
                 authority=e.candidate.authority,
                 value=e.candidate.value,
             )
-            for e in self.live_entries(tick)
+            for e in self.trusted
         ]
 
     def raw_render(self) -> list[MemoryCandidate]:

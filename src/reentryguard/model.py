@@ -208,6 +208,12 @@ class PayloadFacets:
         )
 
 
+# per-hop transformation drops facets cheapest-to-lose first: paraphrase kills
+# byte fidelity before intent, and persistence directives survive the longest
+FACET_DROP_ORDER = ("verbatim", "harm", "propagate", "persist")
+PERSIST_DROP_STRENGTH = len(FACET_DROP_ORDER)
+
+
 # ---------------------------------------------------------------------------
 # decisions
 # ---------------------------------------------------------------------------

@@ -86,12 +86,7 @@ class EnforcementConfig:
         return cfg
 
     def flags(self) -> dict[str, bool]:
-        return {
-            "rtw": self.rtw,
-            "seal": self.seal,
-            "memgate": self.memgate,
-            "attenuation": self.attenuation,
-        }
+        return {name: getattr(self, name) for name in LAYER_NAMES}
 
 
 # ---------------------------------------------------------------------------

@@ -24,12 +24,15 @@ it). Carrier persistence is what survives unmodified between turns.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from typing import Any
 
 from . import verifier as verifier_mod
-from .memgate import Lease, MemoryCandidate, MemoryStores, PromotionPolicy, default_policy
+from .memgate import Lease, MemoryCandidate, MemoryStores, default_policy
 from .model import (
     ATTACKER,
+    FACET_DROP_ORDER,
+    PERSIST_DROP_STRENGTH,
     ActionKind,
     Authorizer,
     AutoloadPolicy,
@@ -44,12 +47,12 @@ from .model import (
     InjectionPosition,
     PayloadFacets,
     Privilege,
-    ReentryGuardError,
     SchemaKind,
     TaintLabel,
     Trace,
 )
-from .policy import EnforcementConfig, MediationContext, mediate
+from .policy import MediationContext, mediate
+from .scenarios import FRAMEWORKS, AgentProfile, Capability, Scenario, SeededCarrier
 from .taint import (
     AgentDecisionState,
     attenuate_capabilities,
@@ -62,19 +65,13 @@ from .taint import (
 )
 from .tracelog import AgentMeta, CarrierMeta, TraceMeta, render_trace
 
-
-class ScenarioError(ReentryGuardError):
-    """A scenario definition is internally inconsistent."""
+# every run promotes under the one default policy
+PROMOTION_POLICY = default_policy()
 
 
 # ---------------------------------------------------------------------------
 # payload transformation
 # ---------------------------------------------------------------------------
-
-# fixed drop order: cheapest-to-lose first. Paraphrase kills byte fidelity
-# before it kills intent; persistence directives survive the longest.
-FACET_DROP_ORDER = ("verbatim", "harm", "propagate", "persist")
-PERSIST_DROP_STRENGTH = len(FACET_DROP_ORDER)
 
 
 def transform_payload(facets: PayloadFacets, strength: int) -> PayloadFacets:
@@ -90,49 +87,8 @@ def transform_payload(facets: PayloadFacets, strength: int) -> PayloadFacets:
 
 
 # ---------------------------------------------------------------------------
-# profiles
+# ecosystem
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CompliancePolicy:
-    """Whether content arriving at an injection position drives behavior."""
-
-    kind: str  # always | never | bernoulli
-    p: float = 0.0
-
-    def decide(self, rng: random.Random) -> bool:
-        if self.kind == "always":
-            return True
-        if self.kind == "never":
-            return False
-        if self.kind == "bernoulli":
-            return rng.random() < self.p
-        raise ScenarioError(f"unknown compliance kind {self.kind!r}")
-
-
-ALWAYS = CompliancePolicy("always")
-NEVER = CompliancePolicy("never")
-
-
-def bernoulli(p: float) -> CompliancePolicy:
-    return CompliancePolicy("bernoulli", p)
-
-
-class Capability:
-    FILE_WRITE = "file_write"
-    MESSAGING = "messaging"
-    SHELL = "shell"
-    NETWORK = "network"
-    ALL = frozenset({FILE_WRITE, MESSAGING, SHELL, NETWORK})
-
-
-CAPABILITY_PRESETS: dict[str, frozenset[str]] = {
-    "full": Capability.ALL,
-    "messaging_disabled": Capability.ALL - {Capability.MESSAGING},
-    "file_write_disabled": Capability.ALL - {Capability.FILE_WRITE},
-    "minimal": frozenset(),
-}
 
 
 def _base_action_caps(privilege: Privilege, capabilities: frozenset[str]) -> frozenset[ActionKind]:
@@ -154,51 +110,6 @@ def _base_action_caps(privilege: Privilege, capabilities: frozenset[str]) -> fro
     return frozenset(caps)
 
 
-@dataclass(frozen=True)
-class AgentProfile:
-    id: str
-    framework: str
-    privilege: Privilege
-    heartbeat_period: int
-    channels: tuple[str, ...]
-    compliance: dict[InjectionPosition, CompliancePolicy] = field(
-        default_factory=lambda: {
-            InjectionPosition.USER_PROMPT: ALWAYS,
-            InjectionPosition.SYSTEM_PROMPT: NEVER,
-        }
-    )
-    capabilities: frozenset[str] = Capability.ALL
-
-    def complies(self, position: InjectionPosition, rng: random.Random) -> bool:
-        policy = self.compliance.get(position, NEVER)
-        return policy.decide(rng)
-
-
-# ---------------------------------------------------------------------------
-# framework templates
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FrameworkProfile:
-    """Carrier surface one deployed agent of this framework exposes.
-    system/user counts fix the template shape; the functional slots
-    (config, heartbeat task file, task state, memory store) are always
-    present, padded with inert on-demand workspace files."""
-
-    name: str
-    system_carriers: int
-    user_carriers: int
-    memory_position: InjectionPosition
-
-
-FRAMEWORKS: dict[str, FrameworkProfile] = {
-    "A": FrameworkProfile("A", system_carriers=2, user_carriers=9, memory_position=InjectionPosition.SYSTEM_PROMPT),
-    "B": FrameworkProfile("B", system_carriers=2, user_carriers=10, memory_position=InjectionPosition.SYSTEM_PROMPT),
-    "C": FrameworkProfile("C", system_carriers=1, user_carriers=7, memory_position=InjectionPosition.USER_PROMPT),
-}
-
-
 @dataclass
 class AgentCarrierSet:
     config_id: int
@@ -208,120 +119,12 @@ class AgentCarrierSet:
     all_ids: list[int]
 
 
-# ---------------------------------------------------------------------------
-# scenario definition
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Injection:
-    channel: str
-    tick: int
-    facets: PayloadFacets
-
-
-@dataclass(frozen=True)
-class SeededCarrier:
-    """Optional pre-poisoned carrier slot for stress scenarios: marks one of
-    an agent's workspace/task carriers as externally sourced content."""
-
-    agent: str
-    slot: str  # one of SEEDED_SLOTS
-    facets: PayloadFacets
-
-
-SEEDED_SLOTS = ("heartbeat", "task", "ondemand")
-
-
-@dataclass
-class Scenario:
-    name: str
-    seed: int
-    max_ticks: int
-    enforcement: EnforcementConfig
-    agents: list[AgentProfile]
-    channels: list[str]
-    injection: Injection | None
-    transform_default: int = 0
-    transform_strength: dict[str, int] = field(default_factory=dict)
-    promotion_policy: PromotionPolicy = field(default_factory=default_policy)
-    task_leases: dict[str, tuple[int, int]] = field(default_factory=dict)
-    exfil_channel: str | None = None
-    resets: list[tuple[str, int]] = field(default_factory=list)
-    declassify_carrier_of: list[tuple[str, int]] = field(default_factory=list)  # (agent, tick): clear heartbeat carrier
-    seeded_carriers: list[SeededCarrier] = field(default_factory=list)
-    heartbeat_log_channels: list[str] = field(default_factory=list)  # channels whose log is heartbeat-autoloaded
-
-    def validate(self) -> None:
-        if self.max_ticks < 1:
-            raise ScenarioError("max_ticks must be at least 1")
-        if not self.agents:
-            raise ScenarioError("scenario needs at least one agent")
-        ids = [a.id for a in self.agents]
-        if len(set(ids)) != len(ids):
-            raise ScenarioError("duplicate agent ids")
-        if ATTACKER in ids:
-            raise ScenarioError(f"agent id {ATTACKER!r} is reserved")
-        if len(set(self.channels)) != len(self.channels):
-            raise ScenarioError("duplicate channel names")
-        known = set(self.channels)
-        for a in self.agents:
-            if a.heartbeat_period < 1:
-                raise ScenarioError(f"agent {a.id}: heartbeat period must be >= 1")
-            missing = set(a.channels) - known
-            if missing:
-                raise ScenarioError(f"agent {a.id}: unknown channels {sorted(missing)}")
-            if a.framework not in FRAMEWORKS:
-                raise ScenarioError(f"agent {a.id}: unknown framework {a.framework!r}")
-        if self.injection is not None:
-            if self.injection.channel not in known:
-                raise ScenarioError(f"injection channel {self.injection.channel!r} unknown")
-            if not (0 <= self.injection.tick <= self.max_ticks):
-                raise ScenarioError("injection tick outside the run")
-        for ch, strength in self.transform_strength.items():
-            if ch not in known:
-                raise ScenarioError(f"transform strength for unknown channel {ch!r}")
-            if not (0 <= strength <= PERSIST_DROP_STRENGTH):
-                raise ScenarioError("transform strength out of range")
-        if not (0 <= self.transform_default <= PERSIST_DROP_STRENGTH):
-            raise ScenarioError("transform strength out of range")
-        if self.exfil_channel is not None and self.exfil_channel not in known:
-            raise ScenarioError(f"exfil channel {self.exfil_channel!r} unknown")
-        for ch in self.heartbeat_log_channels:
-            if ch not in known:
-                raise ScenarioError(f"heartbeat log for unknown channel {ch!r}")
-        agent_set = set(ids)
-        for agent in self.task_leases:
-            if agent not in agent_set:
-                raise ScenarioError(f"task lease for unknown agent {agent!r}")
-        # ticks above max_ticks are allowed: shortening a run must keep it valid
-        for where, pairs in (("reset", self.resets), ("declassify", self.declassify_carrier_of)):
-            for agent, tick in pairs:
-                if agent not in agent_set:
-                    raise ScenarioError(f"{where} for unknown agent {agent!r}")
-                if tick < 1:
-                    raise ScenarioError(f"{where} at tick {tick} never runs: ticks start at 1")
-        for sc in self.seeded_carriers:
-            if sc.agent not in agent_set:
-                raise ScenarioError(f"seeded carrier for unknown agent {sc.agent!r}")
-            if sc.slot not in SEEDED_SLOTS:
-                raise ScenarioError(f"seeded carrier slot {sc.slot!r} is not one of {', '.join(SEEDED_SLOTS)}")
-
-    def strength_for(self, channel: str) -> int:
-        return self.transform_strength.get(channel, self.transform_default)
-
-
 @dataclass
 class Message:
     sender: str
     channel: str
     facets: PayloadFacets
     label: TaintLabel
-
-
-# ---------------------------------------------------------------------------
-# ecosystem
-# ---------------------------------------------------------------------------
 
 
 @dataclass
@@ -360,18 +163,16 @@ class Ecosystem:
             states=self.states,
             stores=self.stores,
             leases=self.leases,
-            promotion_policy=scenario.promotion_policy,
+            promotion_policy=PROMOTION_POLICY,
         )
 
     # -- construction -------------------------------------------------------
 
-    def _add_carrier(self, carrier: Carrier) -> int:
-        self.carriers[carrier.id] = carrier
-        return carrier.id
-
-    def _new_id(self) -> int:
+    def _carrier(self, **fields: Any) -> int:
+        """Register a new carrier under the next id."""
         cid = self._next_carrier
         self._next_carrier += 1
+        self.carriers[cid] = Carrier(id=cid, **fields)
         return cid
 
     def _slot_carrier(
@@ -384,18 +185,15 @@ class Ecosystem:
     ) -> int:
         """An agent-local, user-prompt carrier; a seeded slot starts as
         external content carrying the seed's facets."""
-        return self._add_carrier(
-            Carrier(
-                id=self._new_id(),
-                name=name,
-                cls=cls,
-                owner=owner,
-                injection=InjectionPosition.USER_PROMPT,
-                autoload=autoload,
-                scope=CarrierScope.AGENT_LOCAL,
-                label=TaintLabel.EXTERNAL if seed else TaintLabel.CLEAN,
-                content=seed.facets if seed else None,
-            )
+        return self._carrier(
+            name=name,
+            cls=cls,
+            owner=owner,
+            injection=InjectionPosition.USER_PROMPT,
+            autoload=autoload,
+            scope=CarrierScope.AGENT_LOCAL,
+            label=TaintLabel.EXTERNAL if seed else TaintLabel.CLEAN,
+            content=seed.facets if seed else None,
         )
 
     def _build(self) -> None:
@@ -403,33 +201,23 @@ class Ecosystem:
         for agent_id in self.agent_order:
             profile = self.agents[agent_id]
             fw = FRAMEWORKS[profile.framework]
-            ids: list[int] = []
-
-            config_id = self._add_carrier(
-                Carrier(
-                    id=self._new_id(),
-                    name=f"{agent_id}.identity",
-                    cls=CarrierClass.STATIC_CONFIG,
-                    owner=agent_id,
-                    injection=InjectionPosition.SYSTEM_PROMPT,
-                    autoload=AutoloadPolicy.SESSION_START,
-                    scope=CarrierScope.AGENT_LOCAL,
-                )
+            config_id = self._carrier(
+                name=f"{agent_id}.identity",
+                cls=CarrierClass.STATIC_CONFIG,
+                owner=agent_id,
+                injection=InjectionPosition.SYSTEM_PROMPT,
+                autoload=AutoloadPolicy.SESSION_START,
+                scope=CarrierScope.AGENT_LOCAL,
             )
-            ids.append(config_id)
 
-            memory_id = self._add_carrier(
-                Carrier(
-                    id=self._new_id(),
-                    name=f"{agent_id}.memory",
-                    cls=CarrierClass.TRUSTED_MEMORY,
-                    owner=agent_id,
-                    injection=fw.memory_position,
-                    autoload=AutoloadPolicy.HEARTBEAT,
-                    scope=CarrierScope.AGENT_LOCAL,
-                )
+            memory_id = self._carrier(
+                name=f"{agent_id}.memory",
+                cls=CarrierClass.TRUSTED_MEMORY,
+                owner=agent_id,
+                injection=fw.memory_position,
+                autoload=AutoloadPolicy.HEARTBEAT,
+                scope=CarrierScope.AGENT_LOCAL,
             )
-            ids.append(memory_id)
 
             heartbeat_id = self._slot_carrier(
                 f"{agent_id}.taskfile",
@@ -438,7 +226,6 @@ class Ecosystem:
                 agent_id,
                 seeded.get((agent_id, "heartbeat")),
             )
-            ids.append(heartbeat_id)
 
             task_id = self._slot_carrier(
                 f"{agent_id}.taskstate",
@@ -447,12 +234,11 @@ class Ecosystem:
                 agent_id,
                 seeded.get((agent_id, "task")),
             )
-            ids.append(task_id)
 
             # pad with inert on-demand workspace files so the injectable
             # surface matches the framework shape
-            pad = fw.system_carriers + fw.user_carriers - len(ids)
-            for i in range(pad):
+            ids = [config_id, memory_id, heartbeat_id, task_id]
+            for i in range(fw.system_carriers + fw.user_carriers - len(ids)):
                 ids.append(
                     self._slot_carrier(
                         f"{agent_id}.notes{i}",
@@ -479,32 +265,26 @@ class Ecosystem:
                 self.leases.append(Lease(carrier_id=task_id, t0=lease[0], t1=lease[1]))
 
         for ch in self.scenario.channels:
-            self.channel_source[ch] = self._add_carrier(
-                Carrier(
-                    id=self._new_id(),
-                    name=f"{ch}.feed",
-                    cls=CarrierClass.EXTERNAL_SOURCE,
-                    owner=None,
-                    injection=InjectionPosition.USER_PROMPT,
-                    autoload=AutoloadPolicy.NEVER,
-                    scope=CarrierScope.SHARED_CROSS_AGENT,
-                    label=TaintLabel.EXTERNAL,
-                )
+            self.channel_source[ch] = self._carrier(
+                name=f"{ch}.feed",
+                cls=CarrierClass.EXTERNAL_SOURCE,
+                owner=None,
+                injection=InjectionPosition.USER_PROMPT,
+                autoload=AutoloadPolicy.NEVER,
+                scope=CarrierScope.SHARED_CROSS_AGENT,
+                label=TaintLabel.EXTERNAL,
             )
-            self.channel_log[ch] = self._add_carrier(
-                Carrier(
-                    id=self._new_id(),
-                    name=f"{ch}.log",
-                    cls=CarrierClass.SHARED_CHANNEL_LOG,
-                    owner=None,
-                    injection=InjectionPosition.USER_PROMPT,
-                    autoload=(
-                        AutoloadPolicy.HEARTBEAT
-                        if ch in self.scenario.heartbeat_log_channels
-                        else AutoloadPolicy.NEVER
-                    ),
-                    scope=CarrierScope.SHARED_CROSS_AGENT,
-                )
+            self.channel_log[ch] = self._carrier(
+                name=f"{ch}.log",
+                cls=CarrierClass.SHARED_CHANNEL_LOG,
+                owner=None,
+                injection=InjectionPosition.USER_PROMPT,
+                autoload=(
+                    AutoloadPolicy.HEARTBEAT
+                    if ch in self.scenario.heartbeat_log_channels
+                    else AutoloadPolicy.NEVER
+                ),
+                scope=CarrierScope.SHARED_CROSS_AGENT,
             )
 
         # autoload is fixed at construction, so each agent's heartbeat read
@@ -635,7 +415,7 @@ class Ecosystem:
                 facets = carrier.content if carrier.content is not None else PayloadFacets.none()
             elif self.config.memgate:
                 # gated render: typed projection only, facets never surface
-                if not store.live_entries(tick):
+                if not store.render_projection(tick):
                     continue
                 facets = PayloadFacets.none()
             else:
@@ -729,8 +509,8 @@ class Ecosystem:
                 schema=SchemaKind.FREE_FORM_INSTRUCTION,
                 source=CandidateSource.AGENT_SUMMARY,
                 scope=CandidateScope.CROSS_AGENT,
-                authority=self.scenario.promotion_policy.authority_max + 1,
-                ttl=self.scenario.promotion_policy.ttl_max + 1,
+                authority=PROMOTION_POLICY.authority_max + 1,
+                ttl=PROMOTION_POLICY.ttl_max + 1,
                 value="standing-directive",
                 content=facets,
             )
@@ -799,7 +579,7 @@ class Ecosystem:
         to_deliver = {ch: msgs for ch, msgs in self.queued.items() if msgs}
         self.queued = {ch: [] for ch in self.scenario.channels}
         for ch in sorted(to_deliver):
-            strength = self.scenario.strength_for(ch)
+            strength = self.scenario.transform_strength.get(ch, self.scenario.transform_default)
             for msg in to_deliver[ch]:
                 delivered = msg.facets if msg.sender == ATTACKER else transform_payload(msg.facets, strength)
                 for agent in self.agent_order:

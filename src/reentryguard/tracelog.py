@@ -30,12 +30,15 @@ verifier rejects decision-less lines for effectful kinds.
 The parser yields ``model.Event``, the record the simulator writes, and
 fails closed: anything it cannot interpret raises ``TraceFormatError``
 naming the line. That covers a wrong column or detail-field count, an
-unknown kind, enum value or facet token, a negative tick, a tick lower than
-the previous event line's, a sender without ``from=``, a decision/reason
-pair that ``Decision`` does not admit (``allow|rtw-re-entry``, ``deny|ok``,
-``allow|-``), and an ``# enforcement`` header whose ``guard=`` is not
-``deny`` or ``approve`` or whose flags are not ``0`` or ``1``. Every value
-is looked up in a table built once from the model; decisions are the
+unknown kind, enum value or facet token, a negative tick, a tick or carrier
+id not written as ``str(int)`` writes it (``+3``, `` 4``, ``03``, ``1_0``),
+a tick lower than the previous event line's, a sender without ``from=``, a
+decision/reason pair that ``Decision`` does not admit
+(``allow|rtw-re-entry``, ``deny|ok``, ``allow|-``), and an ``# enforcement``
+header whose ``guard=`` is not ``deny`` or ``approve``, whose flags are not
+exactly the four layers, or whose flag values are not ``0`` or ``1``. An
+event line that parses is the line ``render_trace`` writes for it. Every
+value is looked up in a table built once from the model; decisions are the
 model's shared ``DECISIONS`` objects.
 
 Most event lines repeat an earlier line but for the tick, so each
@@ -64,6 +67,7 @@ from .model import (
     Event,
     EventKind,
     GuardMode,
+    Layer,
     PayloadFacets,
     ReentryGuardError,
     SchemaKind,
@@ -168,6 +172,13 @@ def _by_value(enum_cls: type[Enum]) -> dict[str, Any]:
     return {member.value: member for member in enum_cls}
 
 
+def _count(raw: str) -> int:  # a tick or carrier id, in the one form render writes
+    value = int(raw)
+    if str(value) != raw:
+        raise ValueError(f"{raw!r} is not written as {value}")
+    return value
+
+
 def _sender(token: str) -> str:
     if not token.startswith("from="):
         raise ValueError(f"sender {token!r} lacks from=")
@@ -178,6 +189,7 @@ def _sender(token: str) -> str:
 _KINDS = _by_value(EventKind)
 _LABELS = {MISSING: None, **_by_value(TaintLabel)}
 _GUARDS = tuple(_by_value(GuardMode))
+_LAYERS = sorted(_by_value(Layer).keys() - {Layer.NONE.value})
 _FLAG_BITS = {"0": False, "1": True}
 _FACETS = {t: PayloadFacets.from_token(t) for t in (format(i, "04b") for i in range(16))}
 # (verdict, reason) columns -> the shared decision; only the pairs Decision admits
@@ -279,10 +291,10 @@ def parse_event_line(line: str, line_no: int = 0) -> Event:
     try:
         kind, detail = _kind_detail(kind_token)
         return Event(
-            tick=int(raw_tick),
+            tick=_count(raw_tick),
             agent=agent,
             kind=kind,
-            carrier_id=None if raw_carrier == MISSING else int(raw_carrier),
+            carrier_id=None if raw_carrier == MISSING else _count(raw_carrier),
             label=_LABELS[raw_label],
             decision=_DECISIONS[raw_verdict, raw_reason],
             **detail,
@@ -311,6 +323,8 @@ def _parse_header_line(text: str, line_no: int, meta: TraceMeta) -> None:
         meta.guard = pairs.pop("guard", GuardMode.DENY_ALL.value)
         if meta.guard not in _GUARDS:
             raise ValueError(f"guard={meta.guard} is not one of {', '.join(_GUARDS)}")
+        if sorted(pairs) != _LAYERS:
+            raise ValueError(f"flags {' '.join(sorted(pairs))} are not {' '.join(_LAYERS)}")
         for name, bit in pairs.items():
             if bit not in _FLAG_BITS:
                 raise ValueError(f"{name}={bit} is not 0 or 1")
@@ -350,8 +364,10 @@ def parse_trace(text: str) -> tuple[TraceMeta, list[Event]]:
     meta = TraceMeta(scenario="", seed=0, ticks=0, flags={}, guard="deny", attacker="")
     events: list[Event] = []
     saw_columns = False
-    # line tail -> the fields of the event it parsed to; lives for this call
+    # line tail -> the fields of the event it parsed to, and tick column ->
+    # checked tick; both live for this call
     shapes: dict[str, tuple[Any, ...]] = {}
+    ticks: dict[str, int] = {}
     last_tick = 0
     for line_no, line in enumerate(text.splitlines(), start=1):
         if line.startswith("#"):
@@ -364,7 +380,10 @@ def parse_trace(text: str) -> tuple[TraceMeta, list[Event]]:
         shape = shapes.get(tail)
         if shape is not None:
             try:
-                ev = Event(int(raw_tick), *shape)
+                tick = ticks.get(raw_tick)
+                if tick is None:
+                    tick = ticks[raw_tick] = _count(raw_tick)
+                ev = Event(tick, *shape)
             except ValueError as exc:
                 raise TraceFormatError(f"line {line_no}: {exc} in {line!r}") from exc
         elif not line.strip():

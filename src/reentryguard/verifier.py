@@ -163,10 +163,13 @@ _CARRIER_KINDS = frozenset(
 
 
 def _validate(events: list[Event], meta: TraceMeta) -> None:
-    """Refuse what no pass may skip over: an effectful event without a
-    decision, and an event on a carrier the header does not declare (its
-    owner and class, which hops and high-risk writes are judged by, would
-    be unknown)."""
+    """Refuse what no pass may skip over: a header without enforcement
+    flags (the RTW pass reads attenuation from them), an effectful event
+    without a decision, and an event on a carrier the header does not
+    declare (its owner and class, which hops and high-risk writes are judged
+    by, would be unknown)."""
+    if not meta.flags:
+        raise VerificationError("the header has no # enforcement line")
     declared = {c.id for c in meta.carriers}
     for i, ev in enumerate(events):
         if ev.kind in EFFECTFUL_KINDS and ev.decision is None:

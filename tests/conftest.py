@@ -7,13 +7,14 @@ reuses the cached result.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-from reentryguard import load_bundled, run_scenario
+from reentryguard import load_bundled
 from reentryguard.model import GuardMode
 from reentryguard.policy import EnforcementConfig
-from reentryguard.scenarios import with_enforcement
-from reentryguard.sim import RunResult
+from reentryguard.sim import RunResult, run_scenario
 
 _cache: dict[tuple[str, str, GuardMode], RunResult] = {}
 
@@ -25,8 +26,8 @@ def run_bundled(
 ) -> RunResult:
     key = (name, enforce, guard)
     if key not in _cache:
-        scenario = with_enforcement(
-            load_bundled(name), EnforcementConfig.from_names(enforce, guard)
+        scenario = replace(
+            load_bundled(name), enforcement=EnforcementConfig.from_names(enforce, guard)
         )
         _cache[key] = run_scenario(scenario)
     return _cache[key]

@@ -21,7 +21,7 @@ from reentryguard.model import (
 )
 from reentryguard.policy import EnforcementConfig
 from reentryguard.rtw import is_rtw_safe
-from reentryguard.scenarios import load_bundled, random_scenario, with_enforcement
+from reentryguard.scenarios import load_bundled, random_scenario
 from reentryguard.sim import run_scenario
 from reentryguard.tracelog import parse_trace
 from reentryguard.verifier import find_chains, is_effective
@@ -114,7 +114,7 @@ def test_criterion_03_no_chains_under_full_enforcement():
         cfg = EnforcementConfig.all_enabled()
         for name in ("fwA", "fwB", "fwC", "cross_framework",
                      "privilege_escalation", "exfiltration"):
-            result = run_scenario(with_enforcement(load_bundled(name), cfg))
+            result = run_scenario(replace(load_bundled(name), enforcement=cfg))
             assert find_chains(result.trace_text) == [], name
         for seed in range(1000):
             result = run_scenario(random_scenario(seed, cfg))
@@ -254,10 +254,10 @@ def test_criterion_09_byte_identical_replay():
     with criterion(9, "every (scenario, seed, enforcement) replay is byte-identical"):
         runs = [
             load_bundled("fwA"),
-            with_enforcement(load_bundled("fwA"), EnforcementConfig.all_enabled()),
-            with_enforcement(load_bundled("fwB"), EnforcementConfig.from_names("rtw,seal")),
-            with_enforcement(load_bundled("exfiltration"),
-                             EnforcementConfig.from_names("attenuation")),
+            replace(load_bundled("fwA"), enforcement=EnforcementConfig.all_enabled()),
+            replace(load_bundled("fwB"), enforcement=EnforcementConfig.from_names("rtw,seal")),
+            replace(load_bundled("exfiltration"),
+                    enforcement=EnforcementConfig.from_names("attenuation")),
             random_scenario(11, EnforcementConfig.all_enabled()),
             replace(load_bundled("fwC"), seed=123),
         ]

@@ -30,7 +30,7 @@ import pytest
 
 from reentryguard.cli import main
 from reentryguard.policy import EnforcementConfig
-from reentryguard.scenarios import bundled_names, load_bundled, random_scenario, with_enforcement
+from reentryguard.scenarios import bundled_names, load_bundled, random_scenario
 from reentryguard.sim import run_scenario
 
 LOCK_FILE = Path(__file__).parent / "data" / "behaviour_lock.json"
@@ -55,7 +55,7 @@ def _digest(scenario) -> str:
 def _bundled_digests() -> dict[str, str]:
     return {
         f"{name}:{enforce}": _digest(
-            with_enforcement(load_bundled(name), EnforcementConfig.from_names(enforce))
+            replace(load_bundled(name), enforcement=EnforcementConfig.from_names(enforce))
         )
         for name in bundled_names()
         for enforce in ("none", "all")

@@ -1,6 +1,7 @@
 """Memory gate: candidate store, promotion conjunction, leases, rendering."""
 
 import random
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -231,3 +232,18 @@ class TestGateCompleteness:
             assert ev.schema in FORBIDDEN_SCHEMAS
         for ev in allowed:
             assert ev.schema not in FORBIDDEN_SCHEMAS
+
+    def test_simulator_reads_memory_through_the_projection(self, monkeypatch):
+        """The gated heartbeat read renders the store with render_projection,
+        the typed projection the tests above check."""
+        from reentryguard.policy import EnforcementConfig
+        from reentryguard.scenarios import load_bundled
+        from reentryguard.sim import run_scenario
+
+        ticks = []
+        render = MemoryStores.render_projection
+        monkeypatch.setattr(
+            MemoryStores, "render_projection", lambda store, tick: ticks.append(tick) or render(store, tick)
+        )
+        run_scenario(replace(load_bundled("fwA"), enforcement=EnforcementConfig.from_names("memgate")))
+        assert ticks

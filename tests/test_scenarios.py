@@ -1,10 +1,27 @@
 """Scenario loading, bundled ecosystems, suites, and the fuzz sampler."""
 
-import pytest
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+import yaml
+
+from reentryguard import cli
 from reentryguard.model import GuardMode, InjectionPosition, PayloadFacets, Privilege
 from reentryguard.policy import EnforcementConfig
 from reentryguard.scenarios import (
+    AGENT_KEYS,
+    CAPABILITY_PRESETS,
+    INJECTION_KEYS,
+    SCENARIO_KEYS,
+    SEEDED_KEYS,
+    SUITE_ENTRY_KEYS,
+    SUITE_KEYS,
+    Capability,
+    ScenarioError,
+    SeededCarrier,
     bundled_names,
     load_bundled,
     load_scenario,
@@ -15,9 +32,8 @@ from reentryguard.scenarios import (
     suite_from_dict,
     suite_names,
     with_capabilities,
-    with_enforcement,
 )
-from reentryguard.sim import CAPABILITY_PRESETS, Capability, ScenarioError, SeededCarrier, run_scenario
+from reentryguard.sim import run_scenario
 
 BUNDLED = ["cross_framework", "exfiltration", "fwA", "fwB", "fwC", "privilege_escalation"]
 
@@ -217,6 +233,72 @@ class TestDictParsing:
         assert sc.transform_strength == {"c0": 4}
 
 
+# id -> (the key the error names, top-level keys, keys of the first agent)
+MALFORMED = {
+    "channels-as-a-string": ("channels", {"channels": "ab"}, {"channels": ["a"]}),
+    "bernoulli-above-one": ("compliance", {}, {"compliance": {"user_prompt": {"bernoulli": 2.0}}}),
+    "bernoulli-below-zero": ("compliance", {}, {"compliance": {"user_prompt": {"bernoulli": -1}}}),
+    "fractional-period": ("period", {}, {"period": 1.7}),
+    "boolean-max-ticks": ("max_ticks", {"max_ticks": True}, {}),
+    "slot-seeded-twice": (
+        "seeded",
+        {"seeded": [{"agent": "a1", "slot": "task"}, {"agent": "a1", "slot": "task", "facets": "0001"}]},
+        {},
+    ),
+    "lease-ends-before-it-starts": ("task_leases", {"task_leases": {"a1": [5, 1]}}, {}),
+    "injection-without-channel": ("injection", {"injection": {"tick": 0}}, {}),
+    "leases-as-a-list": ("task_leases", {"task_leases": [1, 2]}, {}),
+    "strengths-as-a-list": ("transform_strength", {"transform_strength": [1]}, {}),
+    "nested-capability-list": ("capabilities", {}, {"capabilities": [["shell"]]}),
+}
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("key,top,agent", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_refused_naming_the_key(self, key, top, agent, tmp_path, capsys):
+        data = minimal() | top
+        data["agents"][0] |= agent
+        with pytest.raises(ScenarioError, match=rf"\b{key}: "):
+            scenario_from_dict(data)
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(data))
+        assert cli.main(["--scenario", str(path)]) == 2
+        assert f"{key}: " in capsys.readouterr().err
+
+    def test_scenarios_import_without_the_simulator(self):
+        src = Path(cli.__file__).resolve().parents[1]
+        code = "import sys, reentryguard.scenarios; print(sorted(m for m in sys.modules if m.startswith('reentryguard')))"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+        assert "reentryguard.scenarios" in out
+        assert "reentryguard.sim" not in out
+
+
+class TestReadme:
+    """The README's YAML blocks name exactly the keys of the schema tables."""
+
+    README = Path(__file__).resolve().parents[1] / "README.md"
+
+    def _block(self, title: str):
+        text = self.README.read_text()
+        after = text.split(title, 1)[1]
+        return yaml.safe_load(after.split("```yaml\n", 1)[1].split("```", 1)[0])
+
+    def test_scenario_block_names_the_table_keys(self):
+        doc = self._block("Scenario YAML keys")
+        assert set(doc) == {k.name for k in SCENARIO_KEYS}
+        assert set(doc["agents"][0]) == {k.name for k in AGENT_KEYS}
+        assert set(doc["injection"]) == {k.name for k in INJECTION_KEYS}
+        assert set(doc["seeded"][0]) == {k.name for k in SEEDED_KEYS}
+        assert scenario_from_dict(doc).name == "demo"
+
+    def test_suite_block_names_the_table_keys(self):
+        doc = self._block("Suite YAML keys")
+        assert set(doc) == {k.name for k in SUITE_KEYS}
+        assert set(doc["entries"][0]) == {k.name for k in SUITE_ENTRY_KEYS}
+        assert suite_from_dict(doc).name == "demo"
+
+
 class TestFileLoading:
     def test_load_from_path_uses_stem_as_default_name(self, tmp_path):
         p = tmp_path / "sidecar.yaml"
@@ -285,20 +367,24 @@ class TestSuites:
         with pytest.raises(ScenarioError, match="entries"):
             suite_from_dict({"name": "empty"})
 
+    def test_bad_lease_scenario_fails_before_the_first_run(self, tmp_path, monkeypatch):
+        bad = tmp_path / "late.yaml"
+        bad.write_text(yaml.safe_dump(minimal() | {"task_leases": {"a1": [5, 1]}}))
+        suite = tmp_path / "suite.yaml"
+        suite.write_text(yaml.safe_dump({"entries": [{"scenario": "fwA"}, {"scenario": str(bad)}]}))
+        with pytest.raises(ScenarioError, match="task_leases"):
+            load_suite(str(suite))
+        runs = []
+        monkeypatch.setattr(cli, "run_scenario", runs.append)
+        assert cli.main(["--suite", str(suite)]) == 2
+        assert runs == []
+
     def test_missing_suite_ref(self):
         with pytest.raises(ScenarioError):
             load_suite("no_such_suite")
 
 
 class TestDerivedScenarios:
-    def test_with_enforcement_swaps_config_only(self):
-        base = load_bundled("fwA")
-        cfg = EnforcementConfig.all_enabled()
-        derived = with_enforcement(base, cfg)
-        assert derived.enforcement == cfg
-        assert derived.name == base.name
-        assert derived.agents == base.agents
-
     def test_with_capabilities_renames_and_applies(self):
         derived = with_capabilities(load_bundled("fwA"), "messaging_disabled")
         assert derived.name == "fwA+messaging_disabled"

@@ -8,16 +8,10 @@ from hypothesis import strategies as st
 
 from reentryguard.model import EventKind, PayloadFacets, Privilege, TaintLabel, Verdict
 from reentryguard.policy import EnforcementConfig
-from reentryguard.scenarios import with_enforcement
+from reentryguard.scenarios import NEVER, AgentProfile, Injection, Scenario, ScenarioError, bernoulli
 from reentryguard.sim import (
     FACET_DROP_ORDER,
-    NEVER,
     PERSIST_DROP_STRENGTH,
-    AgentProfile,
-    Injection,
-    Scenario,
-    ScenarioError,
-    bernoulli,
     run_scenario,
     transform_payload,
 )

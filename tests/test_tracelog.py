@@ -149,6 +149,14 @@ class TestParseErrors:
             "1|a1|exposed_read|7|tainted|allow|-",
             "1|a1|exposed_read|7|tainted|-|ok",
             "-1|a1|heartbeat|-|-|-|-",
+            # render writes str(int); any other spelling of a tick or
+            # carrier id would re-render as different bytes
+            "+3|a1|heartbeat|-|-|-|-",
+            " 4|a1|heartbeat|-|-|-|-",
+            "1_0|a1|heartbeat|-|-|-|-",
+            "03|a1|heartbeat|-|-|-|-",
+            "1|a1|exposed_read|+7|tainted|allow|ok",
+            "1|a1|exposed_read|07|tainted|allow|ok",
         ],
     )
     def test_malformed_event_line_names_its_line(self, line):
@@ -172,6 +180,10 @@ class TestParseErrors:
             "# enforcement attenuation=0 memgate=0 rtw=0 seal=0 guard=maybe",
             "# enforcement attenuation=0 memgate=0 rtw=yes seal=0 guard=deny",
             "# enforcement attenuation=0 memgate=0 rtw=0 seal= guard=approve",
+            "# enforcement attenuaton=1 memgate=1 rtw=1 seal=1 guard=deny",
+            "# enforcement memgate=1 rtw=1 seal=1 guard=deny",
+            "# enforcement attenuation=1 memgate=1 rtw=1 seal=1 turbo=0 guard=deny",
+            "# enforcement guard=deny",
         ],
     )
     def test_malformed_header_names_its_line(self, header, bundled, tmp_path, capsys):
@@ -191,7 +203,7 @@ class TestLineShapeCache:
 
     HEARTBEAT_TAIL = "|a1|heartbeat|-|-|-|-"
 
-    @pytest.mark.parametrize("tick", ["-1", "x", "2", ""])
+    @pytest.mark.parametrize("tick", ["-1", "x", "2", "", "+3", " 4", "1_0", "03"])
     def test_cached_tail_still_checks_its_tick(self, tick):
         text = f"{COLUMN_ROW}\n3{self.HEARTBEAT_TAIL}\n3{self.HEARTBEAT_TAIL}\n{tick}{self.HEARTBEAT_TAIL}\n"
         with pytest.raises(TraceFormatError, match=r"^line 4: "):

@@ -192,6 +192,18 @@ class TestFindChainsFixtures:
         path.write_text(text)
         assert main(["--verify-trace", str(path)]) == 2
 
+    def test_trace_without_enforcement_line_rejected(self, bundled, tmp_path):
+        text = "".join(
+            line for line in bundled("fwA", enforce="all").trace_text.splitlines(keepends=True)
+            if not line.startswith("# enforcement ")
+        )
+        assert parse_trace(text)[0].flags == {}  # a fragment still parses
+        with pytest.raises(VerificationError, match="enforcement"):
+            build_report(text)
+        path = tmp_path / "no-enforcement.trace"
+        path.write_text(text)
+        assert main(["--verify-trace", str(path)]) == 2
+
 
 def naive_chains(events: list[Event], meta: TraceMeta, guard: str) -> set[tuple[int, int, int]]:
     """Triple nested loop over the pre-serialization Event objects, written
