@@ -63,7 +63,7 @@ from .taint import (
     mark_contamination,
     propagate_on_write,
 )
-from .tracelog import AgentMeta, CarrierMeta, TraceMeta, render_trace
+from .tracelog import AgentMeta, TraceMeta, render_trace
 
 # every run promotes under the one default policy
 PROMOTION_POLICY = default_policy()
@@ -629,28 +629,10 @@ class Ecosystem:
         return self.trace
 
     def trace_meta(self) -> TraceMeta:
-        agents = [
-            AgentMeta(
-                id=a,
-                privilege=self.agents[a].privilege.value,
-                period=self.agents[a].heartbeat_period,
-                channels=list(self.agents[a].channels),
-            )
-            for a in self.agent_order
-        ]
-        carriers = [
-            CarrierMeta(
-                id=c.id,
-                name=c.name,
-                owner=c.owner,
-                cls=c.cls.value,
-                autoload=c.autoload.value,
-                position=c.injection.value,
-                scope=c.scope.value,
-                label0=c.label.value,
-            )
-            for c in (self.carriers[cid] for cid in sorted(self.carriers))
-        ]
+        profiles = map(self.agents.get, self.agent_order)
+        agents = [AgentMeta(p.id, p.privilege, p.heartbeat_period, list(p.channels)) for p in profiles]
+        # copies, as labels change during the run; the header carries no content
+        carriers = [Carrier(**vars(self.carriers[cid]) | {"content": None}) for cid in sorted(self.carriers)]
         return TraceMeta(
             scenario=self.scenario.name,
             seed=self.scenario.seed,

@@ -4,9 +4,13 @@ The line format is the only thing the verifier consumes. It never sees
 simulator objects, so everything verification needs must be representable
 here. Layout:
 
-* header lines, prefixed ``#``: format version, scenario name, seed, tick
-  budget, enforcement flags, guard mode, attacker id, one line per agent,
-  one line per carrier (owner/class/autoload/position/scope/initial label)
+* header lines ``# <tag> <tokens>``, in ``HEADER`` order: ``trace-format``,
+  ``scenario``, ``seed``, ``ticks``, ``enforcement`` (``<layer>=0|1`` per
+  layer, then ``guard=deny|approve``), ``attacker``, one ``agent`` line per
+  ``AgentMeta`` (``<id> privilege= period= channels=``) and one ``carrier``
+  line per ``model.Carrier`` (``<id> name= owner= class= autoload= position=
+  scope= label0=``, where position is its injection and label0 its label at
+  session start; the header carries no content)
 * one column row: ``tick|agent|kind|carrier_id|label|decision|reason``
 * event lines in trace order
 
@@ -27,19 +31,20 @@ and parsing both read that one table:
 Missing values are ``-``. Events without a decision are bookkeeping; the
 verifier rejects decision-less lines for effectful kinds.
 
-The parser yields ``model.Event``, the record the simulator writes, and
-fails closed: anything it cannot interpret raises ``TraceFormatError``
-naming the line. That covers a wrong column or detail-field count, an
-unknown kind, enum value or facet token, a negative tick, a tick or carrier
-id not written as ``str(int)`` writes it (``+3``, `` 4``, ``03``, ``1_0``),
-a tick lower than the previous event line's, a sender without ``from=``, a
-decision/reason pair that ``Decision`` does not admit
-(``allow|rtw-re-entry``, ``deny|ok``, ``allow|-``), and an ``# enforcement``
-header whose ``guard=`` is not ``deny`` or ``approve``, whose flags are not
-exactly the four layers, or whose flag values are not ``0`` or ``1``. An
-event line that parses is the line ``render_trace`` writes for it. Every
-value is looked up in a table built once from the model; decisions are the
-model's shared ``DECISIONS`` objects.
+The parser yields ``model.Event`` and ``model.Carrier``, the records the
+simulator writes, and fails closed: anything it cannot interpret raises
+``TraceFormatError`` naming the line. That covers a wrong column, token or
+detail-field count, an unknown tag, kind, key, enum value or facet token, a
+key out of order, a negative tick, an integer not written as ``str(int)``
+writes it (``+3``, `` 4``, ``03``, ``1_0``), a tick lower than the previous
+event line's, a sender without ``from=``, a decision/reason pair that
+``Decision`` does not admit (``allow|rtw-re-entry``, ``deny|ok``), a repeated
+single tag, agent id or carrier id, a carrier that breaks a ``Carrier``
+invariant, a header that does not open with ``# trace-format``, and a ``#``
+line after the column row. A header that lacks a single tag parses with its
+fields None, so fragments parse; the verifier refuses to audit it. A line
+that parses is the line render writes for it. Decisions are the model's
+shared ``DECISIONS`` objects.
 
 Most event lines repeat an earlier line but for the tick, so each
 ``render_trace`` and ``parse_trace`` call keeps a cache that lives for that
@@ -55,20 +60,29 @@ clock, the environment, or unordered containers.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from itertools import islice
 from operator import attrgetter
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from .model import (
     DECISIONS,
     ActionKind,
+    AutoloadPolicy,
+    Carrier,
+    CarrierClass,
+    CarrierInvariantError,
+    CarrierScope,
     DeclassProcedure,
     Event,
     EventKind,
     GuardMode,
+    InjectionPosition,
     Layer,
     PayloadFacets,
+    Privilege,
     ReentryGuardError,
     SchemaKind,
     TaintLabel,
@@ -85,32 +99,22 @@ class TraceFormatError(ReentryGuardError):
 
 
 # ---------------------------------------------------------------------------
-# header metadata
+# the header
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class AgentMeta:
     id: str
-    privilege: str
+    privilege: Privilege
     period: int
     channels: list[str]
 
 
 @dataclass
-class CarrierMeta:
-    id: int
-    name: str
-    owner: str | None
-    cls: str
-    autoload: str
-    position: str
-    scope: str
-    label0: str
-
-
-@dataclass
 class TraceMeta:
+    # parse_trace leaves None the fields of a single tag the header lacks
+    # (and flags empty); verifier._validate refuses such a header
     scenario: str
     seed: int
     ticks: int
@@ -118,33 +122,138 @@ class TraceMeta:
     guard: str  # "deny" | "approve"
     attacker: str
     agents: list[AgentMeta] = field(default_factory=list)
-    carriers: list[CarrierMeta] = field(default_factory=list)
+    carriers: list[Carrier] = field(default_factory=list)
+
+
+def _by_value(enum_cls: type[Enum]) -> dict[str, Any]:
+    return {member.value: member for member in enum_cls}
+
+
+def _enum(enum_cls: type[Enum]) -> Callable[[str], Any]:
+    return _by_value(enum_cls).__getitem__
+
+
+def _count(raw: str) -> int:  # an integer, in the one form render writes
+    value = int(raw)
+    if str(value) != raw:
+        raise ValueError(f"{raw!r} is not written as {value}")
+    return value
+
+
+class _Line(NamedTuple):
+    records: str | None  # the TraceMeta list a line per record fills; None: one line
+    render: Callable[[Any], str]  # the record, or the TraceMeta -> the tokens
+    make: Callable[..., Any]  # parsed values by name -> the record, or TraceMeta fields
+    fields: tuple[tuple[str | None, str, Callable[[str], Any]], ...]  # (key, name, parse)
+
+
+# member -> token: an enum's .value is slow, and an f-string of a str-mixin
+# member writes its qualified name
+_TOKEN = {m: m.value for e in (Privilege, CarrierClass, AutoloadPolicy, InjectionPosition, CarrierScope, TaintLabel) for m in e}
+_LAYERS = sorted(_by_value(Layer).keys() - {Layer.NONE.value})
+_VERSION = {str(FORMAT_VERSION): FORMAT_VERSION}.__getitem__
+_FLAG_BITS = {"0": False, "1": True}.__getitem__
+_GUARDS = {g.value: g.value for g in GuardMode}.__getitem__
+
+# The header, in render order; render_header and parse_trace both read it.
+# A line's tokens are its fields in order, each ``key=value`` or, where the
+# key is None, the bare value. Each renders as one f-string: a call per
+# token would cost more than the line.
+HEADER: dict[str, _Line] = {
+    "trace-format": _Line(None, lambda meta: str(FORMAT_VERSION), lambda version: {}, ((None, "version", _VERSION),)),
+    "scenario": _Line(None, lambda meta: meta.scenario, dict, ((None, "scenario", str),)),
+    "seed": _Line(None, lambda meta: str(meta.seed), dict, ((None, "seed", _count),)),
+    "ticks": _Line(None, lambda meta: str(meta.ticks), dict, ((None, "ticks", _count),)),
+    "enforcement": _Line(
+        None,
+        lambda meta: " ".join(f"{layer}={meta.flags[layer]:d}" for layer in _LAYERS) + f" guard={meta.guard}",
+        lambda guard, **flags: {"flags": flags, "guard": guard},
+        (*((layer, layer, _FLAG_BITS) for layer in _LAYERS), ("guard", "guard", _GUARDS)),
+    ),
+    "attacker": _Line(None, lambda meta: meta.attacker, dict, ((None, "attacker", str),)),
+    "agent": _Line(
+        "agents",
+        lambda a: f"{a.id} privilege={_TOKEN[a.privilege]} period={a.period} channels={','.join(a.channels) or MISSING}",
+        AgentMeta,
+        ((None, "id", str), ("privilege", "privilege", _enum(Privilege)), ("period", "period", _count),
+         ("channels", "channels", lambda raw: [] if raw == MISSING else raw.split(","))),
+    ),
+    "carrier": _Line(
+        "carriers",
+        lambda c: (
+            f"{c.id} name={c.name} owner={MISSING if c.owner is None else c.owner} class={_TOKEN[c.cls]}"
+            f" autoload={_TOKEN[c.autoload]} position={_TOKEN[c.injection]} scope={_TOKEN[c.scope]}"
+            f" label0={_TOKEN[c.label]}"
+        ),
+        Carrier,
+        ((None, "id", _count), ("name", "name", str), ("owner", "owner", lambda raw: None if raw == MISSING else raw),
+         ("class", "cls", _enum(CarrierClass)), ("autoload", "autoload", _enum(AutoloadPolicy)),
+         ("position", "injection", _enum(InjectionPosition)), ("scope", "scope", _enum(CarrierScope)),
+         ("label0", "label", _enum(TaintLabel))),
+    ),
+}
+# tag -> (the pattern its line's tokens match, the field names, their parses)
+_READERS = {
+    tag: (
+        re.compile(" ".join(r"(\S+)" if key is None else rf"{key}=(\S*)" for key, _, _ in line.fields)),
+        [name for _, name, _ in line.fields],
+        [parse for _, _, parse in line.fields],
+    )
+    for tag, line in HEADER.items()
+}
 
 
 def render_header(meta: TraceMeta) -> list[str]:
-    flag_bits = " ".join(f"{k}={1 if v else 0}" for k, v in sorted(meta.flags.items()))
-    lines = [
-        f"# trace-format {FORMAT_VERSION}",
-        f"# scenario {meta.scenario}",
-        f"# seed {meta.seed}",
-        f"# ticks {meta.ticks}",
-        f"# enforcement {flag_bits} guard={meta.guard}",
-        f"# attacker {meta.attacker}",
-    ]
-    for ag in meta.agents:
-        chans = ",".join(ag.channels) if ag.channels else MISSING
-        lines.append(
-            f"# agent {ag.id} privilege={ag.privilege} period={ag.period} channels={chans}"
-        )
-    for ca in meta.carriers:
-        owner = ca.owner if ca.owner is not None else MISSING
-        lines.append(
-            f"# carrier {ca.id} name={ca.name} owner={owner} class={ca.cls}"
-            f" autoload={ca.autoload} position={ca.position} scope={ca.scope}"
-            f" label0={ca.label0}"
-        )
+    lines: list[str] = []
+    for tag, line in HEADER.items():
+        items = getattr(meta, line.records) if line.records else (meta,)
+        lines.extend(map(f"# {tag} ".__add__, map(line.render, items)))
     lines.append(COLUMN_ROW)
     return lines
+
+
+def missing_tags(meta: TraceMeta) -> list[str]:
+    """The single tags a parsed header lacks: those whose TraceMeta fields it left None."""
+    return [tag for tag, line in HEADER.items()
+            if not line.records and any(getattr(meta, name, 0) is None for _, name, _ in line.fields)]
+
+
+def _parse_header(lines: list[str]) -> tuple[TraceMeta, int]:
+    """The header, and the number of lines up to and including the column row."""
+    meta = TraceMeta(scenario=None, seed=None, ticks=None, flags={}, guard=None, attacker=None)
+    seen: set[tuple[Any, ...]] = set()  # (tag,) per single tag, (tag, id) per record
+    for line_no, line in enumerate(lines, start=1):
+        if line == COLUMN_ROW:
+            return meta, line_no
+        if not line.strip():
+            continue
+        if not line.startswith("#"):
+            raise TraceFormatError(f"line {line_no}: event line before column row")
+        hash_, _, rest = line.partition(" ")
+        tag, _, text = rest.partition(" ")
+        try:
+            if hash_ != "#" or tag not in HEADER:
+                raise ValueError("unknown tag")
+            if not seen and tag != "trace-format":
+                raise ValueError("the header does not open with # trace-format")
+            (records, _, make, _), (pattern, names, parses) = HEADER[tag], _READERS[tag]
+            match = pattern.fullmatch(text)
+            if match is None:
+                raise ValueError(f"tokens do not match {pattern.pattern}")
+            made = make(**{name: parse(raw) for name, parse, raw in zip(names, parses, match.groups())})
+            key = (tag, made.id) if records else (tag,)
+            if key in seen:
+                raise ValueError("repeated " + " ".join(map(str, key)))
+            seen.add(key)
+            if records:
+                getattr(meta, records).append(made)
+            else:
+                vars(meta).update(made)
+        except KeyError as exc:
+            raise TraceFormatError(f"line {line_no}: unknown value {exc} in {line!r}") from exc
+        except (ValueError, CarrierInvariantError) as exc:
+            raise TraceFormatError(f"line {line_no}: bad header {line!r}: {exc}") from exc
+    return meta, len(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -168,17 +277,6 @@ KIND_FIELDS: dict[EventKind, tuple[str, ...]] = {
 }
 
 
-def _by_value(enum_cls: type[Enum]) -> dict[str, Any]:
-    return {member.value: member for member in enum_cls}
-
-
-def _count(raw: str) -> int:  # a tick or carrier id, in the one form render writes
-    value = int(raw)
-    if str(value) != raw:
-        raise ValueError(f"{raw!r} is not written as {value}")
-    return value
-
-
 def _sender(token: str) -> str:
     if not token.startswith("from="):
         raise ValueError(f"sender {token!r} lacks from=")
@@ -188,9 +286,6 @@ def _sender(token: str) -> str:
 # value tables, built once: token -> model value
 _KINDS = _by_value(EventKind)
 _LABELS = {MISSING: None, **_by_value(TaintLabel)}
-_GUARDS = tuple(_by_value(GuardMode))
-_LAYERS = sorted(_by_value(Layer).keys() - {Layer.NONE.value})
-_FLAG_BITS = {"0": False, "1": True}
 _FACETS = {t: PayloadFacets.from_token(t) for t in (format(i, "04b") for i in range(16))}
 # (verdict, reason) columns -> the shared decision; only the pairs Decision admits
 _DECISIONS = {(MISSING, MISSING): None} | {
@@ -305,77 +400,16 @@ def parse_event_line(line: str, line_no: int = 0) -> Event:
         raise TraceFormatError(f"line {line_no}: {exc} in {line!r}") from exc
 
 
-def _parse_header_line(text: str, line_no: int, meta: TraceMeta) -> None:
-    body = text[1:].strip()
-    fieldsv = body.split()
-    if not fieldsv:
-        return
-    tag = fieldsv[0]
-    kv = dict(part.split("=", 1) for part in fieldsv[2:] if "=" in part)
-    if tag == "scenario":
-        meta.scenario = fieldsv[1]
-    elif tag == "seed":
-        meta.seed = int(fieldsv[1])
-    elif tag == "ticks":
-        meta.ticks = int(fieldsv[1])
-    elif tag == "enforcement":
-        pairs = dict(part.split("=", 1) for part in fieldsv[1:] if "=" in part)
-        meta.guard = pairs.pop("guard", GuardMode.DENY_ALL.value)
-        if meta.guard not in _GUARDS:
-            raise ValueError(f"guard={meta.guard} is not one of {', '.join(_GUARDS)}")
-        if sorted(pairs) != _LAYERS:
-            raise ValueError(f"flags {' '.join(sorted(pairs))} are not {' '.join(_LAYERS)}")
-        for name, bit in pairs.items():
-            if bit not in _FLAG_BITS:
-                raise ValueError(f"{name}={bit} is not 0 or 1")
-        meta.flags = {k: _FLAG_BITS[v] for k, v in pairs.items()}
-    elif tag == "attacker":
-        meta.attacker = fieldsv[1]
-    elif tag == "agent":
-        chans = kv.get("channels", MISSING)
-        meta.agents.append(
-            AgentMeta(
-                id=fieldsv[1],
-                privilege=kv.get("privilege", "low"),
-                period=int(kv.get("period", "1")),
-                channels=[] if chans == MISSING else chans.split(","),
-            )
-        )
-    elif tag == "carrier":
-        owner = kv.get("owner", MISSING)
-        meta.carriers.append(
-            CarrierMeta(
-                id=int(fieldsv[1]),
-                name=kv.get("name", ""),
-                owner=None if owner == MISSING else owner,
-                cls=kv.get("class", ""),
-                autoload=kv.get("autoload", ""),
-                position=kv.get("position", ""),
-                scope=kv.get("scope", ""),
-                label0=kv.get("label0", "clean"),
-            )
-        )
-    elif tag == "trace-format":
-        if int(fieldsv[1]) != FORMAT_VERSION:
-            raise TraceFormatError(f"line {line_no}: unsupported trace format {fieldsv[1]}")
-
-
 def parse_trace(text: str) -> tuple[TraceMeta, list[Event]]:
-    meta = TraceMeta(scenario="", seed=0, ticks=0, flags={}, guard="deny", attacker="")
+    lines = text.splitlines()
+    meta, start = _parse_header(lines)
     events: list[Event] = []
-    saw_columns = False
     # line tail -> the fields of the event it parsed to, and tick column ->
     # checked tick; both live for this call
     shapes: dict[str, tuple[Any, ...]] = {}
     ticks: dict[str, int] = {}
     last_tick = 0
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if line.startswith("#"):
-            try:
-                _parse_header_line(line, line_no, meta)
-            except (IndexError, ValueError) as exc:
-                raise TraceFormatError(f"line {line_no}: bad header {line!r}: {exc}") from exc
-            continue
+    for line_no, line in enumerate(islice(lines, start, None), start=start + 1):
         raw_tick, _, tail = line.partition("|")
         shape = shapes.get(tail)
         if shape is not None:
@@ -388,11 +422,8 @@ def parse_trace(text: str) -> tuple[TraceMeta, list[Event]]:
                 raise TraceFormatError(f"line {line_no}: {exc} in {line!r}") from exc
         elif not line.strip():
             continue
-        elif line == COLUMN_ROW:
-            saw_columns = True
-            continue
-        elif not saw_columns:
-            raise TraceFormatError(f"line {line_no}: event line before column row")
+        elif line.startswith("#"):
+            raise TraceFormatError(f"line {line_no}: header line after the column row")
         else:
             ev = parse_event_line(line, line_no)
             shapes[tail] = _shape(ev)

@@ -2,10 +2,11 @@
 
 Everything here is reconstructed from the serialized trace text: agent
 contamination, carrier ownership, guard mode, enforcement flags. No simulator
-or policy-engine state is consulted; the parser's model.Event is the only
-thing shared with the simulator. A report is thus reproducible from the
-trace file alone and disagreements between auditor and enforcement surface as
-test failures instead of being defined away.
+or policy-engine state is consulted; the parser's model.Event and
+model.Carrier are the only records shared with the simulator, and the rules
+here are written out apart from the enforcing ones. A report is thus
+reproducible from the trace file alone and disagreements between auditor and
+enforcement surface as test failures instead of being defined away.
 
 The central check is the temporal pattern: an effective untrusted write to a
 carrier, followed by an effective exposed read of that carrier, followed by an
@@ -34,7 +35,6 @@ from dataclasses import dataclass, field
 from .model import (
     EFFECTFUL_KINDS,
     ActionKind,
-    AutoloadPolicy,
     CarrierClass,
     CarrierScope,
     Event,
@@ -42,7 +42,7 @@ from .model import (
     ReentryGuardError,
     Verdict,
 )
-from .tracelog import TraceMeta, parse_trace
+from .tracelog import TraceMeta, missing_tags, parse_trace
 
 APPROVE = "approve"
 
@@ -119,9 +119,7 @@ def _untrusted(ev: Event) -> bool:
     return ev.label is not None and ev.label.untrusted
 
 
-_RISKY_CLASSES = frozenset({CarrierClass.STATIC_CONFIG.value, CarrierClass.TRUSTED_MEMORY.value})
-_RISKY_AUTOLOADS = frozenset({AutoloadPolicy.SESSION_START.value, AutoloadPolicy.HEARTBEAT.value})
-_SHARED_SCOPE = CarrierScope.SHARED_CROSS_AGENT.value
+_RISKY_CLASSES = frozenset({CarrierClass.STATIC_CONFIG, CarrierClass.TRUSTED_MEMORY})
 
 
 def _high_risk_carriers(meta: TraceMeta) -> frozenset[int]:
@@ -131,7 +129,7 @@ def _high_risk_carriers(meta: TraceMeta) -> frozenset[int]:
     return frozenset(
         c.id
         for c in meta.carriers
-        if c.cls in _RISKY_CLASSES or c.autoload in _RISKY_AUTOLOADS or c.scope == _SHARED_SCOPE
+        if c.cls in _RISKY_CLASSES or c.autoloaded or c.scope is CarrierScope.SHARED_CROSS_AGENT
     )
 
 
@@ -141,21 +139,6 @@ def is_high_risk_action(ev: Event, risky: frozenset[int]) -> bool:
     return ev.kind is EventKind.WRITE and ev.carrier_id in risky
 
 
-def _contaminated_before(events: list[Event], meta: TraceMeta) -> list[bool]:
-    """Per event index: was the acting agent contaminated when the event was
-    decided. Contamination starts at an effective exposed read of untrusted
-    content and ends at the agent's context reset."""
-    current: dict[str, bool] = {}
-    out: list[bool] = []
-    for ev in events:
-        out.append(current.get(ev.agent, False))
-        if ev.kind is EventKind.EXPOSED_READ and is_effective(ev, meta) and _untrusted(ev):
-            current[ev.agent] = True
-        elif ev.kind is EventKind.CONTEXT_RESET:
-            current[ev.agent] = False
-    return out
-
-
 # kinds whose carrier_id column names a carrier; promote's holds a candidate id
 _CARRIER_KINDS = frozenset(
     {EventKind.WRITE, EventKind.EXPOSED_READ, EventKind.OPAQUE_READ, EventKind.DECLASSIFY}
@@ -163,13 +146,15 @@ _CARRIER_KINDS = frozenset(
 
 
 def _validate(events: list[Event], meta: TraceMeta) -> None:
-    """Refuse what no pass may skip over: a header without enforcement
-    flags (the RTW pass reads attenuation from them), an effectful event
+    """Refuse what no pass may skip over: a header that lacks a single tag
+    (a header-less fragment parses, but the passes read the guard mode,
+    flags and attacker, and the report the rest), an effectful event
     without a decision, and an event on a carrier the header does not
     declare (its owner and class, which hops and high-risk writes are judged
     by, would be unknown)."""
-    if not meta.flags:
-        raise VerificationError("the header has no # enforcement line")
+    missing = missing_tags(meta)
+    if missing:
+        raise VerificationError(f"the header has no {', '.join('# ' + tag for tag in missing)} line")
     declared = {c.id for c in meta.carriers}
     for i, ev in enumerate(events):
         if ev.kind in EFFECTFUL_KINDS and ev.decision is None:
@@ -265,13 +250,13 @@ def zero_click_in(events: list[Event], meta: TraceMeta) -> bool:
     """One injection did all the work: exactly one inject line and no other
     attacker-attributed activity anywhere in the trace. Zero injections is
     a vacuous run and flagged false, not passed."""
-    injects = [ev for ev in events if ev.kind is EventKind.INJECT]
-    if len(injects) != 1:
-        return False
-    offender = sum(
-        1 for ev in events if ev.agent == meta.attacker and ev.kind is not EventKind.INJECT
-    )
-    return offender == 0
+    injects = 0
+    for ev in events:
+        if ev.kind is EventKind.INJECT:
+            injects += 1
+        elif ev.agent == meta.attacker:
+            return False
+    return injects == 1
 
 
 # ---------------------------------------------------------------------------
@@ -287,25 +272,26 @@ def rtw_violations_in(events: list[Event], meta: TraceMeta) -> list[RtwViolation
     exposure in a context that cannot act is outside the pattern. An
     effective declassification of the carrier clears its pending writes."""
     attenuation_on = bool(meta.flags.get("attenuation"))
-    contaminated = _contaminated_before(events, meta)
+    # agents with an effective untrusted exposed read since their last reset
+    contaminated: set[str] = set()
     last_write: dict[int, int] = {}
     violations: list[RtwViolation] = []
     for i, ev in enumerate(events):
-        if ev.carrier_id is None or not is_effective(ev, meta):
+        if ev.kind is EventKind.CONTEXT_RESET:
+            contaminated.discard(ev.agent)
+        elif ev.carrier_id is None or not is_effective(ev, meta):
             continue
-        if ev.kind is EventKind.WRITE and _untrusted(ev):
+        elif ev.kind is EventKind.WRITE and _untrusted(ev):
             last_write.setdefault(ev.carrier_id, i)
         elif ev.kind is EventKind.DECLASSIFY:
             last_write.pop(ev.carrier_id, None)
         elif ev.kind is EventKind.EXPOSED_READ and _untrusted(ev):
             w = last_write.get(ev.carrier_id)
-            if w is None:
-                continue
-            high_cap = not (attenuation_on and contaminated[i])
-            if high_cap:
+            if w is not None and not (attenuation_on and ev.agent in contaminated):
                 violations.append(
                     RtwViolation(carrier_id=ev.carrier_id, write_index=w, read_index=i, reader=ev.agent)
                 )
+            contaminated.add(ev.agent)
     return violations
 
 
@@ -320,8 +306,8 @@ def _outcomes(events: list[Event], meta: TraceMeta) -> dict[str, bool]:
     propagation = False
     escalation = False
     exfiltration = False
-    written: dict[int, int] = {}
-    for i, ev in enumerate(events):
+    written: set[int] = set()
+    for ev in events:
         if ev.kind is EventKind.MSG_RECV and ev.sender != meta.attacker and ev.facets.any:
             propagation = True
         if not is_effective(ev, meta):
@@ -329,18 +315,10 @@ def _outcomes(events: list[Event], meta: TraceMeta) -> dict[str, bool]:
         if ev.kind in (EventKind.WRITE, EventKind.PROMOTE) and _untrusted(ev) and ev.facets.persist:
             persistence = True
         if ev.kind is EventKind.WRITE and _untrusted(ev) and ev.carrier_id is not None:
-            written.setdefault(ev.carrier_id, i)
-        if (
-            ev.kind is EventKind.EXPOSED_READ
-            and _untrusted(ev)
-            and ev.carrier_id in written
-            and written[ev.carrier_id] < i
-        ):
+            written.add(ev.carrier_id)
+        if ev.kind is EventKind.EXPOSED_READ and _untrusted(ev) and ev.carrier_id in written:
             re_entry = True
-        if ev.kind is EventKind.HIGH_RISK and ev.action in (
-            ActionKind.INVOKE_SHELL,
-            ActionKind.INVOKE_NETWORK,
-        ):
+        if ev.kind is EventKind.HIGH_RISK and ev.action in (ActionKind.INVOKE_SHELL, ActionKind.INVOKE_NETWORK):
             escalation = True
         if ev.kind is EventKind.MSG_SEND and ev.exfil:
             exfiltration = True

@@ -102,14 +102,13 @@ class TestEnforceOpaqueRead:
             assert decision.verdict is Verdict.ALLOW
             assert decision.reason is Reason.NOT_MEDIATED_LOWRISK
 
-    def test_opaque_neutrality_in_traces(self, bundled):
+    def test_opaque_neutrality_in_traces(self, bundled, contamination):
         """No opaque read of untrusted content flips its reader's contamination:
         the reader must already act contaminated or stay clean past the read."""
         from reentryguard.tracelog import parse_trace
-        from reentryguard.verifier import _contaminated_before
 
         meta, events = parse_trace(bundled("fwA").trace_text)
-        contaminated = _contaminated_before(events, meta)
+        contaminated = contamination(events, meta)
         for i, event in enumerate(events):
             if event.kind is not EventKind.OPAQUE_READ:
                 continue

@@ -182,15 +182,14 @@ class TestDeclassify:
 
 
 class TestTraceLevelProperties:
-    def test_derived_taint_closure(self, bundled):
+    def test_derived_taint_closure(self, bundled, contamination):
         """Every effective write by a contaminated agent lands as tainted_derived."""
         from reentryguard.model import EventKind, Verdict
         from reentryguard.tracelog import parse_trace
-        from reentryguard.verifier import _contaminated_before
 
         for name in ("fwA", "fwB", "fwC", "cross_framework"):
             meta, events = parse_trace(bundled(name).trace_text)
-            contaminated = _contaminated_before(events, meta)
+            contaminated = contamination(events, meta)
             seen = 0
             for i, ev in enumerate(events):
                 if ev.kind is EventKind.WRITE and ev.decision.verdict is Verdict.ALLOW and contaminated[i]:

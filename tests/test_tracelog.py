@@ -1,6 +1,6 @@
 """Trace serialization: stable line format, header metadata, round-trips."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
@@ -14,10 +14,14 @@ from reentryguard.model import (
     EventKind,
     PayloadFacets,
     Reason,
+    ReentryGuardError,
     SchemaKind,
     TaintLabel,
     Trace,
 )
+from reentryguard.policy import EnforcementConfig
+from reentryguard.scenarios import bundled_names, load_bundled, random_scenario
+from reentryguard.sim import Ecosystem, run_scenario
 from reentryguard.tracelog import (
     COLUMN_ROW,
     MISSING,
@@ -28,6 +32,14 @@ from reentryguard.tracelog import (
     parse_event_line,
     parse_trace,
     render_trace,
+)
+from reentryguard.verifier import build_report
+
+
+# the fields of a well-formed carrier line, after its id
+CARRIER_KEYS = (
+    "name=x owner=a1 class=workspace_file autoload=heartbeat"
+    " position=user_prompt scope=agent_local label0=clean"
 )
 
 
@@ -184,6 +196,19 @@ class TestParseErrors:
             "# enforcement memgate=1 rtw=1 seal=1 guard=deny",
             "# enforcement attenuation=1 memgate=1 rtw=1 seal=1 turbo=0 guard=deny",
             "# enforcement guard=deny",
+            # header integers, like ticks, are read in the one form render writes
+            "# seed +07",
+            "# ticks 0_8",
+            f"# carrier 01 {CARRIER_KEYS}",
+            "# agent a9 privilege=low period=+2 channels=c0",
+            "# foo bar",
+            f"# carrier 90 {CARRIER_KEYS.replace('workspace_file', 'bogus')}",
+            f"# carrier 90 {CARRIER_KEYS.replace('owner=a1 ', '')}",
+            f"# carrier 90 {CARRIER_KEYS} zzz=1",
+            f"# carrier 90 {CARRIER_KEYS.replace('label0=clean', 'label0=bogus')}",
+            # a carrier the simulator could not build: static config always autoloads
+            "# carrier 90 name=x owner=a1 class=static_config autoload=never"
+            " position=system_prompt scope=agent_local label0=clean",
         ],
     )
     def test_malformed_header_names_its_line(self, header, bundled, tmp_path, capsys):
@@ -195,6 +220,66 @@ class TestParseErrors:
         path.write_text(text)
         assert main(["--verify-trace", str(path)]) == 2
         assert "line 2: " in capsys.readouterr().err
+
+
+def _refused(text: str, tmp_path, match: str) -> None:
+    """Auditing the text fails naming its cause, and --verify-trace exits 2."""
+    with pytest.raises(ReentryGuardError, match=match):
+        build_report(text)
+    path = tmp_path / "bad.trace"
+    path.write_text(text)
+    assert main(["--verify-trace", str(path)]) == 2
+
+
+class TestHeaderRefusals:
+    """Header edits that would change what the audit judges by: each is
+    refused, never read with a value filled in or replaced."""
+
+    def test_second_enforcement_line(self, bundled, tmp_path):
+        lines = bundled("fwA", enforce="all").trace_text.splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith("# enforcement ")) + 1
+        weaker = "# enforcement attenuation=0 memgate=0 rtw=0 seal=0 guard=approve"
+        text = "\n".join([*lines[:at], weaker, *lines[at:]]) + "\n"
+        _refused(text, tmp_path, rf"^line {at + 1}: .*repeated")
+
+    def test_second_scenario_line(self, bundled, tmp_path):
+        lines = bundled("fwA").trace_text.splitlines()
+        text = "\n".join([*lines[:2], "# scenario fwB", *lines[2:]]) + "\n"
+        _refused(text, tmp_path, r"^line 3: .*repeated")
+
+    def test_carrier_declared_twice(self, bundled, tmp_path):
+        lines = bundled("fwA").trace_text.splitlines()
+        at = lines.index(COLUMN_ROW)
+        text = "\n".join([*lines[:at], lines[at - 1], *lines[at:]]) + "\n"
+        _refused(text, tmp_path, rf"^line {at + 1}: .*repeated carrier")
+
+    def test_header_line_after_the_events(self, bundled, tmp_path):
+        lines = bundled("fwA").trace_text.splitlines()
+        text = "\n".join([*lines, f"# carrier 90 {CARRIER_KEYS}"]) + "\n"
+        _refused(text, tmp_path, rf"^line {len(lines) + 1}: header line after the column row")
+
+    def test_carrier_lines_without_owner(self, bundled, tmp_path):
+        text = "".join(
+            " ".join(part for part in line.split(" ") if not part.startswith("owner="))
+            if line.startswith("# carrier ") else line
+            for line in bundled("fwA").trace_text.splitlines(keepends=True)
+        )
+        _refused(text, tmp_path, r"^line \d+: bad header '# carrier ")
+
+    @pytest.mark.parametrize(
+        "tag, match",
+        [
+            ("attacker", "no # attacker line"),
+            ("seed", "no # seed line"),
+            ("trace-format", r"^line 1: .*does not open with # trace-format"),
+        ],
+    )
+    def test_single_tag_deleted(self, tag, match, bundled, tmp_path):
+        text = "".join(
+            line for line in bundled("cross_framework", enforce="all").trace_text.splitlines(keepends=True)
+            if not line.startswith(f"# {tag} ")
+        )
+        _refused(text, tmp_path, match)
 
 
 class TestLineShapeCache:
@@ -271,6 +356,20 @@ class TestTraceRoundTrip:
         assert all(id(ev.decision) in shared for ev in decided)
         assert all(p.decision is s.decision for p, s in zip(events, result.trace.events))
 
+    @pytest.mark.parametrize("enforce", ["none", "all"])
+    @pytest.mark.parametrize("name", bundled_names())
+    def test_header_round_trip_bundled(self, name, enforce, bundled):
+        """The parsed header is the simulator's own, field for field."""
+        scenario = replace(load_bundled(name), enforcement=EnforcementConfig.from_names(enforce))
+        meta, _ = parse_trace(bundled(name, enforce).trace_text)
+        assert vars(meta) == vars(Ecosystem(scenario).trace_meta())
+
+    def test_header_round_trip_fuzz(self):
+        for seed in range(50):
+            scenario = random_scenario(seed, EnforcementConfig.from_names("all"))
+            meta, _ = parse_trace(run_scenario(scenario).trace_text)
+            assert vars(meta) == vars(Ecosystem(scenario).trace_meta()), seed
+
     def test_header_flags_round_trip(self, bundled):
         meta, _ = parse_trace(bundled("fwA", enforce="rtw,seal").trace_text)
         assert meta.flags == {"rtw": True, "seal": True, "memgate": False, "attenuation": False}
@@ -282,4 +381,4 @@ class TestTraceRoundTrip:
         assert heartbeat.owner == "a1"
         assert heartbeat.cls == "workspace_file"
         assert heartbeat.autoload == "heartbeat"
-        assert heartbeat.label0 == "clean"
+        assert heartbeat.label == "clean"

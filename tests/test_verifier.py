@@ -15,6 +15,7 @@ from reentryguard.cli import main
 from reentryguard.model import (
     ActionKind,
     AutoloadPolicy,
+    Carrier,
     CarrierClass,
     CarrierScope,
     Decision,
@@ -32,7 +33,7 @@ from reentryguard.policy import EnforcementConfig
 from reentryguard.rtw import is_rtw_safe
 from reentryguard.scenarios import bundled_names, random_scenario
 from reentryguard.sim import Ecosystem
-from reentryguard.tracelog import CarrierMeta, TraceMeta, parse_trace, render_trace
+from reentryguard.tracelog import TraceMeta, parse_trace, render_trace
 from reentryguard.verifier import VerificationError, build_report, find_chains
 
 ALLOW = Decision.allow()
@@ -48,15 +49,15 @@ def toy_meta(carrier_owner: str = "a1", flags: dict | None = None) -> TraceMeta:
         guard="deny",
         attacker="attacker",
         carriers=[
-            CarrierMeta(
+            Carrier(
                 id=1,
                 name="f1",
                 owner=carrier_owner,
-                cls=CarrierClass.WORKSPACE_FILE.value,
-                autoload=AutoloadPolicy.HEARTBEAT.value,
-                position=InjectionPosition.USER_PROMPT.value,
-                scope=CarrierScope.AGENT_LOCAL.value,
-                label0=TaintLabel.CLEAN.value,
+                cls=CarrierClass.WORKSPACE_FILE,
+                autoload=AutoloadPolicy.HEARTBEAT,
+                injection=InjectionPosition.USER_PROMPT,
+                scope=CarrierScope.AGENT_LOCAL,
+                label=TaintLabel.CLEAN,
             )
         ],
     )
@@ -425,11 +426,11 @@ class TestAuditRtw:
                     words[cid].append("R")
             meta = toy_meta()
             meta.carriers.append(
-                CarrierMeta(
-                    id=2, name="f2", owner="a2", cls=CarrierClass.WORKSPACE_FILE.value,
-                    autoload=AutoloadPolicy.HEARTBEAT.value,
-                    position=InjectionPosition.USER_PROMPT.value,
-                    scope=CarrierScope.AGENT_LOCAL.value, label0=TaintLabel.CLEAN.value,
+                Carrier(
+                    id=2, name="f2", owner="a2", cls=CarrierClass.WORKSPACE_FILE,
+                    autoload=AutoloadPolicy.HEARTBEAT,
+                    injection=InjectionPosition.USER_PROMPT,
+                    scope=CarrierScope.AGENT_LOCAL, label=TaintLabel.CLEAN,
                 )
             )
             expected = all(is_rtw_safe("".join(words[cid])).safe for cid in (1, 2))
