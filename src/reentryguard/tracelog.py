@@ -192,10 +192,12 @@ HEADER: dict[str, _Line] = {
          ("label0", "label", _enum(TaintLabel))),
     ),
 }
-# tag -> (the pattern its line's tokens match, the field names, their parses)
+# tag -> (the pattern its line's tokens match, the field names, their parses);
+# a lone bare value is the rest of the line, so a scenario name may hold spaces
 _READERS = {
     tag: (
-        re.compile(" ".join(r"(\S+)" if key is None else rf"{key}=(\S*)" for key, _, _ in line.fields)),
+        re.compile("(.+)" if len(line.fields) == 1 else " ".join(
+            r"(\S+)" if key is None else rf"{key}=(\S*)" for key, _, _ in line.fields)),
         [name for _, name, _ in line.fields],
         [parse for _, _, parse in line.fields],
     )

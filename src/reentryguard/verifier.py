@@ -119,9 +119,6 @@ def _untrusted(ev: Event) -> bool:
     return ev.label is not None and ev.label.untrusted
 
 
-_RISKY_CLASSES = frozenset({CarrierClass.STATIC_CONFIG, CarrierClass.TRUSTED_MEMORY})
-
-
 def _high_risk_carriers(meta: TraceMeta) -> frozenset[int]:
     """Carriers a write to which is a high-risk action: those that feed future
     contexts or cross agents; ordinary on-demand local files are below the
@@ -129,7 +126,8 @@ def _high_risk_carriers(meta: TraceMeta) -> frozenset[int]:
     return frozenset(
         c.id
         for c in meta.carriers
-        if c.cls in _RISKY_CLASSES or c.autoloaded or c.scope is CarrierScope.SHARED_CROSS_AGENT
+        if c.cls in (CarrierClass.STATIC_CONFIG, CarrierClass.TRUSTED_MEMORY)
+        or c.autoloaded or c.scope is CarrierScope.SHARED_CROSS_AGENT
     )
 
 

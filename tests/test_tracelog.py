@@ -370,6 +370,11 @@ class TestTraceRoundTrip:
             meta, _ = parse_trace(run_scenario(scenario).trace_text)
             assert vars(meta) == vars(Ecosystem(scenario).trace_meta()), seed
 
+    def test_scenario_name_with_spaces_round_trips(self):
+        result = run_scenario(replace(load_bundled("fwA"), name="fwA with spaces"))
+        assert parse_trace(result.trace_text)[0].scenario == "fwA with spaces"
+        assert result.report.scenario == "fwA with spaces"
+
     def test_header_flags_round_trip(self, bundled):
         meta, _ = parse_trace(bundled("fwA", enforce="rtw,seal").trace_text)
         assert meta.flags == {"rtw": True, "seal": True, "memgate": False, "attenuation": False}
