@@ -629,10 +629,15 @@ class Ecosystem:
         return self.trace
 
     def trace_meta(self) -> TraceMeta:
-        profiles = map(self.agents.get, self.agent_order)
-        agents = [AgentMeta(p.id, p.privilege, p.heartbeat_period, list(p.channels)) for p in profiles]
+        agents = [
+            AgentMeta(p.id, p.privilege, p.heartbeat_period, list(p.channels))
+            for p in map(self.agents.get, self.agent_order)
+        ]
         # copies, as labels change during the run; the header carries no content
-        carriers = [Carrier(**vars(self.carriers[cid]) | {"content": None}) for cid in sorted(self.carriers)]
+        carriers = [
+            Carrier(**vars(self.carriers[cid]) | {"content": None})
+            for cid in sorted(self.carriers)
+        ]
         return TraceMeta(
             scenario=self.scenario.name,
             seed=self.scenario.seed,

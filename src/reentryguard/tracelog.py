@@ -40,11 +40,13 @@ writes it (``+3``, `` 4``, ``03``, ``1_0``), a tick lower than the previous
 event line's, a sender without ``from=``, a decision/reason pair that
 ``Decision`` does not admit (``allow|rtw-re-entry``, ``deny|ok``), a repeated
 single tag, agent id or carrier id, a carrier that breaks a ``Carrier``
-invariant, a header that does not open with ``# trace-format``, and a ``#``
-line after the column row. A header that lacks a single tag parses with its
-fields None, so fragments parse; the verifier refuses to audit it. A line
-that parses is the line render writes for it. Decisions are the model's
-shared ``DECISIONS`` objects.
+invariant, a header that does not open with ``# trace-format``, and a
+header line after the column row. There a ``#`` line whose first word is
+not a header tag is a comment, which the parser skips. A header that lacks
+a single tag parses with the field ``SINGLE_FIELDS`` names None, so
+fragments parse; the verifier refuses to audit it. A line that parses is the
+line render writes for it. Decisions are the model's shared ``DECISIONS``
+objects.
 
 Most event lines repeat an earlier line but for the tick, so each
 ``render_trace`` and ``parse_trace`` call keeps a cache that lives for that
@@ -113,8 +115,8 @@ class AgentMeta:
 
 @dataclass
 class TraceMeta:
-    # parse_trace leaves None the fields of a single tag the header lacks
-    # (and flags empty); verifier._validate refuses such a header
+    # parse_trace leaves None the SINGLE_FIELDS field of a single tag the
+    # header lacks (and flags empty); verifier._validate refuses such a header
     scenario: str
     seed: int
     ticks: int
@@ -144,41 +146,74 @@ class _Line(NamedTuple):
     records: str | None  # the TraceMeta list a line per record fills; None: one line
     render: Callable[[Any], str]  # the record, or the TraceMeta -> the tokens
     make: Callable[..., Any]  # parsed values by name -> the record, or TraceMeta fields
-    fields: tuple[tuple[str | None, str, Callable[[str], Any]], ...]  # (key, name, parse)
+    pattern: re.Pattern[str]  # the tokens, one group per field
+    names: tuple[str, ...]
+    parses: tuple[Callable[[str], Any], ...]
+
+
+def _line(
+    records: str | None,
+    render: Callable[[Any], str],
+    make: Callable[..., Any],
+    *fields: tuple[str | None, str, Callable[[str], Any]],
+) -> _Line:
+    """A header line whose tokens are its fields (key, name, parse) in order,
+    each ``key=value`` or, where the key is None, the bare value. A lone bare
+    value is the rest of the line, so a scenario name may hold spaces."""
+    keys, names, parses = zip(*fields)
+    if keys == (None,):
+        pattern = "(.+)"
+    else:
+        pattern = " ".join(r"(\S+)" if key is None else rf"{key}=(\S*)" for key in keys)
+    return _Line(records, render, make, re.compile(pattern), names, parses)
 
 
 # member -> token: an enum's .value is slow, and an f-string of a str-mixin
 # member writes its qualified name
-_TOKEN = {m: m.value for e in (Privilege, CarrierClass, AutoloadPolicy, InjectionPosition, CarrierScope, TaintLabel) for m in e}
+_TOKEN = {
+    member: member.value
+    for enum_cls in (Privilege, CarrierClass, AutoloadPolicy, InjectionPosition, CarrierScope, TaintLabel)
+    for member in enum_cls
+}
 _LAYERS = sorted(_by_value(Layer).keys() - {Layer.NONE.value})
 _VERSION = {str(FORMAT_VERSION): FORMAT_VERSION}.__getitem__
 _FLAG_BITS = {"0": False, "1": True}.__getitem__
 _GUARDS = {g.value: g.value for g in GuardMode}.__getitem__
 
 # The header, in render order; render_header and parse_trace both read it.
-# A line's tokens are its fields in order, each ``key=value`` or, where the
-# key is None, the bare value. Each renders as one f-string: a call per
-# token would cost more than the line.
+# Each line renders as one f-string: a call per token would cost more than
+# the line.
 HEADER: dict[str, _Line] = {
-    "trace-format": _Line(None, lambda meta: str(FORMAT_VERSION), lambda version: {}, ((None, "version", _VERSION),)),
-    "scenario": _Line(None, lambda meta: meta.scenario, dict, ((None, "scenario", str),)),
-    "seed": _Line(None, lambda meta: str(meta.seed), dict, ((None, "seed", _count),)),
-    "ticks": _Line(None, lambda meta: str(meta.ticks), dict, ((None, "ticks", _count),)),
-    "enforcement": _Line(
+    "trace-format": _line(
+        None,
+        lambda meta: str(FORMAT_VERSION),
+        lambda version: {},
+        (None, "version", _VERSION),
+    ),
+    "scenario": _line(None, lambda meta: meta.scenario, dict, (None, "scenario", str)),
+    "seed": _line(None, lambda meta: str(meta.seed), dict, (None, "seed", _count)),
+    "ticks": _line(None, lambda meta: str(meta.ticks), dict, (None, "ticks", _count)),
+    "enforcement": _line(
         None,
         lambda meta: " ".join(f"{layer}={meta.flags[layer]:d}" for layer in _LAYERS) + f" guard={meta.guard}",
         lambda guard, **flags: {"flags": flags, "guard": guard},
-        (*((layer, layer, _FLAG_BITS) for layer in _LAYERS), ("guard", "guard", _GUARDS)),
+        *((layer, layer, _FLAG_BITS) for layer in _LAYERS),
+        ("guard", "guard", _GUARDS),
     ),
-    "attacker": _Line(None, lambda meta: meta.attacker, dict, ((None, "attacker", str),)),
-    "agent": _Line(
+    "attacker": _line(None, lambda meta: meta.attacker, dict, (None, "attacker", str)),
+    "agent": _line(
         "agents",
-        lambda a: f"{a.id} privilege={_TOKEN[a.privilege]} period={a.period} channels={','.join(a.channels) or MISSING}",
+        lambda a: (
+            f"{a.id} privilege={_TOKEN[a.privilege]} period={a.period}"
+            f" channels={','.join(a.channels) or MISSING}"
+        ),
         AgentMeta,
-        ((None, "id", str), ("privilege", "privilege", _enum(Privilege)), ("period", "period", _count),
-         ("channels", "channels", lambda raw: [] if raw == MISSING else raw.split(","))),
+        (None, "id", str),
+        ("privilege", "privilege", _enum(Privilege)),
+        ("period", "period", _count),
+        ("channels", "channels", lambda raw: [] if raw == MISSING else raw.split(",")),
     ),
-    "carrier": _Line(
+    "carrier": _line(
         "carriers",
         lambda c: (
             f"{c.id} name={c.name} owner={MISSING if c.owner is None else c.owner} class={_TOKEN[c.cls]}"
@@ -186,43 +221,46 @@ HEADER: dict[str, _Line] = {
             f" label0={_TOKEN[c.label]}"
         ),
         Carrier,
-        ((None, "id", _count), ("name", "name", str), ("owner", "owner", lambda raw: None if raw == MISSING else raw),
-         ("class", "cls", _enum(CarrierClass)), ("autoload", "autoload", _enum(AutoloadPolicy)),
-         ("position", "injection", _enum(InjectionPosition)), ("scope", "scope", _enum(CarrierScope)),
-         ("label0", "label", _enum(TaintLabel))),
+        (None, "id", _count),
+        ("name", "name", str),
+        ("owner", "owner", lambda raw: None if raw == MISSING else raw),
+        ("class", "cls", _enum(CarrierClass)),
+        ("autoload", "autoload", _enum(AutoloadPolicy)),
+        ("position", "injection", _enum(InjectionPosition)),
+        ("scope", "scope", _enum(CarrierScope)),
+        ("label0", "label", _enum(TaintLabel)),
     ),
 }
-# tag -> (the pattern its line's tokens match, the field names, their parses);
-# a lone bare value is the rest of the line, so a scenario name may hold spaces
-_READERS = {
-    tag: (
-        re.compile("(.+)" if len(line.fields) == 1 else " ".join(
-            r"(\S+)" if key is None else rf"{key}=(\S*)" for key, _, _ in line.fields)),
-        [name for _, name, _ in line.fields],
-        [parse for _, _, parse in line.fields],
-    )
-    for tag, line in HEADER.items()
+# single tag -> the TraceMeta field its line fills, which parse_trace leaves
+# None when the header lacks the tag; trace-format fills none, and the
+# parser refuses a header that does not open with it
+SINGLE_FIELDS = {
+    "scenario": "scenario",
+    "seed": "seed",
+    "ticks": "ticks",
+    "enforcement": "guard",
+    "attacker": "attacker",
 }
 
 
 def render_header(meta: TraceMeta) -> list[str]:
     lines: list[str] = []
     for tag, line in HEADER.items():
+        prefix, render = f"# {tag} ", line.render
         items = getattr(meta, line.records) if line.records else (meta,)
-        lines.extend(map(f"# {tag} ".__add__, map(line.render, items)))
+        lines += [prefix + render(item) for item in items]
     lines.append(COLUMN_ROW)
     return lines
 
 
 def missing_tags(meta: TraceMeta) -> list[str]:
-    """The single tags a parsed header lacks: those whose TraceMeta fields it left None."""
-    return [tag for tag, line in HEADER.items()
-            if not line.records and any(getattr(meta, name, 0) is None for _, name, _ in line.fields)]
+    """The single tags, other than trace-format, that a parsed header lacks."""
+    return [tag for tag, name in SINGLE_FIELDS.items() if getattr(meta, name) is None]
 
 
 def _parse_header(lines: list[str]) -> tuple[TraceMeta, int]:
     """The header, and the number of lines up to and including the column row."""
-    meta = TraceMeta(scenario=None, seed=None, ticks=None, flags={}, guard=None, attacker=None)
+    meta = TraceMeta(flags={}, **dict.fromkeys(SINGLE_FIELDS.values()))
     seen: set[tuple[Any, ...]] = set()  # (tag,) per single tag, (tag, id) per record
     for line_no, line in enumerate(lines, start=1):
         if line == COLUMN_ROW:
@@ -238,7 +276,7 @@ def _parse_header(lines: list[str]) -> tuple[TraceMeta, int]:
                 raise ValueError("unknown tag")
             if not seen and tag != "trace-format":
                 raise ValueError("the header does not open with # trace-format")
-            (records, _, make, _), (pattern, names, parses) = HEADER[tag], _READERS[tag]
+            records, _, make, pattern, names, parses = HEADER[tag]
             match = pattern.fullmatch(text)
             if match is None:
                 raise ValueError(f"tokens do not match {pattern.pattern}")
@@ -407,25 +445,31 @@ def parse_trace(text: str) -> tuple[TraceMeta, list[Event]]:
     meta, start = _parse_header(lines)
     events: list[Event] = []
     # line tail -> the fields of the event it parsed to, and tick column ->
-    # checked tick; both live for this call
+    # checked tick; both live for this call. A line whose tail and tick are
+    # both known is rebuilt from them.
     shapes: dict[str, tuple[Any, ...]] = {}
     ticks: dict[str, int] = {}
     last_tick = 0
     for line_no, line in enumerate(islice(lines, start, None), start=start + 1):
         raw_tick, _, tail = line.partition("|")
         shape = shapes.get(tail)
-        if shape is not None:
-            try:
-                tick = ticks.get(raw_tick)
-                if tick is None:
-                    tick = ticks[raw_tick] = _count(raw_tick)
-                ev = Event(tick, *shape)
-            except ValueError as exc:
-                raise TraceFormatError(f"line {line_no}: {exc} in {line!r}") from exc
+        tick = ticks.get(raw_tick)
+        if shape is not None and tick is not None:
+            ev = Event(tick, *shape)
         elif not line.strip():
             continue
         elif line.startswith("#"):
-            raise TraceFormatError(f"line {line_no}: header line after the column row")
+            # a comment, unless it names a header tag
+            words = line[1:].split(maxsplit=1)
+            if words and words[0] in HEADER:
+                raise TraceFormatError(f"line {line_no}: header line after the column row")
+            continue
+        elif shape is not None:
+            try:
+                tick = ticks[raw_tick] = _count(raw_tick)
+                ev = Event(tick, *shape)
+            except ValueError as exc:
+                raise TraceFormatError(f"line {line_no}: {exc} in {line!r}") from exc
         else:
             ev = parse_event_line(line, line_no)
             shapes[tail] = _shape(ev)

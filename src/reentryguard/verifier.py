@@ -127,7 +127,8 @@ def _high_risk_carriers(meta: TraceMeta) -> frozenset[int]:
         c.id
         for c in meta.carriers
         if c.cls in (CarrierClass.STATIC_CONFIG, CarrierClass.TRUSTED_MEMORY)
-        or c.autoloaded or c.scope is CarrierScope.SHARED_CROSS_AGENT
+        or c.autoloaded
+        or c.scope is CarrierScope.SHARED_CROSS_AGENT
     )
 
 
@@ -316,7 +317,10 @@ def _outcomes(events: list[Event], meta: TraceMeta) -> dict[str, bool]:
             written.add(ev.carrier_id)
         if ev.kind is EventKind.EXPOSED_READ and _untrusted(ev) and ev.carrier_id in written:
             re_entry = True
-        if ev.kind is EventKind.HIGH_RISK and ev.action in (ActionKind.INVOKE_SHELL, ActionKind.INVOKE_NETWORK):
+        if ev.kind is EventKind.HIGH_RISK and ev.action in (
+            ActionKind.INVOKE_SHELL,
+            ActionKind.INVOKE_NETWORK,
+        ):
             escalation = True
         if ev.kind is EventKind.MSG_SEND and ev.exfil:
             exfiltration = True

@@ -24,7 +24,9 @@ from reentryguard.scenarios import bundled_names, load_bundled, random_scenario
 from reentryguard.sim import Ecosystem, run_scenario
 from reentryguard.tracelog import (
     COLUMN_ROW,
+    HEADER,
     MISSING,
+    SINGLE_FIELDS,
     SHAPE_FIELDS,
     TraceFormatError,
     TraceMeta,
@@ -253,10 +255,31 @@ class TestHeaderRefusals:
         text = "\n".join([*lines[:at], lines[at - 1], *lines[at:]]) + "\n"
         _refused(text, tmp_path, rf"^line {at + 1}: .*repeated carrier")
 
-    def test_header_line_after_the_events(self, bundled, tmp_path):
+    @pytest.mark.parametrize(
+        "header",
+        [
+            f"# carrier 90 {CARRIER_KEYS}",
+            f"#carrier 90 {CARRIER_KEYS}",
+            "# enforcement attenuation=0 memgate=0 rtw=0 seal=0 guard=approve",
+            "# attacker a1",
+        ],
+    )
+    def test_header_line_after_the_events(self, header, bundled, tmp_path):
         lines = bundled("fwA").trace_text.splitlines()
-        text = "\n".join([*lines, f"# carrier 90 {CARRIER_KEYS}"]) + "\n"
+        text = "\n".join([*lines, header]) + "\n"
         _refused(text, tmp_path, rf"^line {len(lines) + 1}: header line after the column row")
+
+    def test_comment_after_the_column_row_is_skipped(self, bundled):
+        """A # line after the column row whose first word is no header tag
+        carries nothing the audit reads."""
+        text = bundled("fwA").trace_text
+        lines = text.splitlines()
+        at = lines.index(COLUMN_ROW) + 5
+        # the text after the first | repeats an event line's
+        repeat = "# repeat" + lines[at][lines[at].index("|"):]
+        commented = "\n".join([*lines[:at], "# note", *lines[at:], repeat, "#", "# nonce 3"]) + "\n"
+        assert parse_trace(commented) == parse_trace(text)
+        assert build_report(commented) == build_report(text)
 
     def test_carrier_lines_without_owner(self, bundled, tmp_path):
         text = "".join(
@@ -271,6 +294,9 @@ class TestHeaderRefusals:
         [
             ("attacker", "no # attacker line"),
             ("seed", "no # seed line"),
+            ("scenario", "no # scenario line"),
+            ("ticks", "no # ticks line"),
+            ("enforcement", "no # enforcement line"),
             ("trace-format", r"^line 1: .*does not open with # trace-format"),
         ],
     )
@@ -280,6 +306,13 @@ class TestHeaderRefusals:
             if not line.startswith(f"# {tag} ")
         )
         _refused(text, tmp_path, match)
+
+    def test_every_single_tag_but_trace_format_names_its_field(self):
+        # missing_tags reads SINGLE_FIELDS; a single tag left out of it
+        # would never be reported missing
+        singles = {tag for tag, line in HEADER.items() if line.records is None}
+        assert singles == {"trace-format", *SINGLE_FIELDS}
+        assert set(SINGLE_FIELDS.values()) <= {f.name for f in fields(TraceMeta)}
 
 
 class TestLineShapeCache:

@@ -22,6 +22,7 @@ from reentryguard.model import (
     DeclassProcedure,
     Event,
     EventKind,
+    GuardMode,
     InjectionPosition,
     PayloadFacets,
     Reason,
@@ -34,7 +35,14 @@ from reentryguard.rtw import is_rtw_safe
 from reentryguard.scenarios import bundled_names, random_scenario
 from reentryguard.sim import Ecosystem
 from reentryguard.tracelog import TraceMeta, parse_trace, render_trace
-from reentryguard.verifier import VerificationError, build_report, find_chains
+from reentryguard.verifier import (
+    RtwViolation,
+    VerificationError,
+    build_report,
+    find_chains,
+    is_effective,
+    rtw_violations_in,
+)
 
 ALLOW = Decision.allow()
 DENY = Decision.deny(Reason.ATTENUATED_HIGHRISK)
@@ -407,6 +415,81 @@ class TestAuditRtw:
         assert not build_report(render(events, meta)).rtw_violations
         # same trace, attenuation off: the read is a violation
         assert build_report(render(events)).rtw_violations
+
+    ATTENUATED = {"rtw": False, "seal": False, "memgate": False, "attenuation": True}
+    POOL = [
+        lambda t: W(t, agent="a1"),
+        lambda t: W(t, agent="a2"),
+        lambda t: W(t, agent="a1", decision=DENY),
+        lambda t: R(t, agent="a2"),
+        lambda t: R(t, agent="a2", label=TaintLabel.CLEAN),
+        lambda t: R(t, agent="a2", decision=DENY),
+        lambda t: R(t, agent="a1"),
+        lambda t: RESET(t, agent="a2"),
+        lambda t: RESET(t, agent="a1"),
+        lambda t: DECL(t),
+        lambda t: A(t),
+    ]
+
+    @staticmethod
+    def _oracle(events, meta, contaminated) -> tuple[list[RtwViolation], int]:
+        """The violations, from the per-event contamination list, and how
+        many pending-write reads contamination excused."""
+        violations: list[RtwViolation] = []
+        excused = 0
+        last_write: dict[int, int] = {}
+        for i, ev in enumerate(events):
+            if ev.carrier_id is None or not is_effective(ev, meta):
+                continue
+            untrusted = ev.label is not None and ev.label.untrusted
+            if ev.kind is EventKind.WRITE and untrusted:
+                last_write.setdefault(ev.carrier_id, i)
+            elif ev.kind is EventKind.DECLASSIFY:
+                last_write.pop(ev.carrier_id, None)
+            elif ev.kind is EventKind.EXPOSED_READ and untrusted and ev.carrier_id in last_write:
+                if meta.flags["attenuation"] and contaminated[i]:
+                    excused += 1
+                else:
+                    violations.append(RtwViolation(ev.carrier_id, last_write[ev.carrier_id], i, ev.agent))
+        return violations, excused
+
+    def test_random_runs_agree_with_contamination_oracle(self, contamination):
+        """rtw_violations_in tracks contamination as it walks; recomputing
+        its violations from the per-event contamination oracle gives the
+        same list, with attenuation on and off."""
+        rng = random.Random(11)
+        found = excused = 0
+        for flags in (self.ATTENUATED, None):
+            meta = toy_meta(flags=flags)
+            for _ in range(3000):
+                events = [rng.choice(self.POOL)(t) for t in range(rng.randint(0, 8))]
+                expected, skipped = self._oracle(events, meta, contamination(events, meta))
+                assert rtw_violations_in(events, meta) == expected
+                found += len(expected)
+                excused += skipped
+        assert found and excused
+
+    @pytest.mark.parametrize("guard", [GuardMode.DENY_ALL, GuardMode.APPROVE_ALL])
+    def test_whole_runs_agree_with_contamination_oracle(self, guard, bundled, contamination):
+        """The same on simulator runs with attenuation on. Under approve-mode
+        guards, attenuated agents read carriers with pending writes."""
+        texts = [
+            bundled(name, enforce, guard).trace_text
+            for name in bundled_names()
+            for enforce in ("attenuation", "all")
+        ]
+        for seed in range(50):
+            scenario = random_scenario(seed, EnforcementConfig.from_names("attenuation", guard))
+            eco = Ecosystem(replace(scenario, max_ticks=min(scenario.max_ticks, 7)))
+            meta = eco.trace_meta()
+            texts.append(render_trace(eco.run(), meta))
+        excused = 0
+        for text in texts:
+            meta, events = parse_trace(text)
+            expected, skipped = self._oracle(events, meta, contamination(events, meta))
+            assert rtw_violations_in(events, meta) == expected
+            excused += skipped
+        assert excused or guard is GuardMode.DENY_ALL
 
     def test_fuzzed_traces_agree_with_word_scanner(self):
         """Random small traces of untrusted writes and high-cap reads must make
