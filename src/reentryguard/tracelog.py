@@ -116,7 +116,7 @@ class AgentMeta:
 @dataclass
 class TraceMeta:
     # parse_trace leaves None the SINGLE_FIELDS field of a single tag the
-    # header lacks (and flags empty); verifier._validate refuses such a header
+    # header lacks (and flags empty); verifier.audit refuses such a header
     scenario: str
     seed: int
     ticks: int

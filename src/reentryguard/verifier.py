@@ -13,38 +13,53 @@ carrier, followed by an effective exposed read of that carrier, followed by an
 effective high-risk action by the reader, with no context reset and no
 effective declassification by the reader between read and action. (The
 simulator's declassification clears a carrier, not an agent; the two rules
-do not yet agree.) A trace is safe when no such chain completes. chains_in
-finds one minimal witness per offending write, the earliest qualifying read
-that has a qualifying action and the earliest such action, in one backward
-scan over the events with one pending action per agent and one pending read
-per carrier.
+do not yet agree.) A trace is safe when no such chain completes.
 
-The entry points are build_report, which parses a trace and runs every pass,
-and find_chains, which returns the chain witnesses alone.
+audit runs every pass in one forward scan, reading each event once. The
+pattern is past-time, so chains are decided online, from state kept per
+agent and carrier. Each carrier keeps its effective untrusted writes still
+waiting for a witness, and a FIFO of the effective untrusted exposed reads
+made while writes wait; each agent keeps the reads it has opened. The
+agent's next effective high-risk action settles its open reads as qualified
+with that action; a context reset, an effective declassification by the
+agent or the end of the trace settles them as dead. A settled read at the
+head of its carrier's queue leaves it: a qualified one is the witness for
+every waiting write before it, a dead one is dropped. So each offending
+write gets one minimal witness, the earliest qualifying read after it with
+that read's earliest action.
 
-"Effective" means the decision column says allow, or says guard while the
-header says approve-mode guards. Denied events never count: a blocked write
-taints nothing, a blocked action harms nothing.
+The entry points are build_report, which parses a trace and audits it, and
+find_chains, which returns the chain witnesses alone. chains_in,
+rtw_violations_in, infections_in and zero_click_in are views of one audit.
+
+"Effective" means the decision's verdict is one that takes effect under the
+header's guard mode (EFFECTIVE_VERDICTS): allow, or guard under approve-mode
+guards. Denied events never count: a blocked write taints nothing, a
+blocked action harms nothing.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from typing import Any
 
 from .model import (
     EFFECTFUL_KINDS,
+    REASON_LAYER,
     ActionKind,
     CarrierClass,
     CarrierScope,
     Event,
     EventKind,
+    GuardMode,
+    Reason,
     ReentryGuardError,
+    TaintLabel,
     Verdict,
 )
 from .tracelog import TraceMeta, missing_tags, parse_trace
-
-APPROVE = "approve"
 
 
 class VerificationError(ReentryGuardError):
@@ -107,35 +122,16 @@ class Report:
 # primitives
 # ---------------------------------------------------------------------------
 
+# guard mode -> the verdicts that take effect under it: a guard verdict asks
+# for approval, which only approve-mode guards give
+EFFECTIVE_VERDICTS: dict[str, frozenset[Verdict]] = {
+    GuardMode.DENY_ALL.value: frozenset({Verdict.ALLOW}),
+    GuardMode.APPROVE_ALL.value: frozenset({Verdict.ALLOW, Verdict.GUARD}),
+}
+
 
 def is_effective(ev: Event, meta: TraceMeta) -> bool:
-    if ev.decision is None:
-        return False
-    verdict = ev.decision.verdict
-    return verdict is Verdict.ALLOW or (verdict is Verdict.GUARD and meta.guard == APPROVE)
-
-
-def _untrusted(ev: Event) -> bool:
-    return ev.label is not None and ev.label.untrusted
-
-
-def _high_risk_carriers(meta: TraceMeta) -> frozenset[int]:
-    """Carriers a write to which is a high-risk action: those that feed future
-    contexts or cross agents; ordinary on-demand local files are below the
-    bar."""
-    return frozenset(
-        c.id
-        for c in meta.carriers
-        if c.cls in (CarrierClass.STATIC_CONFIG, CarrierClass.TRUSTED_MEMORY)
-        or c.autoloaded
-        or c.scope is CarrierScope.SHARED_CROSS_AGENT
-    )
-
-
-def is_high_risk_action(ev: Event, risky: frozenset[int]) -> bool:
-    if ev.kind is EventKind.HIGH_RISK or ev.kind is EventKind.MSG_SEND:
-        return True
-    return ev.kind is EventKind.WRITE and ev.carrier_id in risky
+    return ev.decision is not None and ev.decision.verdict in EFFECTIVE_VERDICTS[meta.guard]
 
 
 # kinds whose carrier_id column names a carrier; promote's holds a candidate id
@@ -144,203 +140,195 @@ _CARRIER_KINDS = frozenset(
 )
 
 
-def _validate(events: list[Event], meta: TraceMeta) -> None:
-    """Refuse what no pass may skip over: a header that lacks a single tag
-    (a header-less fragment parses, but the passes read the guard mode,
-    flags and attacker, and the report the rest), an effectful event
-    without a decision, and an event on a carrier the header does not
-    declare (its owner and class, which hops and high-risk writes are judged
-    by, would be unknown)."""
+# ---------------------------------------------------------------------------
+# the audit
+# ---------------------------------------------------------------------------
+
+
+def audit(meta: TraceMeta, events: Iterable[Event]) -> Report:
+    """Every audit pass in one forward scan; events are read once, in order.
+
+    Refuses what no pass may skip over: a header that lacks a single tag (a
+    header-less fragment parses, but the passes read the guard mode, flags
+    and attacker, and the report the rest), an effectful event without a
+    decision, and an event on a carrier the header does not declare (its
+    owner and class, which hops and high-risk writes are judged by, would be
+    unknown)."""
     missing = missing_tags(meta)
     if missing:
         raise VerificationError(f"the header has no {', '.join('# ' + tag for tag in missing)} line")
-    declared = {c.id for c in meta.carriers}
-    for i, ev in enumerate(events):
-        if ev.kind in EFFECTFUL_KINDS and ev.decision is None:
-            raise VerificationError(
-                f"event {i}: effectful kind {ev.kind.value} carries no decision"
-            )
-        if ev.kind in _CARRIER_KINDS and ev.carrier_id not in declared:
-            raise VerificationError(
-                f"event {i}: {ev.kind.value} of carrier {ev.carrier_id}, which the header does not declare"
-            )
-
-
-# ---------------------------------------------------------------------------
-# chain detection
-# ---------------------------------------------------------------------------
-
-
-def chains_in(events: list[Event], meta: TraceMeta) -> list[ChainWitness]:
-    """One minimal witness per offending write, found in one backward scan.
-
-    next_action[agent] holds the agent's next effective high-risk action, or
-    None when a reset or effective declassification of the agent comes
-    first. first_read[carrier] holds the earliest later effective untrusted
-    read of the carrier whose reader has a next action, with that action. An
-    effective untrusted write takes its carrier's first_read as its witness."""
-    risky = _high_risk_carriers(meta)
-    next_action: dict[str, int | None] = {}
-    first_read: dict[int, tuple[int, int]] = {}
-    found: list[tuple[int, int, int]] = []
-    for i in range(len(events) - 1, -1, -1):
-        ev = events[i]
-        if ev.kind is EventKind.CONTEXT_RESET:
-            next_action[ev.agent] = None
-        elif not is_effective(ev, meta):
-            continue
-        elif ev.kind is EventKind.DECLASSIFY:
-            next_action[ev.agent] = None
-        elif ev.kind is EventKind.EXPOSED_READ:
-            action = next_action.get(ev.agent)
-            if action is not None and ev.carrier_id is not None and _untrusted(ev):
-                first_read[ev.carrier_id] = (i, action)
-        else:
-            if ev.kind is EventKind.WRITE and ev.carrier_id in first_read and _untrusted(ev):
-                found.append((i, *first_read[ev.carrier_id]))
-            if is_high_risk_action(ev, risky):
-                next_action[ev.agent] = i
-    witnesses: list[ChainWitness] = []
-    for i, j, a in reversed(found):
-        write, read, act = events[i], events[j], events[a]
-        witnesses.append(
-            ChainWitness(
-                carrier_id=write.carrier_id,
-                writer=write.agent,
-                write_index=i,
-                write_tick=write.tick,
-                reader=read.agent,
-                read_index=j,
-                read_tick=read.tick,
-                action_index=a,
-                action_tick=act.tick,
-                action=act.action.value if act.action else act.kind.value,
-            )
-        )
-    return witnesses
-
-
-# ---------------------------------------------------------------------------
-# infection accounting
-# ---------------------------------------------------------------------------
-
-
-def infections_in(events: list[Event], meta: TraceMeta) -> tuple[list[str], list[int]]:
-    """Agents that performed an effective untrusted write into a carrier they
-    own, in first-infection order, with the tick of each first write."""
-    owners = {c.id: c.owner for c in meta.carriers}
-    infected: list[str] = []
-    ticks: list[int] = []
-    seen: set[str] = set()
-    for ev in events:
-        if ev.kind is not EventKind.WRITE or ev.carrier_id is None:
-            continue
-        if not (is_effective(ev, meta) and _untrusted(ev)):
-            continue
-        if owners.get(ev.carrier_id) != ev.agent or ev.agent in seen:
-            continue
-        seen.add(ev.agent)
-        infected.append(ev.agent)
-        ticks.append(ev.tick)
-    return infected, ticks
-
-
-def zero_click_in(events: list[Event], meta: TraceMeta) -> bool:
-    """One injection did all the work: exactly one inject line and no other
-    attacker-attributed activity anywhere in the trace. Zero injections is
-    a vacuous run and flagged false, not passed."""
-    injects = 0
-    for ev in events:
-        if ev.kind is EventKind.INJECT:
-            injects += 1
-        elif ev.agent == meta.attacker:
-            return False
-    return injects == 1
-
-
-# ---------------------------------------------------------------------------
-# projection audit
-# ---------------------------------------------------------------------------
-
-
-def rtw_violations_in(events: list[Event], meta: TraceMeta) -> list[RtwViolation]:
-    """Per-carrier check of the forbidden write-then-exposure shape: an
-    effective untrusted write later exposure-read, effectively, by a reader
-    still holding high capability at read time. Readers attenuated by
-    contamination (when the attenuation layer is on) are not high-capability:
-    exposure in a context that cannot act is outside the pattern. An
-    effective declassification of the carrier clears its pending writes."""
+    effective = EFFECTIVE_VERDICTS[meta.guard]
+    attacker = meta.attacker
     attenuation_on = bool(meta.flags.get("attenuation"))
-    # agents with an effective untrusted exposed read since their last reset
+    owners = {c.id: c.owner for c in meta.carriers}
+    # carriers a write to which is a high-risk action: those that feed future
+    # contexts or cross agents; ordinary on-demand local files are below the bar
+    risky = {
+        c.id
+        for c in meta.carriers
+        if c.cls in (CarrierClass.STATIC_CONFIG, CarrierClass.TRUSTED_MEMORY)
+        or c.autoloaded
+        or c.scope is CarrierScope.SHARED_CROSS_AGENT
+    }
+    # members as locals: looking one up on its Enum class costs more than the test
+    allow, clean = Verdict.ALLOW, TaintLabel.CLEAN
+    write, exposed_read, high_risk, msg_send, msg_recv = (
+        EventKind.WRITE, EventKind.EXPOSED_READ, EventKind.HIGH_RISK, EventKind.MSG_SEND, EventKind.MSG_RECV,
+    )
+    inject, promote, declassify, reset = (
+        EventKind.INJECT, EventKind.PROMOTE, EventKind.DECLASSIFY, EventKind.CONTEXT_RESET,
+    )
+    escalating = (ActionKind.INVOKE_SHELL, ActionKind.INVOKE_NETWORK)
+
+    denied: dict[Reason, int] = {}  # reason -> non-allow decisions, in first-seen order
+    injects = 0
+    attacker_acts = persistence = re_entry = propagation = escalation = exfiltration = False
+    infections: dict[str, int] = {}  # agent -> tick of its first infecting write
+    # RTW: agents with an effective untrusted exposed read since their last
+    # reset, and each carrier's first untrusted write since its declassification
     contaminated: set[str] = set()
     last_write: dict[int, int] = {}
     violations: list[RtwViolation] = []
+    # chains: each carrier ever written untrusted has a list of its writes
+    # that await a witness. An open read is [index, event, None]; settling
+    # sets its last item to (action index, action event) when the read
+    # qualifies, to False when it dies.
+    waiting: dict[int, list[tuple[int, Event]]] = {}
+    queued: dict[int, deque[list[Any]]] = {cid: deque() for cid in owners}
+    opened: dict[str, list[list[Any]]] = {}
+    chains: list[ChainWitness] = []
+
+    def settle(reads: list[list[Any]], outcome: Any) -> None:
+        for read in reads:
+            read[2] = outcome
+        for read in reads:
+            cid = read[1].carrier_id
+            queue = queued[cid]
+            while queue and queue[0][2] is not None:
+                j, rev, act = queue.popleft()
+                if not act:
+                    continue
+                a, aev = act
+                pending = waiting[cid]
+                k = 0
+                while k < len(pending) and pending[k][0] < j:
+                    w, wev = pending[k]
+                    chains.append(
+                        ChainWitness(
+                            carrier_id=cid,
+                            writer=wev.agent,
+                            write_index=w,
+                            write_tick=wev.tick,
+                            reader=rev.agent,
+                            read_index=j,
+                            read_tick=rev.tick,
+                            action_index=a,
+                            action_tick=aev.tick,
+                            action=aev.action.value if aev.action else aev.kind.value,
+                        )
+                    )
+                    k += 1
+                del pending[:k]
+
+    i = -1
     for i, ev in enumerate(events):
-        if ev.kind is EventKind.CONTEXT_RESET:
-            contaminated.discard(ev.agent)
-        elif ev.carrier_id is None or not is_effective(ev, meta):
+        kind, agent, cid, decision = ev.kind, ev.agent, ev.carrier_id, ev.decision
+        if decision is None:
+            if kind in EFFECTFUL_KINDS:
+                raise VerificationError(f"event {i}: effectful kind {kind.value} carries no decision")
+            live = False
+        else:
+            if decision.verdict is not allow:
+                denied[decision.reason] = denied.get(decision.reason, 0) + 1
+            live = decision.verdict in effective
+        if kind in _CARRIER_KINDS and cid not in owners:
+            raise VerificationError(
+                f"event {i}: {kind.value} of carrier {cid}, which the header does not declare"
+            )
+        if kind is inject:
+            injects += 1
             continue
-        elif ev.kind is EventKind.WRITE and _untrusted(ev):
-            last_write.setdefault(ev.carrier_id, i)
-        elif ev.kind is EventKind.DECLASSIFY:
-            last_write.pop(ev.carrier_id, None)
-        elif ev.kind is EventKind.EXPOSED_READ and _untrusted(ev):
-            w = last_write.get(ev.carrier_id)
-            if w is not None and not (attenuation_on and ev.agent in contaminated):
-                violations.append(
-                    RtwViolation(carrier_id=ev.carrier_id, write_index=w, read_index=i, reader=ev.agent)
-                )
-            contaminated.add(ev.agent)
-    return violations
+        if agent == attacker:
+            attacker_acts = True
+        if kind is write:
+            if not live:
+                continue
+            if ev.label is not None and ev.label is not clean:
+                persistence = persistence or ev.facets.persist
+                if owners[cid] == agent and agent not in infections:
+                    infections[agent] = ev.tick
+                if cid not in last_write:
+                    last_write[cid] = i
+                waiting.setdefault(cid, []).append((i, ev))
+            if cid in risky and agent in opened:
+                settle(opened.pop(agent), (i, ev))
+        elif kind is exposed_read:
+            if not live or ev.label is None or ev.label is clean:
+                continue
+            re_entry = re_entry or cid in waiting
+            w = last_write.get(cid)
+            if w is not None and not (attenuation_on and agent in contaminated):
+                violations.append(RtwViolation(carrier_id=cid, write_index=w, read_index=i, reader=agent))
+            contaminated.add(agent)
+            if waiting.get(cid):
+                read = [i, ev, None]
+                queued[cid].append(read)
+                opened.setdefault(agent, []).append(read)
+        elif kind is msg_send or kind is high_risk:
+            if not live:
+                continue
+            if kind is high_risk:
+                escalation = escalation or ev.action in escalating
+            else:
+                exfiltration = exfiltration or ev.exfil
+            if agent in opened:
+                settle(opened.pop(agent), (i, ev))
+        elif kind is msg_recv:
+            if not propagation and ev.sender != attacker and ev.facets.any:
+                propagation = True
+        elif kind is promote:
+            if live and ev.label is not None and ev.label is not clean and ev.facets.persist:
+                persistence = True
+        elif kind is declassify:
+            if live:
+                last_write.pop(cid, None)
+                if agent in opened:
+                    settle(opened.pop(agent), False)
+        elif kind is reset:
+            contaminated.discard(agent)
+            if agent in opened:
+                settle(opened.pop(agent), False)
+    for reads in opened.values():
+        settle(reads, False)
+    chains.sort(key=lambda w: w.write_index)
 
-
-# ---------------------------------------------------------------------------
-# outcome booleans
-# ---------------------------------------------------------------------------
-
-
-def _outcomes(events: list[Event], meta: TraceMeta) -> dict[str, bool]:
-    persistence = False
-    re_entry = False
-    propagation = False
-    escalation = False
-    exfiltration = False
-    written: set[int] = set()
-    for ev in events:
-        if ev.kind is EventKind.MSG_RECV and ev.sender != meta.attacker and ev.facets.any:
-            propagation = True
-        if not is_effective(ev, meta):
-            continue
-        if ev.kind in (EventKind.WRITE, EventKind.PROMOTE) and _untrusted(ev) and ev.facets.persist:
-            persistence = True
-        if ev.kind is EventKind.WRITE and _untrusted(ev) and ev.carrier_id is not None:
-            written.add(ev.carrier_id)
-        if ev.kind is EventKind.EXPOSED_READ and _untrusted(ev) and ev.carrier_id in written:
-            re_entry = True
-        if ev.kind is EventKind.HIGH_RISK and ev.action in (
-            ActionKind.INVOKE_SHELL,
-            ActionKind.INVOKE_NETWORK,
-        ):
-            escalation = True
-        if ev.kind is EventKind.MSG_SEND and ev.exfil:
-            exfiltration = True
-    return {
-        "persistence": persistence,
-        "re_entry": re_entry,
-        "propagation": propagation,
-        "privilege_escalation": escalation,
-        "exfiltration": exfiltration,
-    }
-
-
-def _interventions(events: list[Event]) -> tuple[dict[str, int], dict[str, int]]:
-    by_reason: Counter[str] = Counter()
-    by_layer: Counter[str] = Counter()
-    for ev in events:
-        if ev.decision is not None and ev.decision.verdict is not Verdict.ALLOW:
-            by_reason[ev.decision.reason.value] += 1
-            by_layer[ev.decision.layer.value] += 1
-    return dict(by_reason), dict(by_layer)
+    reasons: dict[str, int] = {}
+    layers: dict[str, int] = {}
+    for reason, n in denied.items():
+        reasons[reason.value] = n
+        layer = REASON_LAYER[reason].value
+        layers[layer] = layers.get(layer, 0) + n
+    return Report(
+        scenario=meta.scenario,
+        guard=meta.guard,
+        flags=dict(meta.flags),
+        event_count=i + 1,
+        safe=not chains,
+        chains=chains,
+        hops=len(infections),
+        infected=list(infections),
+        infection_ticks=list(infections.values()),
+        zero_click=injects == 1 and not attacker_acts,
+        persistence=persistence,
+        re_entry=re_entry,
+        propagation=propagation,
+        privilege_escalation=escalation,
+        exfiltration=exfiltration,
+        rtw_violations=violations,
+        intervention_reasons=reasons,
+        layer_denials=layers,
+        meta=meta,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -349,34 +337,35 @@ def _interventions(events: list[Event]) -> tuple[dict[str, int], dict[str, int]]
 
 
 def build_report(text: str) -> Report:
-    meta, events = parse_trace(text)
-    _validate(events, meta)
-    chains = chains_in(events, meta)
-    infected, ticks = infections_in(events, meta)
-    outcome = _outcomes(events, meta)
-    reasons, layers = _interventions(events)
-    return Report(
-        scenario=meta.scenario,
-        guard=meta.guard,
-        flags=dict(meta.flags),
-        event_count=len(events),
-        safe=not chains,
-        chains=chains,
-        hops=len(infected),
-        infected=infected,
-        infection_ticks=ticks,
-        zero_click=zero_click_in(events, meta),
-        rtw_violations=rtw_violations_in(events, meta),
-        intervention_reasons=reasons,
-        layer_denials=layers,
-        meta=meta,
-        **outcome,
-    )
+    return audit(*parse_trace(text))
 
 
 def find_chains(trace: str) -> list[ChainWitness]:
     """Every completed write-read-act chain in a serialized trace, one
     minimal witness per offending write. Empty certifies the run."""
-    meta, events = parse_trace(trace)
-    _validate(events, meta)
-    return chains_in(events, meta)
+    return build_report(trace).chains
+
+
+def chains_in(events: list[Event], meta: TraceMeta) -> list[ChainWitness]:
+    return audit(meta, events).chains
+
+
+def rtw_violations_in(events: list[Event], meta: TraceMeta) -> list[RtwViolation]:
+    """Effective untrusted writes later exposure-read, effectively, by a
+    reader still holding high capability: one not yet contaminated when the
+    attenuation layer is on. An effective declassification of the carrier
+    clears its pending writes."""
+    return audit(meta, events).rtw_violations
+
+
+def infections_in(events: list[Event], meta: TraceMeta) -> tuple[list[str], list[int]]:
+    """Agents that performed an effective untrusted write into a carrier they
+    own, in first-infection order, with the tick of each first write."""
+    return (report := audit(meta, events)).infected, report.infection_ticks
+
+
+def zero_click_in(events: list[Event], meta: TraceMeta) -> bool:
+    """One injection did all the work: exactly one inject line and no other
+    attacker-attributed activity anywhere in the trace. Zero injections is
+    a vacuous run and flagged false, not passed."""
+    return audit(meta, events).zero_click

@@ -44,3 +44,23 @@ def test_hook_names_an_attribute_of_the_package(owner, attr):
     for part in owner.split("."):
         obj = getattr(obj, part)
     assert hasattr(obj, attr), f"{owner}.{attr} is gone: the bench would report it absent"
+
+
+def test_build_report_parses_once_through_the_module_global(monkeypatch, bundled):
+    """The bench times verifier.parse_trace as the parse and the rest of
+    build_report as the audit, and counts the events in the list it returns;
+    a second parse or a lazy one would move time between the two."""
+    from reentryguard import verifier
+
+    text = bundled("fwA").trace_text  # the run itself builds a report
+    parse, calls = verifier.parse_trace, []
+
+    def counting_parse(text):
+        calls.append(parse(text))
+        return calls[-1]
+
+    monkeypatch.setattr(verifier, "parse_trace", counting_parse)
+    report = verifier.build_report(text)
+    assert len(calls) == 1
+    _, events = calls[0]
+    assert isinstance(events, list) and len(events) == report.event_count

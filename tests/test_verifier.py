@@ -38,6 +38,7 @@ from reentryguard.tracelog import TraceMeta, parse_trace, render_trace
 from reentryguard.verifier import (
     RtwViolation,
     VerificationError,
+    audit,
     build_report,
     find_chains,
     is_effective,
@@ -161,6 +162,22 @@ class TestFindChainsFixtures:
         (w,) = find_chains(render(events))
         assert w.read_tick == 2
         assert w.action_tick == 4
+
+    @pytest.mark.parametrize(
+        "events,read_tick,action_tick",
+        [
+            ([W(1), R(2, agent="a2"), R(3, agent="a3"), A(4, agent="a3"), A(5, agent="a2")], 2, 5),
+            ([W(1), R(2, agent="a2"), R(3, agent="a3"), A(4, agent="a3"), RESET(5, agent="a2")], 3, 4),
+        ],
+        ids=["later-reader-acts-first", "earlier-read-dies-after-later-qualifies"],
+    )
+    def test_witness_waits_for_earlier_reads_to_settle(self, events, read_tick, action_tick):
+        """Reads settle out of order: a later reader can act or an earlier
+        one die first. The witness is still the earliest read that qualifies."""
+        meta = toy_meta()
+        (w,) = find_chains(render(events, meta))
+        assert (w.read_tick, w.action_tick) == (read_tick, action_tick)
+        assert_matches_oracle([w], naive_chains(events, meta, guard="deny"))
 
     def test_decisionless_effectful_event_rejected(self):
         bad = Event(tick=1, agent="a1", kind=EventKind.WRITE, carrier_id=1,
@@ -340,18 +357,44 @@ class TestFindChainsOnSimulatorTraces:
             assert witnesses, name
             assert_matches_oracle(witnesses, naive_chains(run.trace.events, meta, meta.guard))
 
-    def test_undefended_fuzz_runs(self):
-        with_resets = 0
+    @staticmethod
+    def _fuzz_runs(enforce: str) -> tuple[int, int]:
+        """Compare on random_scenario seeds 0-49 capped at 5 ticks. Returns
+        the witnesses found and the runs that schedule a reset."""
+        found = with_resets = 0
         for seed in range(50):
-            scenario = random_scenario(seed, EnforcementConfig.from_names("none"))
+            scenario = random_scenario(seed, EnforcementConfig.from_names(enforce))
             scenario = replace(scenario, max_ticks=min(scenario.max_ticks, 5))
             with_resets += bool(scenario.resets)
             eco = Ecosystem(scenario)
             meta = eco.trace_meta()
             trace = eco.run()
-            oracle = naive_chains(trace.events, meta, meta.guard)
-            assert_matches_oracle(find_chains(render_trace(trace, meta)), oracle)
-        assert with_resets
+            witnesses = find_chains(render_trace(trace, meta))
+            assert_matches_oracle(witnesses, naive_chains(trace.events, meta, meta.guard))
+            found += len(witnesses)
+        return found, with_resets
+
+    def test_undefended_fuzz_runs(self):
+        assert self._fuzz_runs("none")[1]
+
+    def test_ablated_fuzz_runs(self):
+        """Partly enforced runs deny some of each chain's steps, so the
+        witnesses left are not the undefended run's."""
+        assert sum(self._fuzz_runs(enforce)[0] for enforce in ("rtw", "attenuation", "rtw,seal,memgate"))
+
+
+def test_audit_reads_each_event_once_in_order(bundled):
+    """audit never indexes or re-reads the events: over a one-shot iterator
+    it returns the same report as over the list."""
+    texts = [bundled("fwA").trace_text]
+    for seed in range(20):
+        scenario = random_scenario(seed, EnforcementConfig.from_names("none"))
+        eco = Ecosystem(replace(scenario, max_ticks=min(scenario.max_ticks, 5)))
+        meta = eco.trace_meta()
+        texts.append(render_trace(eco.run(), meta))
+    for text in texts:
+        meta, events = parse_trace(text)
+        assert audit(meta, iter(events)) == audit(meta, events)
 
 
 class TestCountHops:
