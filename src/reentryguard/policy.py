@@ -24,6 +24,7 @@ beats silently allowing it.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Callable
 
 from .memgate import Lease, MemoryStores, PromotionPolicy, check_lease_write, promote
 from .model import (
@@ -108,12 +109,18 @@ def classify_write(carrier: Carrier) -> ActionKind | None:
     return None
 
 
+def attenuated(state: AgentDecisionState, config: EnforcementConfig) -> bool:
+    """The attenuation rule: contamination takes away the context's
+    high-risk capabilities until a context reset."""
+    return config.attenuation and state.contaminated
+
+
 def attenuate(state: AgentDecisionState, config: EnforcementConfig) -> Decision:
     """Post-contamination gate on high-risk actions. With the layer enabled,
     a contaminated context gets deny (or a guard escalation, depending on
-    guard mode) for every high-risk action, whatever capabilities it held
-    before contamination."""
-    if config.attenuation and state.contaminated:
+    guard mode) for every high-risk action, whatever capabilities its
+    deployment grants."""
+    if attenuated(state, config):
         if config.guard_mode is GuardMode.APPROVE_ALL:
             return Decision.guard(Reason.ATTENUATED_HIGHRISK)
         return Decision.deny(Reason.ATTENUATED_HIGHRISK)
@@ -163,7 +170,9 @@ def _mediate_exposed_read(event: Event, ctx: MediationContext, config: Enforceme
     label = event.label if event.label is not None else carrier.label
 
     if carrier.cls in (CarrierClass.WORKSPACE_FILE, CarrierClass.SHARED_CHANNEL_LOG) and config.rtw:
-        return enforce_exposed_read(label, reader)
+        # the reader holds a high-risk capability when its deployment grants
+        # one and attenuation has not taken it away
+        return enforce_exposed_read(label, reader.capable and not attenuated(reader, config))
     # external sources are unavoidable reads: cut sits after the read, on
     # the reader's actions; trusted memory, task state and config are gated
     # when they are written or promoted into
@@ -180,25 +189,33 @@ def _mediate_promote(event: Event, ctx: MediationContext, config: EnforcementCon
     return Decision.deny(Reason.PROMOTION_REJECTED)
 
 
+def _mediate_action(event: Event, ctx: MediationContext, config: EnforcementConfig) -> Decision:
+    return attenuate(ctx.states[event.agent], config)
+
+
+# event kind -> its rule. Each rule is a function of this module and calls
+# the layer checks through this module's names, so wrapping one of those
+# names (as bench/run.py does to count gate calls) sees every call.
+_RULES: dict[EventKind, Callable[[Event, MediationContext, EnforcementConfig], Decision]] = {
+    EventKind.WRITE: _mediate_write,
+    EventKind.EXPOSED_READ: _mediate_exposed_read,
+    EventKind.OPAQUE_READ: lambda event, ctx, config: enforce_opaque_read(ctx.carriers[event.carrier_id].label),
+    EventKind.PROMOTE: _mediate_promote,
+    EventKind.HIGH_RISK: _mediate_action,
+    EventKind.MSG_SEND: _mediate_action,
+    # declassification is runtime-initiated: mediation lets it through, and
+    # the simulator then asks the taint engine whether the authority behind
+    # the request may clear the carrier
+    EventKind.DECLASSIFY: lambda event, ctx, config: Decision.allow(),
+}
+
+
 def mediate(event: Event, ctx: MediationContext, config: EnforcementConfig) -> Decision:
-    """Single mediation entry point. Dispatch is by event kind; carrier
-    classes select the layer inside each branch. Raises MediationError for
-    kinds outside the table so a missed call site cannot slip through as an
-    implicit allow."""
-    kind = event.kind
-    if kind is EventKind.WRITE:
-        return _mediate_write(event, ctx, config)
-    if kind is EventKind.EXPOSED_READ:
-        return _mediate_exposed_read(event, ctx, config)
-    if kind is EventKind.OPAQUE_READ:
-        carrier = ctx.carriers[event.carrier_id]
-        return enforce_opaque_read(carrier.label)
-    if kind is EventKind.PROMOTE:
-        return _mediate_promote(event, ctx, config)
-    if kind in (EventKind.HIGH_RISK, EventKind.MSG_SEND):
-        return attenuate(ctx.states[event.agent], config)
-    if kind is EventKind.DECLASSIFY:
-        # declassification events are runtime-initiated; authorization is
-        # checked by the taint engine before the event is even proposed
-        return Decision.allow()
-    raise MediationError(f"event kind {kind.value} has no mediation rule")
+    """Single mediation entry point. Dispatch is by event kind through
+    _RULES; carrier classes select the layer inside each rule. Raises
+    MediationError for kinds outside the table so a missed call site cannot
+    slip through as an implicit allow."""
+    rule = _RULES.get(event.kind)
+    if rule is None:
+        raise MediationError(f"event kind {event.kind.value} has no mediation rule")
+    return rule(event, ctx, config)

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .model import Decision, Reason, TaintLabel
-from .taint import AgentDecisionState
 
 WRITE_SYM = "W"
 READ_SYM = "R"
@@ -45,7 +44,7 @@ def is_rtw_safe(word: Iterable[str]) -> RtwVerdict:
     return RtwVerdict(safe=True)
 
 
-def enforce_exposed_read(carrier_label: TaintLabel, state: AgentDecisionState) -> Decision:
+def enforce_exposed_read(carrier_label: TaintLabel, high_cap: bool) -> Decision:
     """Dynamic re-entry rule for one exposed read.
 
     Deny when the carrier is untrusted and the reading context still holds
@@ -53,7 +52,7 @@ def enforce_exposed_read(carrier_label: TaintLabel, state: AgentDecisionState) -
     content: it cannot act on it, and the contamination marking downstream
     keeps it that way.
     """
-    if carrier_label.untrusted and state.high_cap:
+    if carrier_label.untrusted and high_cap:
         return Decision.deny(Reason.RTW_RE_ENTRY)
     return Decision.allow()
 

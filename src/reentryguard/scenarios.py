@@ -10,11 +10,12 @@ SCENARIO_KEYS, AGENT_KEYS, INJECTION_KEYS, SEEDED_KEYS, SUITE_KEYS and
 SUITE_ENTRY_KEYS. A table yields the allowed keys (a typo that silently
 relaxed an ecosystem would invalidate every downstream comparison), the
 strict parse of each value (an int is not a bool or a float, a list is not a
-string), the default of an absent key, and the reference and range checks
-that Scenario.validate() runs. The loader checks shapes and types only and
-validate() references and ranges only, so a scenario built in code meets
-the rules a file does. Every failure is a ScenarioError naming its key.
-README.md shows every key with an example value.
+string), the default of an absent key, and the reference, range and name
+checks that Scenario.validate() runs (a name must read back from the trace
+as itself). The loader checks shapes and types only and validate() the
+rest, so a scenario built in code meets the rules a file does. Every
+failure is a ScenarioError naming its key. README.md shows every key with
+an example value.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .model import (
     ReentryGuardError,
 )
 from .policy import EnforcementConfig
+from .tracelog import MISSING
 
 
 class ScenarioError(ReentryGuardError, ValueError):
@@ -369,6 +371,30 @@ def _known(universe: Callable[[_Refs], Any], what: str) -> Callable[[Any, _Refs]
     return check
 
 
+# Names the trace writes as one token must read back as themselves: not
+# empty, no whitespace, not the "-" of a missing value, and none of the
+# separators around them. An agent id is an event line column, a header token
+# and a msg_recv sender after ':'; a channel is a kind-token field and an
+# item of an agent line's comma list.
+def _token(separators: str) -> Callable[[Any, _Refs], None]:
+    return _rule(
+        lambda name, refs: name not in ("", MISSING) and not any(c.isspace() or c in separators for c in name),
+        f"{{0!r}} cannot be one trace token: it is empty or {MISSING!r}, or holds whitespace or one of {separators!r}",
+    )
+
+
+_agent_id = _token("|:")
+_channel_name = _token("|:,")
+# the scenario name is the rest of its header line
+_one_line = _rule(lambda name, refs: name.splitlines() == [name], "{0!r} is not one non-empty line")
+
+
+def _channel_names(names: list[str], refs: _Refs) -> None:
+    _distinct(names, refs)
+    for name in names:
+        _channel_name(name, refs)
+
+
 _channels = _known(lambda refs: refs.channels, "channels")
 _capabilities = _known(lambda refs: Capability.ALL, "capabilities")
 
@@ -404,7 +430,7 @@ def _seeded(carriers: list[SeededCarrier], refs: _Refs) -> None:
 
 
 AGENT_KEYS = (
-    Key("id", _str),
+    Key("id", _str, check=_agent_id),
     Key("framework", _str, "A", _framework),
     Key("privilege", _enum(Privilege), "low"),
     Key("period", _int, 1, _at_least_one, attr="heartbeat_period"),
@@ -428,10 +454,10 @@ SEEDED_KEYS = (
 )
 
 SCENARIO_KEYS = (
-    Key("name", _str),
+    Key("name", _str, check=_one_line),
     Key("seed", _int, 0),
     Key("max_ticks", _int, 10, _at_least_one),
-    Key("channels", _seq(_str), check=_distinct),
+    Key("channels", _seq(_str), check=_channel_names),
     Key("agents", _seq(_record(AGENT_KEYS, AgentProfile)), check=_agents),
     Key("injection", _record(INJECTION_KEYS, Injection), None, lambda inj, refs: _check(inj, INJECTION_KEYS, refs)),
     Key("enforcement", lambda value: EnforcementConfig.from_names(_str(value)), "none"),

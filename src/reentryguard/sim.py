@@ -55,11 +55,9 @@ from .policy import MediationContext, mediate
 from .scenarios import FRAMEWORKS, AgentProfile, Capability, Scenario, SeededCarrier
 from .taint import (
     AgentDecisionState,
-    attenuate_capabilities,
     content_label,
     context_reset,
     declassify_carrier,
-    fresh_state,
     mark_contamination,
     propagate_on_write,
 )
@@ -89,25 +87,6 @@ def transform_payload(facets: PayloadFacets, strength: int) -> PayloadFacets:
 # ---------------------------------------------------------------------------
 # ecosystem
 # ---------------------------------------------------------------------------
-
-
-def _base_action_caps(privilege: Privilege, capabilities: frozenset[str]) -> frozenset[ActionKind]:
-    caps: set[ActionKind] = set()
-    if Capability.FILE_WRITE in capabilities:
-        caps |= {
-            ActionKind.WRITE_AUTOLOADED,
-            ActionKind.WRITE_TRUSTED_MEMORY,
-            ActionKind.WRITE_CONFIG,
-            ActionKind.COMMIT_CROSS_SESSION,
-        }
-    if Capability.MESSAGING in capabilities:
-        caps.add(ActionKind.SEND_MESSAGE)
-    if privilege is Privilege.HIGH:
-        if Capability.SHELL in capabilities:
-            caps.add(ActionKind.INVOKE_SHELL)
-        if Capability.NETWORK in capabilities:
-            caps.add(ActionKind.INVOKE_NETWORK)
-    return frozenset(caps)
 
 
 @dataclass
@@ -256,9 +235,12 @@ class Ecosystem:
                 memory_id=memory_id,
                 all_ids=ids,
             )
-            self.states[agent_id] = fresh_state(
-                agent_id, _base_action_caps(profile.privilege, profile.capabilities)
-            )
+            # file writes and messages are high-risk at any privilege, shell
+            # and network only at high privilege
+            high_risk = {Capability.FILE_WRITE, Capability.MESSAGING}
+            if profile.privilege is Privilege.HIGH:
+                high_risk |= {Capability.SHELL, Capability.NETWORK}
+            self.states[agent_id] = AgentDecisionState(capable=not high_risk.isdisjoint(profile.capabilities))
             self.stores[agent_id] = MemoryStores()
             lease = self.scenario.task_leases.get(agent_id)
             if lease is not None:
@@ -310,15 +292,6 @@ class Ecosystem:
         return event.decision.effective(self.config.guard_mode)
 
     # -- state transitions ---------------------------------------------------
-
-    def _contaminate(self, agent: str) -> None:
-        state = self.states[agent]
-        if state.contaminated and not (self.config.attenuation and state.high_cap):
-            return  # already marked; the state would not change
-        state = mark_contamination(state)
-        if self.config.attenuation:
-            state = attenuate_capabilities(state)
-        self.states[agent] = state
 
     def _write(
         self, tick: int, agent: str, carrier: Carrier, facets: PayloadFacets, origin: TaintLabel
@@ -380,8 +353,9 @@ class Ecosystem:
         ev = Event(tick=tick, agent=agent, kind=EventKind.EXPOSED_READ, carrier_id=carrier.id, label=label)
         if not self._mediated(ev):
             return False
-        if label.untrusted:
-            self._contaminate(agent)
+        state = self.states[agent]
+        if label.untrusted and not state.contaminated:
+            self.states[agent] = mark_contamination(state)
         return True
 
     def _message_turn(self, tick: int, agent: str, msg: Message, delivered: PayloadFacets) -> None:
@@ -605,7 +579,7 @@ class Ecosystem:
                     procedure=DeclassProcedure.DETERMINISTIC_VALIDATION,
                 )
                 if self._mediated(ev):
-                    declassify_carrier(carrier, Authorizer.RUNTIME, DeclassProcedure.DETERMINISTIC_VALIDATION)
+                    declassify_carrier(carrier, Authorizer.RUNTIME)
 
     def step(self, tick: int) -> None:
         """Advance one tick: scheduled maintenance, delivery of last tick's

@@ -13,34 +13,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .model import (
-    ActionKind,
-    Authorizer,
-    Carrier,
-    DeclassProcedure,
-    TaintLabel,
-)
+from .model import Authorizer, Carrier, TaintLabel
 
 
 @dataclass(frozen=True)
 class AgentDecisionState:
-    """Per-agent security state between turns.
+    """Per-agent security state between turns: the two facts the rules read.
 
-    high_cap says whether this decision context still holds any high-risk
-    capability. Attenuation clears it; a context reset restores it from
-    base_caps. The base set encodes both privilege tier and any
-    scenario-level capability restrictions, so a context whose deployment
-    grants no high-risk action never holds high_cap.
+    capable says whether the deployment grants the context any high-risk
+    action (file_write or messaging, or shell or network at high privilege);
+    it is fixed for the run. contaminated says whether the context has read
+    untrusted content since its last reset. Whether the context still holds
+    a high-risk capability is derived, not stored: capable, unless
+    policy.attenuated takes it away from a contaminated context while the
+    attenuation layer is on, so a reset gives it back by clearing
+    contaminated alone.
     """
 
-    agent: str
+    capable: bool
     contaminated: bool = False
-    high_cap: bool = False
-    base_caps: frozenset[ActionKind] = frozenset()
-
-
-def fresh_state(agent: str, capabilities: frozenset[ActionKind]) -> AgentDecisionState:
-    return AgentDecisionState(agent=agent, high_cap=bool(capabilities), base_caps=frozenset(capabilities))
 
 
 # ---------------------------------------------------------------------------
@@ -80,18 +71,11 @@ def mark_contamination(state: AgentDecisionState) -> AgentDecisionState:
     return replace(state, contaminated=True)
 
 
-def attenuate_capabilities(state: AgentDecisionState) -> AgentDecisionState:
-    return replace(state, high_cap=False)
-
-
-def restore_capabilities(state: AgentDecisionState) -> AgentDecisionState:
-    return replace(state, high_cap=bool(state.base_caps))
-
-
 def context_reset(state: AgentDecisionState) -> AgentDecisionState:
-    """Runtime-initiated reset: contamination cleared, capabilities restored.
-    Carrier labels are untouched; a reset wipes the decision state, not disk."""
-    return restore_capabilities(replace(state, contaminated=False))
+    """Runtime-initiated reset: contamination cleared, which gives back any
+    capability attenuation took. Carrier labels are untouched; a reset wipes
+    the decision state, not disk."""
+    return replace(state, contaminated=False)
 
 
 # ---------------------------------------------------------------------------
@@ -99,38 +83,22 @@ def context_reset(state: AgentDecisionState) -> AgentDecisionState:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DeclassResult:
-    cleared: bool
-    reason: str = ""
-
-
-def declassify(
-    authorizer: Authorizer,
-    procedure: DeclassProcedure,
-) -> DeclassResult:
+def declassify(authorizer: Authorizer) -> bool:
     """Whether a declassification request is honored.
 
     Only runtime or operator authority can clear a label or a contamination
     flag. A request originating from the agent itself is refused no matter
     what it claims about the content: a contaminated decision state arguing
     for its own trustworthiness is the exact failure mode this exists to
-    stop.
+    stop. Every DeclassProcedure is an honored procedure, so the authority
+    alone decides.
     """
-    if authorizer is Authorizer.AGENT_SELF:
-        return DeclassResult(cleared=False, reason="llm-origin")
-    if procedure not in (
-        DeclassProcedure.HUMAN_REVIEW,
-        DeclassProcedure.DETERMINISTIC_VALIDATION,
-        DeclassProcedure.CONTEXT_RESET,
-    ):
-        return DeclassResult(cleared=False, reason="unknown-procedure")
-    return DeclassResult(cleared=True)
+    return authorizer is not Authorizer.AGENT_SELF
 
 
-def declassify_carrier(carrier: Carrier, authorizer: Authorizer, procedure: DeclassProcedure) -> DeclassResult:
-    result = declassify(authorizer, procedure)
-    if result.cleared:
+def declassify_carrier(carrier: Carrier, authorizer: Authorizer) -> bool:
+    cleared = declassify(authorizer)
+    if cleared:
         carrier.label = TaintLabel.CLEAN
         carrier.content = None
-    return result
+    return cleared

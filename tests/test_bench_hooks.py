@@ -8,11 +8,15 @@ process-wide bytecode settings.
 
 import ast
 import importlib
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import reentryguard
+from reentryguard import load_bundled
+from reentryguard.policy import EnforcementConfig
+from reentryguard.scenarios import random_scenario
 
 RUN_PY = Path(__file__).resolve().parents[1] / "bench" / "run.py"
 
@@ -64,3 +68,43 @@ def test_build_report_parses_once_through_the_module_global(monkeypatch, bundled
     assert len(calls) == 1
     _, events = calls[0]
     assert isinstance(events, list) and len(events) == report.event_count
+
+
+def test_counted_rules_call_through_the_module_globals(monkeypatch, contamination):
+    """The bench counts gate calls by wrapping these names. A rule that bound
+    the function object itself (a dispatch table entry, a default argument)
+    would make its count read 0 with no warning, so each counter must see
+    one call per event that reaches its rule."""
+    from reentryguard import policy, sim
+    from reentryguard.model import CarrierClass, EventKind
+    from reentryguard.tracelog import parse_trace
+    from reentryguard.verifier import is_effective
+
+    calls = {}
+    for module, name in ((policy, "enforce_exposed_read"), (policy, "promote"),
+                         (policy, "check_lease_write"), (sim, "mark_contamination")):
+        def counting(*args, _fn=getattr(module, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args)
+
+        monkeypatch.setattr(module, name, counting)
+
+    expected = dict.fromkeys(("enforce_exposed_read", "promote", "check_lease_write", "mark_contamination"), 0)
+    gated = (CarrierClass.WORKSPACE_FILE, CarrierClass.SHARED_CHANNEL_LOG)
+    for scenario in [replace(load_bundled("fwA"), enforcement=EnforcementConfig.all_enabled())] + [
+        random_scenario(seed, EnforcementConfig.all_enabled()) for seed in range(5)
+    ]:
+        meta, events = parse_trace(sim.run_scenario(scenario).trace_text)
+        cls = {c.id: c.cls for c in meta.carriers}
+        before = contamination(events, meta)
+        for i, ev in enumerate(events):
+            if ev.kind is EventKind.EXPOSED_READ:
+                expected["enforce_exposed_read"] += cls[ev.carrier_id] in gated
+                untrusted = ev.label is not None and ev.label.untrusted
+                expected["mark_contamination"] += untrusted and is_effective(ev, meta) and not before[i]
+            elif ev.kind is EventKind.PROMOTE:
+                expected["promote"] += 1
+            elif ev.kind is EventKind.WRITE:
+                expected["check_lease_write"] += cls[ev.carrier_id] is CarrierClass.TASK_LOCAL_STATE
+    assert all(expected.values()), expected
+    assert calls == expected

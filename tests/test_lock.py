@@ -6,7 +6,11 @@ SHA-256 of the trace text of every run in three groups:
 * the bundled scenarios, each undefended and fully enforced;
 * fuzz seeds 0-199 fully enforced;
 * fuzz seeds 0-99 undefended, capped at 6 ticks (uncapped undefended runs
-  grow too fast to replay in a test).
+  grow too fast to replay in a test);
+* fuzz seeds 0-39 capped at 6 ticks under each single layer and each "all
+  but one", in both guard modes, so every layer's rule is pinned both alone
+  and with the others (the RTW gate reads the capability state only with
+  ``rtw`` on, and guard mode matters only where something is denied).
 
 The fuzz seeds matter because no bundled scenario uses seeded carriers,
 resets or heartbeat logs. A refactor must leave every pin unchanged. After an
@@ -29,7 +33,8 @@ from pathlib import Path
 import pytest
 
 from reentryguard.cli import main
-from reentryguard.policy import EnforcementConfig
+from reentryguard.model import GuardMode
+from reentryguard.policy import LAYER_NAMES, EnforcementConfig
 from reentryguard.scenarios import bundled_names, load_bundled, random_scenario
 from reentryguard.sim import run_scenario
 
@@ -38,6 +43,9 @@ SUITES = ("tables", "ablation")
 FUZZ_ENFORCED_SEEDS = range(200)
 FUZZ_UNDEFENDED_SEEDS = range(100)
 FUZZ_UNDEFENDED_TICKS = 6
+FUZZ_ABLATED_SEEDS = range(40)
+# each layer alone, then every layer but one
+ABLATIONS = LAYER_NAMES + tuple(",".join(n for n in LAYER_NAMES if n != out) for out in LAYER_NAMES)
 
 
 def suite_records(name: str) -> list[str]:
@@ -78,10 +86,25 @@ def _fuzz_undefended_digests() -> dict[str, str]:
     }
 
 
+def _fuzz_ablated_digests() -> dict[str, str]:
+    return {
+        f"{spec}:{guard.value}:{seed}": _digest(
+            replace(
+                random_scenario(seed, EnforcementConfig.from_names(spec, guard)),
+                max_ticks=FUZZ_UNDEFENDED_TICKS,
+            )
+        )
+        for spec in ABLATIONS
+        for guard in GuardMode
+        for seed in FUZZ_ABLATED_SEEDS
+    }
+
+
 TRACE_GROUPS = {
     "bundled": _bundled_digests,
     "fuzz_enforced": _fuzz_enforced_digests,
     "fuzz_undefended": _fuzz_undefended_digests,
+    "fuzz_ablated": _fuzz_ablated_digests,
 }
 
 

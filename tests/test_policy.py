@@ -1,5 +1,7 @@
 """Policy engine: mediation dispatch, attenuation, layer ownership."""
 
+from itertools import product
+
 import pytest
 
 from reentryguard.memgate import Lease, MemoryStores, default_policy
@@ -25,10 +27,11 @@ from reentryguard.policy import (
     classify_write,
     mediate,
 )
-from reentryguard.taint import fresh_state, mark_contamination
+from reentryguard.taint import AgentDecisionState, mark_contamination
 from tests.test_model import make_carrier
 
-ALL_CAPS = frozenset(ActionKind)
+# a context whose deployment grants high-risk actions
+CAPABLE = AgentDecisionState(capable=True)
 
 
 def ctx_with(carriers: dict, states: dict, leases=None, stores=None) -> MediationContext:
@@ -69,23 +72,28 @@ class TestClassifyWrite:
 
 class TestAttenuate:
     def test_contaminated_deny_all(self):
-        state = mark_contamination(fresh_state("a1", ALL_CAPS))
+        state = mark_contamination(CAPABLE)
         decision = attenuate(state, EnforcementConfig.all_enabled())
         assert decision.verdict is Verdict.DENY
         assert decision.reason is Reason.ATTENUATED_HIGHRISK
 
     def test_contaminated_approve_all_guards(self):
-        state = mark_contamination(fresh_state("a1", ALL_CAPS))
+        state = mark_contamination(CAPABLE)
         config = EnforcementConfig.all_enabled(GuardMode.APPROVE_ALL)
         decision = attenuate(state, config)
         assert decision.verdict is Verdict.GUARD
 
     def test_clean_agent_allowed(self):
-        state = fresh_state("a1", ALL_CAPS)
+        state = CAPABLE
         assert attenuate(state, EnforcementConfig.all_enabled()).verdict is Verdict.ALLOW
 
+    def test_contaminated_context_without_capabilities_denied(self):
+        # the gate reads contamination, not what the deployment grants
+        state = mark_contamination(AgentDecisionState(capable=False))
+        assert attenuate(state, EnforcementConfig.all_enabled()).verdict is Verdict.DENY
+
     def test_layer_disabled_allows(self):
-        state = mark_contamination(fresh_state("a1", ALL_CAPS))
+        state = mark_contamination(CAPABLE)
         assert attenuate(state, EnforcementConfig.none()).verdict is Verdict.ALLOW
 
 
@@ -94,7 +102,7 @@ class TestMediateWrite:
         config_carrier = make_carrier(
             cid=1, cls=CarrierClass.STATIC_CONFIG, autoload=AutoloadPolicy.SESSION_START
         )
-        ctx = ctx_with({1: config_carrier}, {"a1": fresh_state("a1", ALL_CAPS)})
+        ctx = ctx_with({1: config_carrier}, {"a1": CAPABLE})
         decision = mediate(write_event(1), ctx, EnforcementConfig.from_names("seal"))
         assert decision.verdict is Verdict.DENY
         assert decision.reason is Reason.SEALED_CONFIG
@@ -104,14 +112,14 @@ class TestMediateWrite:
         config_carrier = make_carrier(
             cid=1, cls=CarrierClass.STATIC_CONFIG, autoload=AutoloadPolicy.SESSION_START
         )
-        ctx = ctx_with({1: config_carrier}, {"a1": fresh_state("a1", ALL_CAPS)})
+        ctx = ctx_with({1: config_carrier}, {"a1": CAPABLE})
         assert mediate(write_event(1), ctx, EnforcementConfig.none()).verdict is Verdict.ALLOW
 
     def test_task_local_write_needs_live_lease(self):
         task = make_carrier(cid=1, cls=CarrierClass.TASK_LOCAL_STATE)
         ctx = ctx_with(
             {1: task},
-            {"a1": fresh_state("a1", ALL_CAPS)},
+            {"a1": CAPABLE},
             leases=[Lease(carrier_id=1, t0=0, t1=4)],
         )
         config = EnforcementConfig.from_names("memgate")
@@ -122,14 +130,14 @@ class TestMediateWrite:
 
     def test_trusted_memory_direct_write_is_gate_bypass(self):
         memory = make_carrier(cid=1, cls=CarrierClass.TRUSTED_MEMORY)
-        ctx = ctx_with({1: memory}, {"a1": fresh_state("a1", ALL_CAPS)})
+        ctx = ctx_with({1: memory}, {"a1": CAPABLE})
         decision = mediate(write_event(1), ctx, EnforcementConfig.from_names("memgate"))
         assert decision.verdict is Verdict.DENY
         assert decision.reason is Reason.PROMOTION_REJECTED
 
     def test_contaminated_high_risk_write_attenuated(self):
         heartbeat = make_carrier(cid=1, autoload=AutoloadPolicy.HEARTBEAT)
-        state = mark_contamination(fresh_state("a1", ALL_CAPS))
+        state = mark_contamination(CAPABLE)
         ctx = ctx_with({1: heartbeat}, {"a1": state})
         decision = mediate(write_event(1), ctx, EnforcementConfig.from_names("attenuation"))
         assert decision.verdict is Verdict.DENY
@@ -139,7 +147,7 @@ class TestMediateWrite:
         # on-demand local files are below the high-risk bar even for a
         # contaminated writer; labels carry the consequence instead
         notes = make_carrier(cid=1, autoload=AutoloadPolicy.ON_DEMAND)
-        state = mark_contamination(fresh_state("a1", ALL_CAPS))
+        state = mark_contamination(CAPABLE)
         ctx = ctx_with({1: notes}, {"a1": state})
         assert mediate(write_event(1), ctx, EnforcementConfig.all_enabled()).verdict is Verdict.ALLOW
 
@@ -147,22 +155,38 @@ class TestMediateWrite:
 class TestMediateRead:
     def test_tainted_workspace_read_by_high_cap_denied(self):
         f = make_carrier(cid=1, label=TaintLabel.TAINTED)
-        ctx = ctx_with({1: f}, {"a1": fresh_state("a1", ALL_CAPS)})
+        ctx = ctx_with({1: f}, {"a1": CAPABLE})
         event = Event(tick=1, agent="a1", kind=EventKind.EXPOSED_READ, carrier_id=1, label=TaintLabel.TAINTED)
         decision = mediate(event, ctx, EnforcementConfig.from_names("rtw"))
         assert decision.verdict is Verdict.DENY
         assert decision.reason is Reason.RTW_RE_ENTRY
 
+    def test_gate_reads_the_derived_capability(self):
+        """Deny iff rtw is on, the label is untrusted and the reader holds a
+        high-risk capability: its deployment grants one and it is not a
+        contaminated context under attenuation."""
+        f = make_carrier(cid=1)
+        for rtw, attenuation, capable, contaminated, label in product(
+            (False, True), (False, True), (False, True), (False, True), TaintLabel
+        ):
+            config = EnforcementConfig(rtw=rtw, attenuation=attenuation)
+            state = AgentDecisionState(capable=capable, contaminated=contaminated)
+            ctx = ctx_with({1: f}, {"a1": state})
+            event = Event(tick=1, agent="a1", kind=EventKind.EXPOSED_READ, carrier_id=1, label=label)
+            holds = capable and not (attenuation and contaminated)
+            expected = Verdict.DENY if rtw and label.untrusted and holds else Verdict.ALLOW
+            assert mediate(event, ctx, config).verdict is expected, (config, state, label)
+
     def test_external_source_read_not_rtw_gated(self):
         # unavoidable input: its cut sits after the read, on the actions
         src = make_carrier(cid=1, cls=CarrierClass.EXTERNAL_SOURCE, label=TaintLabel.EXTERNAL)
-        ctx = ctx_with({1: src}, {"a1": fresh_state("a1", ALL_CAPS)})
+        ctx = ctx_with({1: src}, {"a1": CAPABLE})
         event = Event(tick=1, agent="a1", kind=EventKind.EXPOSED_READ, carrier_id=1, label=TaintLabel.EXTERNAL)
         assert mediate(event, ctx, EnforcementConfig.all_enabled()).verdict is Verdict.ALLOW
 
     def test_opaque_read_always_allowed(self):
         f = make_carrier(cid=1, label=TaintLabel.TAINTED)
-        ctx = ctx_with({1: f}, {"a1": fresh_state("a1", ALL_CAPS)})
+        ctx = ctx_with({1: f}, {"a1": CAPABLE})
         event = Event(tick=1, agent="a1", kind=EventKind.OPAQUE_READ, carrier_id=1)
         decision = mediate(event, ctx, EnforcementConfig.all_enabled())
         assert decision.verdict is Verdict.ALLOW
@@ -178,7 +202,7 @@ class TestMediatePromote:
         from reentryguard.model import SchemaKind
 
         stores.submit_candidate(candidate(cid=2, schema=SchemaKind.FREE_FORM_INSTRUCTION))
-        return ctx_with({}, {"a1": fresh_state("a1", ALL_CAPS)}, stores={"a1": stores})
+        return ctx_with({}, {"a1": CAPABLE}, stores={"a1": stores})
 
     def test_conforming_promotion_allowed(self):
         event = Event(tick=1, agent="a1", kind=EventKind.PROMOTE, carrier_id=1)
@@ -197,7 +221,7 @@ class TestMediatePromote:
 
 class TestMediationTotality:
     def test_unknown_kind_raises(self):
-        ctx = ctx_with({}, {"a1": fresh_state("a1", ALL_CAPS)})
+        ctx = ctx_with({}, {"a1": CAPABLE})
         event = Event(tick=1, agent="a1", kind=EventKind.HEARTBEAT)
         with pytest.raises(MediationError):
             mediate(event, ctx, EnforcementConfig.all_enabled())
@@ -206,7 +230,7 @@ class TestMediationTotality:
         config_carrier = make_carrier(
             cid=1, cls=CarrierClass.STATIC_CONFIG, autoload=AutoloadPolicy.SESSION_START
         )
-        state = mark_contamination(fresh_state("a1", ALL_CAPS))
+        state = mark_contamination(CAPABLE)
         ctx = ctx_with({1: config_carrier}, {"a1": state})
         for event in (
             write_event(1),

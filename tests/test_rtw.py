@@ -5,7 +5,6 @@ from itertools import product
 import pytest
 
 from reentryguard.model import (
-    ActionKind,
     EventKind,
     Reason,
     TaintLabel,
@@ -18,9 +17,6 @@ from reentryguard.rtw import (
     enforce_opaque_read,
     is_rtw_safe,
 )
-from reentryguard.taint import attenuate_capabilities, fresh_state
-
-ALL_CAPS = frozenset(ActionKind)
 
 
 def brute_force_safe(word: str) -> tuple[bool, tuple[int, int] | None]:
@@ -74,25 +70,21 @@ class TestIsRtwSafe:
 
 class TestEnforceExposedRead:
     def test_tainted_high_cap_denied(self):
-        state = fresh_state("a1", ALL_CAPS)
-        decision = enforce_exposed_read(TaintLabel.TAINTED, state)
+        decision = enforce_exposed_read(TaintLabel.TAINTED, high_cap=True)
         assert decision.verdict is Verdict.DENY
         assert decision.reason is Reason.RTW_RE_ENTRY
 
     def test_clean_high_cap_allowed(self):
-        state = fresh_state("a1", ALL_CAPS)
-        assert enforce_exposed_read(TaintLabel.CLEAN, state).verdict is Verdict.ALLOW
+        assert enforce_exposed_read(TaintLabel.CLEAN, high_cap=True).verdict is Verdict.ALLOW
 
     def test_tainted_attenuated_allowed(self):
         # a context that cannot act may read; contamination marking downstream
         # keeps it harmless
-        state = attenuate_capabilities(fresh_state("a1", ALL_CAPS))
-        assert enforce_exposed_read(TaintLabel.TAINTED, state).verdict is Verdict.ALLOW
+        assert enforce_exposed_read(TaintLabel.TAINTED, high_cap=False).verdict is Verdict.ALLOW
 
     def test_every_untrusted_label_triggers(self):
-        state = fresh_state("a1", ALL_CAPS)
         for label in (TaintLabel.EXTERNAL, TaintLabel.TAINTED, TaintLabel.TAINTED_DERIVED):
-            assert enforce_exposed_read(label, state).verdict is Verdict.DENY
+            assert enforce_exposed_read(label, high_cap=True).verdict is Verdict.DENY
 
 
 class TestEnforceOpaqueRead:

@@ -33,7 +33,7 @@ from reentryguard.scenarios import (
     suite_names,
     with_capabilities,
 )
-from reentryguard.sim import run_scenario
+from reentryguard.sim import Ecosystem, run_scenario
 
 BUNDLED = ["cross_framework", "exfiltration", "fwA", "fwB", "fwC", "privilege_escalation"]
 
@@ -250,6 +250,24 @@ MALFORMED = {
     "leases-as-a-list": ("task_leases", {"task_leases": [1, 2]}, {}),
     "strengths-as-a-list": ("transform_strength", {"transform_strength": [1]}, {}),
     "nested-capability-list": ("capabilities", {}, {"capabilities": [["shell"]]}),
+    # names the trace cannot carry: "-" reads back as a missing value (an
+    # owner of "-" is no owner, so hops drop), "|" splits the event columns,
+    # ":" the kind token, "," an agent line's channel list, whitespace the
+    # header tokens, and a line break the scenario's header line
+    **{
+        f"agent-id-{label}": ("id", {}, {"id": bad})
+        for label, bad in {"dash": "-", "empty": "", "pipe": "a|b", "space": "a b", "tab": "a\tb", "colon": "a:b"}.items()
+    },
+    **{
+        f"channel-{label}": ("channels", {"channels": [bad]}, {"channels": [bad]})
+        for label, bad in {
+            "dash": "-", "empty": "", "pipe": "c|1", "colon": "c:1", "space": "c 1", "comma": "c,1", "nbsp": "c\xa01",
+        }.items()
+    },
+    **{
+        f"name-{label}": ("name", {"name": bad}, {})
+        for label, bad in {"empty": "", "newline": "a\nb", "return": "a\rb", "line-separator": "a\u2028b"}.items()
+    },
 }
 
 
@@ -264,6 +282,30 @@ class TestMalformedInputs:
         path.write_text(yaml.safe_dump(data))
         assert cli.main(["--scenario", str(path)]) == 2
         assert f"{key}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "agent,channel,name",
+        [("a,b", "c=1", "a|b"), ("#a", "#c", " two words "), ("a=b", "c.1", "-")],
+    )
+    def test_unusual_names_the_trace_carries_load_and_read_back(self, agent, channel, name):
+        """Names a trace can carry still load, and audit as their plain twin."""
+
+        def scenario(agent, channel, name):
+            return scenario_from_dict(
+                {
+                    "name": name,
+                    "max_ticks": 4,
+                    "channels": [channel],
+                    "agents": [{"id": agent, "channels": [channel], "privilege": "high"}, {"id": "z", "channels": [channel]}],
+                    "injection": {"channel": channel, "tick": 1},
+                }
+            )
+
+        odd, plain = scenario(agent, channel, name), scenario("a", "c", "plain")
+        report, twin = run_scenario(odd).report, run_scenario(plain).report
+        assert vars(report.meta) == vars(Ecosystem(odd).trace_meta())
+        assert (report.hops, len(report.chains), report.event_count) == (twin.hops, len(twin.chains), twin.event_count)
+        assert report.hops == 2
 
     def test_scenarios_import_without_the_simulator(self):
         src = Path(cli.__file__).resolve().parents[1]

@@ -1,39 +1,38 @@
 """Taint engine: initial labels, write propagation, contamination, declassification."""
 
+from itertools import combinations
+
 import pytest
 
 from reentryguard.model import (
-    ActionKind,
     Authorizer,
     CarrierClass,
-    DeclassProcedure,
     PayloadFacets,
+    Privilege,
     Provenance,
     TaintLabel,
 )
-from reentryguard.scenarios import scenario_from_dict
+from reentryguard.policy import EnforcementConfig, attenuated
+from reentryguard.scenarios import Capability, scenario_from_dict
 from reentryguard.sim import Ecosystem
 from reentryguard.taint import (
     AgentDecisionState,
-    attenuate_capabilities,
     content_label,
     context_reset,
     declassify,
     declassify_carrier,
-    fresh_state,
     mark_contamination,
     propagate_on_write,
-    restore_capabilities,
 )
 from tests.test_model import make_carrier
 
 
-def clean_state(agent: str = "a1") -> AgentDecisionState:
-    return fresh_state(agent, frozenset(ActionKind))
+def clean_state() -> AgentDecisionState:
+    return AgentDecisionState(capable=True)
 
 
-def dirty_state(agent: str = "a1") -> AgentDecisionState:
-    return mark_contamination(clean_state(agent))
+def dirty_state() -> AgentDecisionState:
+    return mark_contamination(clean_state())
 
 
 def ecosystem(**extra) -> Ecosystem:
@@ -123,61 +122,62 @@ class TestContamination:
         assert again.contaminated
 
     def test_context_reset_clears_contamination_and_restores_caps(self):
-        state = attenuate_capabilities(dirty_state())
-        assert not state.high_cap
-        fresh = context_reset(state)
-        assert not fresh.contaminated
-        assert fresh.high_cap
+        assert dirty_state().capable
+        assert context_reset(dirty_state()) == clean_state()
+        bare = AgentDecisionState(capable=False)
+        assert context_reset(mark_contamination(bare)) == bare
 
-    def test_attenuate_then_restore(self):
-        state = clean_state()
-        down = attenuate_capabilities(state)
-        assert not down.high_cap
-        up = restore_capabilities(down)
-        assert up.high_cap == state.high_cap
-        # no high-risk capability to begin with: nothing to restore
-        bare = fresh_state("a1", frozenset())
-        assert not bare.high_cap
-        assert not context_reset(mark_contamination(bare)).high_cap
+    def test_attenuation_lasts_until_reset(self):
+        """Attenuation takes the capability from a contaminated context only
+        while its layer is on, and a reset gives it back."""
+        on, off = EnforcementConfig.from_names("attenuation"), EnforcementConfig.none()
+        assert not attenuated(clean_state(), on)
+        assert attenuated(dirty_state(), on)
+        assert not attenuated(dirty_state(), off)
+        assert not attenuated(context_reset(dirty_state()), on)
 
 
 class TestCapabilities:
-    # the simulator derives each agent's base set from privilege and the
-    # scenario's capability preset
-    def test_low_privilege_excludes_shell_and_network(self):
-        caps = ecosystem().states["lo"].base_caps
-        assert caps
-        assert ActionKind.INVOKE_SHELL not in caps
-        assert ActionKind.INVOKE_NETWORK not in caps
+    # capability -> the privileges at which it grants a high-risk action:
+    # file writes reach config, memory, autoloaded and shared carriers and
+    # messages leave the agent at any privilege; shell and network need high
+    GRANTED_AT = {
+        Capability.FILE_WRITE: {Privilege.LOW, Privilege.HIGH},
+        Capability.MESSAGING: {Privilege.LOW, Privilege.HIGH},
+        Capability.SHELL: {Privilege.HIGH},
+        Capability.NETWORK: {Privilege.HIGH},
+    }
 
-    def test_high_privilege_adds_shell_and_network(self):
-        caps = ecosystem().states["hi"].base_caps
-        assert ActionKind.INVOKE_SHELL in caps
-        assert ActionKind.INVOKE_NETWORK in caps
+    @pytest.mark.parametrize("privilege", Privilege, ids=lambda p: p.value)
+    def test_capable_truth_table(self, privilege):
+        """capable over every subset of Capability.ALL, built by the simulator
+        from the agent's privilege and capability list."""
+        for n in range(len(Capability.ALL) + 1):
+            for caps in combinations(sorted(Capability.ALL), n):
+                agent = {"id": "a1", "privilege": privilege.value, "capabilities": list(caps)}
+                eco = Ecosystem(scenario_from_dict({"channels": ["c0"], "agents": [agent]}))
+                expected = any(privilege in self.GRANTED_AT[cap] for cap in caps)
+                assert eco.states["a1"] == AgentDecisionState(capable=expected), caps
 
 
 class TestDeclassify:
     def test_runtime_validation_clears(self):
-        assert declassify(Authorizer.RUNTIME, DeclassProcedure.DETERMINISTIC_VALIDATION).cleared
+        assert declassify(Authorizer.RUNTIME)
 
     def test_operator_review_clears(self):
-        assert declassify(Authorizer.OPERATOR, DeclassProcedure.HUMAN_REVIEW).cleared
+        assert declassify(Authorizer.OPERATOR)
 
     def test_agent_self_refused(self):
-        result = declassify(Authorizer.AGENT_SELF, DeclassProcedure.DETERMINISTIC_VALIDATION)
-        assert not result.cleared
-        assert result.reason == "llm-origin"
+        assert not declassify(Authorizer.AGENT_SELF)
 
     def test_declassify_carrier_resets_label(self):
         carrier = make_carrier(label=TaintLabel.TAINTED)
-        result = declassify_carrier(carrier, Authorizer.RUNTIME, DeclassProcedure.DETERMINISTIC_VALIDATION)
-        assert result.cleared
+        assert declassify_carrier(carrier, Authorizer.RUNTIME)
         assert carrier.label is TaintLabel.CLEAN
 
     def test_refused_declassify_leaves_carrier_alone(self):
         carrier = make_carrier(label=TaintLabel.TAINTED)
-        result = declassify_carrier(carrier, Authorizer.AGENT_SELF, DeclassProcedure.DETERMINISTIC_VALIDATION)
-        assert not result.cleared
+        assert not declassify_carrier(carrier, Authorizer.AGENT_SELF)
         assert carrier.label is TaintLabel.TAINTED
 
 
