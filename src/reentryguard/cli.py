@@ -16,11 +16,14 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from operator import attrgetter
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 from .model import GuardMode, ReentryGuardError
 from .policy import LAYER_NAMES, EnforcementConfig, MediationError
 from .scenarios import (
+    CAPABILITY_PRESETS,
     Scenario,
     bundled_names,
     load_suite,
@@ -28,7 +31,8 @@ from .scenarios import (
     suite_names,
     with_capabilities,
 )
-from .sim import RunResult, run_scenario
+from .sim import run_scenario
+from .tracelog import MISSING
 from .verifier import Report, build_report
 
 EXIT_OK = 0
@@ -36,7 +40,7 @@ EXIT_USAGE = 1
 EXIT_CONFIG = 2
 EXIT_INTERNAL = 3
 
-MATRIX_ORDER = ("full", "messaging_disabled", "file_write_disabled", "minimal")
+MATRIX_ORDER = tuple(CAPABILITY_PRESETS)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -74,8 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # ---------------------------------------------------------------------------
-# record construction: machine fields are the superset, the table is a pure
-# rendering of the record
+# the record: RECORD names each machine field once, and the table, the column
+# marks and the matrix rows are renderings of the record it builds
 # ---------------------------------------------------------------------------
 
 
@@ -86,91 +90,82 @@ def _enforce_label(flags: dict[str, bool]) -> str:
     return ",".join(on) if on else "none"
 
 
-def _bool(v: bool) -> str:
-    return "1" if v else "0"
+def _infected(report: Report) -> str:
+    pairs = zip(report.infected, report.infection_ticks)
+    return ",".join(f"{agent}@{tick}" for agent, tick in pairs) or MISSING
+
+
+class _Field(NamedTuple):
+    name: str
+    label: str | None  # the table row's label; None: the field is machine-only
+    flag: bool  # a boolean: 1/0 in the record, a mark in the table
+    read: Callable[[Report], Any]
+    before: str | None = None  # the field whose table row this row precedes
+
+    def value(self, report: Report) -> str:
+        value = self.read(report)
+        return ("1" if value else "0") if self.flag else str(value)
+
+
+_DENIAL_LAYERS = (*LAYER_NAMES, "none")
+
+# The machine fields, in record order. A record line splits on "|" into
+# fields, each field on its first "=", and infected= on "," and "@": the
+# scenario schema and the trace parser refuse a scenario name holding "|" and
+# an agent id holding any of "|,@" (tracelog.scenario_name, tracelog.agent_id).
+RECORD = (
+    _Field("scenario", "scenario", False, lambda r: r.meta.scenario),
+    _Field("enforce", "enforcement", False, lambda r: _enforce_label(r.meta.flags)),
+    _Field("guard", "guard", False, lambda r: r.meta.guard),
+    _Field("seed", "seed", False, lambda r: r.meta.seed),
+    _Field("ticks", "ticks", False, lambda r: r.meta.ticks),
+    _Field("events", "events", False, attrgetter("event_count")),
+    _Field("persistence", "persistence", True, attrgetter("persistence")),
+    _Field("re_entry", "re-entry", True, attrgetter("re_entry")),
+    _Field("propagation", "propagation", True, attrgetter("propagation")),
+    _Field("privilege_escalation", "privilege-escalation", True, attrgetter("privilege_escalation")),
+    _Field("exfiltration", "exfiltration", True, attrgetter("exfiltration")),
+    _Field("hops", "hops", False, attrgetter("hops")),
+    _Field("infected", "infected", False, _infected),
+    _Field("zero_click", "zero-click", True, attrgetter("zero_click")),
+    _Field("chains", "chain-witnesses", False, lambda r: len(r.chains)),
+    _Field("safe", "safe", True, attrgetter("safe")),
+    _Field("rtw_ok", "rtw-audit-clean", True, lambda r: not r.rtw_violations, before="safe"),
+    _Field("rtw_violations", None, False, lambda r: len(r.rtw_violations)),
+    *(
+        _Field(f"denials_{layer}", None, False, lambda r, layer=layer: r.layer_denials.get(layer, 0))
+        for layer in _DENIAL_LAYERS
+    ),
+)
+
+_FLAGS = frozenset(f.name for f in RECORD if f.flag)
+_INDEX = {f.name: i for i, f in enumerate(RECORD)}
+# the labelled fields in record order, a row naming a field placed just before it
+_TABLE_ROWS = sorted(
+    (f for f in RECORD if f.label),
+    key=lambda f: (_INDEX[f.before or f.name], f.before is None),
+)
 
 
 def report_record(report: Report) -> dict[str, str]:
-    infected = ",".join(
-        f"{agent}@{tick}" for agent, tick in zip(report.infected, report.infection_ticks)
-    )
-    record = {
-        "scenario": report.scenario,
-        "enforce": _enforce_label(report.flags),
-        "guard": report.guard,
-        "seed": str(report.meta.seed),
-        "ticks": str(report.meta.ticks),
-        "events": str(report.event_count),
-        "persistence": _bool(report.persistence),
-        "re_entry": _bool(report.re_entry),
-        "propagation": _bool(report.propagation),
-        "privilege_escalation": _bool(report.privilege_escalation),
-        "exfiltration": _bool(report.exfiltration),
-        "hops": str(report.hops),
-        "infected": infected or "-",
-        "zero_click": _bool(report.zero_click),
-        "chains": str(len(report.chains)),
-        "safe": _bool(report.safe),
-        "rtw_ok": _bool(not report.rtw_violations),
-        "rtw_violations": str(len(report.rtw_violations)),
-    }
-    for layer in (*LAYER_NAMES, "none"):
-        record[f"denials_{layer}"] = str(report.layer_denials.get(layer, 0))
-    return record
+    return {f.name: f.value(report) for f in RECORD}
 
 
 def render_machine(kind: str, record: dict[str, str]) -> str:
     return "|".join([kind] + [f"{k}={v}" for k, v in record.items()])
 
 
-_TABLE_ROWS = (
-    ("scenario", "scenario"),
-    ("enforcement", "enforce"),
-    ("guard", "guard"),
-    ("seed", "seed"),
-    ("ticks", "ticks"),
-    ("events", "events"),
-    ("persistence", "persistence"),
-    ("re-entry", "re_entry"),
-    ("propagation", "propagation"),
-    ("privilege-escalation", "privilege_escalation"),
-    ("exfiltration", "exfiltration"),
-    ("hops", "hops"),
-    ("infected", "infected"),
-    ("zero-click", "zero_click"),
-    ("chain-witnesses", "chains"),
-    ("rtw-audit-clean", "rtw_ok"),
-    ("safe", "safe"),
-)
-
-_CHECKED_FIELDS = {
-    "persistence",
-    "re_entry",
-    "propagation",
-    "privilege_escalation",
-    "exfiltration",
-    "zero_click",
-    "rtw_ok",
-    "safe",
-}
-
-
 def _mark(field: str, value: str) -> str:
-    if field in _CHECKED_FIELDS:
+    if field in _FLAGS:
         return "✓" if value == "1" else "✗"
     return value
 
 
 def render_table(record: dict[str, str]) -> str:
-    width = max(len(label) for label, _ in _TABLE_ROWS)
-    lines = [f"{label:<{width}}  {_mark(field, record[field])}" for label, field in _TABLE_ROWS]
-    denials = {
-        layer: record[f"denials_{layer}"]
-        for layer in (*LAYER_NAMES, "none")
-        if record[f"denials_{layer}"] != "0"
-    }
-    shown = " ".join(f"{k}={v}" for k, v in denials.items()) if denials else "-"
-    lines.append(f"{'denials':<{width}}  {shown}")
+    width = max(len(f.label) for f in _TABLE_ROWS)
+    lines = [f"{f.label:<{width}}  {_mark(f.name, record[f.name])}" for f in _TABLE_ROWS]
+    denials = [f"{layer}={n}" for layer in _DENIAL_LAYERS if (n := record[f"denials_{layer}"]) != "0"]
+    lines.append(f"{'denials':<{width}}  {' '.join(denials) or MISSING}")
     return "\n".join(lines)
 
 
@@ -220,78 +215,58 @@ def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
     return updated
 
 
-def _execute(scenario: Scenario, trace_out: str | None) -> RunResult:
-    result = run_scenario(scenario)
-    if trace_out:
-        Path(trace_out).write_text(result.trace_text)
-    return result
-
-
-def _mode_run(args: argparse.Namespace, out) -> int:
-    scenario = _apply_overrides(resolve_scenario(args.scenario), args)
-    result = _execute(scenario, args.trace_out)
-    record = report_record(result.report)
+def _emit(
+    args: argparse.Namespace, out, records: list[dict[str, str]], kind: str = "report", columns: tuple[str, ...] = ()
+) -> int:
+    """Print the records as machine lines, or as a table: one column row per
+    record when columns are given, else the rows of each record."""
     if args.report == "machine":
-        print(render_machine("report", record), file=out)
+        lines = [render_machine(kind, record) for record in records]
+    elif columns:
+        lines = [render_columns(records, columns)]
     else:
-        print(render_table(record), file=out)
+        lines = [render_table(record) for record in records]
+    for line in lines:
+        print(line, file=out)
     return EXIT_OK
 
 
-def emit_capability_matrix(base: Scenario, presets: tuple[str, ...] = MATRIX_ORDER) -> list[dict[str, str]]:
+def _mode_run(args: argparse.Namespace, out) -> int:
+    result = run_scenario(_apply_overrides(resolve_scenario(args.scenario), args))
+    if args.trace_out:
+        Path(args.trace_out).write_text(result.trace_text)
+    return _emit(args, out, [report_record(result.report)])
+
+
+def emit_capability_matrix(base: Scenario) -> list[dict[str, str]]:
     """Re-run the base scenario under each permission preset and report the
     verifier's (persistence, propagation) pair per row."""
     records = []
-    for preset in presets:
-        result = run_scenario(with_capabilities(base, preset))
-        records.append(
-            {
-                "config": preset,
-                "persistence": _bool(result.report.persistence),
-                "propagation": _bool(result.report.propagation),
-            }
-        )
+    for preset in MATRIX_ORDER:
+        record = report_record(run_scenario(with_capabilities(base, preset)).report)
+        records.append({"config": preset} | {c: record[c] for c in _MATRIX_COLUMNS[1:]})
     return records
 
 
 def _mode_matrix(args: argparse.Namespace, out) -> int:
     base = _apply_overrides(resolve_scenario(args.scenario or "fwA"), args)
-    records = emit_capability_matrix(base)
-    if args.report == "machine":
-        for record in records:
-            print(render_machine("matrix", record), file=out)
-    else:
-        print(render_columns(records, _MATRIX_COLUMNS), file=out)
-    return EXIT_OK
+    return _emit(args, out, emit_capability_matrix(base), "matrix", _MATRIX_COLUMNS)
 
 
 def _mode_suite(args: argparse.Namespace, out) -> int:
-    spec = load_suite(args.suite)
     records = []
-    for entry in spec.entries:
+    for entry in load_suite(args.suite).entries:
         base = resolve_scenario(entry.scenario)
-        guard = GuardMode(entry.guard)
-        enforcement = EnforcementConfig.from_names(entry.enforce, guard)
-        seeds = entry.seeds or (base.seed,)
-        for seed in seeds:
+        enforcement = EnforcementConfig.from_names(entry.enforce, GuardMode(entry.guard))
+        for seed in entry.seeds or (base.seed,):
             scenario = replace(base, enforcement=enforcement, seed=seed)
             scenario.validate()
             records.append(report_record(run_scenario(scenario).report))
-    if args.report == "machine":
-        for record in records:
-            print(render_machine("report", record), file=out)
-    else:
-        print(render_columns(records, _SUITE_COLUMNS), file=out)
-    return EXIT_OK
+    return _emit(args, out, records, columns=_SUITE_COLUMNS)
 
 
 def _mode_verify(args: argparse.Namespace, out) -> int:
-    record = report_record(build_report(Path(args.verify_trace).read_text()))
-    if args.report == "machine":
-        print(render_machine("report", record), file=out)
-    else:
-        print(render_table(record), file=out)
-    return EXIT_OK
+    return _emit(args, out, [report_record(build_report(Path(args.verify_trace).read_text()))])
 
 
 def _mode_list(out) -> int:
@@ -305,16 +280,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    modes = [
-        bool(args.list_scenarios),
-        bool(args.suite),
-        bool(args.verify_trace),
-        bool(args.capability_matrix),
-        bool(args.scenario and not args.capability_matrix),
-    ]
-    if sum(modes) == 0:
+    # --scenario alone is a mode, and with --capability-matrix names its base
+    modes = [args.list_scenarios, args.suite, args.verify_trace, args.capability_matrix or args.scenario]
+    if not any(modes):
         parser.error("one of --scenario, --suite, --capability-matrix, --verify-trace, --list-scenarios is required")
-    if sum(modes) > 1:
+    if sum(map(bool, modes)) > 1:
         parser.error("choose exactly one mode")
 
     try:
@@ -330,10 +300,7 @@ def main(argv: list[str] | None = None) -> int:
     except MediationError as exc:
         print(f"reentryguard: internal mediation gap: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (ValueError, ReentryGuardError) as exc:
-        print(f"reentryguard: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
+    except (ValueError, ReentryGuardError, OSError) as exc:
         print(f"reentryguard: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

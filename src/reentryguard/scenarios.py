@@ -39,7 +39,7 @@ from .model import (
     ReentryGuardError,
 )
 from .policy import EnforcementConfig
-from .tracelog import MISSING
+from .tracelog import agent_id, channel_name, scenario_name
 
 
 class ScenarioError(ReentryGuardError, ValueError):
@@ -371,28 +371,15 @@ def _known(universe: Callable[[_Refs], Any], what: str) -> Callable[[Any, _Refs]
     return check
 
 
-# Names the trace writes as one token must read back as themselves: not
-# empty, no whitespace, not the "-" of a missing value, and none of the
-# separators around them. An agent id is an event line column, a header token
-# and a msg_recv sender after ':'; a channel is a kind-token field and an
-# item of an agent line's comma list.
-def _token(separators: str) -> Callable[[Any, _Refs], None]:
-    return _rule(
-        lambda name, refs: name not in ("", MISSING) and not any(c.isspace() or c in separators for c in name),
-        f"{{0!r}} cannot be one trace token: it is empty or {MISSING!r}, or holds whitespace or one of {separators!r}",
-    )
-
-
-_agent_id = _token("|:")
-_channel_name = _token("|:,")
-# the scenario name is the rest of its header line
-_one_line = _rule(lambda name, refs: name.splitlines() == [name], "{0!r} is not one non-empty line")
+# names the trace carries, by the rules its header parser applies
+def _name(rule: Callable[[str], str]) -> Callable[[Any, _Refs], None]:
+    return lambda name, refs: rule(name)
 
 
 def _channel_names(names: list[str], refs: _Refs) -> None:
     _distinct(names, refs)
     for name in names:
-        _channel_name(name, refs)
+        channel_name(name)
 
 
 _channels = _known(lambda refs: refs.channels, "channels")
@@ -407,7 +394,7 @@ def _agents(agents: list[AgentProfile], refs: _Refs) -> None:
     if ATTACKER in refs.agents:
         raise ValueError(f"agent id {ATTACKER!r} is reserved")
     for agent in agents:
-        _at(agent.id, _check, agent, AGENT_KEYS, refs)
+        _at(repr(agent.id), _check, agent, AGENT_KEYS, refs)
 
 
 def _keyed(value: Callable[[Any, _Refs], None], key: Callable[[Any, _Refs], None] | None = None) -> Callable[[Any, _Refs], None]:
@@ -430,7 +417,7 @@ def _seeded(carriers: list[SeededCarrier], refs: _Refs) -> None:
 
 
 AGENT_KEYS = (
-    Key("id", _str, check=_agent_id),
+    Key("id", _str, check=_name(agent_id)),
     Key("framework", _str, "A", _framework),
     Key("privilege", _enum(Privilege), "low"),
     Key("period", _int, 1, _at_least_one, attr="heartbeat_period"),
@@ -454,7 +441,7 @@ SEEDED_KEYS = (
 )
 
 SCENARIO_KEYS = (
-    Key("name", _str, check=_one_line),
+    Key("name", _str, check=_name(scenario_name)),
     Key("seed", _int, 0),
     Key("max_ticks", _int, 10, _at_least_one),
     Key("channels", _seq(_str), check=_channel_names),

@@ -40,8 +40,9 @@ writes it (``+3``, `` 4``, ``03``, ``1_0``), a tick lower than the previous
 event line's, a sender without ``from=``, a decision/reason pair that
 ``Decision`` does not admit (``allow|rtw-re-entry``, ``deny|ok``), a repeated
 single tag, agent id or carrier id, a carrier that breaks a ``Carrier``
-invariant, a header that does not open with ``# trace-format``, and a
-header line after the column row. There a ``#`` line whose first word is
+invariant, a name that ``agent_id``, ``channel_name`` or ``scenario_name``
+refuses, a header that does not open with ``# trace-format``, and a header
+line after the column row. There a ``#`` line whose first word is
 not a header tag is a comment, which the parser skips. A header that lacks
 a single tag parses with the field ``SINGLE_FIELDS`` names None, so
 fragments parse; the verifier refuses to audit it. A line that parses is the
@@ -168,6 +169,38 @@ def _line(
     return _Line(records, render, make, re.compile(pattern), names, parses)
 
 
+# Names the trace writes as one token must read back as themselves: not
+# empty, not the "-" of a missing value, no whitespace, and none of the
+# separators around them. An agent id is an event-line column, a msg_recv
+# sender after ':' and an item of the run record's comma-joined infected=
+# list of agent@tick; a channel is a kind-token field and an item of an agent
+# line's comma list. The scenario name is the rest of its header line and
+# one '|'-separated field of the run record. The scenario schema refuses, and
+# the header parser fails closed on, a name these rules refuse.
+def _token(separators: str) -> Callable[[str], str]:
+    pattern = re.compile(rf"[^\s{re.escape(separators)}]+")
+
+    def check(name: str) -> str:
+        if name == MISSING or pattern.fullmatch(name) is None:
+            raise ValueError(
+                f"{name!r} cannot be one trace token: it is empty or {MISSING!r},"
+                f" or holds whitespace or one of {separators!r}"
+            )
+        return name
+
+    return check
+
+
+agent_id = _token("|:,@")
+channel_name = _token("|:,")
+
+
+def scenario_name(name: str) -> str:
+    if name.splitlines() != [name] or "|" in name:
+        raise ValueError(f"{name!r} is not one non-empty line without '|'")
+    return name
+
+
 # member -> token: an enum's .value is slow, and an f-string of a str-mixin
 # member writes its qualified name
 _TOKEN = {
@@ -190,7 +223,7 @@ HEADER: dict[str, _Line] = {
         lambda version: {},
         (None, "version", _VERSION),
     ),
-    "scenario": _line(None, lambda meta: meta.scenario, dict, (None, "scenario", str)),
+    "scenario": _line(None, lambda meta: meta.scenario, dict, (None, "scenario", scenario_name)),
     "seed": _line(None, lambda meta: str(meta.seed), dict, (None, "seed", _count)),
     "ticks": _line(None, lambda meta: str(meta.ticks), dict, (None, "ticks", _count)),
     "enforcement": _line(
@@ -200,7 +233,7 @@ HEADER: dict[str, _Line] = {
         *((layer, layer, _FLAG_BITS) for layer in _LAYERS),
         ("guard", "guard", _GUARDS),
     ),
-    "attacker": _line(None, lambda meta: meta.attacker, dict, (None, "attacker", str)),
+    "attacker": _line(None, lambda meta: meta.attacker, dict, (None, "attacker", agent_id)),
     "agent": _line(
         "agents",
         lambda a: (
@@ -208,10 +241,10 @@ HEADER: dict[str, _Line] = {
             f" channels={','.join(a.channels) or MISSING}"
         ),
         AgentMeta,
-        (None, "id", str),
+        (None, "id", agent_id),
         ("privilege", "privilege", _enum(Privilege)),
         ("period", "period", _count),
-        ("channels", "channels", lambda raw: [] if raw == MISSING else raw.split(",")),
+        ("channels", "channels", lambda raw: [] if raw == MISSING else list(map(channel_name, raw.split(",")))),
     ),
     "carrier": _line(
         "carriers",
@@ -223,7 +256,7 @@ HEADER: dict[str, _Line] = {
         Carrier,
         (None, "id", _count),
         ("name", "name", str),
-        ("owner", "owner", lambda raw: None if raw == MISSING else raw),
+        ("owner", "owner", lambda raw: None if raw == MISSING else agent_id(raw)),
         ("class", "cls", _enum(CarrierClass)),
         ("autoload", "autoload", _enum(AutoloadPolicy)),
         ("position", "injection", _enum(InjectionPosition)),

@@ -97,9 +97,6 @@ class RtwViolation:
 
 @dataclass
 class Report:
-    scenario: str
-    guard: str
-    flags: dict[str, bool]
     event_count: int
     safe: bool
     chains: list[ChainWitness]
@@ -309,9 +306,6 @@ def audit(meta: TraceMeta, events: Iterable[Event]) -> Report:
         layer = REASON_LAYER[reason].value
         layers[layer] = layers.get(layer, 0) + n
     return Report(
-        scenario=meta.scenario,
-        guard=meta.guard,
-        flags=dict(meta.flags),
         event_count=i + 1,
         safe=not chains,
         chains=chains,

@@ -4,7 +4,9 @@ import pytest
 
 from reentryguard import cli
 from reentryguard.cli import MATRIX_ORDER, main
-from reentryguard.policy import MediationError
+from reentryguard.policy import EnforcementConfig, MediationError
+from reentryguard.scenarios import bundled_names, load_bundled, random_scenario
+from reentryguard.sim import run_scenario
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -235,3 +237,49 @@ class TestListMode:
         assert "ablation" in out and "tables" in out
         for preset in MATRIX_ORDER:
             assert preset in out
+
+
+def assert_splits_back(split: dict[str, str], report) -> None:
+    """A split machine line is the report's record, and its infected= is the
+    report's agents and ticks."""
+    assert split == {"_kind": "report"} | cli.report_record(report)
+    infected = [] if split["infected"] == "-" else [tuple(item.split("@")) for item in split["infected"].split(",")]
+    assert infected == [(agent, str(tick)) for agent, tick in zip(report.infected, report.infection_ticks)]
+
+
+class TestRecordSplitsBack:
+    """Every machine line splits, as machine_records and the benchmark's
+    record_fields do, back into exactly the record it was rendered from."""
+
+    def _split_and_reports(self, monkeypatch, capsys, *argv: str) -> tuple[list[dict[str, str]], list]:
+        """The split machine lines of a CLI run, and the reports it recorded."""
+        reports = []
+        report_record = cli.report_record
+        monkeypatch.setattr(cli, "report_record", lambda report: reports.append(report) or report_record(report))
+        code, out, _ = run_cli(capsys, *argv, "--report", "machine")
+        assert code == 0
+        monkeypatch.undo()
+        return machine_records(out), reports
+
+    @pytest.mark.parametrize("suite", ["tables", "ablation"])
+    def test_suites(self, suite, monkeypatch, capsys):
+        split, reports = self._split_and_reports(monkeypatch, capsys, "--suite", suite)
+        assert len(split) == len(reports)
+        for line, report in zip(split, reports):
+            assert_splits_back(line, report)
+
+    @pytest.mark.parametrize("name", bundled_names())
+    @pytest.mark.parametrize("enforce", ["none", "all"])
+    def test_bundled(self, name, enforce, monkeypatch, capsys):
+        (split,), (report,) = self._split_and_reports(monkeypatch, capsys, "--scenario", name, "--enforce", enforce)
+        assert_splits_back(split, report)
+
+    def test_matrix(self, capsys):
+        split = machine_records(run_cli(capsys, "--capability-matrix", "--report", "machine")[1])
+        assert split == [{"_kind": "matrix"} | record for record in cli.emit_capability_matrix(load_bundled("fwA"))]
+
+    def test_fuzz_seeds_fully_enforced(self):
+        for seed in range(200):
+            report = run_scenario(random_scenario(seed, EnforcementConfig.all_enabled())).report
+            (split,) = machine_records(cli.render_machine("report", cli.report_record(report)))
+            assert_splits_back(split, report)

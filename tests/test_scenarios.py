@@ -250,13 +250,18 @@ MALFORMED = {
     "leases-as-a-list": ("task_leases", {"task_leases": [1, 2]}, {}),
     "strengths-as-a-list": ("transform_strength", {"transform_strength": [1]}, {}),
     "nested-capability-list": ("capabilities", {}, {"capabilities": [["shell"]]}),
-    # names the trace cannot carry: "-" reads back as a missing value (an
-    # owner of "-" is no owner, so hops drop), "|" splits the event columns,
-    # ":" the kind token, "," an agent line's channel list, whitespace the
-    # header tokens, and a line break the scenario's header line
+    # names the trace or the machine record cannot carry: "-" reads back as a
+    # missing value (an owner of "-" is no owner, so hops drop), "|" splits
+    # the event columns and the record's fields, ":" the kind token, "," an
+    # agent line's channel list and the record's infected= list, "@" an
+    # infected= item, whitespace the header tokens, and a line break the
+    # scenario's header line
     **{
         f"agent-id-{label}": ("id", {}, {"id": bad})
-        for label, bad in {"dash": "-", "empty": "", "pipe": "a|b", "space": "a b", "tab": "a\tb", "colon": "a:b"}.items()
+        for label, bad in {
+            "dash": "-", "empty": "", "pipe": "a|b", "space": "a b", "tab": "a\tb", "colon": "a:b",
+            "comma": "a,b", "at": "x@1",
+        }.items()
     },
     **{
         f"channel-{label}": ("channels", {"channels": [bad]}, {"channels": [bad]})
@@ -266,7 +271,9 @@ MALFORMED = {
     },
     **{
         f"name-{label}": ("name", {"name": bad}, {})
-        for label, bad in {"empty": "", "newline": "a\nb", "return": "a\rb", "line-separator": "a\u2028b"}.items()
+        for label, bad in {
+            "empty": "", "newline": "a\nb", "return": "a\rb", "line-separator": "a\u2028b", "pipe": "a|b",
+        }.items()
     },
 }
 
@@ -283,9 +290,18 @@ class TestMalformedInputs:
         assert cli.main(["--scenario", str(path)]) == 2
         assert f"{key}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["", "a\tb"], ids=["empty", "tab"])
+    def test_agent_error_quotes_the_id(self, bad):
+        data = minimal()
+        data["agents"][0]["id"] = bad
+        with pytest.raises(ScenarioError) as refused:
+            scenario_from_dict(data)
+        assert str(refused.value).startswith(f"agents: {bad!r}: id: ")
+        assert "\t" not in str(refused.value)
+
     @pytest.mark.parametrize(
         "agent,channel,name",
-        [("a,b", "c=1", "a|b"), ("#a", "#c", " two words "), ("a=b", "c.1", "-")],
+        [("#a", "#c", " two words "), ("a=b", "c.1", "-"), ("a.b", "c=1", "a,b@c=d")],
     )
     def test_unusual_names_the_trace_carries_load_and_read_back(self, agent, channel, name):
         """Names a trace can carry still load, and audit as their plain twin."""
@@ -339,6 +355,15 @@ class TestReadme:
         assert set(doc) == {k.name for k in SUITE_KEYS}
         assert set(doc["entries"][0]) == {k.name for k in SUITE_ENTRY_KEYS}
         assert suite_from_dict(doc).name == "demo"
+
+
+class TestReadmeRecord:
+    """The README's machine-record list names exactly cli.RECORD's fields."""
+
+    def test_machine_records_section_names_the_record_fields(self):
+        section = TestReadme.README.read_text().split("### Machine records", 1)[1].split("\n## ", 1)[0]
+        listed = [line.split("`")[1] for line in section.splitlines() if line.startswith("- `")]
+        assert listed == [f.name for f in cli.RECORD]
 
 
 class TestFileLoading:

@@ -281,6 +281,30 @@ class TestHeaderRefusals:
         assert parse_trace(commented) == parse_trace(text)
         assert build_report(commented) == build_report(text)
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("# scenario fwA", "# scenario fw|A"),
+            ("# agent a1 ", "# agent a,1 "),
+            ("# agent a1 ", "# agent x@1 "),
+            (" owner=a1 ", " owner=a,1 "),
+            (" owner=a1 ", " owner=x@1 "),
+            ("# attacker attacker", "# attacker at,tacker"),
+            (" channels=c0", " channels=c:0"),
+        ],
+        ids=["scenario-pipe", "agent-comma", "agent-at", "owner-comma", "owner-at", "attacker-comma", "channel-colon"],
+    )
+    def test_names_that_would_split_the_record(self, old, new, bundled, tmp_path):
+        """The names the scenario schema refuses because they would split a
+        machine record are refused in a header too, never printed."""
+        lines = bundled("fwA").trace_text.splitlines()
+        at = next(i for i, line in enumerate(lines) if old in line)
+        lines[at] = lines[at].replace(old, new, 1)
+        text = "\n".join(lines) + "\n"
+        with pytest.raises(TraceFormatError, match=rf"^line {at + 1}: bad header "):
+            parse_trace(text)
+        _refused(text, tmp_path, rf"^line {at + 1}: ")
+
     def test_carrier_lines_without_owner(self, bundled, tmp_path):
         text = "".join(
             " ".join(part for part in line.split(" ") if not part.startswith("owner="))
@@ -406,7 +430,7 @@ class TestTraceRoundTrip:
     def test_scenario_name_with_spaces_round_trips(self):
         result = run_scenario(replace(load_bundled("fwA"), name="fwA with spaces"))
         assert parse_trace(result.trace_text)[0].scenario == "fwA with spaces"
-        assert result.report.scenario == "fwA with spaces"
+        assert result.report.meta.scenario == "fwA with spaces"
 
     def test_header_flags_round_trip(self, bundled):
         meta, _ = parse_trace(bundled("fwA", enforce="rtw,seal").trace_text)
