@@ -20,7 +20,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
-from .model import GuardMode, ReentryGuardError
+from .model import GuardMode, Layer, ReentryGuardError
 from .policy import LAYER_NAMES, EnforcementConfig, MediationError
 from .scenarios import (
     CAPABILITY_PRESETS,
@@ -107,7 +107,7 @@ class _Field(NamedTuple):
         return ("1" if value else "0") if self.flag else str(value)
 
 
-_DENIAL_LAYERS = (*LAYER_NAMES, "none")
+_DENIAL_LAYERS = tuple(layer.value for layer in Layer)
 
 # The machine fields, in record order. A record line splits on "|" into
 # fields, each field on its first "=", and infected= on "," and "@": the

@@ -235,9 +235,10 @@ class Reason(str, Enum):
     NOT_MEDIATED_LOWRISK = "not-mediated-lowrisk"
 
 
+# the enforcement layers in record order, then the layer an allow blames
 class Layer(str, Enum):
-    SEAL = "seal"
     RTW = "rtw"
+    SEAL = "seal"
     MEMGATE = "memgate"
     ATTENUATION = "attenuation"
     NONE = "none"

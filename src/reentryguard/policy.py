@@ -36,6 +36,7 @@ from .model import (
     Event,
     EventKind,
     GuardMode,
+    Layer,
     Reason,
     ReentryGuardError,
 )
@@ -51,7 +52,7 @@ class MediationError(ReentryGuardError):
 # enforcement configuration
 # ---------------------------------------------------------------------------
 
-LAYER_NAMES = ("rtw", "seal", "memgate", "attenuation")
+LAYER_NAMES = tuple(layer.value for layer in Layer if layer is not Layer.NONE)
 
 
 @dataclass(frozen=True)

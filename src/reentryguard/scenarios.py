@@ -386,6 +386,11 @@ _channels = _known(lambda refs: refs.channels, "channels")
 _capabilities = _known(lambda refs: Capability.ALL, "capabilities")
 
 
+def _agent_channels(names: tuple[str, ...], refs: _Refs) -> None:
+    _distinct(names, refs)
+    _channels(names, refs)
+
+
 def _agents(agents: list[AgentProfile], refs: _Refs) -> None:
     if not agents:
         raise ValueError("at least one agent is required")
@@ -421,7 +426,7 @@ AGENT_KEYS = (
     Key("framework", _str, "A", _framework),
     Key("privilege", _enum(Privilege), "low"),
     Key("period", _int, 1, _at_least_one, attr="heartbeat_period"),
-    Key("channels", _seq(_str, tuple), [], _channels),
+    Key("channels", _seq(_str, tuple), [], _agent_channels),
     Key("compliance", _compliance, {}, _keyed(_policy_ok)),
     Key("capabilities", _parse_capabilities, "full", _capabilities),
 )

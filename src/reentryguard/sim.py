@@ -1,12 +1,13 @@
 """Deterministic multi-agent ecosystem simulator.
 
-Time is a logical tick counter. Within a tick the order is fixed: scheduled
-resets and declassifications, message deliveries (channels sorted, messages
-FIFO, receivers sorted), the attacker injection if due, then heartbeat turns
-for every agent whose period divides the tick. Tick 0 is setup: session-start
-reads plus the injection when it is scheduled at 0. Two runs of the same
-scenario must serialize byte-identical traces; the only randomness is the
-seeded draw behind Bernoulli compliance policies.
+Time is a logical tick counter, and run() walks ticks 0..max_ticks in one
+loop. Tick 0 is setup: session-start reads in agent order, then the attacker
+injection when it is scheduled at 0. Within every later tick the order is
+fixed: scheduled resets and declassifications, delivery of last tick's queue
+(channels sorted, messages FIFO, receivers sorted), the injection if due,
+then heartbeat turns for every agent whose period divides the tick. Two runs
+of the same scenario must serialize byte-identical traces; the only
+randomness is the seeded draw behind Bernoulli compliance policies.
 
 Agent behavior is a fixed policy, not a model call. On facet-bearing content
 the agent complies with (per the injection position of where the content
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import Any
 
 from . import verifier as verifier_mod
 from .memgate import Lease, MemoryCandidate, MemoryStores, default_policy
@@ -52,7 +52,7 @@ from .model import (
     Trace,
 )
 from .policy import MediationContext, mediate
-from .scenarios import FRAMEWORKS, AgentProfile, Capability, Scenario, SeededCarrier
+from .scenarios import FRAMEWORKS, AgentProfile, Capability, Injection, Scenario, SeededCarrier
 from .taint import (
     AgentDecisionState,
     content_label,
@@ -91,26 +91,15 @@ def transform_payload(facets: PayloadFacets, strength: int) -> PayloadFacets:
 
 @dataclass
 class AgentCarrierSet:
-    config_id: int
-    heartbeat_id: int
-    task_id: int
-    memory_id: int
-    all_ids: list[int]
+    """The carriers an agent's turns act on, and what it reads when.
+    Autoload is fixed at construction, so the read lists are too."""
 
-
-@dataclass
-class Message:
-    sender: str
-    channel: str
-    facets: PayloadFacets
-    label: TaintLabel
-
-
-@dataclass
-class _TurnSource:
-    facets: PayloadFacets
-    position: InjectionPosition
-    label: TaintLabel
+    config: Carrier
+    memory: Carrier
+    heartbeat: Carrier
+    task: Carrier
+    session_reads: list[Carrier]
+    heartbeat_reads: list[Carrier]  # in carrier id order
 
 
 class Ecosystem:
@@ -120,20 +109,19 @@ class Ecosystem:
         self.config = scenario.enforcement
         self.rng = random.Random(scenario.seed)
         self.trace = Trace()
-        self.agents: dict[str, AgentProfile] = {a.id: a for a in scenario.agents}
-        self.agent_order = sorted(self.agents)
+        # agent order, here and in every loop over agents, is id order
+        self.agents: dict[str, AgentProfile] = {a.id: a for a in sorted(scenario.agents, key=lambda a: a.id)}
         self.states: dict[str, AgentDecisionState] = {}
         self.stores: dict[str, MemoryStores] = {}
         self.carriers: dict[int, Carrier] = {}
         self.carrier_sets: dict[str, AgentCarrierSet] = {}
-        self.channel_source: dict[str, int] = {}
-        self.channel_log: dict[str, int] = {}
-        # agent -> sorted ids of the carriers its heartbeat turn reads
-        self.heartbeat_read_ids: dict[str, list[int]] = {}
+        # channel -> its external feed, and its shared log
+        self.feeds: dict[str, Carrier] = {}
+        self.logs: dict[str, Carrier] = {}
         self.leases: list[Lease] = []
-        self.queued: dict[str, list[Message]] = {ch: [] for ch in scenario.channels}
+        # channel -> the effective msg_send and inject events for next tick
+        self.queued: dict[str, list[Event]] = {ch: [] for ch in scenario.channels}
         self.candidate_submitted: set[str] = set()
-        self._next_carrier = 1
         self._build()
         # one context for the whole run: mediate() sees every later change
         # because the simulator mutates these containers in place
@@ -144,69 +132,74 @@ class Ecosystem:
             leases=self.leases,
             promotion_policy=PROMOTION_POLICY,
         )
+        # the header: initial labels, copied before run() changes them; the
+        # header carries no content
+        self.meta = TraceMeta(
+            scenario=scenario.name,
+            seed=scenario.seed,
+            ticks=scenario.max_ticks,
+            flags=self.config.flags(),
+            guard=self.config.guard_mode.value,
+            attacker=ATTACKER,
+            agents=[AgentMeta(p.id, p.privilege, p.heartbeat_period, list(p.channels)) for p in self.agents.values()],
+            carriers=[Carrier(**vars(c) | {"content": None}) for c in self.carriers.values()],
+        )
 
     # -- construction -------------------------------------------------------
 
-    def _carrier(self, **fields: Any) -> int:
-        """Register a new carrier under the next id."""
-        cid = self._next_carrier
-        self._next_carrier += 1
-        self.carriers[cid] = Carrier(id=cid, **fields)
-        return cid
-
-    def _slot_carrier(
+    def _carrier(
         self,
         name: str,
         cls: CarrierClass,
         autoload: AutoloadPolicy,
-        owner: str,
-        seed: SeededCarrier | None,
-    ) -> int:
-        """An agent-local, user-prompt carrier; a seeded slot starts as
+        owner: str | None,
+        seed: SeededCarrier | None = None,
+        injection: InjectionPosition = InjectionPosition.USER_PROMPT,
+        scope: CarrierScope = CarrierScope.AGENT_LOCAL,
+        label: TaintLabel = TaintLabel.CLEAN,
+    ) -> Carrier:
+        """Register a carrier under the next id. A seeded slot starts as
         external content carrying the seed's facets."""
-        return self._carrier(
+        carrier = Carrier(
+            id=len(self.carriers) + 1,
             name=name,
             cls=cls,
             owner=owner,
-            injection=InjectionPosition.USER_PROMPT,
+            injection=injection,
             autoload=autoload,
-            scope=CarrierScope.AGENT_LOCAL,
-            label=TaintLabel.EXTERNAL if seed else TaintLabel.CLEAN,
+            scope=scope,
+            label=TaintLabel.EXTERNAL if seed else label,
             content=seed.facets if seed else None,
         )
+        self.carriers[carrier.id] = carrier
+        return carrier
 
     def _build(self) -> None:
         seeded = {(sc.agent, sc.slot): sc for sc in self.scenario.seeded_carriers}
-        for agent_id in self.agent_order:
-            profile = self.agents[agent_id]
+        for agent_id, profile in self.agents.items():
             fw = FRAMEWORKS[profile.framework]
-            config_id = self._carrier(
-                name=f"{agent_id}.identity",
-                cls=CarrierClass.STATIC_CONFIG,
-                owner=agent_id,
+            config = self._carrier(
+                f"{agent_id}.identity",
+                CarrierClass.STATIC_CONFIG,
+                AutoloadPolicy.SESSION_START,
+                agent_id,
                 injection=InjectionPosition.SYSTEM_PROMPT,
-                autoload=AutoloadPolicy.SESSION_START,
-                scope=CarrierScope.AGENT_LOCAL,
             )
-
-            memory_id = self._carrier(
-                name=f"{agent_id}.memory",
-                cls=CarrierClass.TRUSTED_MEMORY,
-                owner=agent_id,
+            memory = self._carrier(
+                f"{agent_id}.memory",
+                CarrierClass.TRUSTED_MEMORY,
+                AutoloadPolicy.HEARTBEAT,
+                agent_id,
                 injection=fw.memory_position,
-                autoload=AutoloadPolicy.HEARTBEAT,
-                scope=CarrierScope.AGENT_LOCAL,
             )
-
-            heartbeat_id = self._slot_carrier(
+            heartbeat = self._carrier(
                 f"{agent_id}.taskfile",
                 CarrierClass.WORKSPACE_FILE,
                 AutoloadPolicy.HEARTBEAT,
                 agent_id,
                 seeded.get((agent_id, "heartbeat")),
             )
-
-            task_id = self._slot_carrier(
+            task = self._carrier(
                 f"{agent_id}.taskstate",
                 CarrierClass.TASK_LOCAL_STATE,
                 AutoloadPolicy.HEARTBEAT,
@@ -216,10 +209,10 @@ class Ecosystem:
 
             # pad with inert on-demand workspace files so the injectable
             # surface matches the framework shape
-            ids = [config_id, memory_id, heartbeat_id, task_id]
-            for i in range(fw.system_carriers + fw.user_carriers - len(ids)):
-                ids.append(
-                    self._slot_carrier(
+            carriers = [config, memory, heartbeat, task]
+            for i in range(fw.system_carriers + fw.user_carriers - len(carriers)):
+                carriers.append(
+                    self._carrier(
                         f"{agent_id}.notes{i}",
                         CarrierClass.WORKSPACE_FILE,
                         AutoloadPolicy.ON_DEMAND,
@@ -229,11 +222,12 @@ class Ecosystem:
                 )
 
             self.carrier_sets[agent_id] = AgentCarrierSet(
-                config_id=config_id,
-                heartbeat_id=heartbeat_id,
-                task_id=task_id,
-                memory_id=memory_id,
-                all_ids=ids,
+                config=config,
+                memory=memory,
+                heartbeat=heartbeat,
+                task=task,
+                session_reads=[c for c in carriers if c.autoload is AutoloadPolicy.SESSION_START],
+                heartbeat_reads=[c for c in carriers if c.autoload is AutoloadPolicy.HEARTBEAT],
             )
             # file writes and messages are high-risk at any privilege, shell
             # and network only at high privilege
@@ -244,44 +238,32 @@ class Ecosystem:
             self.stores[agent_id] = MemoryStores()
             lease = self.scenario.task_leases.get(agent_id)
             if lease is not None:
-                self.leases.append(Lease(carrier_id=task_id, t0=lease[0], t1=lease[1]))
+                self.leases.append(Lease(carrier_id=task.id, t0=lease[0], t1=lease[1]))
 
         for ch in self.scenario.channels:
-            self.channel_source[ch] = self._carrier(
-                name=f"{ch}.feed",
-                cls=CarrierClass.EXTERNAL_SOURCE,
-                owner=None,
-                injection=InjectionPosition.USER_PROMPT,
-                autoload=AutoloadPolicy.NEVER,
+            self.feeds[ch] = self._carrier(
+                f"{ch}.feed",
+                CarrierClass.EXTERNAL_SOURCE,
+                AutoloadPolicy.NEVER,
+                None,
                 scope=CarrierScope.SHARED_CROSS_AGENT,
                 label=TaintLabel.EXTERNAL,
             )
-            self.channel_log[ch] = self._carrier(
-                name=f"{ch}.log",
-                cls=CarrierClass.SHARED_CHANNEL_LOG,
-                owner=None,
-                injection=InjectionPosition.USER_PROMPT,
-                autoload=(
-                    AutoloadPolicy.HEARTBEAT
-                    if ch in self.scenario.heartbeat_log_channels
-                    else AutoloadPolicy.NEVER
-                ),
+            self.logs[ch] = self._carrier(
+                f"{ch}.log",
+                CarrierClass.SHARED_CHANNEL_LOG,
+                AutoloadPolicy.HEARTBEAT if ch in self.scenario.heartbeat_log_channels else AutoloadPolicy.NEVER,
+                None,
                 scope=CarrierScope.SHARED_CROSS_AGENT,
             )
 
-        # autoload is fixed at construction, so each agent's heartbeat read
-        # list is too
-        for agent_id in self.agent_order:
-            read_ids = [
-                cid
-                for cid in self.carrier_sets[agent_id].all_ids
-                if self.carriers[cid].autoload is AutoloadPolicy.HEARTBEAT
+        # the logs come after every agent's own carriers, in channel order,
+        # so each heartbeat read list stays in carrier id order
+        for agent_id, cset in self.carrier_sets.items():
+            channels = self.agents[agent_id].channels
+            cset.heartbeat_reads += [
+                log for ch, log in self.logs.items() if ch in channels and log.autoload is AutoloadPolicy.HEARTBEAT
             ]
-            for ch in self.agents[agent_id].channels:
-                log = self.carriers[self.channel_log[ch]]
-                if log.autoload is AutoloadPolicy.HEARTBEAT:
-                    read_ids.append(log.id)
-            self.heartbeat_read_ids[agent_id] = sorted(read_ids)
 
     # -- mediation plumbing --------------------------------------------------
 
@@ -334,13 +316,15 @@ class Ecosystem:
             exfil=exfil,
         )
         if self._mediated(ev):
-            self._queue_message(Message(sender=agent, channel=channel, facets=facets, label=ev.label))
+            self._queue_message(ev)
 
-    def _queue_message(self, msg: Message) -> None:
+    def _queue_message(self, msg: Event) -> None:
+        """Queue an effective msg_send or an inject; the channel's log keeps
+        its label and facets."""
         self.queued[msg.channel].append(msg)
-        log = self.carriers[self.channel_log[msg.channel]]
+        log = self.logs[msg.channel]
         if msg.label.untrusted and not log.label.untrusted:
-            log.label = TaintLabel.TAINTED if msg.sender == ATTACKER else TaintLabel.TAINTED_DERIVED
+            log.label = TaintLabel.TAINTED if msg.agent == ATTACKER else TaintLabel.TAINTED_DERIVED
         if msg.facets.any:
             if log.content is None:
                 log.content = msg.facets
@@ -358,9 +342,7 @@ class Ecosystem:
             self.states[agent] = mark_contamination(state)
         return True
 
-    def _message_turn(self, tick: int, agent: str, msg: Message, delivered: PayloadFacets) -> None:
-        profile = self.agents[agent]
-        src = self.carriers[self.channel_source[msg.channel]]
+    def _message_turn(self, tick: int, agent: str, msg: Event, delivered: PayloadFacets) -> None:
         self.trace.append_event(
             Event(
                 tick=tick,
@@ -369,23 +351,24 @@ class Ecosystem:
                 channel=msg.channel,
                 facets=delivered,
                 label=msg.label,
-                sender=msg.sender,
+                sender=msg.agent,
             )
         )
         was_clean = not self.states[agent].contaminated
-        if not self._exposed_read(tick, agent, src, msg.label):
+        if not self._exposed_read(tick, agent, self.feeds[msg.channel], msg.label):
             return
-        if not profile.complies(InjectionPosition.USER_PROMPT, self.rng):
+        if not self.agents[agent].complies(InjectionPosition.USER_PROMPT, self.rng):
             return
         self._act_on_payload(tick, agent, was_clean, delivered, msg.label)
 
-    def _heartbeat_reads(self, tick: int, agent: str) -> list[_TurnSource]:
-        sources: list[_TurnSource] = []
+    def _heartbeat_reads(self, tick: int, agent: str) -> list[tuple[Carrier, PayloadFacets]]:
+        """The carriers the turn read with effect, each with the facets it
+        surfaced."""
+        sources: list[tuple[Carrier, PayloadFacets]] = []
         cset = self.carrier_sets[agent]
         store = self.stores[agent]
-        for cid in self.heartbeat_read_ids[agent]:
-            carrier = self.carriers[cid]
-            if cid != cset.memory_id:
+        for carrier in cset.heartbeat_reads:
+            if carrier is not cset.memory:
                 facets = carrier.content if carrier.content is not None else PayloadFacets.none()
             elif self.config.memgate:
                 # gated render: typed projection only, facets never surface
@@ -401,7 +384,7 @@ class Ecosystem:
                     if cand.content is not None:
                         facets = facets.union(cand.content)
             if self._exposed_read(tick, agent, carrier, carrier.label):
-                sources.append(_TurnSource(facets, carrier.injection, carrier.label))
+                sources.append((carrier, facets))
         return sources
 
     def _heartbeat_turn(self, tick: int, agent: str) -> None:
@@ -411,14 +394,13 @@ class Ecosystem:
 
         # routine config validity probe: opaque, so any label is fine and
         # nothing enters the decision context
-        config_carrier = self.carriers[cset.config_id]
         self._mediated(
             Event(
                 tick=tick,
                 agent=agent,
                 kind=EventKind.OPAQUE_READ,
-                carrier_id=config_carrier.id,
-                label=config_carrier.label,
+                carrier_id=cset.config.id,
+                label=cset.config.label,
             )
         )
 
@@ -426,27 +408,24 @@ class Ecosystem:
         sources = self._heartbeat_reads(tick, agent)
 
         # routine task bookkeeping under lease; a compromised agent's turn is
-        # payload-driven, so only clean agents keep their routine
+        # payload-driven, so only clean agents keep their routine. A clean
+        # write of no facets changes no label, so each source below still
+        # has the label its read saw.
         if Capability.FILE_WRITE in profile.capabilities and not self.states[agent].contaminated:
-            self._write(tick, agent, self.carriers[cset.task_id], PayloadFacets.none(), TaintLabel.CLEAN)
+            self._write(tick, agent, cset.task, PayloadFacets.none(), TaintLabel.CLEAN)
 
-        complied: list[_TurnSource] = []
-        decided: dict[InjectionPosition, bool] = {}
-        for source in sources:
-            if not source.facets.any:
-                continue
-            if source.position not in decided:
-                decided[source.position] = profile.complies(source.position, self.rng)
-            if decided[source.position]:
-                complied.append(source)
-        if not complied:
-            return
         facets = PayloadFacets.none()
         origin = TaintLabel.CLEAN
-        for source in complied:
-            facets = facets.union(source.facets)
-            if origin is TaintLabel.CLEAN and source.label.untrusted:
-                origin = source.label
+        decided: dict[InjectionPosition, bool] = {}
+        for carrier, read in sources:
+            if not read.any:
+                continue
+            if carrier.injection not in decided:
+                decided[carrier.injection] = profile.complies(carrier.injection, self.rng)
+            if decided[carrier.injection]:
+                facets = facets.union(read)
+                if origin is TaintLabel.CLEAN and carrier.label.untrusted:
+                    origin = carrier.label
         self._act_on_payload(tick, agent, was_clean, facets, origin)
 
     def _act_on_payload(
@@ -465,13 +444,13 @@ class Ecosystem:
         can_send = Capability.MESSAGING in profile.capabilities
 
         if facets.persist and was_clean and can_write:
-            self._write(tick, agent, self.carriers[cset.heartbeat_id], facets, origin)
+            self._write(tick, agent, cset.heartbeat, facets, origin)
 
         if not self.states[agent].contaminated:
             return
 
         if facets.persist and can_write:
-            self._write(tick, agent, self.carriers[cset.config_id], facets, origin)
+            self._write(tick, agent, cset.config, facets, origin)
 
         # persistent memory lives in storage too: without the file-write
         # permission there is nothing to admit into
@@ -500,7 +479,7 @@ class Ecosystem:
             )
             if self._mediated(ev):
                 store.admit(candidate.id, tick)
-                self.carriers[cset.memory_id].label = ev.label
+                cset.memory.label = ev.label
 
         if facets.propagate and can_send:
             for ch in sorted(profile.channels):
@@ -518,36 +497,22 @@ class Ecosystem:
                 self._mediated(ev)
             exfil_ch = self.scenario.exfil_channel
             if exfil_ch is not None and exfil_ch in profile.channels and can_send:
-                config_carrier = self.carriers[cset.config_id]
-                self._exposed_read(tick, agent, config_carrier, config_carrier.label)
+                self._exposed_read(tick, agent, cset.config, cset.config.label)
                 self._send(tick, agent, exfil_ch, facets, origin, exfil=True)
 
     # -- per-tick schedule ----------------------------------------------------
 
-    def _session_start(self) -> None:
-        for agent in self.agent_order:
-            for cid in self.carrier_sets[agent].all_ids:
-                carrier = self.carriers[cid]
-                if carrier.autoload is AutoloadPolicy.SESSION_START:
-                    self._exposed_read(0, agent, carrier, carrier.label)
-
-    def _inject(self, tick: int) -> None:
-        injection = self.scenario.injection
-        assert injection is not None
-        facets = injection.facets
-        self.trace.append_event(
-            Event(
-                tick=tick,
-                agent=ATTACKER,
-                kind=EventKind.INJECT,
-                channel=injection.channel,
-                facets=facets,
-                label=TaintLabel.TAINTED,
-            )
+    def _inject(self, tick: int, injection: Injection) -> None:
+        ev = Event(
+            tick=tick,
+            agent=ATTACKER,
+            kind=EventKind.INJECT,
+            channel=injection.channel,
+            facets=injection.facets,
+            label=TaintLabel.TAINTED,
         )
-        self._queue_message(
-            Message(sender=ATTACKER, channel=injection.channel, facets=facets, label=TaintLabel.TAINTED)
-        )
+        self.trace.append_event(ev)
+        self._queue_message(ev)
 
     def _deliver(self, tick: int) -> None:
         to_deliver = {ch: msgs for ch, msgs in self.queued.items() if msgs}
@@ -555,11 +520,9 @@ class Ecosystem:
         for ch in sorted(to_deliver):
             strength = self.scenario.transform_strength.get(ch, self.scenario.transform_default)
             for msg in to_deliver[ch]:
-                delivered = msg.facets if msg.sender == ATTACKER else transform_payload(msg.facets, strength)
-                for agent in self.agent_order:
-                    if agent == msg.sender:
-                        continue
-                    if ch in self.agents[agent].channels:
+                delivered = msg.facets if msg.agent == ATTACKER else transform_payload(msg.facets, strength)
+                for agent, profile in self.agents.items():
+                    if agent != msg.agent and ch in profile.channels:
                         self._message_turn(tick, agent, msg, delivered)
 
     def _scheduled_maintenance(self, tick: int) -> None:
@@ -569,7 +532,7 @@ class Ecosystem:
                 self.states[agent] = context_reset(self.states[agent])
         for agent, when in self.scenario.declassify_carrier_of:
             if when == tick:
-                carrier = self.carriers[self.carrier_sets[agent].heartbeat_id]
+                carrier = self.carrier_sets[agent].heartbeat
                 ev = Event(
                     tick=tick,
                     agent=agent,
@@ -581,47 +544,23 @@ class Ecosystem:
                 if self._mediated(ev):
                     declassify_carrier(carrier, Authorizer.RUNTIME)
 
-    def step(self, tick: int) -> None:
-        """Advance one tick: scheduled maintenance, delivery of last tick's
-        queue, injection when due, then heartbeat turns in agent order."""
-        injection = self.scenario.injection
-        self._scheduled_maintenance(tick)
-        self._deliver(tick)
-        if injection is not None and injection.tick == tick:
-            self._inject(tick)
-        for agent in self.agent_order:
-            if tick % self.agents[agent].heartbeat_period == 0:
-                self._heartbeat_turn(tick, agent)
-
     def run(self) -> Trace:
+        """Run ticks 0..max_ticks in the order the module docstring gives."""
         injection = self.scenario.injection
-        self._session_start()
-        if injection is not None and injection.tick == 0:
-            self._inject(0)
-        for tick in range(1, self.scenario.max_ticks + 1):
-            self.step(tick)
+        for tick in range(self.scenario.max_ticks + 1):
+            if tick == 0:
+                for agent, cset in self.carrier_sets.items():
+                    for carrier in cset.session_reads:
+                        self._exposed_read(0, agent, carrier, carrier.label)
+            else:
+                self._scheduled_maintenance(tick)
+                self._deliver(tick)
+            if injection is not None and injection.tick == tick:
+                self._inject(tick, injection)
+            for agent, profile in self.agents.items():
+                if tick and tick % profile.heartbeat_period == 0:
+                    self._heartbeat_turn(tick, agent)
         return self.trace
-
-    def trace_meta(self) -> TraceMeta:
-        agents = [
-            AgentMeta(p.id, p.privilege, p.heartbeat_period, list(p.channels))
-            for p in map(self.agents.get, self.agent_order)
-        ]
-        # copies, as labels change during the run; the header carries no content
-        carriers = [
-            Carrier(**vars(self.carriers[cid]) | {"content": None})
-            for cid in sorted(self.carriers)
-        ]
-        return TraceMeta(
-            scenario=self.scenario.name,
-            seed=self.scenario.seed,
-            ticks=self.scenario.max_ticks,
-            flags=self.config.flags(),
-            guard=self.config.guard_mode.value,
-            attacker=ATTACKER,
-            agents=agents,
-            carriers=carriers,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -641,9 +580,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
     from the serialized text, never from live simulator state, so everything
     in it is reproducible from the trace file alone."""
     eco = Ecosystem(scenario)
-    # the initial-label snapshot must be taken before the run mutates labels
-    meta = eco.trace_meta()
     trace = eco.run()
-    text = render_trace(trace, meta)
+    text = render_trace(trace, eco.meta)
     report = verifier_mod.build_report(text)
     return RunResult(trace=trace, trace_text=text, report=report)

@@ -39,14 +39,14 @@ key out of order, a negative tick, an integer not written as ``str(int)``
 writes it (``+3``, `` 4``, ``03``, ``1_0``), a tick lower than the previous
 event line's, a sender without ``from=``, a decision/reason pair that
 ``Decision`` does not admit (``allow|rtw-re-entry``, ``deny|ok``), a repeated
-single tag, agent id or carrier id, a carrier that breaks a ``Carrier``
-invariant, a name that ``agent_id``, ``channel_name`` or ``scenario_name``
-refuses, a header that does not open with ``# trace-format``, and a header
-line after the column row. There a ``#`` line whose first word is
-not a header tag is a comment, which the parser skips. A header that lacks
-a single tag parses with the field ``SINGLE_FIELDS`` names None, so
-fragments parse; the verifier refuses to audit it. A line that parses is the
-line render writes for it. Decisions are the model's shared ``DECISIONS``
+single tag, agent id, carrier id or channel of one agent line, a carrier
+that breaks a ``Carrier`` invariant, a name that ``agent_id``,
+``channel_name`` or ``scenario_name`` refuses, a header that does not open
+with ``# trace-format``, and a header line after the column row. There a
+``#`` line whose first word is not a header tag is a comment, which the
+parser skips. A header that lacks a single tag parses with the field
+``SINGLE_FIELDS`` names None, so fragments parse; the verifier refuses to
+audit it. A line that parses is the line render writes for it. Decisions are the model's shared ``DECISIONS``
 objects.
 
 Most event lines repeat an earlier line but for the tick, so each
@@ -195,6 +195,13 @@ agent_id = _token("|:,@")
 channel_name = _token("|:,")
 
 
+def _channel_list(raw: str) -> list[str]:  # an agent line's channels=
+    channels = [] if raw == MISSING else list(map(channel_name, raw.split(",")))
+    if len(set(channels)) != len(channels):
+        raise ValueError(f"repeated channel in {raw!r}")
+    return channels
+
+
 def scenario_name(name: str) -> str:
     if name.splitlines() != [name] or "|" in name:
         raise ValueError(f"{name!r} is not one non-empty line without '|'")
@@ -244,7 +251,7 @@ HEADER: dict[str, _Line] = {
         (None, "id", agent_id),
         ("privilege", "privilege", _enum(Privilege)),
         ("period", "period", _count),
-        ("channels", "channels", lambda raw: [] if raw == MISSING else list(map(channel_name, raw.split(",")))),
+        ("channels", "channels", _channel_list),
     ),
     "carrier": _line(
         "carriers",

@@ -62,23 +62,6 @@ def _risky_carrier_ids(meta) -> set[int]:
     }
 
 
-def _contaminated_flags(events, meta) -> list[bool]:
-    state: dict[str, bool] = {}
-    out = []
-    for ev in events:
-        out.append(state.get(ev.agent, False))
-        if (
-            ev.kind is EventKind.EXPOSED_READ
-            and is_effective(ev, meta)
-            and ev.label is not None
-            and ev.label.untrusted
-        ):
-            state[ev.agent] = True
-        elif ev.kind is EventKind.CONTEXT_RESET:
-            state[ev.agent] = False
-    return out
-
-
 def test_criterion_01_attack_reproduction():
     with criterion(1, "undefended runs show all four worm outcomes in under 1s each"):
         for name in ("fwA", "fwB", "fwC"):
@@ -123,7 +106,7 @@ def test_criterion_03_no_chains_under_full_enforcement():
         assert elapsed < 60.0, f"took {elapsed:.1f}s"
 
 
-def test_criterion_04_layer_ablation(bundled):
+def test_criterion_04_layer_ablation(bundled, contamination):
     with criterion(4, "each single layer denies only its own reasons and cuts its link"):
         for layer, owned in LAYER_REASONS.items():
             report = bundled("fwA", enforce=layer).report
@@ -171,7 +154,7 @@ def test_criterion_04_layer_ablation(bundled):
         assert denied_promotes
 
         meta, events = parse_trace(bundled("fwA", enforce="attenuation").trace_text)
-        contaminated = _contaminated_flags(events, meta)
+        contaminated = contamination(events, meta)
         risky = _risky_carrier_ids(meta)
         effective_contaminated_actions = [
             ev for i, ev in enumerate(events)

@@ -250,6 +250,7 @@ MALFORMED = {
     "leases-as-a-list": ("task_leases", {"task_leases": [1, 2]}, {}),
     "strengths-as-a-list": ("transform_strength", {"transform_strength": [1]}, {}),
     "nested-capability-list": ("capabilities", {}, {"capabilities": [["shell"]]}),
+    "agent-channel-repeated": ("channels", {"channels": ["c0", "c1"]}, {"channels": ["c0", "c1", "c1"]}),
     # names the trace or the machine record cannot carry: "-" reads back as a
     # missing value (an owner of "-" is no owner, so hops drop), "|" splits
     # the event columns and the record's fields, ":" the kind token, "," an
@@ -319,7 +320,7 @@ class TestMalformedInputs:
 
         odd, plain = scenario(agent, channel, name), scenario("a", "c", "plain")
         report, twin = run_scenario(odd).report, run_scenario(plain).report
-        assert vars(report.meta) == vars(Ecosystem(odd).trace_meta())
+        assert vars(report.meta) == vars(Ecosystem(odd).meta)
         assert (report.hops, len(report.chains), report.event_count) == (twin.hops, len(twin.chains), twin.event_count)
         assert report.hops == 2
 

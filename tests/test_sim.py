@@ -1,5 +1,6 @@
 """Simulator semantics: transformation, scheduling, compliance, determinism."""
 
+from copy import deepcopy
 from dataclasses import replace
 
 import pytest
@@ -12,11 +13,12 @@ from reentryguard.scenarios import NEVER, AgentProfile, Injection, Scenario, Sce
 from reentryguard.sim import (
     FACET_DROP_ORDER,
     PERSIST_DROP_STRENGTH,
+    Ecosystem,
     run_scenario,
     transform_payload,
 )
 from reentryguard.model import InjectionPosition
-from reentryguard.tracelog import parse_trace
+from reentryguard.tracelog import parse_trace, render_trace
 
 
 def tiny_scenario(**kw) -> Scenario:
@@ -208,6 +210,20 @@ class TestDeterminism:
         first = [l for l in run_scenario(base).trace_text.splitlines() if not l.startswith("# seed")]
         second = [l for l in run_scenario(other).trace_text.splitlines() if not l.startswith("# seed")]
         assert first == second
+
+
+    def test_header_snapshot_is_taken_at_construction(self):
+        """The header holds the labels of session start: run() relabels
+        carriers on undefended fwA but leaves eco.meta as it was built."""
+        from reentryguard import load_bundled
+
+        scenario = load_bundled("fwA")
+        eco = Ecosystem(scenario)
+        built = deepcopy(eco.meta)
+        trace = eco.run()
+        assert eco.meta == built
+        assert any(eco.carriers[c.id].label is not c.label for c in built.carriers)
+        assert render_trace(trace, eco.meta) == run_scenario(scenario).trace_text
 
 
 class TestMediationSoundness:

@@ -59,7 +59,7 @@ class TestInitialLabel:
         for prov in Provenance:
             seeded = [{"agent": "lo", "slot": "task", "facets": "1110", "provenance": prov.value}]
             eco = ecosystem(seeded=seeded)
-            task = eco.carriers[eco.carrier_sets["lo"].task_id]
+            task = eco.carrier_sets["lo"].task
             assert task.label is TaintLabel.EXTERNAL
             assert task.content == PayloadFacets.from_token("1110")
 

@@ -305,6 +305,13 @@ class TestHeaderRefusals:
             parse_trace(text)
         _refused(text, tmp_path, rf"^line {at + 1}: ")
 
+    def test_agent_channel_repeated(self, bundled, tmp_path):
+        """A repeated channel would make the agent read its log twice."""
+        lines = bundled("fwA").trace_text.splitlines()
+        at = lines.index("# agent a1 privilege=low period=2 channels=c0,c1")
+        lines[at] += ",c1"
+        _refused("\n".join(lines) + "\n", tmp_path, rf"^line {at + 1}: bad header .*repeated channel")
+
     def test_carrier_lines_without_owner(self, bundled, tmp_path):
         text = "".join(
             " ".join(part for part in line.split(" ") if not part.startswith("owner="))
@@ -419,13 +426,13 @@ class TestTraceRoundTrip:
         """The parsed header is the simulator's own, field for field."""
         scenario = replace(load_bundled(name), enforcement=EnforcementConfig.from_names(enforce))
         meta, _ = parse_trace(bundled(name, enforce).trace_text)
-        assert vars(meta) == vars(Ecosystem(scenario).trace_meta())
+        assert vars(meta) == vars(Ecosystem(scenario).meta)
 
     def test_header_round_trip_fuzz(self):
         for seed in range(50):
             scenario = random_scenario(seed, EnforcementConfig.from_names("all"))
             meta, _ = parse_trace(run_scenario(scenario).trace_text)
-            assert vars(meta) == vars(Ecosystem(scenario).trace_meta()), seed
+            assert vars(meta) == vars(Ecosystem(scenario).meta), seed
 
     def test_scenario_name_with_spaces_round_trips(self):
         result = run_scenario(replace(load_bundled("fwA"), name="fwA with spaces"))

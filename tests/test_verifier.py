@@ -367,7 +367,7 @@ class TestFindChainsOnSimulatorTraces:
             scenario = replace(scenario, max_ticks=min(scenario.max_ticks, 5))
             with_resets += bool(scenario.resets)
             eco = Ecosystem(scenario)
-            meta = eco.trace_meta()
+            meta = eco.meta
             trace = eco.run()
             witnesses = find_chains(render_trace(trace, meta))
             assert_matches_oracle(witnesses, naive_chains(trace.events, meta, meta.guard))
@@ -390,7 +390,7 @@ def test_audit_reads_each_event_once_in_order(bundled):
     for seed in range(20):
         scenario = random_scenario(seed, EnforcementConfig.from_names("none"))
         eco = Ecosystem(replace(scenario, max_ticks=min(scenario.max_ticks, 5)))
-        meta = eco.trace_meta()
+        meta = eco.meta
         texts.append(render_trace(eco.run(), meta))
     for text in texts:
         meta, events = parse_trace(text)
@@ -524,7 +524,7 @@ class TestAuditRtw:
         for seed in range(50):
             scenario = random_scenario(seed, EnforcementConfig.from_names("attenuation", guard))
             eco = Ecosystem(replace(scenario, max_ticks=min(scenario.max_ticks, 7)))
-            meta = eco.trace_meta()
+            meta = eco.meta
             texts.append(render_trace(eco.run(), meta))
         excused = 0
         for text in texts:
