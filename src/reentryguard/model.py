@@ -8,12 +8,13 @@ Invariants that the rest of the package leans on:
   to CLEAN are explicit declassification or context reset, both of which are
   external to the writing/reading agent (see taint module).
 * Event ticks are non-decreasing within a trace. Verification depends on
-  trace order, so append_event refuses regressions instead of sorting.
+  trace order: the simulator emits ticks in order, and parse_trace refuses
+  a regression instead of sorting.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 
@@ -26,10 +27,6 @@ class ReentryGuardError(Exception):
 
 class CarrierInvariantError(ReentryGuardError):
     """A carrier was constructed with an inconsistent class/autoload combo."""
-
-
-class TraceOrderError(ReentryGuardError):
-    """An event was appended with a tick earlier than the trace tail."""
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +341,7 @@ class Carrier:
 
 
 # ---------------------------------------------------------------------------
-# events and traces
+# events
 # ---------------------------------------------------------------------------
 
 
@@ -396,20 +393,3 @@ class Event:
         if self.tick < 0:
             raise ValueError("event tick must be non-negative")
 
-
-@dataclass
-class Trace:
-    events: list[Event] = field(default_factory=list)
-
-    def append_event(self, event: Event) -> None:
-        if self.events and event.tick < self.events[-1].tick:
-            raise TraceOrderError(
-                f"tick regression: {event.tick} after {self.events[-1].tick}"
-            )
-        self.events.append(event)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self):
-        return iter(self.events)

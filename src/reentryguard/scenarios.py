@@ -349,7 +349,7 @@ _framework = _rule(lambda name, refs: name in FRAMEWORKS, "unknown framework {0!
 _slot = _rule(lambda slot, refs: slot in SEEDED_SLOTS, f"{{0!r}} is not one of {', '.join(SEEDED_SLOTS)}")
 _at_least_one = _rule(lambda n, refs: n >= 1, "must be at least 1, got {0}")
 _strength = _rule(lambda k, refs: 0 <= k <= PERSIST_DROP_STRENGTH, f"strength {{0}} is outside 0..{PERSIST_DROP_STRENGTH}")
-_distinct = _rule(lambda names, refs: len(set(names)) == len(names), "duplicate names in {0}")
+_distinct = _rule(lambda items, refs: len(set(items)) == len(items), "repeated items in {0}")
 _policy_ok = _rule(
     lambda policy, refs: policy.kind in ("always", "never") or (policy.kind == "bernoulli" and 0.0 <= policy.p <= 1.0),
     "{0.kind} p={0.p} is not always, never or bernoulli with 0 <= p <= 1",
@@ -386,9 +386,14 @@ _channels = _known(lambda refs: refs.channels, "channels")
 _capabilities = _known(lambda refs: Capability.ALL, "capabilities")
 
 
-def _agent_channels(names: tuple[str, ...], refs: _Refs) -> None:
-    _distinct(names, refs)
-    _channels(names, refs)
+def _all(*checks: Callable[[Any, _Refs], None]) -> Callable[[Any, _Refs], None]:
+    """A check that runs checks in turn."""
+
+    def check(value: Any, refs: _Refs) -> None:
+        for each in checks:
+            each(value, refs)
+
+    return check
 
 
 def _agents(agents: list[AgentProfile], refs: _Refs) -> None:
@@ -426,7 +431,7 @@ AGENT_KEYS = (
     Key("framework", _str, "A", _framework),
     Key("privilege", _enum(Privilege), "low"),
     Key("period", _int, 1, _at_least_one, attr="heartbeat_period"),
-    Key("channels", _seq(_str, tuple), [], _agent_channels),
+    Key("channels", _seq(_str, tuple), [], _all(_distinct, _channels)),
     Key("compliance", _compliance, {}, _keyed(_policy_ok)),
     Key("capabilities", _parse_capabilities, "full", _capabilities),
 )
@@ -458,8 +463,8 @@ SCENARIO_KEYS = (
     Key("transform_strength", _mapping(_str, _int), {}, _keyed(_strength, _channel)),
     Key("exfil_channel", _str, None, _channel),
     Key("task_leases", _mapping(_str, _pair(_int, _int)), {}, _keyed(_lease, _agent)),
-    Key("resets", _seq(_pair(_str, _int)), [], _keyed(_step_tick, _agent)),
-    Key("declassify", _seq(_pair(_str, _int)), [], _keyed(_step_tick, _agent), attr="declassify_carrier_of"),
+    Key("resets", _seq(_pair(_str, _int)), [], _all(_keyed(_step_tick, _agent), _distinct)),
+    Key("declassify", _seq(_pair(_str, _int)), [], _all(_keyed(_step_tick, _agent), _distinct), attr="declassify_carrier_of"),
     Key(
         "seeded",
         _seq(_record(SEEDED_KEYS, lambda provenance, **fields: SeededCarrier(**fields))),

@@ -14,8 +14,9 @@ the agent complies with (per the injection position of where the content
 arrived), it proposes: a write of the facets into its heartbeat carrier while
 still fresh from clean state, and once contaminated, a config overwrite, a
 one-time free-form memory promotion, message sends on its channels, and a
-shell invocation when it holds high privilege. Every proposal passes mediate()
-and takes effect only when the decision says so.
+shell invocation when it holds high privilege. Every proposal goes through
+_propose(), which labels it by the writer rule and passes it to mediate(); it
+takes effect only when the decision says so.
 
 Messages between agents lose facets per channel hop through transform_payload;
 the attacker's own injected message is placed verbatim (nothing paraphrased
@@ -49,7 +50,6 @@ from .model import (
     Privilege,
     SchemaKind,
     TaintLabel,
-    Trace,
 )
 from .policy import MediationContext, mediate
 from .scenarios import FRAMEWORKS, AgentProfile, Capability, Injection, Scenario, SeededCarrier
@@ -108,7 +108,7 @@ class Ecosystem:
         self.scenario = scenario
         self.config = scenario.enforcement
         self.rng = random.Random(scenario.seed)
-        self.trace = Trace()
+        self.trace: list[Event] = []
         # agent order, here and in every loop over agents, is id order
         self.agents: dict[str, AgentProfile] = {a.id: a for a in sorted(scenario.agents, key=lambda a: a.id)}
         self.states: dict[str, AgentDecisionState] = {}
@@ -270,8 +270,26 @@ class Ecosystem:
     def _mediated(self, event: Event) -> bool:
         """Mediate, record, and report whether the event takes effect."""
         event.decision = mediate(event, self.ctx, self.config)
-        self.trace.append_event(event)
+        self.trace.append(event)
         return event.decision.effective(self.config.guard_mode)
+
+    def _propose(
+        self,
+        tick: int,
+        agent: str,
+        kind: EventKind,
+        origin: TaintLabel,
+        carrier_id: int | None = None,
+        facets: PayloadFacets | None = None,
+        channel: str | None = None,
+        action: ActionKind | None = None,
+        schema: SchemaKind | None = None,
+        exfil: bool = False,
+    ) -> Event | None:
+        """Label a proposal by the writer rule, then mediate and record it: the event if it takes effect."""
+        label = content_label(self.states[agent], origin)
+        ev = Event(tick, agent, kind, carrier_id, label, facets, channel, action, schema, None, None, exfil)
+        return ev if self._mediated(ev) else None
 
     # -- state transitions ---------------------------------------------------
 
@@ -280,43 +298,10 @@ class Ecosystem:
     ) -> None:
         """Propose a write of content from origin; when it takes effect the
         carrier takes the writer's label and any facets."""
-        state = self.states[agent]
-        ev = Event(
-            tick=tick,
-            agent=agent,
-            kind=EventKind.WRITE,
-            carrier_id=carrier.id,
-            facets=facets,
-            label=content_label(state, origin),
-        )
-        if not self._mediated(ev):
-            return
-        carrier.label = propagate_on_write(state, carrier, origin)
-        if facets.any:
-            carrier.content = facets
-
-    def _send(
-        self,
-        tick: int,
-        agent: str,
-        channel: str,
-        facets: PayloadFacets,
-        origin: TaintLabel,
-        exfil: bool = False,
-    ) -> None:
-        """Propose a message send; when it takes effect the message is queued
-        for next tick's delivery."""
-        ev = Event(
-            tick=tick,
-            agent=agent,
-            kind=EventKind.MSG_SEND,
-            channel=channel,
-            facets=facets,
-            label=content_label(self.states[agent], origin),
-            exfil=exfil,
-        )
-        if self._mediated(ev):
-            self._queue_message(ev)
+        if self._propose(tick, agent, EventKind.WRITE, origin, carrier.id, facets) is not None:
+            carrier.label = propagate_on_write(self.states[agent], carrier, origin)
+            if facets.any:
+                carrier.content = facets
 
     def _queue_message(self, msg: Event) -> None:
         """Queue an effective msg_send or an inject; the channel's log keeps
@@ -324,7 +309,7 @@ class Ecosystem:
         self.queued[msg.channel].append(msg)
         log = self.logs[msg.channel]
         if msg.label.untrusted and not log.label.untrusted:
-            log.label = TaintLabel.TAINTED if msg.agent == ATTACKER else TaintLabel.TAINTED_DERIVED
+            log.label = msg.label
         if msg.facets.any:
             if log.content is None:
                 log.content = msg.facets
@@ -343,7 +328,7 @@ class Ecosystem:
         return True
 
     def _message_turn(self, tick: int, agent: str, msg: Event, delivered: PayloadFacets) -> None:
-        self.trace.append_event(
+        self.trace.append(
             Event(
                 tick=tick,
                 agent=agent,
@@ -390,7 +375,7 @@ class Ecosystem:
     def _heartbeat_turn(self, tick: int, agent: str) -> None:
         profile = self.agents[agent]
         cset = self.carrier_sets[agent]
-        self.trace.append_event(Event(tick=tick, agent=agent, kind=EventKind.HEARTBEAT))
+        self.trace.append(Event(tick=tick, agent=agent, kind=EventKind.HEARTBEAT))
 
         # routine config validity probe: opaque, so any label is fine and
         # nothing enters the decision context
@@ -468,37 +453,26 @@ class Ecosystem:
                 content=facets,
             )
             store.submit_candidate(candidate)
-            ev = Event(
-                tick=tick,
-                agent=agent,
-                kind=EventKind.PROMOTE,
-                carrier_id=candidate.id,
-                schema=candidate.schema,
-                facets=facets,
-                label=content_label(self.states[agent], origin),
-            )
-            if self._mediated(ev):
+            ev = self._propose(tick, agent, EventKind.PROMOTE, origin, candidate.id, facets, schema=candidate.schema)
+            if ev is not None:
                 store.admit(candidate.id, tick)
                 cset.memory.label = ev.label
 
         if facets.propagate and can_send:
             for ch in sorted(profile.channels):
-                self._send(tick, agent, ch, facets, origin)
+                msg = self._propose(tick, agent, EventKind.MSG_SEND, origin, facets=facets, channel=ch)
+                if msg is not None:
+                    self._queue_message(msg)
 
         if facets.harm and profile.privilege is Privilege.HIGH:
             if Capability.SHELL in profile.capabilities:
-                ev = Event(
-                    tick=tick,
-                    agent=agent,
-                    kind=EventKind.HIGH_RISK,
-                    action=ActionKind.INVOKE_SHELL,
-                    label=content_label(self.states[agent], origin),
-                )
-                self._mediated(ev)
+                self._propose(tick, agent, EventKind.HIGH_RISK, origin, action=ActionKind.INVOKE_SHELL)
             exfil_ch = self.scenario.exfil_channel
             if exfil_ch is not None and exfil_ch in profile.channels and can_send:
                 self._exposed_read(tick, agent, cset.config, cset.config.label)
-                self._send(tick, agent, exfil_ch, facets, origin, exfil=True)
+                msg = self._propose(tick, agent, EventKind.MSG_SEND, origin, facets=facets, channel=exfil_ch, exfil=True)
+                if msg is not None:
+                    self._queue_message(msg)
 
     # -- per-tick schedule ----------------------------------------------------
 
@@ -511,7 +485,7 @@ class Ecosystem:
             facets=injection.facets,
             label=TaintLabel.TAINTED,
         )
-        self.trace.append_event(ev)
+        self.trace.append(ev)
         self._queue_message(ev)
 
     def _deliver(self, tick: int) -> None:
@@ -528,7 +502,7 @@ class Ecosystem:
     def _scheduled_maintenance(self, tick: int) -> None:
         for agent, when in self.scenario.resets:
             if when == tick:
-                self.trace.append_event(Event(tick=tick, agent=agent, kind=EventKind.CONTEXT_RESET))
+                self.trace.append(Event(tick=tick, agent=agent, kind=EventKind.CONTEXT_RESET))
                 self.states[agent] = context_reset(self.states[agent])
         for agent, when in self.scenario.declassify_carrier_of:
             if when == tick:
@@ -544,7 +518,7 @@ class Ecosystem:
                 if self._mediated(ev):
                     declassify_carrier(carrier, Authorizer.RUNTIME)
 
-    def run(self) -> Trace:
+    def run(self) -> list[Event]:
         """Run ticks 0..max_ticks in the order the module docstring gives."""
         injection = self.scenario.injection
         for tick in range(self.scenario.max_ticks + 1):
@@ -570,7 +544,7 @@ class Ecosystem:
 
 @dataclass
 class RunResult:
-    trace: Trace
+    trace: list[Event]
     trace_text: str
     report: "verifier_mod.Report"
 

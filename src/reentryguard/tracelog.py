@@ -89,7 +89,6 @@ from .model import (
     ReentryGuardError,
     SchemaKind,
     TaintLabel,
-    Trace,
 )
 
 FORMAT_VERSION = 1
@@ -445,11 +444,11 @@ def event_to_line(ev: Event) -> str:
     return str(ev.tick) + _line_tail(ev)
 
 
-def render_trace(trace: Trace, meta: TraceMeta) -> str:
+def render_trace(events: list[Event], meta: TraceMeta) -> str:
     lines = render_header(meta)
     # event fields other than the tick -> line tail; lives for this call
     tails: dict[tuple[Any, ...], str] = {}
-    for ev in trace:
+    for ev in events:
         key = _shape(ev)
         tail = tails.get(key)
         if tail is None:

@@ -1,4 +1,4 @@
-"""Core vocabulary: labels, facets, decisions, carriers, traces."""
+"""Core vocabulary: labels, facets, decisions, carriers, events."""
 
 import pytest
 
@@ -19,8 +19,6 @@ from reentryguard.model import (
     PayloadFacets,
     Reason,
     TaintLabel,
-    Trace,
-    TraceOrderError,
     Verdict,
 )
 
@@ -154,26 +152,6 @@ def ev(tick: int, kind: EventKind, carrier_id: int | None = None, agent: str = "
 
 
 class TestTrace:
-    def test_append_to_empty(self):
-        t = Trace()
-        e = ev(0, EventKind.HEARTBEAT)
-        t.append_event(e)
-        assert list(t) == [e]
-
-    def test_same_tick_order_preserved(self):
-        t = Trace()
-        e1 = ev(0, EventKind.HEARTBEAT)
-        e2 = ev(0, EventKind.CONTEXT_RESET)
-        t.append_event(e1)
-        t.append_event(e2)
-        assert list(t) == [e1, e2]
-
-    def test_tick_regression_rejected(self):
-        t = Trace()
-        t.append_event(ev(3, EventKind.HEARTBEAT))
-        with pytest.raises(TraceOrderError):
-            t.append_event(ev(1, EventKind.HEARTBEAT))
-
     def test_negative_tick_rejected(self):
         with pytest.raises(ValueError):
             ev(-1, EventKind.HEARTBEAT)

@@ -6,6 +6,7 @@ import pytest
 
 from reentryguard.memgate import Lease, MemoryStores, default_policy
 from reentryguard.model import (
+    EFFECTFUL_KINDS,
     ActionKind,
     AutoloadPolicy,
     CarrierClass,
@@ -20,6 +21,7 @@ from reentryguard.model import (
     Verdict,
 )
 from reentryguard.policy import (
+    _RULES,
     EnforcementConfig,
     MediationContext,
     MediationError,
@@ -220,6 +222,11 @@ class TestMediatePromote:
 
 
 class TestMediationTotality:
+    def test_rules_cover_exactly_the_effectful_kinds(self):
+        """The auditor refuses a decision-less line of an effectful kind, and
+        mediate() raises for a kind without a rule: the two sets must agree."""
+        assert set(_RULES) == EFFECTFUL_KINDS
+
     def test_unknown_kind_raises(self):
         ctx = ctx_with({}, {"a1": CAPABLE})
         event = Event(tick=1, agent="a1", kind=EventKind.HEARTBEAT)

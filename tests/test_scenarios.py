@@ -251,6 +251,8 @@ MALFORMED = {
     "strengths-as-a-list": ("transform_strength", {"transform_strength": [1]}, {}),
     "nested-capability-list": ("capabilities", {}, {"capabilities": [["shell"]]}),
     "agent-channel-repeated": ("channels", {"channels": ["c0", "c1"]}, {"channels": ["c0", "c1", "c1"]}),
+    "resets-repeated": ("resets", {"resets": [["a1", 2], ["a1", 2]]}, {}),
+    "declassify-repeated": ("declassify", {"declassify": [["a1", 2], ["a1", 2]]}, {}),
     # names the trace or the machine record cannot carry: "-" reads back as a
     # missing value (an owner of "-" is no owner, so hops drop), "|" splits
     # the event columns and the record's fields, ":" the kind token, "," an

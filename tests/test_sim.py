@@ -9,7 +9,16 @@ from hypothesis import strategies as st
 
 from reentryguard.model import EventKind, PayloadFacets, Privilege, TaintLabel, Verdict
 from reentryguard.policy import EnforcementConfig
-from reentryguard.scenarios import NEVER, AgentProfile, Injection, Scenario, ScenarioError, bernoulli
+from reentryguard.scenarios import (
+    NEVER,
+    AgentProfile,
+    Injection,
+    Scenario,
+    ScenarioError,
+    bernoulli,
+    bundled_names,
+    random_scenario,
+)
 from reentryguard.sim import (
     FACET_DROP_ORDER,
     PERSIST_DROP_STRENGTH,
@@ -120,14 +129,14 @@ class TestScheduling:
         """Period 2 over 4 ticks fires at ticks 2 and 4, not 0."""
         result = run_scenario(tiny_scenario(injection=None))
         beats = [
-            ev.tick for ev in result.trace.events
+            ev.tick for ev in result.trace
             if ev.kind is EventKind.HEARTBEAT and ev.agent == "a1"
         ]
         assert beats == [2, 4]
 
     def test_session_start_reads_happen_at_tick_zero(self):
         result = run_scenario(tiny_scenario(injection=None))
-        tick0 = [ev for ev in result.trace.events if ev.tick == 0]
+        tick0 = [ev for ev in result.trace if ev.tick == 0]
         assert any(ev.kind is EventKind.EXPOSED_READ for ev in tick0)
 
     def test_period_one_fires_every_tick(self):
@@ -136,14 +145,28 @@ class TestScheduling:
                          heartbeat_period=1, channels=("c0",)),
         ]
         result = run_scenario(tiny_scenario(agents=agents, injection=None))
-        beats = [ev.tick for ev in result.trace.events if ev.kind is EventKind.HEARTBEAT]
+        beats = [ev.tick for ev in result.trace if ev.kind is EventKind.HEARTBEAT]
         assert beats == [1, 2, 3, 4]
 
     def test_injection_recorded_at_its_tick(self):
         result = run_scenario(tiny_scenario())
-        (inject,) = [ev for ev in result.trace.events if ev.kind is EventKind.INJECT]
+        (inject,) = [ev for ev in result.trace if ev.kind is EventKind.INJECT]
         assert inject.tick == 0
         assert inject.agent == "attacker"
+
+    def test_events_are_emitted_in_tick_order(self, bundled):
+        """The simulator appends to a plain list, so tick order holds only
+        because run() walks the ticks in order; the parser refuses a trace
+        that breaks it. Bundled runs both ways, and fuzz seeds 0-49 fully
+        enforced and undefended (capped at the storm's 8 ticks)."""
+        results = [bundled(name, enforce) for name in bundled_names() for enforce in ("none", "all")]
+        for seed in range(50):
+            results.append(run_scenario(random_scenario(seed, EnforcementConfig.all_enabled())))
+            storm = random_scenario(seed)
+            results.append(run_scenario(replace(storm, max_ticks=min(storm.max_ticks, 8))))
+        for result in results:
+            ticks = [ev.tick for ev in result.trace]
+            assert ticks == sorted(ticks), result.report.meta.scenario
 
 
 class TestCompliance:
@@ -160,17 +183,17 @@ class TestCompliance:
         ]
         result = run_scenario(tiny_scenario(agents=agents, max_ticks=6))
         payload_kinds = {EventKind.MSG_SEND, EventKind.HIGH_RISK, EventKind.PROMOTE}
-        assert not [ev for ev in result.trace.events if ev.kind in payload_kinds]
+        assert not [ev for ev in result.trace if ev.kind in payload_kinds]
         # facet-bearing writes would be the worm's persistence step
         facet_writes = [
-            ev for ev in result.trace.events
+            ev for ev in result.trace
             if ev.kind is EventKind.WRITE and ev.facets is not None and ev.facets.any
         ]
         assert not facet_writes
 
     def test_always_comply_agent_acts(self):
         result = run_scenario(tiny_scenario(max_ticks=6))
-        sends = [ev for ev in result.trace.events if ev.kind is EventKind.MSG_SEND]
+        sends = [ev for ev in result.trace if ev.kind is EventKind.MSG_SEND]
         assert sends, "a compliant contaminated agent propagates"
 
     def test_bernoulli_compliance_is_seed_deterministic(self):

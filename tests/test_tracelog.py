@@ -17,7 +17,6 @@ from reentryguard.model import (
     ReentryGuardError,
     SchemaKind,
     TaintLabel,
-    Trace,
 )
 from reentryguard.policy import EnforcementConfig
 from reentryguard.scenarios import bundled_names, load_bundled, random_scenario
@@ -382,12 +381,12 @@ class TestLineShapeCache:
 
 class TestTraceRoundTrip:
     def test_synthetic_trace(self):
-        trace = Trace()
-        trace.append_event(Event(tick=0, agent="attacker", kind=EventKind.INJECT,
-                                 channel="c0", facets=PayloadFacets.full()))
-        trace.append_event(Event(tick=1, agent="a1", kind=EventKind.WRITE, carrier_id=1,
-                                 label=TaintLabel.TAINTED_DERIVED, facets=PayloadFacets.full(),
-                                 decision=Decision.allow()))
+        trace = [
+            Event(tick=0, agent="attacker", kind=EventKind.INJECT, channel="c0", facets=PayloadFacets.full()),
+            Event(tick=1, agent="a1", kind=EventKind.WRITE, carrier_id=1,
+                  label=TaintLabel.TAINTED_DERIVED, facets=PayloadFacets.full(),
+                  decision=Decision.allow()),
+        ]
         text = render_trace(trace, minimal_meta())
         meta, events = parse_trace(text)
         assert meta.scenario == "toy"
@@ -403,7 +402,7 @@ class TestTraceRoundTrip:
         result = bundled("fwA")
         meta, events = parse_trace(result.trace_text)
         assert meta.scenario == "fwA"
-        assert events == result.trace.events
+        assert events == result.trace
         assert len(meta.agents) == 3
         assert meta.carriers, "carrier metadata must survive the round trip"
         original_lines = [
@@ -415,10 +414,10 @@ class TestTraceRoundTrip:
         result = bundled("fwA", enforce="all")
         _, events = parse_trace(result.trace_text)
         shared = {id(d) for d in DECISIONS.values()}
-        decided = [ev for ev in result.trace.events if ev.decision is not None]
+        decided = [ev for ev in result.trace if ev.decision is not None]
         assert decided
         assert all(id(ev.decision) in shared for ev in decided)
-        assert all(p.decision is s.decision for p, s in zip(events, result.trace.events))
+        assert all(p.decision is s.decision for p, s in zip(events, result.trace))
 
     @pytest.mark.parametrize("enforce", ["none", "all"])
     @pytest.mark.parametrize("name", bundled_names())

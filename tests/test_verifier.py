@@ -28,7 +28,6 @@ from reentryguard.model import (
     Reason,
     SchemaKind,
     TaintLabel,
-    Trace,
 )
 from reentryguard.policy import EnforcementConfig
 from reentryguard.rtw import is_rtw_safe
@@ -73,10 +72,7 @@ def toy_meta(carrier_owner: str = "a1", flags: dict | None = None) -> TraceMeta:
 
 
 def render(events: list[Event], meta: TraceMeta | None = None) -> str:
-    trace = Trace()
-    for ev in events:
-        trace.append_event(ev)
-    return render_trace(trace, meta or toy_meta())
+    return render_trace(events, meta or toy_meta())
 
 
 def W(tick, agent="a1", label=TaintLabel.TAINTED, decision=ALLOW, cid=1):
@@ -355,7 +351,7 @@ class TestFindChainsOnSimulatorTraces:
             meta, _ = parse_trace(run.trace_text)
             witnesses = find_chains(run.trace_text)
             assert witnesses, name
-            assert_matches_oracle(witnesses, naive_chains(run.trace.events, meta, meta.guard))
+            assert_matches_oracle(witnesses, naive_chains(run.trace, meta, meta.guard))
 
     @staticmethod
     def _fuzz_runs(enforce: str) -> tuple[int, int]:
@@ -370,7 +366,7 @@ class TestFindChainsOnSimulatorTraces:
             meta = eco.meta
             trace = eco.run()
             witnesses = find_chains(render_trace(trace, meta))
-            assert_matches_oracle(witnesses, naive_chains(trace.events, meta, meta.guard))
+            assert_matches_oracle(witnesses, naive_chains(trace, meta, meta.guard))
             found += len(witnesses)
         return found, with_resets
 
