@@ -10,6 +10,9 @@ Invariants that the rest of the package leans on:
 * Event ticks are non-decreasing within a trace. Verification depends on
   trace order: the simulator emits ticks in order, and parse_trace refuses
   a regression instead of sorting.
+* Decisions compare by identity. The 12 DECISIONS objects are the only
+  decisions: mediation returns them, parse_trace yields them, and a
+  Decision built outside the table either raises or equals none of them.
 """
 
 from __future__ import annotations
@@ -42,7 +45,12 @@ class TaintLabel(str, Enum):
 
     @property
     def untrusted(self) -> bool:
-        return self is not TaintLabel.CLEAN
+        return self is not _CLEAN
+
+
+# enum members read on every event or carrier, bound once: a module name
+# costs a tenth of a class attribute lookup
+_CLEAN = TaintLabel.CLEAN
 
 
 class Provenance(str, Enum):
@@ -73,6 +81,13 @@ class AutoloadPolicy(str, Enum):
     HEARTBEAT = "heartbeat"
     ON_DEMAND = "on_demand"
     NEVER = "never"
+
+
+_STATIC_CONFIG = CarrierClass.STATIC_CONFIG
+_CANDIDATE_MEMORY = CarrierClass.CANDIDATE_MEMORY
+_SESSION_START = AutoloadPolicy.SESSION_START
+_NEVER = AutoloadPolicy.NEVER
+_AUTOLOADED = (_SESSION_START, AutoloadPolicy.HEARTBEAT)
 
 
 class CarrierScope(str, Enum):
@@ -162,22 +177,28 @@ class PayloadFacets:
 
     @classmethod
     def none(cls) -> "PayloadFacets":
-        return cls()
+        return NO_FACETS
 
     @classmethod
     def full(cls) -> "PayloadFacets":
-        return cls(persist=True, propagate=True, harm=True, verbatim=True)
+        return FACET_VALUES["1111"]
 
     @property
     def any(self) -> bool:
         return self.persist or self.propagate or self.harm or self.verbatim
 
     def union(self, other: "PayloadFacets") -> "PayloadFacets":
+        """The facets of either; an operand itself when it already holds
+        the other's."""
+        if other.issubset(self):
+            return self
+        if self.issubset(other):
+            return other
         return PayloadFacets(
-            persist=self.persist or other.persist,
-            propagate=self.propagate or other.propagate,
-            harm=self.harm or other.harm,
-            verbatim=self.verbatim or other.verbatim,
+            self.persist or other.persist,
+            self.propagate or other.propagate,
+            self.harm or other.harm,
+            self.verbatim or other.verbatim,
         )
 
     def issubset(self, other: "PayloadFacets") -> bool:
@@ -195,15 +216,20 @@ class PayloadFacets:
 
     @classmethod
     def from_token(cls, token: str) -> "PayloadFacets":
-        if len(token) != 4 or any(ch not in "01" for ch in token):
+        """The shared value a token() names."""
+        facets = FACET_VALUES.get(token)
+        if facets is None:
             raise ValueError(f"bad facet token: {token!r}")
-        return cls(
-            persist=token[0] == "1",
-            propagate=token[1] == "1",
-            harm=token[2] == "1",
-            verbatim=token[3] == "1",
-        )
+        return facets
 
+
+# The 16 facet values by token, built once. from_token, none(), full() and
+# sim.transform_payload hand these out, and union returns an operand when it
+# can, so most facets in a run are shared objects.
+FACET_VALUES: dict[str, PayloadFacets] = {
+    token: PayloadFacets(*(bit == "1" for bit in token)) for token in (format(i, "04b") for i in range(16))
+}
+NO_FACETS = FACET_VALUES["0000"]
 
 # per-hop transformation drops facets cheapest-to-lose first: paraphrase kills
 # byte fidelity before intent, and persistence directives survive the longest
@@ -259,8 +285,12 @@ class GuardMode(str, Enum):
     APPROVE_ALL = "approve"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Decision:
+    """A mediation outcome. Decisions compare and hash by identity:
+    allow(), deny() and guard() hand out the 12 DECISIONS objects below, so
+    two equal outcomes are one object."""
+
     verdict: Verdict
     reason: Reason
 
@@ -299,8 +329,8 @@ class Decision:
         return False
 
 
-# Every admitted (verdict, reason) pair, built once. Decision is frozen, so
-# every mediation and every parsed trace line shares these objects.
+# Every admitted (verdict, reason) pair, built once: the 12 decisions. Every
+# mediation and every parsed trace line shares these objects.
 DECISIONS: dict[tuple[Verdict, Reason], Decision] = {
     (v, r): Decision(v, r) for v in Verdict for r in Reason if Decision.admits(v, r)
 }
@@ -330,14 +360,14 @@ class Carrier:
     content: PayloadFacets | None = None
 
     def __post_init__(self) -> None:
-        if self.cls is CarrierClass.STATIC_CONFIG and self.autoload is not AutoloadPolicy.SESSION_START:
+        if self.cls is _STATIC_CONFIG and self.autoload is not _SESSION_START:
             raise CarrierInvariantError(f"carrier {self.id}: static config must autoload at session start")
-        if self.cls is CarrierClass.CANDIDATE_MEMORY and self.autoload is not AutoloadPolicy.NEVER:
+        if self.cls is _CANDIDATE_MEMORY and self.autoload is not _NEVER:
             raise CarrierInvariantError(f"carrier {self.id}: candidate memory is never autoloaded")
 
     @property
     def autoloaded(self) -> bool:
-        return self.autoload in (AutoloadPolicy.SESSION_START, AutoloadPolicy.HEARTBEAT)
+        return self.autoload in _AUTOLOADED
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +403,7 @@ EFFECTFUL_KINDS = frozenset(
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class Event:
     tick: int
     agent: str

@@ -95,13 +95,27 @@ class EnforcementConfig:
 # attenuation
 # ---------------------------------------------------------------------------
 
+# the shared decisions the rules return, and the enum members they test,
+# bound once
+_ALLOW = Decision.allow()
+_DENY_SEALED = Decision.deny(Reason.SEALED_CONFIG)
+_DENY_LEASE = Decision.deny(Reason.LEASE_EXPIRED)
+_DENY_PROMOTION = Decision.deny(Reason.PROMOTION_REJECTED)
+_DENY_ATTENUATED = Decision.deny(Reason.ATTENUATED_HIGHRISK)
+_GUARD_ATTENUATED = Decision.guard(Reason.ATTENUATED_HIGHRISK)
+_APPROVE_ALL = GuardMode.APPROVE_ALL
+_STATIC_CONFIG = CarrierClass.STATIC_CONFIG
+_TASK_LOCAL_STATE = CarrierClass.TASK_LOCAL_STATE
+_TRUSTED_MEMORY = CarrierClass.TRUSTED_MEMORY
+_RTW_CLASSES = (CarrierClass.WORKSPACE_FILE, CarrierClass.SHARED_CHANNEL_LOG)
+
 
 def classify_write(carrier: Carrier) -> ActionKind | None:
     """High-risk classification for a write, or None for an ordinary output
     write. Ordinary writes stay allowed for usability and are only labeled."""
-    if carrier.cls is CarrierClass.STATIC_CONFIG:
+    if carrier.cls is _STATIC_CONFIG:
         return ActionKind.WRITE_CONFIG
-    if carrier.cls is CarrierClass.TRUSTED_MEMORY:
+    if carrier.cls is _TRUSTED_MEMORY:
         return ActionKind.WRITE_TRUSTED_MEMORY
     if carrier.autoloaded:
         return ActionKind.WRITE_AUTOLOADED
@@ -122,10 +136,10 @@ def attenuate(state: AgentDecisionState, config: EnforcementConfig) -> Decision:
     guard mode) for every high-risk action, whatever capabilities its
     deployment grants."""
     if attenuated(state, config):
-        if config.guard_mode is GuardMode.APPROVE_ALL:
-            return Decision.guard(Reason.ATTENUATED_HIGHRISK)
-        return Decision.deny(Reason.ATTENUATED_HIGHRISK)
-    return Decision.allow()
+        if config.guard_mode is _APPROVE_ALL:
+            return _GUARD_ATTENUATED
+        return _DENY_ATTENUATED
+    return _ALLOW
 
 
 # ---------------------------------------------------------------------------
@@ -149,20 +163,20 @@ def _mediate_write(event: Event, ctx: MediationContext, config: EnforcementConfi
     carrier = ctx.carriers[event.carrier_id]
     writer = ctx.states[event.agent]
 
-    if carrier.cls is CarrierClass.STATIC_CONFIG and config.seal:
+    if carrier.cls is _STATIC_CONFIG and config.seal:
         # sealed runtime constant: write weight zero while the session runs
-        return Decision.deny(Reason.SEALED_CONFIG)
-    if carrier.cls is CarrierClass.TASK_LOCAL_STATE and config.memgate:
+        return _DENY_SEALED
+    if carrier.cls is _TASK_LOCAL_STATE and config.memgate:
         if not check_lease_write(carrier.id, event.tick, ctx.leases):
-            return Decision.deny(Reason.LEASE_EXPIRED)
-    if carrier.cls is CarrierClass.TRUSTED_MEMORY and config.memgate:
+            return _DENY_LEASE
+    if carrier.cls is _TRUSTED_MEMORY and config.memgate:
         # trusted memory only grows through promotion; a direct write is a
         # gate bypass no matter who asks
-        return Decision.deny(Reason.PROMOTION_REJECTED)
+        return _DENY_PROMOTION
 
     if classify_write(carrier) is not None:
         return attenuate(writer, config)
-    return Decision.allow()
+    return _ALLOW
 
 
 def _mediate_exposed_read(event: Event, ctx: MediationContext, config: EnforcementConfig) -> Decision:
@@ -170,24 +184,24 @@ def _mediate_exposed_read(event: Event, ctx: MediationContext, config: Enforceme
     reader = ctx.states[event.agent]
     label = event.label if event.label is not None else carrier.label
 
-    if carrier.cls in (CarrierClass.WORKSPACE_FILE, CarrierClass.SHARED_CHANNEL_LOG) and config.rtw:
+    if carrier.cls in _RTW_CLASSES and config.rtw:
         # the reader holds a high-risk capability when its deployment grants
         # one and attenuation has not taken it away
         return enforce_exposed_read(label, reader.capable and not attenuated(reader, config))
     # external sources are unavoidable reads: cut sits after the read, on
     # the reader's actions; trusted memory, task state and config are gated
     # when they are written or promoted into
-    return Decision.allow()
+    return _ALLOW
 
 
 def _mediate_promote(event: Event, ctx: MediationContext, config: EnforcementConfig) -> Decision:
     if not config.memgate:
-        return Decision.allow()
+        return _ALLOW
     store = ctx.stores[event.agent]
     candidate = store.candidates[event.carrier_id]
     if promote(candidate, ctx.promotion_policy):
-        return Decision.allow()
-    return Decision.deny(Reason.PROMOTION_REJECTED)
+        return _ALLOW
+    return _DENY_PROMOTION
 
 
 def _mediate_action(event: Event, ctx: MediationContext, config: EnforcementConfig) -> Decision:
@@ -207,7 +221,7 @@ _RULES: dict[EventKind, Callable[[Event, MediationContext, EnforcementConfig], D
     # declassification is runtime-initiated: mediation lets it through, and
     # the simulator then asks the taint engine whether the authority behind
     # the request may clear the carrier
-    EventKind.DECLASSIFY: lambda event, ctx, config: Decision.allow(),
+    EventKind.DECLASSIFY: lambda event, ctx, config: _ALLOW,
 }
 
 

@@ -22,6 +22,11 @@ from .model import Decision, Reason, TaintLabel
 WRITE_SYM = "W"
 READ_SYM = "R"
 
+# the shared decisions the read rules return
+_ALLOW = Decision.allow()
+_DENY_RE_ENTRY = Decision.deny(Reason.RTW_RE_ENTRY)
+_NOT_MEDIATED = Decision.allow(Reason.NOT_MEDIATED_LOWRISK)
+
 
 @dataclass(frozen=True)
 class RtwVerdict:
@@ -53,12 +58,12 @@ def enforce_exposed_read(carrier_label: TaintLabel, high_cap: bool) -> Decision:
     keeps it that way.
     """
     if carrier_label.untrusted and high_cap:
-        return Decision.deny(Reason.RTW_RE_ENTRY)
-    return Decision.allow()
+        return _DENY_RE_ENTRY
+    return _ALLOW
 
 
 def enforce_opaque_read(carrier_label: TaintLabel) -> Decision:
     """Opaque reads move bytes, not meaning: always allowed, any label.
     The caller must not surface facets or mark contamination afterwards."""
     del carrier_label
-    return Decision.allow(Reason.NOT_MEDIATED_LOWRISK)
+    return _NOT_MEDIATED

@@ -21,6 +21,13 @@ takes effect only when the decision says so.
 Messages between agents lose facets per channel hop through transform_payload;
 the attacker's own injected message is placed verbatim (nothing paraphrased
 it). Carrier persistence is what survives unmodified between turns.
+
+The event is the simulator's unit of cost, and a message storm emits tens
+of thousands of them, so each is built positionally from shared values:
+enum members bound at module level, the model's 16 FACET_VALUES (which
+transform_payload looks up in a table) and the 12 DECISIONS that mediate()
+returns. Whether a decision takes effect is one lookup in the run's set of
+effective decisions.
 """
 
 from __future__ import annotations
@@ -32,7 +39,10 @@ from . import verifier as verifier_mod
 from .memgate import Lease, MemoryCandidate, MemoryStores, default_policy
 from .model import (
     ATTACKER,
+    DECISIONS,
     FACET_DROP_ORDER,
+    FACET_VALUES,
+    NO_FACETS,
     PERSIST_DROP_STRENGTH,
     ActionKind,
     Authorizer,
@@ -45,6 +55,7 @@ from .model import (
     DeclassProcedure,
     Event,
     EventKind,
+    GuardMode,
     InjectionPosition,
     PayloadFacets,
     Privilege,
@@ -66,22 +77,48 @@ from .tracelog import AgentMeta, TraceMeta, render_trace
 # every run promotes under the one default policy
 PROMOTION_POLICY = default_policy()
 
+# the enum members events are built from, bound once: a module name costs a
+# tenth of a class attribute lookup
+_WRITE = EventKind.WRITE
+_EXPOSED_READ = EventKind.EXPOSED_READ
+_OPAQUE_READ = EventKind.OPAQUE_READ
+_HIGH_RISK = EventKind.HIGH_RISK
+_MSG_SEND = EventKind.MSG_SEND
+_MSG_RECV = EventKind.MSG_RECV
+_PROMOTE = EventKind.PROMOTE
+_DECLASSIFY = EventKind.DECLASSIFY
+_CONTEXT_RESET = EventKind.CONTEXT_RESET
+_HEARTBEAT = EventKind.HEARTBEAT
+_INJECT = EventKind.INJECT
+_CLEAN = TaintLabel.CLEAN
+_TAINTED = TaintLabel.TAINTED
+_USER_PROMPT = InjectionPosition.USER_PROMPT
+_VALIDATION = DeclassProcedure.DETERMINISTIC_VALIDATION
+
+# guard mode -> the decisions under which a mediated event takes effect
+_EFFECTIVE = {mode: frozenset(d for d in DECISIONS.values() if d.effective(mode)) for mode in GuardMode}
+
 
 # ---------------------------------------------------------------------------
 # payload transformation
 # ---------------------------------------------------------------------------
 
+# strength -> facets -> the shared facets one hop leaves, for the 16 facet
+# values and every strength the scenario schema admits
+_TRANSFORMS: list[dict[PayloadFacets, PayloadFacets]] = [
+    {f: FACET_VALUES[replace(f, **dict.fromkeys(FACET_DROP_ORDER[:k], False)).token()] for f in FACET_VALUES.values()}
+    for k in range(PERSIST_DROP_STRENGTH + 1)
+]
+
 
 def transform_payload(facets: PayloadFacets, strength: int) -> PayloadFacets:
     """Lossy per-hop transformation. Strength k clears the first k facets in
-    FACET_DROP_ORDER; 0 is the identity. Deterministic given (facets,
-    strength)."""
+    FACET_DROP_ORDER: 0 keeps them all, PERSIST_DROP_STRENGTH or more clears
+    them all. Deterministic given (facets, strength); the result is one of
+    the shared FACET_VALUES."""
     if strength < 0:
         raise ValueError("transform strength must be non-negative")
-    if strength == 0:
-        return facets
-    dropped = {name: False for name in FACET_DROP_ORDER[: min(strength, PERSIST_DROP_STRENGTH)]}
-    return replace(facets, **dropped)
+    return _TRANSFORMS[min(strength, PERSIST_DROP_STRENGTH)][facets]
 
 
 # ---------------------------------------------------------------------------
@@ -91,8 +128,9 @@ def transform_payload(facets: PayloadFacets, strength: int) -> PayloadFacets:
 
 @dataclass
 class AgentCarrierSet:
-    """The carriers an agent's turns act on, and what it reads when.
-    Autoload is fixed at construction, so the read lists are too."""
+    """The carriers an agent's turns act on, what it reads when, and the
+    order it sends in. Autoload is fixed at construction, so the read lists
+    are too."""
 
     config: Carrier
     memory: Carrier
@@ -100,6 +138,7 @@ class AgentCarrierSet:
     task: Carrier
     session_reads: list[Carrier]
     heartbeat_reads: list[Carrier]  # in carrier id order
+    channels: list[str]  # sorted
 
 
 class Ecosystem:
@@ -118,10 +157,14 @@ class Ecosystem:
         # channel -> its external feed, and its shared log
         self.feeds: dict[str, Carrier] = {}
         self.logs: dict[str, Carrier] = {}
+        # channel -> the agents on it, in id order
+        self.members: dict[str, list[str]] = {ch: [] for ch in scenario.channels}
         self.leases: list[Lease] = []
         # channel -> the effective msg_send and inject events for next tick
         self.queued: dict[str, list[Event]] = {ch: [] for ch in scenario.channels}
         self.candidate_submitted: set[str] = set()
+        # the decisions under which a mediated event takes effect
+        self.effective = _EFFECTIVE[self.config.guard_mode]
         self._build()
         # one context for the whole run: mediate() sees every later change
         # because the simulator mutates these containers in place
@@ -228,7 +271,10 @@ class Ecosystem:
                 task=task,
                 session_reads=[c for c in carriers if c.autoload is AutoloadPolicy.SESSION_START],
                 heartbeat_reads=[c for c in carriers if c.autoload is AutoloadPolicy.HEARTBEAT],
+                channels=sorted(profile.channels),
             )
+            for ch in profile.channels:
+                self.members[ch].append(agent_id)
             # file writes and messages are high-risk at any privilege, shell
             # and network only at high privilege
             high_risk = {Capability.FILE_WRITE, Capability.MESSAGING}
@@ -269,9 +315,9 @@ class Ecosystem:
 
     def _mediated(self, event: Event) -> bool:
         """Mediate, record, and report whether the event takes effect."""
-        event.decision = mediate(event, self.ctx, self.config)
+        decision = event.decision = mediate(event, self.ctx, self.config)
         self.trace.append(event)
-        return event.decision.effective(self.config.guard_mode)
+        return decision in self.effective
 
     def _propose(
         self,
@@ -298,7 +344,7 @@ class Ecosystem:
     ) -> None:
         """Propose a write of content from origin; when it takes effect the
         carrier takes the writer's label and any facets."""
-        if self._propose(tick, agent, EventKind.WRITE, origin, carrier.id, facets) is not None:
+        if self._propose(tick, agent, _WRITE, origin, carrier.id, facets) is not None:
             carrier.label = propagate_on_write(self.states[agent], carrier, origin)
             if facets.any:
                 carrier.content = facets
@@ -319,8 +365,7 @@ class Ecosystem:
     # -- agent turns ---------------------------------------------------------
 
     def _exposed_read(self, tick: int, agent: str, carrier: Carrier, label: TaintLabel) -> bool:
-        ev = Event(tick=tick, agent=agent, kind=EventKind.EXPOSED_READ, carrier_id=carrier.id, label=label)
-        if not self._mediated(ev):
+        if not self._mediated(Event(tick, agent, _EXPOSED_READ, carrier.id, label)):
             return False
         state = self.states[agent]
         if label.untrusted and not state.contaminated:
@@ -328,21 +373,13 @@ class Ecosystem:
         return True
 
     def _message_turn(self, tick: int, agent: str, msg: Event, delivered: PayloadFacets) -> None:
-        self.trace.append(
-            Event(
-                tick=tick,
-                agent=agent,
-                kind=EventKind.MSG_RECV,
-                channel=msg.channel,
-                facets=delivered,
-                label=msg.label,
-                sender=msg.agent,
-            )
-        )
+        # carrier_id, label, facets, channel, action, schema, procedure, sender
+        recv = Event(tick, agent, _MSG_RECV, None, msg.label, delivered, msg.channel, None, None, None, msg.agent)
+        self.trace.append(recv)
         was_clean = not self.states[agent].contaminated
         if not self._exposed_read(tick, agent, self.feeds[msg.channel], msg.label):
             return
-        if not self.agents[agent].complies(InjectionPosition.USER_PROMPT, self.rng):
+        if not self.agents[agent].complies(_USER_PROMPT, self.rng):
             return
         self._act_on_payload(tick, agent, was_clean, delivered, msg.label)
 
@@ -354,17 +391,17 @@ class Ecosystem:
         store = self.stores[agent]
         for carrier in cset.heartbeat_reads:
             if carrier is not cset.memory:
-                facets = carrier.content if carrier.content is not None else PayloadFacets.none()
+                facets = carrier.content if carrier.content is not None else NO_FACETS
             elif self.config.memgate:
                 # gated render: typed projection only, facets never surface
                 if not store.render_projection(tick):
                     continue
-                facets = PayloadFacets.none()
+                facets = NO_FACETS
             else:
                 raw = store.raw_render()
                 if not raw:
                     continue
-                facets = PayloadFacets.none()
+                facets = NO_FACETS
                 for cand in raw:
                     if cand.content is not None:
                         facets = facets.union(cand.content)
@@ -375,19 +412,11 @@ class Ecosystem:
     def _heartbeat_turn(self, tick: int, agent: str) -> None:
         profile = self.agents[agent]
         cset = self.carrier_sets[agent]
-        self.trace.append(Event(tick=tick, agent=agent, kind=EventKind.HEARTBEAT))
+        self.trace.append(Event(tick, agent, _HEARTBEAT))
 
         # routine config validity probe: opaque, so any label is fine and
         # nothing enters the decision context
-        self._mediated(
-            Event(
-                tick=tick,
-                agent=agent,
-                kind=EventKind.OPAQUE_READ,
-                carrier_id=cset.config.id,
-                label=cset.config.label,
-            )
-        )
+        self._mediated(Event(tick, agent, _OPAQUE_READ, cset.config.id, cset.config.label))
 
         was_clean = not self.states[agent].contaminated
         sources = self._heartbeat_reads(tick, agent)
@@ -397,10 +426,10 @@ class Ecosystem:
         # write of no facets changes no label, so each source below still
         # has the label its read saw.
         if Capability.FILE_WRITE in profile.capabilities and not self.states[agent].contaminated:
-            self._write(tick, agent, cset.task, PayloadFacets.none(), TaintLabel.CLEAN)
+            self._write(tick, agent, cset.task, NO_FACETS, _CLEAN)
 
-        facets = PayloadFacets.none()
-        origin = TaintLabel.CLEAN
+        facets = NO_FACETS
+        origin = _CLEAN
         decided: dict[InjectionPosition, bool] = {}
         for carrier, read in sources:
             if not read.any:
@@ -409,7 +438,7 @@ class Ecosystem:
                 decided[carrier.injection] = profile.complies(carrier.injection, self.rng)
             if decided[carrier.injection]:
                 facets = facets.union(read)
-                if origin is TaintLabel.CLEAN and carrier.label.untrusted:
+                if origin is _CLEAN and carrier.label.untrusted:
                     origin = carrier.label
         self._act_on_payload(tick, agent, was_clean, facets, origin)
 
@@ -453,38 +482,32 @@ class Ecosystem:
                 content=facets,
             )
             store.submit_candidate(candidate)
-            ev = self._propose(tick, agent, EventKind.PROMOTE, origin, candidate.id, facets, schema=candidate.schema)
+            ev = self._propose(tick, agent, _PROMOTE, origin, candidate.id, facets, schema=candidate.schema)
             if ev is not None:
                 store.admit(candidate.id, tick)
                 cset.memory.label = ev.label
 
         if facets.propagate and can_send:
-            for ch in sorted(profile.channels):
-                msg = self._propose(tick, agent, EventKind.MSG_SEND, origin, facets=facets, channel=ch)
+            for ch in cset.channels:
+                msg = self._propose(tick, agent, _MSG_SEND, origin, facets=facets, channel=ch)
                 if msg is not None:
                     self._queue_message(msg)
 
         if facets.harm and profile.privilege is Privilege.HIGH:
             if Capability.SHELL in profile.capabilities:
-                self._propose(tick, agent, EventKind.HIGH_RISK, origin, action=ActionKind.INVOKE_SHELL)
+                self._propose(tick, agent, _HIGH_RISK, origin, action=ActionKind.INVOKE_SHELL)
             exfil_ch = self.scenario.exfil_channel
             if exfil_ch is not None and exfil_ch in profile.channels and can_send:
                 self._exposed_read(tick, agent, cset.config, cset.config.label)
-                msg = self._propose(tick, agent, EventKind.MSG_SEND, origin, facets=facets, channel=exfil_ch, exfil=True)
+                msg = self._propose(tick, agent, _MSG_SEND, origin, facets=facets, channel=exfil_ch, exfil=True)
                 if msg is not None:
                     self._queue_message(msg)
 
     # -- per-tick schedule ----------------------------------------------------
 
     def _inject(self, tick: int, injection: Injection) -> None:
-        ev = Event(
-            tick=tick,
-            agent=ATTACKER,
-            kind=EventKind.INJECT,
-            channel=injection.channel,
-            facets=injection.facets,
-            label=TaintLabel.TAINTED,
-        )
+        # carrier_id, label, facets, channel
+        ev = Event(tick, ATTACKER, _INJECT, None, _TAINTED, injection.facets, injection.channel)
         self.trace.append(ev)
         self._queue_message(ev)
 
@@ -495,26 +518,20 @@ class Ecosystem:
             strength = self.scenario.transform_strength.get(ch, self.scenario.transform_default)
             for msg in to_deliver[ch]:
                 delivered = msg.facets if msg.agent == ATTACKER else transform_payload(msg.facets, strength)
-                for agent, profile in self.agents.items():
-                    if agent != msg.agent and ch in profile.channels:
+                for agent in self.members[ch]:
+                    if agent != msg.agent:
                         self._message_turn(tick, agent, msg, delivered)
 
     def _scheduled_maintenance(self, tick: int) -> None:
         for agent, when in self.scenario.resets:
             if when == tick:
-                self.trace.append(Event(tick=tick, agent=agent, kind=EventKind.CONTEXT_RESET))
+                self.trace.append(Event(tick, agent, _CONTEXT_RESET))
                 self.states[agent] = context_reset(self.states[agent])
         for agent, when in self.scenario.declassify_carrier_of:
             if when == tick:
                 carrier = self.carrier_sets[agent].heartbeat
-                ev = Event(
-                    tick=tick,
-                    agent=agent,
-                    kind=EventKind.DECLASSIFY,
-                    carrier_id=carrier.id,
-                    label=carrier.label,
-                    procedure=DeclassProcedure.DETERMINISTIC_VALIDATION,
-                )
+                # carrier_id, label, facets, channel, action, schema, procedure
+                ev = Event(tick, agent, _DECLASSIFY, carrier.id, carrier.label, None, None, None, None, _VALIDATION)
                 if self._mediated(ev):
                     declassify_carrier(carrier, Authorizer.RUNTIME)
 

@@ -11,7 +11,7 @@ paraphrase" is ever load-bearing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .model import Authorizer, Carrier, TaintLabel
 
@@ -38,6 +38,10 @@ class AgentDecisionState:
 # labels
 # ---------------------------------------------------------------------------
 
+_CLEAN = TaintLabel.CLEAN
+_TAINTED = TaintLabel.TAINTED
+_TAINTED_DERIVED = TaintLabel.TAINTED_DERIVED
+
 
 def content_label(writer: AgentDecisionState, origin: TaintLabel) -> TaintLabel:
     """Label of content an agent emits: conservative writer rule.
@@ -48,10 +52,10 @@ def content_label(writer: AgentDecisionState, origin: TaintLabel) -> TaintLabel:
     clean content: clean.
     """
     if writer.contaminated:
-        return TaintLabel.TAINTED_DERIVED
+        return _TAINTED_DERIVED
     if origin.untrusted:
-        return TaintLabel.TAINTED
-    return TaintLabel.CLEAN
+        return _TAINTED
+    return _CLEAN
 
 
 def propagate_on_write(
@@ -64,18 +68,18 @@ def propagate_on_write(
     overwriting a tainted carrier with clean bytes is not a declassification.
     """
     label = content_label(writer, content_origin)
-    return target.label if label is TaintLabel.CLEAN else label
+    return target.label if label is _CLEAN else label
 
 
 def mark_contamination(state: AgentDecisionState) -> AgentDecisionState:
-    return replace(state, contaminated=True)
+    return AgentDecisionState(state.capable, True)
 
 
 def context_reset(state: AgentDecisionState) -> AgentDecisionState:
     """Runtime-initiated reset: contamination cleared, which gives back any
     capability attenuation took. Carrier labels are untouched; a reset wipes
     the decision state, not disk."""
-    return replace(state, contaminated=False)
+    return AgentDecisionState(state.capable)
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +103,6 @@ def declassify(authorizer: Authorizer) -> bool:
 def declassify_carrier(carrier: Carrier, authorizer: Authorizer) -> bool:
     cleared = declassify(authorizer)
     if cleared:
-        carrier.label = TaintLabel.CLEAN
+        carrier.label = _CLEAN
         carrier.content = None
     return cleared

@@ -72,6 +72,7 @@ from typing import Any, Callable, NamedTuple
 
 from .model import (
     DECISIONS,
+    FACET_VALUES,
     ActionKind,
     AutoloadPolicy,
     Carrier,
@@ -365,7 +366,6 @@ def _sender(token: str) -> str:
 # value tables, built once: token -> model value
 _KINDS = _by_value(EventKind)
 _LABELS = {MISSING: None, **_by_value(TaintLabel)}
-_FACETS = {t: PayloadFacets.from_token(t) for t in (format(i, "04b") for i in range(16))}
 # (verdict, reason) columns -> the shared decision; only the pairs Decision admits
 _DECISIONS = {(MISSING, MISSING): None} | {
     (v.value, r.value): decision for (v, r), decision in DECISIONS.items()
@@ -375,7 +375,7 @@ _REQUIRED = object()
 # field -> (render, parse, value when the token leaves the field out);
 # exfil is a trailing flag, rendered (not None) only when set
 _CODECS: dict[str, tuple[Callable[[Any], str | None], Callable[[str], Any], Any]] = {
-    "facets": (PayloadFacets.token, _FACETS.__getitem__, _REQUIRED),
+    "facets": (PayloadFacets.token, FACET_VALUES.__getitem__, _REQUIRED),
     "action": (lambda v: v.value, _by_value(ActionKind).__getitem__, _REQUIRED),
     "schema": (lambda v: v.value, _by_value(SchemaKind).__getitem__, _REQUIRED),
     "procedure": (lambda v: v.value, _by_value(DeclassProcedure).__getitem__, _REQUIRED),

@@ -108,3 +108,39 @@ def test_counted_rules_call_through_the_module_globals(monkeypatch, contaminatio
                 expected["check_lease_write"] += cls[ev.carrier_id] is CarrierClass.TASK_LOCAL_STATE
     assert all(expected.values()), expected
     assert calls == expected
+
+
+def test_every_decision_is_one_mediate_call(monkeypatch):
+    """Complete mediation, counted: the bench reads policy.mediate_calls off
+    sim.mediate, and a proposal that took a shortcut around it (an allow
+    built in the simulator under `none`, say) would still carry a decision.
+    So each run must call sim.mediate once per decision-bearing event, and
+    only effectful kinds may carry one. Bundled runs both ways, and fuzz
+    seeds 0-49 fully enforced and undefended (capped at the storm's 8
+    ticks)."""
+    from reentryguard import sim
+    from reentryguard.model import EFFECTFUL_KINDS
+    from reentryguard.scenarios import bundled_names
+
+    mediate, calls = sim.mediate, [0]
+
+    def counting_mediate(*args):
+        calls[0] += 1
+        return mediate(*args)
+
+    monkeypatch.setattr(sim, "mediate", counting_mediate)
+    scenarios = [
+        replace(load_bundled(name), enforcement=EnforcementConfig.from_names(enforce))
+        for name in bundled_names()
+        for enforce in ("none", "all")
+    ]
+    for seed in range(50):
+        scenarios.append(random_scenario(seed, EnforcementConfig.all_enabled()))
+        storm = random_scenario(seed)
+        scenarios.append(replace(storm, max_ticks=min(storm.max_ticks, 8)))
+    for scenario in scenarios:
+        calls[0] = 0
+        trace = sim.run_scenario(scenario).trace
+        decided = [ev for ev in trace if ev.decision is not None]
+        assert calls[0] == len(decided) > 0, scenario.name
+        assert {ev.kind for ev in decided} <= EFFECTFUL_KINDS, scenario.name

@@ -4,6 +4,8 @@ import pytest
 
 from reentryguard.model import (
     DECISIONS,
+    FACET_VALUES,
+    NO_FACETS,
     REASON_LAYER,
     AutoloadPolicy,
     Carrier,
@@ -73,6 +75,25 @@ class TestPayloadFacets:
         with pytest.raises(ValueError):
             PayloadFacets.from_token("10x1")
 
+    def test_shared_values(self):
+        """none(), full() and from_token hand out the 16 FACET_VALUES."""
+        assert PayloadFacets.none() is PayloadFacets.none() is NO_FACETS
+        assert PayloadFacets.full() is FACET_VALUES["1111"]
+        assert len(FACET_VALUES) == 16
+        for token, facets in FACET_VALUES.items():
+            assert PayloadFacets.from_token(token) is facets
+            assert facets.token() == token
+
+    def test_union_returns_an_operand_it_equals(self):
+        for a in FACET_VALUES.values():
+            for b in FACET_VALUES.values():
+                union = a.union(b)
+                assert union.token() == "".join(max(x, y) for x, y in zip(a.token(), b.token()))
+                if union == a:
+                    assert union is a
+                elif union == b:
+                    assert union is b
+
 
 class TestDecision:
     def test_deny_requires_non_ok_reason(self):
@@ -120,6 +141,13 @@ class TestDecision:
     def test_constructors_refuse_inadmissible_pairs(self, make):
         with pytest.raises(ValueError):
             make()
+
+    def test_decisions_compare_by_identity(self):
+        """Decision has no value equality: the 12 shared objects are the
+        decisions, so one built outside the table equals none of them."""
+        assert len(DECISIONS) == 12
+        assert len(set(DECISIONS.values())) == 12
+        assert Decision(Verdict.ALLOW, Reason.OK) != Decision.allow()
 
     def test_effective_under_guard_modes(self):
         allow = Decision.allow()

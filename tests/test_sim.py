@@ -7,7 +7,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from reentryguard.model import EventKind, PayloadFacets, Privilege, TaintLabel, Verdict
+from reentryguard.model import (
+    DECISIONS,
+    FACET_VALUES,
+    EventKind,
+    GuardMode,
+    PayloadFacets,
+    Privilege,
+    TaintLabel,
+    Verdict,
+)
 from reentryguard.policy import EnforcementConfig
 from reentryguard.scenarios import (
     NEVER,
@@ -90,6 +99,38 @@ class TestTransformPayload:
         stronger_first = transform_payload(transform_payload(facets, s1), s2)
         # sequential hops of s1 then s2 lose exactly the union of both drops
         assert stronger_first == weaker
+
+    @pytest.mark.parametrize("strength", range(PERSIST_DROP_STRENGTH + 2))
+    def test_table_is_the_field_rule_over_shared_values(self, strength):
+        dropped = FACET_DROP_ORDER[: min(strength, PERSIST_DROP_STRENGTH)]
+        for facets in FACET_VALUES.values():
+            out = transform_payload(facets, strength)
+            assert out == replace(facets, **{name: False for name in dropped})
+            assert transform_payload(facets, strength) is out
+            assert out is FACET_VALUES[out.token()]
+
+
+class TestSharedDecisions:
+    def test_decisions_are_the_shared_objects(self, bundled):
+        """The simulator and the parser give every event one of the 12
+        DECISIONS objects; Decision compares by identity."""
+        shared = {id(d) for d in DECISIONS.values()}
+        seen = set()
+        results = [
+            bundled(name, enforce, guard)
+            for name in bundled_names()
+            for enforce in ("none", "all", "rtw,seal,memgate")
+            for guard in GuardMode
+        ]
+        results += [run_scenario(random_scenario(seed, EnforcementConfig.all_enabled(guard)))
+                    for seed in range(20) for guard in GuardMode]
+        for result in results:
+            _, parsed = parse_trace(result.trace_text)
+            for ev in result.trace + parsed:
+                if ev.decision is not None:
+                    assert id(ev.decision) in shared, ev
+                    seen.add(ev.decision)
+        assert {d.verdict for d in seen} == set(Verdict)
 
 
 class TestScenarioValidation:
