@@ -20,8 +20,8 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
-from .model import GuardMode, Layer, ReentryGuardError
-from .policy import LAYER_NAMES, EnforcementConfig, MediationError
+from .model import LAYER_NAMES, EnforcementConfig, GuardMode, ReentryGuardError
+from .policy import MediationError
 from .scenarios import (
     CAPABILITY_PRESETS,
     Scenario,
@@ -83,13 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-def _enforce_label(flags: dict[str, bool]) -> str:
-    on = [name for name in LAYER_NAMES if flags.get(name)]
-    if len(on) == len(LAYER_NAMES):
-        return "all"
-    return ",".join(on) if on else "none"
-
-
 def _infected(report: Report) -> str:
     pairs = zip(report.infected, report.infection_ticks)
     return ",".join(f"{agent}@{tick}" for agent, tick in pairs) or MISSING
@@ -107,16 +100,14 @@ class _Field(NamedTuple):
         return ("1" if value else "0") if self.flag else str(value)
 
 
-_DENIAL_LAYERS = tuple(layer.value for layer in Layer)
-
 # The machine fields, in record order. A record line splits on "|" into
 # fields, each field on its first "=", and infected= on "," and "@": the
 # scenario schema and the trace parser refuse a scenario name holding "|" and
 # an agent id holding any of "|,@" (tracelog.scenario_name, tracelog.agent_id).
 RECORD = (
     _Field("scenario", "scenario", False, lambda r: r.meta.scenario),
-    _Field("enforce", "enforcement", False, lambda r: _enforce_label(r.meta.flags)),
-    _Field("guard", "guard", False, lambda r: r.meta.guard),
+    _Field("enforce", "enforcement", False, lambda r: r.meta.enforcement.names()),
+    _Field("guard", "guard", False, lambda r: r.meta.enforcement.guard_mode.value),
     _Field("seed", "seed", False, lambda r: r.meta.seed),
     _Field("ticks", "ticks", False, lambda r: r.meta.ticks),
     _Field("events", "events", False, attrgetter("event_count")),
@@ -134,7 +125,7 @@ RECORD = (
     _Field("rtw_violations", None, False, lambda r: len(r.rtw_violations)),
     *(
         _Field(f"denials_{layer}", None, False, lambda r, layer=layer: r.layer_denials.get(layer, 0))
-        for layer in _DENIAL_LAYERS
+        for layer in LAYER_NAMES
     ),
 )
 
@@ -164,7 +155,7 @@ def _mark(field: str, value: str) -> str:
 def render_table(record: dict[str, str]) -> str:
     width = max(len(f.label) for f in _TABLE_ROWS)
     lines = [f"{f.label:<{width}}  {_mark(f.name, record[f.name])}" for f in _TABLE_ROWS]
-    denials = [f"{layer}={n}" for layer in _DENIAL_LAYERS if (n := record[f"denials_{layer}"]) != "0"]
+    denials = [f"{layer}={n}" for layer in LAYER_NAMES if (n := record[f"denials_{layer}"]) != "0"]
     lines.append(f"{'denials':<{width}}  {' '.join(denials) or MISSING}")
     return "\n".join(lines)
 
@@ -257,7 +248,7 @@ def _mode_suite(args: argparse.Namespace, out) -> int:
     records = []
     for entry in load_suite(args.suite).entries:
         base = resolve_scenario(entry.scenario)
-        enforcement = EnforcementConfig.from_names(entry.enforce, GuardMode(entry.guard))
+        enforcement = EnforcementConfig.from_names(entry.enforce, entry.guard)
         for seed in entry.seeds or (base.seed,):
             scenario = replace(base, enforcement=enforcement, seed=seed)
             scenario.validate()

@@ -1,4 +1,4 @@
-"""Core vocabulary: taint labels, carriers, payload facets, events, decisions.
+"""Core vocabulary: labels, carriers, payload facets, events, decisions, enforcement.
 
 Invariants that the rest of the package leans on:
 
@@ -320,14 +320,6 @@ class Decision:
     def guard(reason: Reason) -> "Decision":
         return _shared(Verdict.GUARD, reason)
 
-    def effective(self, guard_mode: GuardMode) -> bool:
-        """Whether the mediated event takes effect under the given guard mode."""
-        if self.verdict is Verdict.ALLOW:
-            return True
-        if self.verdict is Verdict.GUARD:
-            return guard_mode is GuardMode.APPROVE_ALL
-        return False
-
 
 # Every admitted (verdict, reason) pair, built once: the 12 decisions. Every
 # mediation and every parsed trace line shares these objects.
@@ -340,6 +332,61 @@ def _shared(verdict: Verdict, reason: Reason) -> Decision:
     decision = DECISIONS.get((verdict, reason))
     # a pair outside the table is not admitted: constructing it raises
     return decision if decision is not None else Decision(verdict, reason)
+
+
+# guard mode -> the decisions under which a mediated event takes effect: an
+# allow always, a guard only under approve-mode guards, which give the
+# approval it asks for. The simulator and the auditor both test membership.
+EFFECTIVE: dict[GuardMode, frozenset[Decision]] = {
+    GuardMode.DENY_ALL: frozenset(d for d in DECISIONS.values() if d.verdict is Verdict.ALLOW),
+    GuardMode.APPROVE_ALL: frozenset(d for d in DECISIONS.values() if d.verdict is not Verdict.DENY),
+}
+
+
+# ---------------------------------------------------------------------------
+# enforcement
+# ---------------------------------------------------------------------------
+
+# the four enforcement layers, in record order
+LAYER_NAMES = tuple(layer.value for layer in Layer if layer is not Layer.NONE)
+
+
+@dataclass(frozen=True)
+class EnforcementConfig:
+    """A run's enforcement: which layers are on, and how a guard verdict is
+    disposed of. The scenario, the trace header and the record all hold it."""
+
+    rtw: bool = False
+    seal: bool = False
+    memgate: bool = False
+    attenuation: bool = False
+    guard_mode: GuardMode = GuardMode.DENY_ALL
+
+    @classmethod
+    def all_enabled(cls, guard_mode: GuardMode = GuardMode.DENY_ALL) -> "EnforcementConfig":
+        return cls(rtw=True, seal=True, memgate=True, attenuation=True, guard_mode=guard_mode)
+
+    @classmethod
+    def none(cls) -> "EnforcementConfig":
+        return cls()
+
+    @classmethod
+    def from_names(cls, spec: str, guard_mode: GuardMode = GuardMode.DENY_ALL) -> "EnforcementConfig":
+        """Parse a comma list of layer names; 'all' and 'none' are shorthands."""
+        spec = spec.strip().lower()
+        if spec == "all":
+            return cls.all_enabled(guard_mode)
+        names = [] if spec in ("none", "") else [name.strip() for name in spec.split(",")]
+        for name in names:
+            if name not in LAYER_NAMES:
+                raise ValueError(f"unknown enforcement layer {name!r}; valid: {', '.join(LAYER_NAMES)}, all, none")
+        return cls(guard_mode=guard_mode, **dict.fromkeys(names, True))
+
+    def names(self) -> str:
+        """The spec from_names reads back as these layers: all, none, or the
+        enabled layers comma-joined in LAYER_NAMES order."""
+        on = [name for name in LAYER_NAMES if getattr(self, name)]
+        return "all" if len(on) == len(LAYER_NAMES) else ",".join(on) or "none"
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ beats silently allowing it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 from .memgate import Lease, MemoryStores, PromotionPolicy, check_lease_write, promote
@@ -33,10 +33,10 @@ from .model import (
     CarrierClass,
     CarrierScope,
     Decision,
+    EnforcementConfig,
     Event,
     EventKind,
     GuardMode,
-    Layer,
     Reason,
     ReentryGuardError,
 )
@@ -46,49 +46,6 @@ from .taint import AgentDecisionState
 
 class MediationError(ReentryGuardError):
     """An effectful event kind reached mediate() without a dispatch rule."""
-
-
-# ---------------------------------------------------------------------------
-# enforcement configuration
-# ---------------------------------------------------------------------------
-
-LAYER_NAMES = tuple(layer.value for layer in Layer if layer is not Layer.NONE)
-
-
-@dataclass(frozen=True)
-class EnforcementConfig:
-    rtw: bool = False
-    seal: bool = False
-    memgate: bool = False
-    attenuation: bool = False
-    guard_mode: GuardMode = GuardMode.DENY_ALL
-
-    @classmethod
-    def all_enabled(cls, guard_mode: GuardMode = GuardMode.DENY_ALL) -> "EnforcementConfig":
-        return cls(rtw=True, seal=True, memgate=True, attenuation=True, guard_mode=guard_mode)
-
-    @classmethod
-    def none(cls) -> "EnforcementConfig":
-        return cls()
-
-    @classmethod
-    def from_names(cls, spec: str, guard_mode: GuardMode = GuardMode.DENY_ALL) -> "EnforcementConfig":
-        """Parse a comma list of layer names; 'all' and 'none' are shorthands."""
-        spec = spec.strip().lower()
-        if spec == "all":
-            return cls.all_enabled(guard_mode)
-        if spec == "none" or spec == "":
-            return cls(guard_mode=guard_mode)
-        cfg = cls(guard_mode=guard_mode)
-        for name in spec.split(","):
-            name = name.strip()
-            if name not in LAYER_NAMES:
-                raise ValueError(f"unknown enforcement layer {name!r}; valid: {', '.join(LAYER_NAMES)}, all, none")
-            cfg = replace(cfg, **{name: True})
-        return cfg
-
-    def flags(self) -> dict[str, bool]:
-        return {name: getattr(self, name) for name in LAYER_NAMES}
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ import yaml
 from .model import (
     ATTACKER,
     PERSIST_DROP_STRENGTH,
+    EnforcementConfig,
     GuardMode,
     InjectionPosition,
     PayloadFacets,
@@ -38,7 +39,6 @@ from .model import (
     Provenance,
     ReentryGuardError,
 )
-from .policy import EnforcementConfig
 from .tracelog import agent_id, channel_name, scenario_name
 
 
@@ -546,7 +546,7 @@ def resolve_scenario(ref: str) -> Scenario:
 class SuiteEntry:
     scenario: str
     enforce: str
-    guard: str
+    guard: GuardMode
     seeds: tuple[int, ...]
 
 
@@ -560,7 +560,7 @@ class SuiteSpec:
 SUITE_ENTRY_KEYS = (
     Key("scenario", _str, check=lambda ref, refs: resolve_scenario(ref)),
     Key("enforce", _str, "none", lambda names, refs: EnforcementConfig.from_names(names)),
-    Key("guard", lambda value: _enum(GuardMode)(value).value, "deny"),
+    Key("guard", _enum(GuardMode), "deny"),
     Key("seeds", _seq(_int, tuple), []),
 )
 

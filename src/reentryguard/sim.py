@@ -27,7 +27,7 @@ of thousands of them, so each is built positionally from shared values:
 enum members bound at module level, the model's 16 FACET_VALUES (which
 transform_payload looks up in a table) and the 12 DECISIONS that mediate()
 returns. Whether a decision takes effect is one lookup in the run's set of
-effective decisions.
+effective decisions, model.EFFECTIVE for its guard mode.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from . import verifier as verifier_mod
 from .memgate import Lease, MemoryCandidate, MemoryStores, default_policy
 from .model import (
     ATTACKER,
-    DECISIONS,
+    EFFECTIVE,
     FACET_DROP_ORDER,
     FACET_VALUES,
     NO_FACETS,
@@ -55,7 +55,6 @@ from .model import (
     DeclassProcedure,
     Event,
     EventKind,
-    GuardMode,
     InjectionPosition,
     PayloadFacets,
     Privilege,
@@ -94,9 +93,6 @@ _CLEAN = TaintLabel.CLEAN
 _TAINTED = TaintLabel.TAINTED
 _USER_PROMPT = InjectionPosition.USER_PROMPT
 _VALIDATION = DeclassProcedure.DETERMINISTIC_VALIDATION
-
-# guard mode -> the decisions under which a mediated event takes effect
-_EFFECTIVE = {mode: frozenset(d for d in DECISIONS.values() if d.effective(mode)) for mode in GuardMode}
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +160,7 @@ class Ecosystem:
         self.queued: dict[str, list[Event]] = {ch: [] for ch in scenario.channels}
         self.candidate_submitted: set[str] = set()
         # the decisions under which a mediated event takes effect
-        self.effective = _EFFECTIVE[self.config.guard_mode]
+        self.effective = EFFECTIVE[self.config.guard_mode]
         self._build()
         # one context for the whole run: mediate() sees every later change
         # because the simulator mutates these containers in place
@@ -181,8 +177,7 @@ class Ecosystem:
             scenario=scenario.name,
             seed=scenario.seed,
             ticks=scenario.max_ticks,
-            flags=self.config.flags(),
-            guard=self.config.guard_mode.value,
+            enforcement=self.config,
             attacker=ATTACKER,
             agents=[AgentMeta(p.id, p.privilege, p.heartbeat_period, list(p.channels)) for p in self.agents.values()],
             carriers=[Carrier(**vars(c) | {"content": None}) for c in self.carriers.values()],

@@ -5,8 +5,9 @@ simulator objects, so everything verification needs must be representable
 here. Layout:
 
 * header lines ``# <tag> <tokens>``, in ``HEADER`` order: ``trace-format``,
-  ``scenario``, ``seed``, ``ticks``, ``enforcement`` (``<layer>=0|1`` per
-  layer, then ``guard=deny|approve``), ``attacker``, one ``agent`` line per
+  ``scenario``, ``seed``, ``ticks``, ``enforcement`` (the run's
+  ``model.EnforcementConfig``: ``<layer>=0|1`` per layer in name order, then
+  ``guard=deny|approve``), ``attacker``, one ``agent`` line per
   ``AgentMeta`` (``<id> privilege= period= channels=``) and one ``carrier``
   line per ``model.Carrier`` (``<id> name= owner= class= autoload= position=
   scope= label0=``, where position is its injection and label0 its label at
@@ -35,8 +36,8 @@ The parser yields ``model.Event`` and ``model.Carrier``, the records the
 simulator writes, and fails closed: anything it cannot interpret raises
 ``TraceFormatError`` naming the line. That covers a wrong column, token or
 detail-field count, an unknown tag, kind, key, enum value or facet token, a
-key out of order, a negative tick, an integer not written as ``str(int)``
-writes it (``+3``, `` 4``, ``03``, ``1_0``), a tick lower than the previous
+key out of order, a negative tick, a ``# ticks`` or agent ``period=`` below
+1, an integer not written as ``str(int)`` writes it (``+3``, `` 4``, ``03``, ``1_0``), a tick lower than the previous
 event line's, a sender without ``from=``, a decision/reason pair that
 ``Decision`` does not admit (``allow|rtw-re-entry``, ``deny|ok``), a repeated
 single tag, agent id, carrier id or channel of one agent line, a carrier
@@ -73,6 +74,7 @@ from typing import Any, Callable, NamedTuple
 from .model import (
     DECISIONS,
     FACET_VALUES,
+    LAYER_NAMES,
     ActionKind,
     AutoloadPolicy,
     Carrier,
@@ -80,11 +82,11 @@ from .model import (
     CarrierInvariantError,
     CarrierScope,
     DeclassProcedure,
+    EnforcementConfig,
     Event,
     EventKind,
     GuardMode,
     InjectionPosition,
-    Layer,
     PayloadFacets,
     Privilege,
     ReentryGuardError,
@@ -117,12 +119,11 @@ class AgentMeta:
 @dataclass
 class TraceMeta:
     # parse_trace leaves None the SINGLE_FIELDS field of a single tag the
-    # header lacks (and flags empty); verifier.audit refuses such a header
+    # header lacks; verifier.audit refuses such a header
     scenario: str
     seed: int
     ticks: int
-    flags: dict[str, bool]  # rtw/seal/memgate/attenuation
-    guard: str  # "deny" | "approve"
+    enforcement: EnforcementConfig
     attacker: str
     agents: list[AgentMeta] = field(default_factory=list)
     carriers: list[Carrier] = field(default_factory=list)
@@ -140,6 +141,12 @@ def _count(raw: str) -> int:  # an integer, in the one form render writes
     value = int(raw)
     if str(value) != raw:
         raise ValueError(f"{raw!r} is not written as {value}")
+    return value
+
+
+def _at_least_one(raw: str) -> int:  # a tick budget or a heartbeat period
+    if (value := _count(raw)) < 1:
+        raise ValueError(f"{value} is below 1")
     return value
 
 
@@ -215,10 +222,9 @@ _TOKEN = {
     for enum_cls in (Privilege, CarrierClass, AutoloadPolicy, InjectionPosition, CarrierScope, TaintLabel)
     for member in enum_cls
 }
-_LAYERS = sorted(_by_value(Layer).keys() - {Layer.NONE.value})
+_LAYERS = sorted(LAYER_NAMES)
 _VERSION = {str(FORMAT_VERSION): FORMAT_VERSION}.__getitem__
 _FLAG_BITS = {"0": False, "1": True}.__getitem__
-_GUARDS = {g.value: g.value for g in GuardMode}.__getitem__
 
 # The header, in render order; render_header and parse_trace both read it.
 # Each line renders as one f-string: a call per token would cost more than
@@ -232,13 +238,16 @@ HEADER: dict[str, _Line] = {
     ),
     "scenario": _line(None, lambda meta: meta.scenario, dict, (None, "scenario", scenario_name)),
     "seed": _line(None, lambda meta: str(meta.seed), dict, (None, "seed", _count)),
-    "ticks": _line(None, lambda meta: str(meta.ticks), dict, (None, "ticks", _count)),
+    "ticks": _line(None, lambda meta: str(meta.ticks), dict, (None, "ticks", _at_least_one)),
     "enforcement": _line(
         None,
-        lambda meta: " ".join(f"{layer}={meta.flags[layer]:d}" for layer in _LAYERS) + f" guard={meta.guard}",
-        lambda guard, **flags: {"flags": flags, "guard": guard},
+        lambda meta: (
+            " ".join(f"{layer}={getattr(meta.enforcement, layer):d}" for layer in _LAYERS)
+            + f" guard={meta.enforcement.guard_mode.value}"
+        ),
+        lambda **fields: {"enforcement": EnforcementConfig(**fields)},
         *((layer, layer, _FLAG_BITS) for layer in _LAYERS),
-        ("guard", "guard", _GUARDS),
+        ("guard", "guard_mode", _enum(GuardMode)),
     ),
     "attacker": _line(None, lambda meta: meta.attacker, dict, (None, "attacker", agent_id)),
     "agent": _line(
@@ -250,7 +259,7 @@ HEADER: dict[str, _Line] = {
         AgentMeta,
         (None, "id", agent_id),
         ("privilege", "privilege", _enum(Privilege)),
-        ("period", "period", _count),
+        ("period", "period", _at_least_one),
         ("channels", "channels", _channel_list),
     ),
     "carrier": _line(
@@ -278,7 +287,7 @@ SINGLE_FIELDS = {
     "scenario": "scenario",
     "seed": "seed",
     "ticks": "ticks",
-    "enforcement": "guard",
+    "enforcement": "enforcement",
     "attacker": "attacker",
 }
 
@@ -300,7 +309,7 @@ def missing_tags(meta: TraceMeta) -> list[str]:
 
 def _parse_header(lines: list[str]) -> tuple[TraceMeta, int]:
     """The header, and the number of lines up to and including the column row."""
-    meta = TraceMeta(flags={}, **dict.fromkeys(SINGLE_FIELDS.values()))
+    meta = TraceMeta(**dict.fromkeys(SINGLE_FIELDS.values()))
     seen: set[tuple[Any, ...]] = set()  # (tag,) per single tag, (tag, id) per record
     for line_no, line in enumerate(lines, start=1):
         if line == COLUMN_ROW:

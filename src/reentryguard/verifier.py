@@ -1,7 +1,7 @@
 """Independent trace auditor.
 
 Everything here is reconstructed from the serialized trace text: agent
-contamination, carrier ownership, guard mode, enforcement flags. No simulator
+contamination, carrier ownership, the run's enforcement. No simulator
 or policy-engine state is consulted; the parser's model.Event and
 model.Carrier are the only records shared with the simulator, and the rules
 here are written out apart from the enforcing ones. A report is thus
@@ -32,8 +32,8 @@ The entry points are build_report, which parses a trace and audits it, and
 find_chains, which returns the chain witnesses alone. chains_in,
 rtw_violations_in, infections_in and zero_click_in are views of one audit.
 
-"Effective" means the decision's verdict is one that takes effect under the
-header's guard mode (EFFECTIVE_VERDICTS): allow, or guard under approve-mode
+"Effective" means the decision is one that takes effect under the header's
+guard mode (``model.EFFECTIVE``): an allow, or a guard under approve-mode
 guards. Denied events never count: a blocked write taints nothing, a
 blocked action harms nothing.
 """
@@ -47,13 +47,13 @@ from typing import Any
 
 from .model import (
     EFFECTFUL_KINDS,
+    EFFECTIVE,
     REASON_LAYER,
     ActionKind,
     CarrierClass,
     CarrierScope,
     Event,
     EventKind,
-    GuardMode,
     Reason,
     ReentryGuardError,
     TaintLabel,
@@ -119,16 +119,8 @@ class Report:
 # primitives
 # ---------------------------------------------------------------------------
 
-# guard mode -> the verdicts that take effect under it: a guard verdict asks
-# for approval, which only approve-mode guards give
-EFFECTIVE_VERDICTS: dict[str, frozenset[Verdict]] = {
-    GuardMode.DENY_ALL.value: frozenset({Verdict.ALLOW}),
-    GuardMode.APPROVE_ALL.value: frozenset({Verdict.ALLOW, Verdict.GUARD}),
-}
-
-
 def is_effective(ev: Event, meta: TraceMeta) -> bool:
-    return ev.decision is not None and ev.decision.verdict in EFFECTIVE_VERDICTS[meta.guard]
+    return ev.decision in EFFECTIVE[meta.enforcement.guard_mode]
 
 
 # kinds whose carrier_id column names a carrier; promote's holds a candidate id
@@ -146,17 +138,17 @@ def audit(meta: TraceMeta, events: Iterable[Event]) -> Report:
     """Every audit pass in one forward scan; events are read once, in order.
 
     Refuses what no pass may skip over: a header that lacks a single tag (a
-    header-less fragment parses, but the passes read the guard mode, flags
-    and attacker, and the report the rest), an effectful event without a
+    header-less fragment parses, but the passes read the enforcement and
+    the attacker, and the report the rest), an effectful event without a
     decision, and an event on a carrier the header does not declare (its
     owner and class, which hops and high-risk writes are judged by, would be
     unknown)."""
     missing = missing_tags(meta)
     if missing:
         raise VerificationError(f"the header has no {', '.join('# ' + tag for tag in missing)} line")
-    effective = EFFECTIVE_VERDICTS[meta.guard]
+    effective = EFFECTIVE[meta.enforcement.guard_mode]
     attacker = meta.attacker
-    attenuation_on = bool(meta.flags.get("attenuation"))
+    attenuation_on = meta.enforcement.attenuation
     owners = {c.id: c.owner for c in meta.carriers}
     # carriers a write to which is a high-risk action: those that feed future
     # contexts or cross agents; ordinary on-demand local files are below the bar
@@ -237,7 +229,7 @@ def audit(meta: TraceMeta, events: Iterable[Event]) -> Report:
         else:
             if decision.verdict is not allow:
                 denied[decision.reason] = denied.get(decision.reason, 0) + 1
-            live = decision.verdict in effective
+            live = decision in effective
         if kind in _CARRIER_KINDS and cid not in owners:
             raise VerificationError(
                 f"event {i}: {kind.value} of carrier {cid}, which the header does not declare"

@@ -44,8 +44,10 @@ class TestRunMode:
             "safe", "rtw_ok", "rtw_violations",
         }
         assert expected_fields <= set(record)
-        for layer in ("rtw", "seal", "memgate", "attenuation", "none"):
+        for layer in ("rtw", "seal", "memgate", "attenuation"):
             assert f"denials_{layer}" in record
+        # every denial blames a layer, so no field counts unowned ones
+        assert "denials_none" not in record
 
     def test_undefended_reference_run_is_compromised(self, capsys):
         _, out, _ = run_cli(capsys, "--scenario", "fwA", "--report", "machine")

@@ -33,8 +33,8 @@ from pathlib import Path
 import pytest
 
 from reentryguard.cli import main
-from reentryguard.model import GuardMode
-from reentryguard.policy import LAYER_NAMES, EnforcementConfig
+from reentryguard.model import LAYER_NAMES, GuardMode
+from reentryguard.policy import EnforcementConfig
 from reentryguard.scenarios import bundled_names, load_bundled, random_scenario
 from reentryguard.sim import run_scenario
 

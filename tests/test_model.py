@@ -4,6 +4,7 @@ import pytest
 
 from reentryguard.model import (
     DECISIONS,
+    EFFECTIVE,
     FACET_VALUES,
     NO_FACETS,
     REASON_LAYER,
@@ -153,11 +154,11 @@ class TestDecision:
         allow = Decision.allow()
         deny = Decision.deny(Reason.SEALED_CONFIG)
         guard = Decision.guard(Reason.ATTENUATED_HIGHRISK)
-        assert allow.effective(GuardMode.DENY_ALL)
-        assert allow.effective(GuardMode.APPROVE_ALL)
-        assert not deny.effective(GuardMode.APPROVE_ALL)
-        assert not guard.effective(GuardMode.DENY_ALL)
-        assert guard.effective(GuardMode.APPROVE_ALL)
+        assert allow in EFFECTIVE[GuardMode.DENY_ALL]
+        assert allow in EFFECTIVE[GuardMode.APPROVE_ALL]
+        assert deny not in EFFECTIVE[GuardMode.APPROVE_ALL]
+        assert guard not in EFFECTIVE[GuardMode.DENY_ALL]
+        assert guard in EFFECTIVE[GuardMode.APPROVE_ALL]
 
 
 class TestCarrierInvariants:

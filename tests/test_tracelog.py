@@ -1,17 +1,20 @@
 """Trace serialization: stable line format, header metadata, round-trips."""
 
 from dataclasses import fields, replace
+from itertools import combinations
 
 import pytest
 
 from reentryguard.cli import main
 from reentryguard.model import (
     DECISIONS,
+    LAYER_NAMES,
     ActionKind,
     DeclassProcedure,
     Decision,
     Event,
     EventKind,
+    GuardMode,
     PayloadFacets,
     Reason,
     ReentryGuardError,
@@ -49,8 +52,7 @@ def minimal_meta() -> TraceMeta:
         scenario="toy",
         seed=1,
         ticks=4,
-        flags={"rtw": False, "seal": False, "memgate": False, "attenuation": False},
-        guard="deny",
+        enforcement=EnforcementConfig.none(),
         attacker="attacker",
     )
 
@@ -200,6 +202,11 @@ class TestParseErrors:
             # header integers, like ticks, are read in the one form render writes
             "# seed +07",
             "# ticks 0_8",
+            # no scenario has a tick budget or a heartbeat period below 1
+            "# ticks 0",
+            "# ticks -3",
+            "# agent a9 privilege=low period=0 channels=c0",
+            "# agent a9 privilege=low period=-4 channels=c0",
             f"# carrier 01 {CARRIER_KEYS}",
             "# agent a9 privilege=low period=+2 channels=c0",
             "# foo bar",
@@ -391,7 +398,7 @@ class TestTraceRoundTrip:
         meta, events = parse_trace(text)
         assert meta.scenario == "toy"
         assert meta.seed == 1
-        assert meta.guard == "deny"
+        assert meta.enforcement.guard_mode is GuardMode.DENY_ALL
         assert len(events) == 2
         assert events[0].kind is EventKind.INJECT
         assert events[1].label is TaintLabel.TAINTED_DERIVED
@@ -438,9 +445,19 @@ class TestTraceRoundTrip:
         assert parse_trace(result.trace_text)[0].scenario == "fwA with spaces"
         assert result.report.meta.scenario == "fwA with spaces"
 
-    def test_header_flags_round_trip(self, bundled):
-        meta, _ = parse_trace(bundled("fwA", enforce="rtw,seal").trace_text)
-        assert meta.flags == {"rtw": True, "seal": True, "memgate": False, "attenuation": False}
+    @pytest.mark.parametrize("guard", list(GuardMode), ids=lambda g: g.value)
+    @pytest.mark.parametrize(
+        "layers",
+        [names for k in range(len(LAYER_NAMES) + 1) for names in combinations(LAYER_NAMES, k)],
+        ids=lambda names: ",".join(names) or "none",
+    )
+    def test_header_flags_round_trip(self, layers, guard, bundled):
+        """Each of the 32 enforcement values reads back from its spec string
+        and from the header of a run under it."""
+        cfg = EnforcementConfig(guard_mode=guard, **dict.fromkeys(layers, True))
+        assert EnforcementConfig.from_names(cfg.names(), cfg.guard_mode) == cfg
+        meta, _ = parse_trace(bundled("fwA", cfg.names(), guard).trace_text)
+        assert meta.enforcement == cfg
 
     def test_carrier_metadata_fields(self, bundled):
         meta, _ = parse_trace(bundled("fwA").trace_text)

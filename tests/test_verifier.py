@@ -5,12 +5,15 @@ the line format and fed back through the public string-taking entry points,
 so these tests double as format-contract tests.
 """
 
+import ast
 import random
 from dataclasses import replace
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+import reentryguard
 from reentryguard.cli import main
 from reentryguard.model import (
     ActionKind,
@@ -48,13 +51,12 @@ ALLOW = Decision.allow()
 DENY = Decision.deny(Reason.ATTENUATED_HIGHRISK)
 
 
-def toy_meta(carrier_owner: str = "a1", flags: dict | None = None) -> TraceMeta:
+def toy_meta(carrier_owner: str = "a1", enforcement: EnforcementConfig | None = None) -> TraceMeta:
     return TraceMeta(
         scenario="toy",
         seed=0,
         ticks=9,
-        flags=flags or {"rtw": False, "seal": False, "memgate": False, "attenuation": False},
-        guard="deny",
+        enforcement=enforcement or EnforcementConfig.none(),
         attacker="attacker",
         carriers=[
             Carrier(
@@ -143,8 +145,7 @@ class TestFindChainsFixtures:
         guarded = Decision.guard(Reason.ATTENUATED_HIGHRISK)
         events = [W(1), R(2), A(3, decision=guarded)]
         assert find_chains(render(events)) == []
-        approve_meta = toy_meta()
-        approve_meta.guard = "approve"
+        approve_meta = toy_meta(enforcement=EnforcementConfig(guard_mode=GuardMode.APPROVE_ALL))
         assert len(find_chains(render(events, approve_meta))) == 1
 
     def test_one_witness_per_offending_write(self):
@@ -219,7 +220,7 @@ class TestFindChainsFixtures:
             line for line in bundled("fwA", enforce="all").trace_text.splitlines(keepends=True)
             if not line.startswith("# enforcement ")
         )
-        assert parse_trace(text)[0].flags == {}  # a fragment still parses
+        assert parse_trace(text)[0].enforcement is None  # a fragment still parses
         with pytest.raises(VerificationError, match="enforcement"):
             build_report(text)
         path = tmp_path / "no-enforcement.trace"
@@ -351,7 +352,7 @@ class TestFindChainsOnSimulatorTraces:
             meta, _ = parse_trace(run.trace_text)
             witnesses = find_chains(run.trace_text)
             assert witnesses, name
-            assert_matches_oracle(witnesses, naive_chains(run.trace, meta, meta.guard))
+            assert_matches_oracle(witnesses, naive_chains(run.trace, meta, meta.enforcement.guard_mode.value))
 
     @staticmethod
     def _fuzz_runs(enforce: str) -> tuple[int, int]:
@@ -366,7 +367,7 @@ class TestFindChainsOnSimulatorTraces:
             meta = eco.meta
             trace = eco.run()
             witnesses = find_chains(render_trace(trace, meta))
-            assert_matches_oracle(witnesses, naive_chains(trace, meta, meta.guard))
+            assert_matches_oracle(witnesses, naive_chains(trace, meta, meta.enforcement.guard_mode.value))
             found += len(witnesses)
         return found, with_resets
 
@@ -448,14 +449,13 @@ class TestAuditRtw:
     def test_attenuated_reader_is_not_high_cap(self):
         """With attenuation on, a reader already contaminated at read time has
         no live capability, so the exposure is outside the pattern."""
-        flags = {"rtw": False, "seal": False, "memgate": False, "attenuation": True}
-        meta = toy_meta(flags=flags)
+        meta = toy_meta(enforcement=self.ATTENUATED)
         events = [R(1, agent="a2"), W(2, agent="a1"), R(3, agent="a2")]
         assert not build_report(render(events, meta)).rtw_violations
         # same trace, attenuation off: the read is a violation
         assert build_report(render(events)).rtw_violations
 
-    ATTENUATED = {"rtw": False, "seal": False, "memgate": False, "attenuation": True}
+    ATTENUATED = EnforcementConfig(attenuation=True)
     POOL = [
         lambda t: W(t, agent="a1"),
         lambda t: W(t, agent="a2"),
@@ -486,7 +486,7 @@ class TestAuditRtw:
             elif ev.kind is EventKind.DECLASSIFY:
                 last_write.pop(ev.carrier_id, None)
             elif ev.kind is EventKind.EXPOSED_READ and untrusted and ev.carrier_id in last_write:
-                if meta.flags["attenuation"] and contaminated[i]:
+                if meta.enforcement.attenuation and contaminated[i]:
                     excused += 1
                 else:
                     violations.append(RtwViolation(ev.carrier_id, last_write[ev.carrier_id], i, ev.agent))
@@ -498,8 +498,8 @@ class TestAuditRtw:
         same list, with attenuation on and off."""
         rng = random.Random(11)
         found = excused = 0
-        for flags in (self.ATTENUATED, None):
-            meta = toy_meta(flags=flags)
+        for enforcement in (self.ATTENUATED, None):
+            meta = toy_meta(enforcement=enforcement)
             for _ in range(3000):
                 events = [rng.choice(self.POOL)(t) for t in range(rng.randint(0, 8))]
                 expected, skipped = self._oracle(events, meta, contamination(events, meta))
@@ -620,3 +620,32 @@ class TestReportOutcomes:
             weak = len(bundled("fwA", enforce=weaker).report.chains)
             strong = len(bundled("fwA", enforce=stronger).report.chains)
             assert strong <= weak
+
+
+class TestIndependence:
+    """The auditor, the header codec it parses with and the scenario schema
+    import nothing that enforces: the rules they judge by are written apart
+    from the ones under audit, and share only the model's vocabulary."""
+
+    ENFORCING = {"policy", "sim", "memgate", "rtw", "taint"}
+
+    @staticmethod
+    def imported(module: str) -> set[str]:
+        """Every package module name in the module's imports, at any depth."""
+        tree = ast.parse((Path(reentryguard.__file__).parent / f"{module}.py").read_text())
+        names: set[str] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    names.update(alias.name.split("."))
+            elif isinstance(node, ast.ImportFrom):
+                names.update((node.module or "").split("."))
+                if node.module in (None, "reentryguard"):
+                    # from . import x: x is a module
+                    names.update(alias.name for alias in node.names)
+        return names
+
+    @pytest.mark.parametrize("module", ["tracelog", "verifier", "scenarios"])
+    def test_imports_no_enforcing_module(self, module):
+        assert "model" in self.imported(module)
+        assert not self.imported(module) & self.ENFORCING
