@@ -53,14 +53,6 @@ class TaintLabel(str, Enum):
 _CLEAN = TaintLabel.CLEAN
 
 
-class Provenance(str, Enum):
-    SIGNED_BASELINE = "signed_baseline"
-    USER_PROVIDED = "user_provided"
-    DOWNLOADED = "downloaded"
-    EXTERNAL_SYNC = "external_sync"
-    AGENT_WRITTEN = "agent_written"
-
-
 class CarrierClass(str, Enum):
     STATIC_CONFIG = "static_config"
     TASK_LOCAL_STATE = "task_local_state"
@@ -115,15 +107,7 @@ class ActionKind(str, Enum):
 
 
 class DeclassProcedure(str, Enum):
-    HUMAN_REVIEW = "human_review"
     DETERMINISTIC_VALIDATION = "deterministic_validation"
-    CONTEXT_RESET = "context_reset"
-
-
-class Authorizer(str, Enum):
-    RUNTIME = "runtime"
-    OPERATOR = "operator"
-    AGENT_SELF = "agent_self"
 
 
 # memory gate vocabulary lives here because promote attempts are events and

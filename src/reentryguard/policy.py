@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .memgate import Lease, MemoryStores, PromotionPolicy, check_lease_write, promote
+from .memgate import Lease, MemoryCandidate, check_lease_write, promote
 from .model import (
     ActionKind,
     Carrier,
@@ -111,9 +111,8 @@ class MediationContext:
 
     carriers: dict[int, Carrier]
     states: dict[str, AgentDecisionState]
-    stores: dict[str, MemoryStores]
+    candidates: dict[str, dict[int, MemoryCandidate]]  # agent -> id -> submitted candidate
     leases: list[Lease]
-    promotion_policy: PromotionPolicy
 
 
 def _mediate_write(event: Event, ctx: MediationContext, config: EnforcementConfig) -> Decision:
@@ -154,9 +153,7 @@ def _mediate_exposed_read(event: Event, ctx: MediationContext, config: Enforceme
 def _mediate_promote(event: Event, ctx: MediationContext, config: EnforcementConfig) -> Decision:
     if not config.memgate:
         return _ALLOW
-    store = ctx.stores[event.agent]
-    candidate = store.candidates[event.carrier_id]
-    if promote(candidate, ctx.promotion_policy):
+    if promote(ctx.candidates[event.agent][event.carrier_id]):
         return _ALLOW
     return _DENY_PROMOTION
 
@@ -171,13 +168,12 @@ def _mediate_action(event: Event, ctx: MediationContext, config: EnforcementConf
 _RULES: dict[EventKind, Callable[[Event, MediationContext, EnforcementConfig], Decision]] = {
     EventKind.WRITE: _mediate_write,
     EventKind.EXPOSED_READ: _mediate_exposed_read,
-    EventKind.OPAQUE_READ: lambda event, ctx, config: enforce_opaque_read(ctx.carriers[event.carrier_id].label),
+    EventKind.OPAQUE_READ: lambda event, ctx, config: enforce_opaque_read(),
     EventKind.PROMOTE: _mediate_promote,
     EventKind.HIGH_RISK: _mediate_action,
     EventKind.MSG_SEND: _mediate_action,
     # declassification is runtime-initiated: mediation lets it through, and
-    # the simulator then asks the taint engine whether the authority behind
-    # the request may clear the carrier
+    # the simulator then clears the carrier
     EventKind.DECLASSIFY: lambda event, ctx, config: _ALLOW,
 }
 

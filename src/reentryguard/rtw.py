@@ -62,8 +62,7 @@ def enforce_exposed_read(carrier_label: TaintLabel, high_cap: bool) -> Decision:
     return _ALLOW
 
 
-def enforce_opaque_read(carrier_label: TaintLabel) -> Decision:
+def enforce_opaque_read() -> Decision:
     """Opaque reads move bytes, not meaning: always allowed, any label.
     The caller must not surface facets or mark contamination afterwards."""
-    del carrier_label
     return _NOT_MEDIATED

@@ -36,7 +36,6 @@ from .model import (
     InjectionPosition,
     PayloadFacets,
     Privilege,
-    Provenance,
     ReentryGuardError,
 )
 from .tracelog import agent_id, channel_name, scenario_name
@@ -446,8 +445,6 @@ SEEDED_KEYS = (
     Key("agent", _str, check=_agent),
     Key("slot", _str, check=_slot),
     Key("facets", _facets, "1111"),
-    # accepted for existing files: a seeded slot always starts labeled external
-    Key("provenance", _enum(Provenance), "external_sync"),
 )
 
 SCENARIO_KEYS = (
@@ -465,13 +462,7 @@ SCENARIO_KEYS = (
     Key("task_leases", _mapping(_str, _pair(_int, _int)), {}, _keyed(_lease, _agent)),
     Key("resets", _seq(_pair(_str, _int)), [], _all(_keyed(_step_tick, _agent), _distinct)),
     Key("declassify", _seq(_pair(_str, _int)), [], _all(_keyed(_step_tick, _agent), _distinct), attr="declassify_carrier_of"),
-    Key(
-        "seeded",
-        _seq(_record(SEEDED_KEYS, lambda provenance, **fields: SeededCarrier(**fields))),
-        [],
-        _seeded,
-        attr="seeded_carriers",
-    ),
+    Key("seeded", _seq(_record(SEEDED_KEYS, SeededCarrier)), [], _seeded, attr="seeded_carriers"),
     Key("heartbeat_logs", _seq(_str), [], _channels, attr="heartbeat_log_channels"),
 )
 

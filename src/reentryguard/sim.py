@@ -36,7 +36,7 @@ import random
 from dataclasses import dataclass, replace
 
 from . import verifier as verifier_mod
-from .memgate import Lease, MemoryCandidate, MemoryStores, default_policy
+from .memgate import AUTHORITY_MAX, TTL_MAX, Lease, MemoryCandidate
 from .model import (
     ATTACKER,
     EFFECTIVE,
@@ -45,7 +45,6 @@ from .model import (
     NO_FACETS,
     PERSIST_DROP_STRENGTH,
     ActionKind,
-    Authorizer,
     AutoloadPolicy,
     CandidateScope,
     CandidateSource,
@@ -73,9 +72,6 @@ from .taint import (
 )
 from .tracelog import AgentMeta, TraceMeta, render_trace
 
-# every run promotes under the one default policy
-PROMOTION_POLICY = default_policy()
-
 # the enum members events are built from, bound once: a module name costs a
 # tenth of a class attribute lookup
 _WRITE = EventKind.WRITE
@@ -93,6 +89,17 @@ _CLEAN = TaintLabel.CLEAN
 _TAINTED = TaintLabel.TAINTED
 _USER_PROMPT = InjectionPosition.USER_PROMPT
 _VALIDATION = DeclassProcedure.DETERMINISTIC_VALIDATION
+
+# the one candidate a contaminated agent submits: a free-form standing
+# directive out of bounds on every promotion predicate
+_CANDIDATE = MemoryCandidate(
+    id=1,
+    schema=SchemaKind.FREE_FORM_INSTRUCTION,
+    source=CandidateSource.AGENT_SUMMARY,
+    scope=CandidateScope.CROSS_AGENT,
+    authority=AUTHORITY_MAX + 1,
+    ttl=TTL_MAX + 1,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +154,10 @@ class Ecosystem:
         # agent order, here and in every loop over agents, is id order
         self.agents: dict[str, AgentProfile] = {a.id: a for a in sorted(scenario.agents, key=lambda a: a.id)}
         self.states: dict[str, AgentDecisionState] = {}
-        self.stores: dict[str, MemoryStores] = {}
+        # agent -> id -> its submitted candidate; agent -> the facets its
+        # effective promotion put into trusted memory
+        self.candidates: dict[str, dict[int, MemoryCandidate]] = {}
+        self.promoted: dict[str, PayloadFacets] = {}
         self.carriers: dict[int, Carrier] = {}
         self.carrier_sets: dict[str, AgentCarrierSet] = {}
         # channel -> its external feed, and its shared log
@@ -158,7 +168,6 @@ class Ecosystem:
         self.leases: list[Lease] = []
         # channel -> the effective msg_send and inject events for next tick
         self.queued: dict[str, list[Event]] = {ch: [] for ch in scenario.channels}
-        self.candidate_submitted: set[str] = set()
         # the decisions under which a mediated event takes effect
         self.effective = EFFECTIVE[self.config.guard_mode]
         self._build()
@@ -167,9 +176,8 @@ class Ecosystem:
         self.ctx = MediationContext(
             carriers=self.carriers,
             states=self.states,
-            stores=self.stores,
+            candidates=self.candidates,
             leases=self.leases,
-            promotion_policy=PROMOTION_POLICY,
         )
         # the header: initial labels, copied before run() changes them; the
         # header carries no content
@@ -276,7 +284,6 @@ class Ecosystem:
             if profile.privilege is Privilege.HIGH:
                 high_risk |= {Capability.SHELL, Capability.NETWORK}
             self.states[agent_id] = AgentDecisionState(capable=not high_risk.isdisjoint(profile.capabilities))
-            self.stores[agent_id] = MemoryStores()
             lease = self.scenario.task_leases.get(agent_id)
             if lease is not None:
                 self.leases.append(Lease(carrier_id=task.id, t0=lease[0], t1=lease[1]))
@@ -383,23 +390,14 @@ class Ecosystem:
         surfaced."""
         sources: list[tuple[Carrier, PayloadFacets]] = []
         cset = self.carrier_sets[agent]
-        store = self.stores[agent]
         for carrier in cset.heartbeat_reads:
-            if carrier is not cset.memory:
-                facets = carrier.content if carrier.content is not None else NO_FACETS
-            elif self.config.memgate:
-                # gated render: typed projection only, facets never surface
-                if not store.render_projection(tick):
+            if carrier is cset.memory:
+                # trusted memory renders only what a promotion put there
+                facets = self.promoted.get(agent)
+                if facets is None:
                     continue
-                facets = NO_FACETS
             else:
-                raw = store.raw_render()
-                if not raw:
-                    continue
-                facets = NO_FACETS
-                for cand in raw:
-                    if cand.content is not None:
-                        facets = facets.union(cand.content)
+                facets = carrier.content if carrier.content is not None else NO_FACETS
             if self._exposed_read(tick, agent, carrier, carrier.label):
                 sources.append((carrier, facets))
         return sources
@@ -463,23 +461,11 @@ class Ecosystem:
 
         # persistent memory lives in storage too: without the file-write
         # permission there is nothing to admit into
-        if facets.persist and can_write and agent not in self.candidate_submitted:
-            self.candidate_submitted.add(agent)
-            store = self.stores[agent]
-            candidate = MemoryCandidate(
-                id=store.new_candidate_id(),
-                schema=SchemaKind.FREE_FORM_INSTRUCTION,
-                source=CandidateSource.AGENT_SUMMARY,
-                scope=CandidateScope.CROSS_AGENT,
-                authority=PROMOTION_POLICY.authority_max + 1,
-                ttl=PROMOTION_POLICY.ttl_max + 1,
-                value="standing-directive",
-                content=facets,
-            )
-            store.submit_candidate(candidate)
-            ev = self._propose(tick, agent, _PROMOTE, origin, candidate.id, facets, schema=candidate.schema)
+        if facets.persist and can_write and agent not in self.candidates:
+            self.candidates[agent] = {_CANDIDATE.id: _CANDIDATE}
+            ev = self._propose(tick, agent, _PROMOTE, origin, _CANDIDATE.id, facets, schema=_CANDIDATE.schema)
             if ev is not None:
-                store.admit(candidate.id, tick)
+                self.promoted[agent] = facets
                 cset.memory.label = ev.label
 
         if facets.propagate and can_send:
@@ -528,7 +514,7 @@ class Ecosystem:
                 # carrier_id, label, facets, channel, action, schema, procedure
                 ev = Event(tick, agent, _DECLASSIFY, carrier.id, carrier.label, None, None, None, None, _VALIDATION)
                 if self._mediated(ev):
-                    declassify_carrier(carrier, Authorizer.RUNTIME)
+                    declassify_carrier(carrier)
 
     def run(self) -> list[Event]:
         """Run ticks 0..max_ticks in the order the module docstring gives."""

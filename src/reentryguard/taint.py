@@ -3,8 +3,8 @@
 Propagation is deliberately over-conservative. Once an agent's decision
 state has been exposed to untrusted content, everything it writes is
 labeled tainted_derived, whether or not the payload survived. The agent
-itself can never clear this: declassification requires runtime or operator
-authority, and a context reset is a runtime operation. Precision is traded
+itself can never clear this: declassification and context reset are both
+runtime operations the scenario schedules. Precision is traded
 away so that no semantic judgement about "did the instruction survive the
 paraphrase" is ever load-bearing.
 """
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import Authorizer, Carrier, TaintLabel
+from .model import Carrier, TaintLabel
 
 
 @dataclass(frozen=True)
@@ -87,22 +87,8 @@ def context_reset(state: AgentDecisionState) -> AgentDecisionState:
 # ---------------------------------------------------------------------------
 
 
-def declassify(authorizer: Authorizer) -> bool:
-    """Whether a declassification request is honored.
-
-    Only runtime or operator authority can clear a label or a contamination
-    flag. A request originating from the agent itself is refused no matter
-    what it claims about the content: a contaminated decision state arguing
-    for its own trustworthiness is the exact failure mode this exists to
-    stop. Every DeclassProcedure is an honored procedure, so the authority
-    alone decides.
-    """
-    return authorizer is not Authorizer.AGENT_SELF
-
-
-def declassify_carrier(carrier: Carrier, authorizer: Authorizer) -> bool:
-    cleared = declassify(authorizer)
-    if cleared:
-        carrier.label = _CLEAN
-        carrier.content = None
-    return cleared
+def declassify_carrier(carrier: Carrier) -> None:
+    """Runtime-initiated declassification: the carrier's label and content
+    are cleared. The simulator schedules it; no agent can ask for it."""
+    carrier.label = _CLEAN
+    carrier.content = None

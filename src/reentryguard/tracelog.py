@@ -25,7 +25,7 @@ and parsing both read that one table:
     msg_send:c1:1111[:exfil]
     msg_recv:c1:0110:from=a2
     promote:free_form_instruction:1111   carrier_id column holds candidate id
-    declassify:human_review         carrier target in carrier_id
+    declassify:deterministic_validation   carrier target in carrier_id
     context_reset / heartbeat
     inject:c0:1111
 

@@ -11,7 +11,7 @@ from dataclasses import replace
 from itertools import product
 
 from reentryguard.cli import emit_capability_matrix
-from reentryguard.memgate import default_policy, promote
+from reentryguard.memgate import AUTHORITY_MAX, TTL_MAX, promote
 from reentryguard.model import (
     CandidateScope,
     CandidateSource,
@@ -187,9 +187,8 @@ def test_criterion_05_rtw_scanner_equals_brute_force():
 
 def test_criterion_06_promotion_gate_exhaustive():
     with criterion(6, "promotion gate equals the 5-predicate oracle over the full product"):
-        policy = default_policy()
-        authorities = (policy.authority_max - 1, policy.authority_max, policy.authority_max + 1)
-        ttls = (policy.ttl_max - 1, policy.ttl_max, policy.ttl_max + 1)
+        authorities = (AUTHORITY_MAX - 1, AUTHORITY_MAX, AUTHORITY_MAX + 1)
+        ttls = (TTL_MAX - 1, TTL_MAX, TTL_MAX + 1)
         admitted = 0
         total = 0
         for schema, source, scope, authority, ttl in product(
@@ -197,8 +196,8 @@ def test_criterion_06_promotion_gate_exhaustive():
         ):
             c = candidate(schema=schema, source=source, scope=scope,
                           authority=authority, ttl=ttl)
-            got = promote(c, policy)
-            assert got == oracle_promote(c, policy), c
+            got = promote(c)
+            assert got == oracle_promote(c), c
             total += 1
             admitted += got
         assert total == len(SchemaKind) * len(CandidateSource) * len(CandidateScope) * 9

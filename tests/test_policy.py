@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from reentryguard.memgate import Lease, MemoryStores, default_policy
+from reentryguard.memgate import Lease
 from reentryguard.model import (
     EFFECTFUL_KINDS,
     ActionKind,
@@ -36,13 +36,12 @@ from tests.test_model import make_carrier
 CAPABLE = AgentDecisionState(capable=True)
 
 
-def ctx_with(carriers: dict, states: dict, leases=None, stores=None) -> MediationContext:
+def ctx_with(carriers: dict, states: dict, leases=None, candidates=None) -> MediationContext:
     return MediationContext(
         carriers=carriers,
         states=states,
-        stores=stores or {},
+        candidates=candidates or {},
         leases=leases or [],
-        promotion_policy=default_policy(),
     )
 
 
@@ -197,14 +196,11 @@ class TestMediateRead:
 
 class TestMediatePromote:
     def _ctx(self) -> MediationContext:
+        from reentryguard.model import SchemaKind
         from tests.test_memgate import candidate
 
-        stores = MemoryStores()
-        stores.submit_candidate(candidate(cid=1))
-        from reentryguard.model import SchemaKind
-
-        stores.submit_candidate(candidate(cid=2, schema=SchemaKind.FREE_FORM_INSTRUCTION))
-        return ctx_with({}, {"a1": CAPABLE}, stores={"a1": stores})
+        submitted = {1: candidate(cid=1), 2: candidate(cid=2, schema=SchemaKind.FREE_FORM_INSTRUCTION)}
+        return ctx_with({}, {"a1": CAPABLE}, candidates={"a1": submitted})
 
     def test_conforming_promotion_allowed(self):
         event = Event(tick=1, agent="a1", kind=EventKind.PROMOTE, carrier_id=1)

@@ -165,11 +165,12 @@ class TestDictParsing:
         with pytest.raises(ScenarioError, match="seeded"):
             scenario_from_dict(minimal() | {"seeded": [{"agent": "a1"}]})
 
-    def test_seeded_bad_provenance(self):
+    def test_seeded_provenance_key_refused(self):
+        # a seeded slot always starts labeled external; no key says otherwise
         data = minimal() | {
-            "seeded": [{"agent": "a1", "slot": "task", "provenance": "divine"}]
+            "seeded": [{"agent": "a1", "slot": "task", "provenance": "external_sync"}]
         }
-        with pytest.raises(ScenarioError, match="seeded"):
+        with pytest.raises(ScenarioError, match="provenance"):
             scenario_from_dict(data)
 
     def test_seeded_unknown_key_rejected(self):

@@ -76,7 +76,7 @@ ONE_PER_KIND = [
           schema=SchemaKind.TYPED_FACT, facets=PayloadFacets.none(),
           decision=Decision.deny(Reason.PROMOTION_REJECTED)),
     Event(tick=3, agent="a1", kind=EventKind.DECLASSIFY, carrier_id=5, label=TaintLabel.TAINTED,
-          procedure=DeclassProcedure.HUMAN_REVIEW, decision=Decision.allow()),
+          procedure=DeclassProcedure.DETERMINISTIC_VALIDATION, decision=Decision.allow()),
     Event(tick=3, agent="a1", kind=EventKind.CONTEXT_RESET),
     Event(tick=3, agent="a1", kind=EventKind.HEARTBEAT),
     Event(tick=0, agent="attacker", kind=EventKind.INJECT, channel="c0", label=TaintLabel.TAINTED,
@@ -172,6 +172,8 @@ class TestParseErrors:
             "03|a1|heartbeat|-|-|-|-",
             "1|a1|exposed_read|+7|tainted|allow|ok",
             "1|a1|exposed_read|07|tainted|allow|ok",
+            # the one declassification procedure the model knows
+            "3|a1|declassify:human_review|5|tainted|allow|ok",
         ],
     )
     def test_malformed_event_line_names_its_line(self, line):
