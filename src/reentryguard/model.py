@@ -57,7 +57,6 @@ class CarrierClass(str, Enum):
     STATIC_CONFIG = "static_config"
     TASK_LOCAL_STATE = "task_local_state"
     TRUSTED_MEMORY = "trusted_memory"
-    CANDIDATE_MEMORY = "candidate_memory"
     WORKSPACE_FILE = "workspace_file"
     SHARED_CHANNEL_LOG = "shared_channel_log"
     EXTERNAL_SOURCE = "external_source"
@@ -76,9 +75,7 @@ class AutoloadPolicy(str, Enum):
 
 
 _STATIC_CONFIG = CarrierClass.STATIC_CONFIG
-_CANDIDATE_MEMORY = CarrierClass.CANDIDATE_MEMORY
 _SESSION_START = AutoloadPolicy.SESSION_START
-_NEVER = AutoloadPolicy.NEVER
 _AUTOLOADED = (_SESSION_START, AutoloadPolicy.HEARTBEAT)
 
 
@@ -93,17 +90,11 @@ class Privilege(str, Enum):
 
 
 class ActionKind(str, Enum):
-    """High-risk action classification. Every variant is high-risk; low-risk
-    operations (plain reads, formatting, local computation) never appear here
-    and are never mediated as actions."""
+    """The tool a high_risk event invokes. Writes and sends are high-risk
+    too, but they are events of their own kinds."""
 
-    WRITE_AUTOLOADED = "write_autoloaded"
-    WRITE_TRUSTED_MEMORY = "write_trusted_memory"
-    WRITE_CONFIG = "write_config"
-    SEND_MESSAGE = "send_message"
     INVOKE_SHELL = "invoke_shell"
     INVOKE_NETWORK = "invoke_network"
-    COMMIT_CROSS_SESSION = "commit_cross_session"
 
 
 class DeclassProcedure(str, Enum):
@@ -393,8 +384,6 @@ class Carrier:
     def __post_init__(self) -> None:
         if self.cls is _STATIC_CONFIG and self.autoload is not _SESSION_START:
             raise CarrierInvariantError(f"carrier {self.id}: static config must autoload at session start")
-        if self.cls is _CANDIDATE_MEMORY and self.autoload is not _NEVER:
-            raise CarrierInvariantError(f"carrier {self.id}: candidate memory is never autoloaded")
 
     @property
     def autoloaded(self) -> bool:

@@ -13,8 +13,9 @@ Layer ownership of denial reasons:
                                       and shared-log carriers
     memgate     lease-expired         task-local writes outside a lease
                 promotion-rejected    gate bypass or failed promotion
-    attenuation attenuated-highrisk   high-risk actions (including high-risk
-                                      writes) from a contaminated context
+    attenuation attenuated-highrisk   high-risk actions from a contaminated
+                                      context: tool invocations, sends, and
+                                      writes that high_risk_write names
 
 mediate() raising on an event kind it does not know is a feature: an
 unmediated effectful kind is an incomplete-mediation bug, and failing loud
@@ -28,7 +29,6 @@ from typing import Callable
 
 from .memgate import Lease, MemoryCandidate, check_lease_write, promote
 from .model import (
-    ActionKind,
     Carrier,
     CarrierClass,
     CarrierScope,
@@ -67,18 +67,16 @@ _TRUSTED_MEMORY = CarrierClass.TRUSTED_MEMORY
 _RTW_CLASSES = (CarrierClass.WORKSPACE_FILE, CarrierClass.SHARED_CHANNEL_LOG)
 
 
-def classify_write(carrier: Carrier) -> ActionKind | None:
-    """High-risk classification for a write, or None for an ordinary output
-    write. Ordinary writes stay allowed for usability and are only labeled."""
-    if carrier.cls is _STATIC_CONFIG:
-        return ActionKind.WRITE_CONFIG
-    if carrier.cls is _TRUSTED_MEMORY:
-        return ActionKind.WRITE_TRUSTED_MEMORY
-    if carrier.autoloaded:
-        return ActionKind.WRITE_AUTOLOADED
-    if carrier.scope is CarrierScope.SHARED_CROSS_AGENT:
-        return ActionKind.COMMIT_CROSS_SESSION
-    return None
+def high_risk_write(carrier: Carrier) -> bool:
+    """Whether a write to the carrier is a high-risk action: one into config,
+    trusted memory, an autoloaded carrier or a carrier shared across agents.
+    Ordinary output writes stay allowed for usability and are only labeled."""
+    return (
+        carrier.cls is _STATIC_CONFIG
+        or carrier.cls is _TRUSTED_MEMORY
+        or carrier.autoloaded
+        or carrier.scope is CarrierScope.SHARED_CROSS_AGENT
+    )
 
 
 def attenuated(state: AgentDecisionState, config: EnforcementConfig) -> bool:
@@ -130,7 +128,7 @@ def _mediate_write(event: Event, ctx: MediationContext, config: EnforcementConfi
         # gate bypass no matter who asks
         return _DENY_PROMOTION
 
-    if classify_write(carrier) is not None:
+    if high_risk_write(carrier):
         return attenuate(writer, config)
     return _ALLOW
 

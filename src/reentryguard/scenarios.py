@@ -31,6 +31,8 @@ import yaml
 from .model import (
     ATTACKER,
     PERSIST_DROP_STRENGTH,
+    AutoloadPolicy,
+    CarrierClass,
     EnforcementConfig,
     GuardMode,
     InjectionPosition,
@@ -100,21 +102,40 @@ def capability_preset(name: str) -> frozenset[str]:
 
 @dataclass(frozen=True)
 class FrameworkProfile:
-    """Carrier surface one deployed agent of this framework exposes.
-    system/user counts fix the template shape; the functional slots
-    (config, heartbeat task file, task state, memory store) are always
-    present, padded with inert on-demand workspace files."""
+    """Carrier surface one deployed agent of this framework exposes: it owns
+    system_carriers + user_carriers carriers, laid out by AGENT_CARRIERS,
+    and the first system_carriers of them go into the system prompt."""
 
     system_carriers: int
     user_carriers: int
-    memory_position: InjectionPosition
 
 
 FRAMEWORKS: dict[str, FrameworkProfile] = {
-    "A": FrameworkProfile(system_carriers=2, user_carriers=9, memory_position=InjectionPosition.SYSTEM_PROMPT),
-    "B": FrameworkProfile(system_carriers=2, user_carriers=10, memory_position=InjectionPosition.SYSTEM_PROMPT),
-    "C": FrameworkProfile(system_carriers=1, user_carriers=7, memory_position=InjectionPosition.USER_PROMPT),
+    "A": FrameworkProfile(system_carriers=2, user_carriers=9),
+    "B": FrameworkProfile(system_carriers=2, user_carriers=10),
+    "C": FrameworkProfile(system_carriers=1, user_carriers=7),
 }
+
+
+class CarrierRow(NamedTuple):
+    """An agent's own carrier: name after the agent id, class, autoload, seeded slot."""
+
+    name: str
+    cls: CarrierClass
+    autoload: AutoloadPolicy
+    slot: str | None
+
+
+# An agent's own carriers, in carrier id order: the functional four, then
+# inert on-demand notes (notes0, notes1, ...) that pad the agent to its
+# framework's carrier count. Only notes0 takes the ondemand seed.
+AGENT_CARRIERS = (
+    CarrierRow("identity", CarrierClass.STATIC_CONFIG, AutoloadPolicy.SESSION_START, None),
+    CarrierRow("memory", CarrierClass.TRUSTED_MEMORY, AutoloadPolicy.HEARTBEAT, None),
+    CarrierRow("taskfile", CarrierClass.WORKSPACE_FILE, AutoloadPolicy.HEARTBEAT, "heartbeat"),
+    CarrierRow("taskstate", CarrierClass.TASK_LOCAL_STATE, AutoloadPolicy.HEARTBEAT, "task"),
+    CarrierRow("notes", CarrierClass.WORKSPACE_FILE, AutoloadPolicy.ON_DEMAND, "ondemand"),
+)
 
 
 @dataclass(frozen=True)
@@ -148,7 +169,7 @@ class SeededCarrier:
     facets: PayloadFacets
 
 
-SEEDED_SLOTS = ("heartbeat", "task", "ondemand")
+SEEDED_SLOTS = tuple(row.slot for row in AGENT_CARRIERS if row.slot is not None)
 
 
 @dataclass

@@ -61,7 +61,7 @@ from .model import (
     TaintLabel,
 )
 from .policy import MediationContext, mediate
-from .scenarios import FRAMEWORKS, AgentProfile, Capability, Injection, Scenario, SeededCarrier
+from .scenarios import AGENT_CARRIERS, FRAMEWORKS, AgentProfile, Capability, Injection, Scenario, SeededCarrier
 from .taint import (
     AgentDecisionState,
     content_label,
@@ -87,6 +87,7 @@ _HEARTBEAT = EventKind.HEARTBEAT
 _INJECT = EventKind.INJECT
 _CLEAN = TaintLabel.CLEAN
 _TAINTED = TaintLabel.TAINTED
+_SYSTEM_PROMPT = InjectionPosition.SYSTEM_PROMPT
 _USER_PROMPT = InjectionPosition.USER_PROMPT
 _VALIDATION = DeclassProcedure.DETERMINISTIC_VALIDATION
 
@@ -222,56 +223,28 @@ class Ecosystem:
 
     def _build(self) -> None:
         seeded = {(sc.agent, sc.slot): sc for sc in self.scenario.seeded_carriers}
+        notes = len(AGENT_CARRIERS) - 1
         for agent_id, profile in self.agents.items():
             fw = FRAMEWORKS[profile.framework]
-            config = self._carrier(
-                f"{agent_id}.identity",
-                CarrierClass.STATIC_CONFIG,
-                AutoloadPolicy.SESSION_START,
-                agent_id,
-                injection=InjectionPosition.SYSTEM_PROMPT,
-            )
-            memory = self._carrier(
-                f"{agent_id}.memory",
-                CarrierClass.TRUSTED_MEMORY,
-                AutoloadPolicy.HEARTBEAT,
-                agent_id,
-                injection=fw.memory_position,
-            )
-            heartbeat = self._carrier(
-                f"{agent_id}.taskfile",
-                CarrierClass.WORKSPACE_FILE,
-                AutoloadPolicy.HEARTBEAT,
-                agent_id,
-                seeded.get((agent_id, "heartbeat")),
-            )
-            task = self._carrier(
-                f"{agent_id}.taskstate",
-                CarrierClass.TASK_LOCAL_STATE,
-                AutoloadPolicy.HEARTBEAT,
-                agent_id,
-                seeded.get((agent_id, "task")),
-            )
-
-            # pad with inert on-demand workspace files so the injectable
-            # surface matches the framework shape
-            carriers = [config, memory, heartbeat, task]
-            for i in range(fw.system_carriers + fw.user_carriers - len(carriers)):
+            # one carrier per layout row, the last row repeated as notes0,
+            # notes1, ... up to the framework's count; the first
+            # system_carriers go into the system prompt
+            carriers = []
+            for i in range(fw.system_carriers + fw.user_carriers):
+                row = AGENT_CARRIERS[min(i, notes)]
                 carriers.append(
                     self._carrier(
-                        f"{agent_id}.notes{i}",
-                        CarrierClass.WORKSPACE_FILE,
-                        AutoloadPolicy.ON_DEMAND,
+                        f"{agent_id}.{row.name}" if i < notes else f"{agent_id}.{row.name}{i - notes}",
+                        row.cls,
+                        row.autoload,
                         agent_id,
-                        seeded.get((agent_id, "ondemand")) if i == 0 else None,
+                        seeded.get((agent_id, row.slot)) if i <= notes else None,
+                        _SYSTEM_PROMPT if i < fw.system_carriers else _USER_PROMPT,
                     )
                 )
-
-            self.carrier_sets[agent_id] = AgentCarrierSet(
-                config=config,
-                memory=memory,
-                heartbeat=heartbeat,
-                task=task,
+            # the functional rows, in AgentCarrierSet's field order
+            cset = self.carrier_sets[agent_id] = AgentCarrierSet(
+                *carriers[:notes],
                 session_reads=[c for c in carriers if c.autoload is AutoloadPolicy.SESSION_START],
                 heartbeat_reads=[c for c in carriers if c.autoload is AutoloadPolicy.HEARTBEAT],
                 channels=sorted(profile.channels),
@@ -286,7 +259,7 @@ class Ecosystem:
             self.states[agent_id] = AgentDecisionState(capable=not high_risk.isdisjoint(profile.capabilities))
             lease = self.scenario.task_leases.get(agent_id)
             if lease is not None:
-                self.leases.append(Lease(carrier_id=task.id, t0=lease[0], t1=lease[1]))
+                self.leases.append(Lease(carrier_id=cset.task.id, t0=lease[0], t1=lease[1]))
 
         for ch in self.scenario.channels:
             self.feeds[ch] = self._carrier(

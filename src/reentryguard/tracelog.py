@@ -280,16 +280,10 @@ HEADER: dict[str, _Line] = {
         ("label0", "label", _enum(TaintLabel)),
     ),
 }
-# single tag -> the TraceMeta field its line fills, which parse_trace leaves
-# None when the header lacks the tag; trace-format fills none, and the
-# parser refuses a header that does not open with it
-SINGLE_FIELDS = {
-    "scenario": "scenario",
-    "seed": "seed",
-    "ticks": "ticks",
-    "enforcement": "enforcement",
-    "attacker": "attacker",
-}
+# The single tags but trace-format, each filling the TraceMeta field of its
+# own name, which parse_trace leaves None when the header lacks the tag.
+# trace-format fills none, and the parser refuses a header not opening with it.
+SINGLE_FIELDS = tuple(tag for tag, line in HEADER.items() if line.records is None and tag != "trace-format")
 
 
 def render_header(meta: TraceMeta) -> list[str]:
@@ -304,12 +298,12 @@ def render_header(meta: TraceMeta) -> list[str]:
 
 def missing_tags(meta: TraceMeta) -> list[str]:
     """The single tags, other than trace-format, that a parsed header lacks."""
-    return [tag for tag, name in SINGLE_FIELDS.items() if getattr(meta, name) is None]
+    return [tag for tag in SINGLE_FIELDS if getattr(meta, tag) is None]
 
 
 def _parse_header(lines: list[str]) -> tuple[TraceMeta, int]:
     """The header, and the number of lines up to and including the column row."""
-    meta = TraceMeta(**dict.fromkeys(SINGLE_FIELDS.values()))
+    meta = TraceMeta(**dict.fromkeys(SINGLE_FIELDS))
     seen: set[tuple[Any, ...]] = set()  # (tag,) per single tag, (tag, id) per record
     for line_no, line in enumerate(lines, start=1):
         if line == COLUMN_ROW:

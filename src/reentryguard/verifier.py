@@ -49,7 +49,6 @@ from .model import (
     EFFECTFUL_KINDS,
     EFFECTIVE,
     REASON_LAYER,
-    ActionKind,
     CarrierClass,
     CarrierScope,
     Event,
@@ -142,14 +141,25 @@ def audit(meta: TraceMeta, events: Iterable[Event]) -> Report:
     the attacker, and the report the rest), an effectful event without a
     decision, and an event on a carrier the header does not declare (its
     owner and class, which hops and high-risk writes are judged by, would be
-    unknown)."""
+    unknown). Zero-click, hops and propagation are judged by who acts, so
+    it also refuses an actor the header does not declare: an attacker that
+    is also a declared agent, a carrier owner that is not one, an event
+    agent or msg_recv sender that is neither one nor the attacker, and an
+    inject by anyone but the attacker; and an event past the # ticks the
+    record reports."""
     missing = missing_tags(meta)
     if missing:
         raise VerificationError(f"the header has no {', '.join('# ' + tag for tag in missing)} line")
     effective = EFFECTIVE[meta.enforcement.guard_mode]
     attacker = meta.attacker
     attenuation_on = meta.enforcement.attenuation
+    agents = {a.id for a in meta.agents}
+    if attacker in agents:
+        raise VerificationError(f"the attacker {attacker} is also a declared agent")
     owners = {c.id: c.owner for c in meta.carriers}
+    for c in meta.carriers:
+        if c.owner is not None and c.owner not in agents:
+            raise VerificationError(f"carrier {c.id} is owned by {c.owner}, which the header does not declare")
     # carriers a write to which is a high-risk action: those that feed future
     # contexts or cross agents; ordinary on-demand local files are below the bar
     risky = {
@@ -167,7 +177,6 @@ def audit(meta: TraceMeta, events: Iterable[Event]) -> Report:
     inject, promote, declassify, reset = (
         EventKind.INJECT, EventKind.PROMOTE, EventKind.DECLASSIFY, EventKind.CONTEXT_RESET,
     )
-    escalating = (ActionKind.INVOKE_SHELL, ActionKind.INVOKE_NETWORK)
 
     denied: dict[Reason, int] = {}  # reason -> non-allow decisions, in first-seen order
     injects = 0
@@ -235,9 +244,13 @@ def audit(meta: TraceMeta, events: Iterable[Event]) -> Report:
                 f"event {i}: {kind.value} of carrier {cid}, which the header does not declare"
             )
         if kind is inject:
+            if agent != attacker:
+                raise VerificationError(f"event {i}: inject by {agent}, not the attacker {attacker}")
             injects += 1
             continue
-        if agent == attacker:
+        if agent not in agents:
+            if agent != attacker:
+                raise VerificationError(f"event {i}: {kind.value} by {agent}, which the header does not declare")
             attacker_acts = True
         if kind is write:
             if not live:
@@ -267,13 +280,17 @@ def audit(meta: TraceMeta, events: Iterable[Event]) -> Report:
             if not live:
                 continue
             if kind is high_risk:
-                escalation = escalation or ev.action in escalating
+                escalation = True
             else:
                 exfiltration = exfiltration or ev.exfil
             if agent in opened:
                 settle(opened.pop(agent), (i, ev))
         elif kind is msg_recv:
-            if not propagation and ev.sender != attacker and ev.facets.any:
+            sender = ev.sender
+            if sender not in agents:
+                if sender != attacker:
+                    raise VerificationError(f"event {i}: msg_recv from {sender}, which the header does not declare")
+            elif not propagation and ev.facets.any:
                 propagation = True
         elif kind is promote:
             if live and ev.label is not None and ev.label is not clean and ev.facets.persist:
@@ -287,6 +304,9 @@ def audit(meta: TraceMeta, events: Iterable[Event]) -> Report:
             contaminated.discard(agent)
             if agent in opened:
                 settle(opened.pop(agent), False)
+    # ticks never decrease, so the last event has the highest
+    if i >= 0 and ev.tick > meta.ticks:
+        raise VerificationError(f"event {i}: tick {ev.tick} is past the header's # ticks {meta.ticks}")
     for reads in opened.values():
         settle(reads, False)
     chains.sort(key=lambda w: w.write_index)

@@ -17,7 +17,6 @@ from reentryguard.model import (
     CandidateSource,
     EventKind,
     SchemaKind,
-    TaintLabel,
 )
 from reentryguard.policy import EnforcementConfig
 from reentryguard.rtw import is_rtw_safe

@@ -166,10 +166,6 @@ class TestCarrierInvariants:
         with pytest.raises(CarrierInvariantError):
             make_carrier(cls=CarrierClass.STATIC_CONFIG, autoload=AutoloadPolicy.HEARTBEAT)
 
-    def test_candidate_memory_never_autoloads(self):
-        with pytest.raises(CarrierInvariantError):
-            make_carrier(cls=CarrierClass.CANDIDATE_MEMORY, autoload=AutoloadPolicy.HEARTBEAT)
-
     def test_autoloaded_property(self):
         assert make_carrier(autoload=AutoloadPolicy.HEARTBEAT).autoloaded
         assert make_carrier(autoload=AutoloadPolicy.SESSION_START).autoloaded

@@ -14,7 +14,6 @@ from reentryguard.model import (
     Event,
     EventKind,
     GuardMode,
-    InjectionPosition,
     Layer,
     Reason,
     TaintLabel,
@@ -26,7 +25,7 @@ from reentryguard.policy import (
     MediationContext,
     MediationError,
     attenuate,
-    classify_write,
+    high_risk_write,
     mediate,
 )
 from reentryguard.taint import AgentDecisionState, mark_contamination
@@ -50,25 +49,25 @@ def write_event(carrier_id: int, agent: str = "a1", tick: int = 1) -> Event:
 
 
 class TestClassifyWrite:
-    def test_config_write_is_config_action(self):
+    def test_config_write_is_high_risk(self):
         c = make_carrier(cls=CarrierClass.STATIC_CONFIG, autoload=AutoloadPolicy.SESSION_START)
-        assert classify_write(c) is ActionKind.WRITE_CONFIG
+        assert high_risk_write(c) is True
 
     def test_trusted_memory_write(self):
         c = make_carrier(cls=CarrierClass.TRUSTED_MEMORY)
-        assert classify_write(c) is ActionKind.WRITE_TRUSTED_MEMORY
+        assert high_risk_write(c) is True
 
     def test_autoloaded_carrier_write(self):
         c = make_carrier(autoload=AutoloadPolicy.HEARTBEAT)
-        assert classify_write(c) is ActionKind.WRITE_AUTOLOADED
+        assert high_risk_write(c) is True
 
     def test_shared_scope_write(self):
         c = make_carrier(scope=CarrierScope.SHARED_CROSS_AGENT)
-        assert classify_write(c) is ActionKind.COMMIT_CROSS_SESSION
+        assert high_risk_write(c) is True
 
     def test_plain_workspace_write_is_low_risk(self):
         c = make_carrier(autoload=AutoloadPolicy.ON_DEMAND)
-        assert classify_write(c) is None
+        assert high_risk_write(c) is False
 
 
 class TestAttenuate:

@@ -19,11 +19,14 @@ from reentryguard.model import (
 )
 from reentryguard.policy import EnforcementConfig
 from reentryguard.scenarios import (
+    FRAMEWORKS,
     NEVER,
+    SEEDED_SLOTS,
     AgentProfile,
     Injection,
     Scenario,
     ScenarioError,
+    SeededCarrier,
     bernoulli,
     bundled_names,
     random_scenario,
@@ -65,6 +68,36 @@ facet_strategy = st.builds(
     harm=st.booleans(),
     verbatim=st.booleans(),
 )
+
+
+class TestAgentLayout:
+    def test_framework_counts_place_every_carrier(self):
+        """An agent's own header carriers, in id order, are its framework's
+        system_carriers system-prompt ones, then its user_carriers
+        user-prompt ones."""
+        seen = set()
+        for seed in range(40):
+            eco = Ecosystem(random_scenario(seed))
+            meta, _ = parse_trace(render_trace([], eco.meta))
+            for agent in eco.agents.values():
+                fw = FRAMEWORKS[agent.framework]
+                positions = [c.injection for c in meta.carriers if c.owner == agent.id]
+                system = [InjectionPosition.SYSTEM_PROMPT] * fw.system_carriers
+                assert positions == system + [InjectionPosition.USER_PROMPT] * fw.user_carriers
+                seen.add(agent.framework)
+        assert seen == set(FRAMEWORKS)
+
+    def test_seeded_slots_in_draw_order(self):
+        # random_scenario draws from this tuple, and the lock pins its seeds
+        assert SEEDED_SLOTS == ("heartbeat", "task", "ondemand")
+
+    @pytest.mark.parametrize(
+        "slot, name", [("heartbeat", "a1.taskfile"), ("task", "a1.taskstate"), ("ondemand", "a1.notes0")]
+    )
+    def test_seeded_slot_seeds_its_layout_row(self, slot, name):
+        eco = Ecosystem(tiny_scenario(seeded_carriers=[SeededCarrier("a1", slot, PayloadFacets.full())]))
+        external = [c.name for c in eco.carriers.values() if c.owner == "a1" and c.label is TaintLabel.EXTERNAL]
+        assert external == [name]
 
 
 class TestTransformPayload:

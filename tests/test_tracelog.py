@@ -26,7 +26,6 @@ from reentryguard.scenarios import bundled_names, load_bundled, random_scenario
 from reentryguard.sim import Ecosystem, run_scenario
 from reentryguard.tracelog import (
     COLUMN_ROW,
-    HEADER,
     MISSING,
     SINGLE_FIELDS,
     SHAPE_FIELDS,
@@ -174,6 +173,10 @@ class TestParseErrors:
             "1|a1|exposed_read|07|tainted|allow|ok",
             # the one declassification procedure the model knows
             "3|a1|declassify:human_review|5|tainted|allow|ok",
+            # a high_risk line names the tool it invokes; writes and sends
+            # are events of their own kinds
+            "3|a1|high_risk:write_config|-|tainted|allow|ok",
+            "3|a1|high_risk:send_message|-|tainted|allow|ok",
         ],
     )
     def test_malformed_event_line_names_its_line(self, line):
@@ -219,6 +222,9 @@ class TestParseErrors:
             # a carrier the simulator could not build: static config always autoloads
             "# carrier 90 name=x owner=a1 class=static_config autoload=never"
             " position=system_prompt scope=agent_local label0=clean",
+            # candidates are kept apart from carriers: no carrier has this class
+            "# carrier 90 name=x owner=a1 class=candidate_memory autoload=never"
+            " position=user_prompt scope=agent_local label0=clean",
         ],
     )
     def test_malformed_header_names_its_line(self, header, bundled, tmp_path, capsys):
@@ -347,11 +353,8 @@ class TestHeaderRefusals:
         _refused(text, tmp_path, match)
 
     def test_every_single_tag_but_trace_format_names_its_field(self):
-        # missing_tags reads SINGLE_FIELDS; a single tag left out of it
-        # would never be reported missing
-        singles = {tag for tag, line in HEADER.items() if line.records is None}
-        assert singles == {"trace-format", *SINGLE_FIELDS}
-        assert set(SINGLE_FIELDS.values()) <= {f.name for f in fields(TraceMeta)}
+        # missing_tags reads each of SINGLE_FIELDS as a TraceMeta field
+        assert set(SINGLE_FIELDS) <= {f.name for f in fields(TraceMeta)}
 
 
 class TestLineShapeCache:

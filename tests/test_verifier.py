@@ -28,6 +28,7 @@ from reentryguard.model import (
     GuardMode,
     InjectionPosition,
     PayloadFacets,
+    Privilege,
     Reason,
     SchemaKind,
     TaintLabel,
@@ -36,7 +37,7 @@ from reentryguard.policy import EnforcementConfig
 from reentryguard.rtw import is_rtw_safe
 from reentryguard.scenarios import bundled_names, random_scenario
 from reentryguard.sim import Ecosystem
-from reentryguard.tracelog import TraceMeta, parse_trace, render_trace
+from reentryguard.tracelog import AgentMeta, TraceMeta, parse_trace, render_trace
 from reentryguard.verifier import (
     RtwViolation,
     VerificationError,
@@ -55,9 +56,10 @@ def toy_meta(carrier_owner: str = "a1", enforcement: EnforcementConfig | None = 
     return TraceMeta(
         scenario="toy",
         seed=0,
-        ticks=9,
+        ticks=12,  # every fixture's events fall within it
         enforcement=enforcement or EnforcementConfig.none(),
         attacker="attacker",
+        agents=[AgentMeta(agent, Privilege.HIGH, 1, ["c0"]) for agent in ("a1", "a2", "a3")],
         carriers=[
             Carrier(
                 id=1,
@@ -443,7 +445,7 @@ class TestAuditRtw:
     def test_declassify_clears_pending_write(self):
         # read after the declassification is untrusted again (re-tainted),
         # but the pre-declassification write no longer pairs with it
-        events = [W(1), DECL(2, agent="runtime"), R(3)]
+        events = [W(1), DECL(2, agent="a3"), R(3)]
         assert not build_report(render(events)).rtw_violations
 
     def test_attenuated_reader_is_not_high_cap(self):
@@ -585,9 +587,10 @@ class TestReportOutcomes:
 
     def test_escalation_is_shell_or_network(self):
         assert build_report(render([A(1)])).privilege_escalation
-        benign = Event(tick=1, agent="a1", kind=EventKind.HIGH_RISK,
-                       action=ActionKind.SEND_MESSAGE, decision=ALLOW)
-        assert not build_report(render([benign])).privilege_escalation
+        network = Event(tick=1, agent="a1", kind=EventKind.HIGH_RISK,
+                        action=ActionKind.INVOKE_NETWORK, decision=ALLOW)
+        assert build_report(render([network])).privilege_escalation
+        assert not build_report(render([A(1, decision=DENY)])).privilege_escalation
 
     def test_exfiltration_is_effective_exfil_send(self):
         send = Event(tick=1, agent="a1", kind=EventKind.MSG_SEND, channel="kx",
@@ -620,6 +623,48 @@ class TestReportOutcomes:
             weak = len(bundled("fwA", enforce=weaker).report.chains)
             strong = len(bundled("fwA", enforce=stronger).report.chains)
             assert strong <= weak
+
+
+def _swap(old: str, new: str):
+    """An edit replacing the first old of a trace with new."""
+    def edit(text: str) -> str:
+        assert old in text
+        return text.replace(old, new, 1)
+    return edit
+
+
+class TestActorRefusals:
+    """Edits of bundled undefended fwA's trace that name an actor or a tick
+    the header does not declare. Each would change who the report blames
+    (zero-click, hops, propagation) or what it covers, so each is refused."""
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (_swap("# attacker attacker\n", "# attacker a1\n"), "attacker a1 is also a declared agent"),
+            (
+                _swap("# agent a1 ", "# agent attacker privilege=low period=2 channels=c0\n# agent a1 "),
+                "attacker attacker is also a declared agent",
+            ),
+            (_swap("name=a1.identity owner=a1 ", "name=a1.identity owner=a9 "), "carrier 1 is owned by a9"),
+            (_swap("name=a1.identity owner=a1 ", "name=a1.identity owner=attacker "), "carrier 1 is owned by attacker"),
+            (lambda text: text + "8|a9|heartbeat|-|-|-|-\n", "heartbeat by a9, which the header does not declare"),
+            (_swap(":from=a1|", ":from=a9|"), "msg_recv from a9, which the header does not declare"),
+            (_swap("|attacker|inject:", "|a2|inject:"), "inject by a2, not the attacker"),
+            (_swap("# ticks 8\n", "# ticks 2\n"), "tick 8 is past the header's # ticks 2"),
+        ],
+        ids=[
+            "attacker-is-agent", "agent-named-attacker", "undeclared-owner", "attacker-owner",
+            "undeclared-actor", "undeclared-sender", "inject-by-agent", "events-past-ticks",
+        ],
+    )
+    def test_undeclared_actor_or_tick_refused(self, edit, match, bundled, tmp_path):
+        text = edit(bundled("fwA").trace_text)
+        with pytest.raises(VerificationError, match=match):
+            build_report(text)
+        path = tmp_path / "edited.trace"
+        path.write_text(text)
+        assert main(["--verify-trace", str(path)]) == 2
 
 
 class TestIndependence:
