@@ -13,11 +13,13 @@ Invariants that the rest of the package leans on:
 * Decisions compare by identity. The 12 DECISIONS objects are the only
   decisions: mediation returns them, parse_trace yields them, and a
   Decision built outside the table either raises or equals none of them.
+* Facets compare by identity too. The 16 FACET_VALUES objects are the only
+  facets: constructing a PayloadFacets by any path returns one of them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 
@@ -135,7 +137,7 @@ class CandidateScope(str, Enum):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class PayloadFacets:
     """What a payload can still do after zero or more lossy hops.
 
@@ -143,12 +145,26 @@ class PayloadFacets:
     propagate : can direct transmission toward other agents
     harm      : can direct a high-risk side effect
     verbatim  : survives copying byte-for-byte (first thing paraphrase kills)
+
+    Facets compare and hash by identity, like Decision: every construction
+    (a call, dataclasses.replace, union) returns one of the 16 FACET_VALUES
+    objects, so two equal facets are one object. A flag is read by its
+    truth value.
     """
 
     persist: bool = False
     propagate: bool = False
     harm: bool = False
     verbatim: bool = False
+
+    def __new__(
+        cls, persist: bool = False, propagate: bool = False, harm: bool = False, verbatim: bool = False
+    ) -> "PayloadFacets":
+        # no __init__: a shared value's fields are never written again
+        return _BY_BITS[8 * bool(persist) + 4 * bool(propagate) + 2 * bool(harm) + bool(verbatim)]
+
+    def __reduce__(self) -> tuple[type, tuple[bool, ...]]:  # copy and pickle construct, so share too
+        return PayloadFacets, (self.persist, self.propagate, self.harm, self.verbatim)
 
     @classmethod
     def none(cls) -> "PayloadFacets":
@@ -160,29 +176,12 @@ class PayloadFacets:
 
     @property
     def any(self) -> bool:
-        return self.persist or self.propagate or self.harm or self.verbatim
+        return self is not NO_FACETS
 
     def union(self, other: "PayloadFacets") -> "PayloadFacets":
-        """The facets of either; an operand itself when it already holds
+        """The facets of either: an operand itself when it already holds
         the other's."""
-        if other.issubset(self):
-            return self
-        if self.issubset(other):
-            return other
-        return PayloadFacets(
-            self.persist or other.persist,
-            self.propagate or other.propagate,
-            self.harm or other.harm,
-            self.verbatim or other.verbatim,
-        )
-
-    def issubset(self, other: "PayloadFacets") -> bool:
-        return (
-            (not self.persist or other.persist)
-            and (not self.propagate or other.propagate)
-            and (not self.harm or other.harm)
-            and (not self.verbatim or other.verbatim)
-        )
+        return _UNIONS[self][other]
 
     def token(self) -> str:
         """Four-char bit string, order: persist, propagate, harm, verbatim."""
@@ -198,13 +197,22 @@ class PayloadFacets:
         return facets
 
 
-# The 16 facet values by token, built once. from_token, none(), full() and
-# sim.transform_payload hand these out, and union returns an operand when it
-# can, so most facets in a run are shared objects.
+def _facet_value(token: str) -> PayloadFacets:
+    facets = object.__new__(PayloadFacets)
+    for f, bit in zip(fields(PayloadFacets), token):
+        object.__setattr__(facets, f.name, bit == "1")
+    return facets
+
+
+# The 16 facet values by token, built once and in bit order: the only
+# PayloadFacets objects there are.
 FACET_VALUES: dict[str, PayloadFacets] = {
-    token: PayloadFacets(*(bit == "1" for bit in token)) for token in (format(i, "04b") for i in range(16))
+    token: _facet_value(token) for token in (format(i, "04b") for i in range(16))
 }
+_BY_BITS = tuple(FACET_VALUES.values())
 NO_FACETS = FACET_VALUES["0000"]
+# facets -> facets -> the facets of either: the value whose bits are the or
+_UNIONS = {a: {b: _BY_BITS[i | j] for j, b in enumerate(_BY_BITS)} for i, a in enumerate(_BY_BITS)}
 
 # per-hop transformation drops facets cheapest-to-lose first: paraphrase kills
 # byte fidelity before intent, and persistence directives survive the longest

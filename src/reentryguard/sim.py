@@ -24,10 +24,11 @@ it). Carrier persistence is what survives unmodified between turns.
 
 The event is the simulator's unit of cost, and a message storm emits tens
 of thousands of them, so each is built positionally from shared values:
-enum members bound at module level, the model's 16 FACET_VALUES (which
-transform_payload looks up in a table) and the 12 DECISIONS that mediate()
-returns. Whether a decision takes effect is one lookup in the run's set of
-effective decisions, model.EFFECTIVE for its guard mode.
+enum members bound at module level, the model's 16 FACET_VALUES (the only
+facets there are: transform_payload looks them up in a table, and a union
+is one of them too) and the 12 DECISIONS that mediate() returns. Whether a
+decision takes effect is one lookup in the run's set of effective
+decisions, model.EFFECTIVE for its guard mode.
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ _CANDIDATE = MemoryCandidate(
 # strength -> facets -> the shared facets one hop leaves, for the 16 facet
 # values and every strength the scenario schema admits
 _TRANSFORMS: list[dict[PayloadFacets, PayloadFacets]] = [
-    {f: FACET_VALUES[replace(f, **dict.fromkeys(FACET_DROP_ORDER[:k], False)).token()] for f in FACET_VALUES.values()}
+    {f: replace(f, **dict.fromkeys(FACET_DROP_ORDER[:k], False)) for f in FACET_VALUES.values()}
     for k in range(PERSIST_DROP_STRENGTH + 1)
 ]
 
@@ -332,10 +333,7 @@ class Ecosystem:
         if msg.label.untrusted and not log.label.untrusted:
             log.label = msg.label
         if msg.facets.any:
-            if log.content is None:
-                log.content = msg.facets
-            elif not msg.facets.issubset(log.content):
-                log.content = log.content.union(msg.facets)
+            log.content = msg.facets if log.content is None else log.content.union(msg.facets)
 
     # -- agent turns ---------------------------------------------------------
 

@@ -47,16 +47,21 @@ with ``# trace-format``, and a header line after the column row. There a
 ``#`` line whose first word is not a header tag is a comment, which the
 parser skips. A header that lacks a single tag parses with the field
 ``SINGLE_FIELDS`` names None, so fragments parse; the verifier refuses to
-audit it. A line that parses is the line render writes for it. Decisions are the model's shared ``DECISIONS``
-objects.
+audit it. A line that parses is the line render writes for it. Decisions
+are the model's shared ``DECISIONS`` objects, and facets its shared
+``FACET_VALUES``.
 
-Most event lines repeat an earlier line but for the tick, so each
-``render_trace`` and ``parse_trace`` call keeps a cache that lives for that
-call only. Render keys it on an event's fields other than the tick
-(``SHAPE_FIELDS``) and stores the line after the tick; parse keys it on
-the line after the tick and stores those fields. The first line of each
-shape goes through the strict ``event_to_line``/``parse_event_line``;
-a later one formats, or parses and checks, only its tick.
+Most event lines repeat an earlier line but for the tick, and many repeat
+one exactly, so each ``render_trace`` and ``parse_trace`` call keeps caches
+that live for that call only. Render keys one on an event's fields other
+than the tick (``SHAPE_FIELDS``) and stores the line after the tick, and
+formats a tick when it changes. Parse keys one on the line after the tick
+and stores the last event with that tail and its tick column: ticks never
+decrease, so an exact repeat is one lookup and yields that event object
+again, and a new tick for a known tail is parsed and checked alone. The
+first line of each shape goes through the strict
+``event_to_line``/``parse_event_line``. Every line, repeat or not, passes
+the tick-order check.
 
 Identical runs must serialize byte-identically; nothing here may read the
 clock, the environment, or unordered containers.
@@ -451,12 +456,17 @@ def render_trace(events: list[Event], meta: TraceMeta) -> str:
     lines = render_header(meta)
     # event fields other than the tick -> line tail; lives for this call
     tails: dict[tuple[Any, ...], str] = {}
+    # the tick column of the last event, formatted when the tick changes
+    tick, column = None, ""
     for ev in events:
         key = _shape(ev)
         tail = tails.get(key)
         if tail is None:
             tail = tails[key] = _line_tail(ev)
-        lines.append(str(ev.tick) + tail)
+        if ev.tick != tick:
+            tick = ev.tick
+            column = str(tick)
+        lines.append(column + tail)
     return "\n".join(lines) + "\n"
 
 
@@ -483,21 +493,27 @@ def parse_event_line(line: str, line_no: int = 0) -> Event:
 
 
 def parse_trace(text: str) -> tuple[TraceMeta, list[Event]]:
+    """The header and the events. A line that repeats an earlier one yields
+    the same event object, so a caller must not mutate them."""
     lines = text.splitlines()
     meta, start = _parse_header(lines)
     events: list[Event] = []
-    # line tail -> the fields of the event it parsed to, and tick column ->
-    # checked tick; both live for this call. A line whose tail and tick are
-    # both known is rebuilt from them.
-    shapes: dict[str, tuple[Any, ...]] = {}
+    # Both caches live for this call. Line tail -> [tick column, event,
+    # the event's fields but the tick] of the last line with that tail, and
+    # tick column -> checked tick. Ticks never decrease, so a line that
+    # repeats an earlier one repeats the last line with its tail, and yields
+    # that line's event again; a known tail at a known tick is rebuilt.
+    tails: dict[str, list[Any]] = {}
     ticks: dict[str, int] = {}
     last_tick = 0
     for line_no, line in enumerate(islice(lines, start, None), start=start + 1):
-        raw_tick, _, tail = line.partition("|")
-        shape = shapes.get(tail)
-        tick = ticks.get(raw_tick)
-        if shape is not None and tick is not None:
-            ev = Event(tick, *shape)
+        column, _, tail = line.partition("|")
+        last = tails.get(tail)
+        if last is not None and last[0] == column:
+            ev = last[1]
+        elif last is not None and (tick := ticks.get(column)) is not None:
+            ev = last[1] = Event(tick, *last[2])
+            last[0] = column
         elif not line.strip():
             continue
         elif line.startswith("#"):
@@ -506,15 +522,16 @@ def parse_trace(text: str) -> tuple[TraceMeta, list[Event]]:
             if words and words[0] in HEADER:
                 raise TraceFormatError(f"line {line_no}: header line after the column row")
             continue
-        elif shape is not None:
+        elif last is not None:
             try:
-                tick = ticks[raw_tick] = _count(raw_tick)
-                ev = Event(tick, *shape)
+                tick = ticks[column] = _count(column)
+                ev = last[1] = Event(tick, *last[2])
             except ValueError as exc:
                 raise TraceFormatError(f"line {line_no}: {exc} in {line!r}") from exc
+            last[0] = column
         else:
             ev = parse_event_line(line, line_no)
-            shapes[tail] = _shape(ev)
+            tails[tail] = [column, ev, _shape(ev)]
         if ev.tick < last_tick:
             raise TraceFormatError(f"line {line_no}: tick {ev.tick} after tick {last_tick} in {line!r}")
         last_tick = ev.tick

@@ -1,6 +1,12 @@
 """Core vocabulary: labels, facets, decisions, carriers, events."""
 
+import copy
+import pickle
+from dataclasses import fields, replace
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from reentryguard.model import (
     DECISIONS,
@@ -67,8 +73,9 @@ class TestPayloadFacets:
     def test_issubset(self):
         small = PayloadFacets.from_token("0010")
         big = PayloadFacets.from_token("1010")
-        assert small.issubset(big)
-        assert not big.issubset(small)
+        # union returns an operand that holds the other
+        assert small.union(big) is big
+        assert big.union(small) is not small
 
     def test_bad_token_rejected(self):
         with pytest.raises(ValueError):
@@ -90,10 +97,59 @@ class TestPayloadFacets:
             for b in FACET_VALUES.values():
                 union = a.union(b)
                 assert union.token() == "".join(max(x, y) for x, y in zip(a.token(), b.token()))
+                assert union is FACET_VALUES[union.token()]
                 if union == a:
                     assert union is a
                 elif union == b:
                     assert union is b
+
+
+FACET_FLAGS = tuple(f.name for f in fields(PayloadFacets))
+shared_facets = st.sampled_from(list(FACET_VALUES.values()))
+# a flag is read by its truth value, so truthy ints construct too
+flag_values = st.booleans() | st.integers(min_value=0, max_value=2)
+
+
+def _shared_value_of(flags: dict) -> PayloadFacets:
+    return FACET_VALUES["".join("1" if flags.get(name) else "0" for name in FACET_FLAGS)]
+
+
+class TestFacetsAreShared:
+    """Every construction path returns one of the 16 FACET_VALUES, so facets
+    compare and hash by identity, like decisions."""
+
+    @given(shared_facets, shared_facets)
+    def test_union_is_a_shared_value(self, a, b):
+        union = a.union(b)
+        assert union is _shared_value_of({n: getattr(a, n) or getattr(b, n) for n in FACET_FLAGS})
+        assert a.union(union) is union and b.union(union) is union
+
+    @given(shared_facets, st.dictionaries(st.sampled_from(FACET_FLAGS), flag_values))
+    def test_replace_is_a_shared_value(self, facets, changes):
+        assert replace(facets, **changes) is _shared_value_of({**vars(facets), **changes})
+
+    @given(st.builds(PayloadFacets, **dict.fromkeys(FACET_FLAGS, flag_values)))
+    def test_builds_is_a_shared_value(self, facets):
+        assert facets is FACET_VALUES[facets.token()]
+
+    def test_construction_leaves_the_shared_fields_alone(self):
+        assert PayloadFacets() is NO_FACETS
+        assert PayloadFacets(persist=1) is FACET_VALUES["1000"]
+        assert PayloadFacets(1, 0, 2, 0) is FACET_VALUES["1010"]
+        for token, facets in FACET_VALUES.items():
+            assert [getattr(facets, n) for n in FACET_FLAGS] == [bit == "1" for bit in token]
+            assert all(type(getattr(facets, n)) is bool for n in FACET_FLAGS)
+
+    def test_copies_are_the_shared_value(self):
+        for facets in FACET_VALUES.values():
+            assert copy.copy(facets) is facets
+            assert copy.deepcopy(facets) is facets
+            assert pickle.loads(pickle.dumps(facets)) is facets
+
+    def test_facets_hash_by_identity(self):
+        assert len(set(FACET_VALUES.values())) == 16
+        for facets in FACET_VALUES.values():
+            assert hash(facets) == object.__hash__(facets)
 
 
 class TestDecision:

@@ -219,6 +219,11 @@ class TestParseErrors:
             f"# carrier 90 {CARRIER_KEYS.replace('owner=a1 ', '')}",
             f"# carrier 90 {CARRIER_KEYS} zzz=1",
             f"# carrier 90 {CARRIER_KEYS.replace('label0=clean', 'label0=bogus')}",
+            # a bad token ahead of owner= is refused whatever follows it
+            f"# carrier +90 {CARRIER_KEYS}",
+            "# carrier 90 " + CARRIER_KEYS.replace("name=x", "name=x\ty"),
+            f"# carrier 90 {CARRIER_KEYS.replace(' owner=', '  owner=')}",
+            f"# carrier 90 {CARRIER_KEYS.replace('name=', 'nom=')}",
             # a carrier the simulator could not build: static config always autoloads
             "# carrier 90 name=x owner=a1 class=static_config autoload=never"
             " position=system_prompt scope=agent_local label0=clean",
@@ -374,6 +379,29 @@ class TestLineShapeCache:
         _, events = parse_trace(text)
         assert [ev.tick for ev in events] == [3, 5]
         assert events[0] is not events[1]
+
+    def test_repeated_line_yields_its_event_again(self):
+        other = "3|a2|heartbeat|-|-|-|-"
+        text = f"{COLUMN_ROW}\n3{self.HEARTBEAT_TAIL}\n{other}\n3{self.HEARTBEAT_TAIL}\n"
+        _, events = parse_trace(text)
+        assert [ev.agent for ev in events] == ["a1", "a2", "a1"]
+        assert events[0] is events[2]
+
+    @pytest.mark.parametrize("middle", ["4|a1|heartbeat|-|-|-|-", "4|a2|heartbeat|-|-|-|-"])
+    def test_repeated_line_still_checks_tick_order(self, middle):
+        """A line that repeats an earlier one is one lookup, and the
+        tick-order check still runs on it."""
+        text = f"{COLUMN_ROW}\n3{self.HEARTBEAT_TAIL}\n{middle}\n3{self.HEARTBEAT_TAIL}\n"
+        with pytest.raises(TraceFormatError, match=r"^line 4: tick 3 after tick 4"):
+            parse_trace(text)
+
+    @pytest.mark.parametrize("enforce", ["none", "all"])
+    @pytest.mark.parametrize("name", bundled_names())
+    def test_cached_parse_is_the_line_parse(self, name, enforce, bundled):
+        lines = bundled(name, enforce).trace_text.splitlines()
+        start = lines.index(COLUMN_ROW) + 1
+        _, events = parse_trace("\n".join(lines))
+        assert events == [parse_event_line(line, no) for no, line in enumerate(lines[start:], start + 1)]
 
     def test_shape_is_every_event_field_but_tick(self):
         # Event(tick, *shape) rebuilds a cached line, so tick must come first
