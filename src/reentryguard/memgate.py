@@ -65,28 +65,11 @@ def promote(candidate: MemoryCandidate) -> bool:
     return all(promotion_checks(candidate).values())
 
 
-# ---------------------------------------------------------------------------
-# leases
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Lease:
-    """Bounded write grant for one task-local carrier over [t0, t1]."""
-
-    carrier_id: int
-    t0: int
-    t1: int
-
-    def __post_init__(self) -> None:
-        if self.t0 < 0 or self.t1 < self.t0:
-            raise ValueError(f"lease interval [{self.t0}, {self.t1}] is invalid")
-
-    def active(self, tick: int) -> bool:
-        return self.t0 <= tick <= self.t1
-
-
-def check_lease_write(carrier_id: int, tick: int, leases: list[Lease]) -> bool:
-    """A task-local write is covered iff some lease for that carrier spans
-    the tick. Expiry is automatic: there is no renewal side channel here."""
-    return any(l.carrier_id == carrier_id and l.active(tick) for l in leases)
+def check_lease_write(carrier_id: int, tick: int, leases: dict[int, tuple[int, int]]) -> bool:
+    """A task-local write is covered iff the carrier's lease window (t0, t1)
+    spans the tick, both ends included. leases maps a task carrier id to the
+    window the scenario's task_leases gives its owner, which the scenario
+    checks (0 <= t0 <= t1). Expiry is automatic: there is no renewal side
+    channel here."""
+    window = leases.get(carrier_id)
+    return window is not None and window[0] <= tick <= window[1]

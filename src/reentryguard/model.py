@@ -11,8 +11,10 @@ Invariants that the rest of the package leans on:
   trace order: the simulator emits ticks in order, and parse_trace refuses
   a regression instead of sorting.
 * Decisions compare by identity. The 12 DECISIONS objects are the only
-  decisions: mediation returns them, parse_trace yields them, and a
-  Decision built outside the table either raises or equals none of them.
+  decisions: constructing a Decision by any path (a call, allow/deny/guard,
+  dataclasses.replace, copy, pickle) returns one of them, and an inadmissible
+  (verdict, reason) pair raises. So a decision takes effect exactly when it
+  is a member of an EFFECTIVE set, however the event holding it was made.
 * Facets compare by identity too. The 16 FACET_VALUES objects are the only
   facets: constructing a PayloadFacets by any path returns one of them.
 """
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from enum import Enum
+from typing import Any
 
 
 ATTACKER = "attacker"
@@ -197,17 +200,20 @@ class PayloadFacets:
         return facets
 
 
-def _facet_value(token: str) -> PayloadFacets:
-    facets = object.__new__(PayloadFacets)
-    for f, bit in zip(fields(PayloadFacets), token):
-        object.__setattr__(facets, f.name, bit == "1")
-    return facets
+def _interned(cls: type, *values: object) -> Any:
+    """A cls object holding values in field order, built without calling
+    cls: its constructor hands out the shared values, so cannot make them."""
+    obj = object.__new__(cls)
+    for f, value in zip(fields(cls), values):
+        object.__setattr__(obj, f.name, value)
+    return obj
 
 
 # The 16 facet values by token, built once and in bit order: the only
 # PayloadFacets objects there are.
 FACET_VALUES: dict[str, PayloadFacets] = {
-    token: _facet_value(token) for token in (format(i, "04b") for i in range(16))
+    token: _interned(PayloadFacets, *(bit == "1" for bit in token))
+    for token in (format(i, "04b") for i in range(16))
 }
 _BY_BITS = tuple(FACET_VALUES.values())
 NO_FACETS = FACET_VALUES["0000"]
@@ -268,18 +274,24 @@ class GuardMode(str, Enum):
     APPROVE_ALL = "approve"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Decision:
-    """A mediation outcome. Decisions compare and hash by identity:
-    allow(), deny() and guard() hand out the 12 DECISIONS objects below, so
-    two equal outcomes are one object."""
+    """A mediation outcome. Decisions compare and hash by identity, like
+    PayloadFacets: every construction returns one of the 12 DECISIONS
+    objects below, so two equal outcomes are one object."""
 
     verdict: Verdict
     reason: Reason
 
-    def __post_init__(self) -> None:
-        if not Decision.admits(self.verdict, self.reason):
-            raise ValueError(f"a {self.verdict.value} decision cannot give reason {self.reason.value}")
+    def __new__(cls, verdict: Verdict, reason: Reason) -> "Decision":
+        # no __init__: a shared value's fields are never written again
+        decision = DECISIONS.get((verdict, reason))
+        if decision is None:
+            raise ValueError(f"a {verdict.value} decision cannot give reason {reason.value}")
+        return decision
+
+    def __reduce__(self) -> tuple[type, tuple[Verdict, Reason]]:  # copy and pickle construct, so share too
+        return Decision, (self.verdict, self.reason)
 
     @staticmethod
     def admits(verdict: Verdict, reason: Reason) -> bool:
@@ -293,28 +305,22 @@ class Decision:
 
     @staticmethod
     def allow(reason: Reason = Reason.OK) -> "Decision":
-        return _shared(Verdict.ALLOW, reason)
+        return Decision(Verdict.ALLOW, reason)
 
     @staticmethod
     def deny(reason: Reason) -> "Decision":
-        return _shared(Verdict.DENY, reason)
+        return Decision(Verdict.DENY, reason)
 
     @staticmethod
     def guard(reason: Reason) -> "Decision":
-        return _shared(Verdict.GUARD, reason)
+        return Decision(Verdict.GUARD, reason)
 
 
-# Every admitted (verdict, reason) pair, built once: the 12 decisions. Every
-# mediation and every parsed trace line shares these objects.
+# Every admitted (verdict, reason) pair, built once: the 12 decisions, the
+# only Decision objects there are.
 DECISIONS: dict[tuple[Verdict, Reason], Decision] = {
-    (v, r): Decision(v, r) for v in Verdict for r in Reason if Decision.admits(v, r)
+    (v, r): _interned(Decision, v, r) for v in Verdict for r in Reason if Decision.admits(v, r)
 }
-
-
-def _shared(verdict: Verdict, reason: Reason) -> Decision:
-    decision = DECISIONS.get((verdict, reason))
-    # a pair outside the table is not admitted: constructing it raises
-    return decision if decision is not None else Decision(verdict, reason)
 
 
 # guard mode -> the decisions under which a mediated event takes effect: an

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .memgate import Lease, MemoryCandidate, check_lease_write, promote
+from .memgate import MemoryCandidate, check_lease_write, promote
 from .model import (
     Carrier,
     CarrierClass,
@@ -40,7 +40,7 @@ from .model import (
     Reason,
     ReentryGuardError,
 )
-from .rtw import enforce_exposed_read, enforce_opaque_read
+from .rtw import enforce_exposed_read
 from .taint import AgentDecisionState
 
 
@@ -60,6 +60,7 @@ _DENY_LEASE = Decision.deny(Reason.LEASE_EXPIRED)
 _DENY_PROMOTION = Decision.deny(Reason.PROMOTION_REJECTED)
 _DENY_ATTENUATED = Decision.deny(Reason.ATTENUATED_HIGHRISK)
 _GUARD_ATTENUATED = Decision.guard(Reason.ATTENUATED_HIGHRISK)
+_NOT_MEDIATED = Decision.allow(Reason.NOT_MEDIATED_LOWRISK)
 _APPROVE_ALL = GuardMode.APPROVE_ALL
 _STATIC_CONFIG = CarrierClass.STATIC_CONFIG
 _TASK_LOCAL_STATE = CarrierClass.TASK_LOCAL_STATE
@@ -110,7 +111,9 @@ class MediationContext:
     carriers: dict[int, Carrier]
     states: dict[str, AgentDecisionState]
     candidates: dict[str, dict[int, MemoryCandidate]]  # agent -> id -> submitted candidate
-    leases: list[Lease]
+    # task carrier id -> its lease window (t0, t1): the scenario's
+    # task_leases entry for the carrier's owner, validated there
+    leases: dict[int, tuple[int, int]]
 
 
 def _mediate_write(event: Event, ctx: MediationContext, config: EnforcementConfig) -> Decision:
@@ -166,7 +169,9 @@ def _mediate_action(event: Event, ctx: MediationContext, config: EnforcementConf
 _RULES: dict[EventKind, Callable[[Event, MediationContext, EnforcementConfig], Decision]] = {
     EventKind.WRITE: _mediate_write,
     EventKind.EXPOSED_READ: _mediate_exposed_read,
-    EventKind.OPAQUE_READ: lambda event, ctx, config: enforce_opaque_read(),
+    # opaque reads move bytes, not meaning: allowed whatever the label, and
+    # the simulator surfaces no facets and marks no contamination after one
+    EventKind.OPAQUE_READ: lambda event, ctx, config: _NOT_MEDIATED,
     EventKind.PROMOTE: _mediate_promote,
     EventKind.HIGH_RISK: _mediate_action,
     EventKind.MSG_SEND: _mediate_action,

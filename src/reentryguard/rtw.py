@@ -22,10 +22,9 @@ from .model import Decision, Reason, TaintLabel
 WRITE_SYM = "W"
 READ_SYM = "R"
 
-# the shared decisions the read rules return
+# the shared decisions the read rule returns
 _ALLOW = Decision.allow()
 _DENY_RE_ENTRY = Decision.deny(Reason.RTW_RE_ENTRY)
-_NOT_MEDIATED = Decision.allow(Reason.NOT_MEDIATED_LOWRISK)
 
 
 @dataclass(frozen=True)
@@ -60,9 +59,3 @@ def enforce_exposed_read(carrier_label: TaintLabel, high_cap: bool) -> Decision:
     if carrier_label.untrusted and high_cap:
         return _DENY_RE_ENTRY
     return _ALLOW
-
-
-def enforce_opaque_read() -> Decision:
-    """Opaque reads move bytes, not meaning: always allowed, any label.
-    The caller must not surface facets or mark contamination afterwards."""
-    return _NOT_MEDIATED

@@ -143,7 +143,7 @@ class AgentProfile:
     id: str
     framework: str
     privilege: Privilege
-    heartbeat_period: int
+    period: int  # heartbeat period in ticks
     channels: tuple[str, ...]
     compliance: dict[InjectionPosition, CompliancePolicy] = field(default_factory=lambda: dict(DEFAULT_COMPLIANCE))
     capabilities: frozenset[str] = Capability.ALL
@@ -186,9 +186,9 @@ class Scenario:
     task_leases: dict[str, tuple[int, int]] = field(default_factory=dict)
     exfil_channel: str | None = None
     resets: list[tuple[str, int]] = field(default_factory=list)
-    declassify_carrier_of: list[tuple[str, int]] = field(default_factory=list)  # (agent, tick): clear heartbeat carrier
-    seeded_carriers: list[SeededCarrier] = field(default_factory=list)
-    heartbeat_log_channels: list[str] = field(default_factory=list)  # channels whose log is heartbeat-autoloaded
+    declassify: list[tuple[str, int]] = field(default_factory=list)  # (agent, tick): clear heartbeat carrier
+    seeded: list[SeededCarrier] = field(default_factory=list)
+    heartbeat_logs: list[str] = field(default_factory=list)  # channels whose log is heartbeat-autoloaded
 
     def validate(self) -> None:
         """Run the reference and range checks of SCENARIO_KEYS."""
@@ -208,14 +208,13 @@ class Key:
     """One key of a YAML mapping. parse turns a given value into the model's
     value, checking shape and type only; default is the value (in YAML form)
     of an absent or null key; check is the reference or range rule
-    validate() applies to the model's value; attr names the model field
-    when it differs from the key."""
+    validate() applies to the model's value. The model field has the key's
+    name."""
 
     name: str
     parse: Callable[[Any], Any]
     default: Any = _REQUIRED
     check: Callable[[Any, _Refs], None] | None = None
-    attr: str | None = None
 
 
 class _Refs(NamedTuple):
@@ -253,7 +252,7 @@ def _record(keys: tuple[Key, ...], build: Callable[..., Any]) -> Callable[[Any],
                     raw = defaults.get(key.name, key.default)
                 if raw is _REQUIRED:
                     raise ValueError("required")
-                fields[key.attr or key.name] = None if raw is None else key.parse(raw)
+                fields[key.name] = None if raw is None else key.parse(raw)
         except ValueError as exc:
             raise ScenarioError(f"{key.name}: {exc}") from exc
         return build(**fields)
@@ -265,7 +264,7 @@ def _check(record: Any, keys: tuple[Key, ...], refs: _Refs) -> None:
     try:
         for key in keys:
             if key.check is not None:
-                value = getattr(record, key.attr or key.name)
+                value = getattr(record, key.name)
                 if value is not None:
                     key.check(value, refs)
     except ValueError as exc:
@@ -450,7 +449,7 @@ AGENT_KEYS = (
     Key("id", _str, check=_name(agent_id)),
     Key("framework", _str, "A", _framework),
     Key("privilege", _enum(Privilege), "low"),
-    Key("period", _int, 1, _at_least_one, attr="heartbeat_period"),
+    Key("period", _int, 1, _at_least_one),
     Key("channels", _seq(_str, tuple), [], _all(_distinct, _channels)),
     Key("compliance", _compliance, {}, _keyed(_policy_ok)),
     Key("capabilities", _parse_capabilities, "full", _capabilities),
@@ -482,9 +481,9 @@ SCENARIO_KEYS = (
     Key("exfil_channel", _str, None, _channel),
     Key("task_leases", _mapping(_str, _pair(_int, _int)), {}, _keyed(_lease, _agent)),
     Key("resets", _seq(_pair(_str, _int)), [], _all(_keyed(_step_tick, _agent), _distinct)),
-    Key("declassify", _seq(_pair(_str, _int)), [], _all(_keyed(_step_tick, _agent), _distinct), attr="declassify_carrier_of"),
-    Key("seeded", _seq(_record(SEEDED_KEYS, SeededCarrier)), [], _seeded, attr="seeded_carriers"),
-    Key("heartbeat_logs", _seq(_str), [], _channels, attr="heartbeat_log_channels"),
+    Key("declassify", _seq(_pair(_str, _int)), [], _all(_keyed(_step_tick, _agent), _distinct)),
+    Key("seeded", _seq(_record(SEEDED_KEYS, SeededCarrier)), [], _seeded),
+    Key("heartbeat_logs", _seq(_str), [], _channels),
 )
 
 _parse_scenario = _record(
@@ -640,7 +639,7 @@ def random_scenario(seed: int, enforcement: EnforcementConfig | None = None) -> 
                 id=f"n{i}",
                 framework=frameworks[i],
                 privilege=privileges[i],
-                heartbeat_period=rng.randint(1, 3),
+                period=rng.randint(1, 3),
                 channels=tuple(membership[f"n{i}"]),
                 compliance=DEFAULT_COMPLIANCE | lossy,
             )
@@ -685,8 +684,8 @@ def random_scenario(seed: int, enforcement: EnforcementConfig | None = None) -> 
         task_leases=leases,
         exfil_channel=rng.choice(channels) if rng.random() < 0.2 else None,
         resets=resets,
-        seeded_carriers=seeded,
-        heartbeat_log_channels=[rng.choice(channels)] if rng.random() < 0.3 else [],
+        seeded=seeded,
+        heartbeat_logs=[rng.choice(channels)] if rng.random() < 0.3 else [],
     )
     scenario.validate()
     return scenario

@@ -37,7 +37,7 @@ import random
 from dataclasses import dataclass, replace
 
 from . import verifier as verifier_mod
-from .memgate import AUTHORITY_MAX, TTL_MAX, Lease, MemoryCandidate
+from .memgate import AUTHORITY_MAX, TTL_MAX, MemoryCandidate
 from .model import (
     ATTACKER,
     EFFECTIVE,
@@ -167,7 +167,8 @@ class Ecosystem:
         self.logs: dict[str, Carrier] = {}
         # channel -> the agents on it, in id order
         self.members: dict[str, list[str]] = {ch: [] for ch in scenario.channels}
-        self.leases: list[Lease] = []
+        # task carrier id -> the scenario's lease window for its owner
+        self.leases: dict[int, tuple[int, int]] = {}
         # channel -> the effective msg_send and inject events for next tick
         self.queued: dict[str, list[Event]] = {ch: [] for ch in scenario.channels}
         # the decisions under which a mediated event takes effect
@@ -189,7 +190,7 @@ class Ecosystem:
             ticks=scenario.max_ticks,
             enforcement=self.config,
             attacker=ATTACKER,
-            agents=[AgentMeta(p.id, p.privilege, p.heartbeat_period, list(p.channels)) for p in self.agents.values()],
+            agents=[AgentMeta(p.id, p.privilege, p.period, list(p.channels)) for p in self.agents.values()],
             carriers=[Carrier(**vars(c) | {"content": None}) for c in self.carriers.values()],
         )
 
@@ -223,7 +224,7 @@ class Ecosystem:
         return carrier
 
     def _build(self) -> None:
-        seeded = {(sc.agent, sc.slot): sc for sc in self.scenario.seeded_carriers}
+        seeded = {(sc.agent, sc.slot): sc for sc in self.scenario.seeded}
         notes = len(AGENT_CARRIERS) - 1
         for agent_id, profile in self.agents.items():
             fw = FRAMEWORKS[profile.framework]
@@ -258,9 +259,8 @@ class Ecosystem:
             if profile.privilege is Privilege.HIGH:
                 high_risk |= {Capability.SHELL, Capability.NETWORK}
             self.states[agent_id] = AgentDecisionState(capable=not high_risk.isdisjoint(profile.capabilities))
-            lease = self.scenario.task_leases.get(agent_id)
-            if lease is not None:
-                self.leases.append(Lease(carrier_id=cset.task.id, t0=lease[0], t1=lease[1]))
+            if agent_id in self.scenario.task_leases:
+                self.leases[cset.task.id] = self.scenario.task_leases[agent_id]
 
         for ch in self.scenario.channels:
             self.feeds[ch] = self._carrier(
@@ -274,7 +274,7 @@ class Ecosystem:
             self.logs[ch] = self._carrier(
                 f"{ch}.log",
                 CarrierClass.SHARED_CHANNEL_LOG,
-                AutoloadPolicy.HEARTBEAT if ch in self.scenario.heartbeat_log_channels else AutoloadPolicy.NEVER,
+                AutoloadPolicy.HEARTBEAT if ch in self.scenario.heartbeat_logs else AutoloadPolicy.NEVER,
                 None,
                 scope=CarrierScope.SHARED_CROSS_AGENT,
             )
@@ -479,7 +479,7 @@ class Ecosystem:
             if when == tick:
                 self.trace.append(Event(tick, agent, _CONTEXT_RESET))
                 self.states[agent] = context_reset(self.states[agent])
-        for agent, when in self.scenario.declassify_carrier_of:
+        for agent, when in self.scenario.declassify:
             if when == tick:
                 carrier = self.carrier_sets[agent].heartbeat
                 # carrier_id, label, facets, channel, action, schema, procedure
@@ -501,7 +501,7 @@ class Ecosystem:
             if injection is not None and injection.tick == tick:
                 self._inject(tick, injection)
             for agent, profile in self.agents.items():
-                if tick and tick % profile.heartbeat_period == 0:
+                if tick and tick % profile.period == 0:
                     self._heartbeat_turn(tick, agent)
         return self.trace
 

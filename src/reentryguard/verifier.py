@@ -139,14 +139,15 @@ def audit(meta: TraceMeta, events: Iterable[Event]) -> Report:
     Refuses what no pass may skip over: a header that lacks a single tag (a
     header-less fragment parses, but the passes read the enforcement and
     the attacker, and the report the rest), an effectful event without a
-    decision, and an event on a carrier the header does not declare (its
-    owner and class, which hops and high-risk writes are judged by, would be
-    unknown). Zero-click, hops and propagation are judged by who acts, so
-    it also refuses an actor the header does not declare: an attacker that
-    is also a declared agent, a carrier owner that is not one, an event
-    agent or msg_recv sender that is neither one nor the attacker, and an
-    inject by anyone but the attacker; and an event past the # ticks the
-    record reports."""
+    decision, a write, exposed read or promotion without a label (the
+    passes judge it by its label), and an event on a carrier the header
+    does not declare (its owner and class, which hops and high-risk writes
+    are judged by, would be unknown). Zero-click, hops and propagation are
+    judged by who acts, so it also refuses an actor the header does not
+    declare: an attacker that is also a declared agent, a carrier owner
+    that is not one, an event agent or msg_recv sender that is neither one
+    nor the attacker, and an inject by anyone but the attacker; and an
+    event past the # ticks the record reports."""
     missing = missing_tags(meta)
     if missing:
         raise VerificationError(f"the header has no {', '.join('# ' + tag for tag in missing)} line")
@@ -253,9 +254,11 @@ def audit(meta: TraceMeta, events: Iterable[Event]) -> Report:
                 raise VerificationError(f"event {i}: {kind.value} by {agent}, which the header does not declare")
             attacker_acts = True
         if kind is write:
+            if ev.label is None:
+                raise VerificationError(f"event {i}: write carries no label")
             if not live:
                 continue
-            if ev.label is not None and ev.label is not clean:
+            if ev.label is not clean:
                 persistence = persistence or ev.facets.persist
                 if owners[cid] == agent and agent not in infections:
                     infections[agent] = ev.tick
@@ -265,7 +268,9 @@ def audit(meta: TraceMeta, events: Iterable[Event]) -> Report:
             if cid in risky and agent in opened:
                 settle(opened.pop(agent), (i, ev))
         elif kind is exposed_read:
-            if not live or ev.label is None or ev.label is clean:
+            if ev.label is None:
+                raise VerificationError(f"event {i}: exposed_read carries no label")
+            if not live or ev.label is clean:
                 continue
             re_entry = re_entry or cid in waiting
             w = last_write.get(cid)
@@ -293,7 +298,9 @@ def audit(meta: TraceMeta, events: Iterable[Event]) -> Report:
             elif not propagation and ev.facets.any:
                 propagation = True
         elif kind is promote:
-            if live and ev.label is not None and ev.label is not clean and ev.facets.persist:
+            if ev.label is None:
+                raise VerificationError(f"event {i}: promote carries no label")
+            if live and ev.label is not clean and ev.facets.persist:
                 persistence = True
         elif kind is declassify:
             if live:

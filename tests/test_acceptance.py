@@ -81,7 +81,7 @@ def test_criterion_02_propagation_efficiency(bundled):
             report = bundled(name).report
             assert report.hops == 3, f"{name}: hops={report.hops}"
             assert report.zero_click, name
-            periods = {a.id: a.heartbeat_period for a in scenario.agents}
+            periods = {a.id: a.period for a in scenario.agents}
             previous = scenario.injection.tick
             for agent, tick in zip(report.infected, report.infection_ticks):
                 assert tick - previous <= 3 * periods[agent], (

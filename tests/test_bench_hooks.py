@@ -1,6 +1,7 @@
 """The benchmark's per-layer split wraps names the pipeline looks up at call
 time. A hook whose name the package no longer has is reported as absent and
-its metrics read zero, so a rename must fail here instead.
+its metrics read zero, so a rename must fail here instead. So must a rename
+of any other name the bench reads off the package.
 
 bench/run.py is read as source, not imported: importing it changes
 process-wide bytecode settings.
@@ -8,15 +9,17 @@ process-wide bytecode settings.
 
 import ast
 import importlib
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
 import reentryguard
 from reentryguard import load_bundled
+from reentryguard.model import DECISIONS, LAYER_NAMES
 from reentryguard.policy import EnforcementConfig
-from reentryguard.scenarios import random_scenario
+from reentryguard.scenarios import SuiteEntry, random_scenario
 
 RUN_PY = Path(__file__).resolve().parents[1] / "bench" / "run.py"
 
@@ -35,6 +38,19 @@ def _hooks() -> list[tuple[str, str]]:
 HOOKS = _hooks()
 
 
+def _package_reads() -> list[str]:
+    """Every dotted name bench/run.py reads off the package it imports as
+    rg (rg.<module>.<name>...), longest chains only."""
+    tree = ast.parse(RUN_PY.read_text(), filename=str(RUN_PY))
+    attributes = [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+    inner = {node.value for node in attributes}
+    chains = (ast.unparse(node) for node in attributes if node not in inner)
+    return sorted({chain.removeprefix("rg.") for chain in chains if re.fullmatch(r"rg(\.\w+)+", chain)})
+
+
+PACKAGE_READS = _package_reads()
+
+
 def test_run_py_declares_hooks():
     assert ("sim", "mediate") in HOOKS
     assert ("verifier", "parse_trace") in HOOKS
@@ -48,6 +64,33 @@ def test_hook_names_an_attribute_of_the_package(owner, attr):
     for part in owner.split("."):
         obj = getattr(obj, part)
     assert hasattr(obj, attr), f"{owner}.{attr} is gone: the bench would report it absent"
+
+
+def test_run_py_reads_the_package():
+    assert {"sim.run_scenario", "verifier.build_report", "cli.report_record", "model.GuardMode"} <= set(PACKAGE_READS)
+    assert "policy.EnforcementConfig.all_enabled" in PACKAGE_READS
+
+
+@pytest.mark.parametrize("chain", PACKAGE_READS)
+def test_package_read_resolves(chain):
+    """A name the bench reads off the package outside its hooks (a scenario
+    builder, an entry point, a config constructor): a rename would fail the
+    bench's set-up rather than zero a metric, so it must fail here first."""
+    module, *rest = chain.split(".")
+    obj = importlib.import_module(f"reentryguard.{module}")
+    for part in rest:
+        assert hasattr(obj, part), f"rg.{chain} is gone: bench/run.py reads it"
+        obj = getattr(obj, part)
+
+
+def test_duck_typed_reads_resolve():
+    """What bench/run.py reads off values the scan cannot follow: the layer
+    name of every non-allow decision, which names a policy.denials.* count,
+    and the fields of a suite entry."""
+    for decision in DECISIONS.values():
+        if decision.verdict != "allow":
+            assert decision.layer.value in LAYER_NAMES
+    assert {"scenario", "enforce", "guard", "seeds"} <= {f.name for f in fields(SuiteEntry)}
 
 
 def test_build_report_parses_once_through_the_module_global(monkeypatch, bundled):

@@ -12,7 +12,6 @@ from reentryguard.memgate import (
     AUTHORITY_MAX,
     FORBIDDEN_SCHEMAS,
     TTL_MAX,
-    Lease,
     MemoryCandidate,
     check_lease_write,
     promote,
@@ -130,26 +129,25 @@ class TestPromote:
 
 
 class TestLeases:
+    """Leases map a task carrier id to its (t0, t1) window; the scenario
+    refuses a window that is not 0 <= t0 <= t1."""
+
     def test_interior_tick_allowed(self):
-        assert check_lease_write(1, 5, [Lease(carrier_id=1, t0=3, t1=7)])
+        assert check_lease_write(1, 5, {1: (3, 7)})
 
     def test_boundaries_inclusive(self):
-        leases = [Lease(carrier_id=1, t0=3, t1=7)]
+        leases = {1: (3, 7)}
         assert check_lease_write(1, 3, leases)
         assert check_lease_write(1, 7, leases)
 
     def test_expired_denied(self):
-        assert not check_lease_write(1, 8, [Lease(carrier_id=1, t0=3, t1=7)])
+        assert not check_lease_write(1, 8, {1: (3, 7)})
 
     def test_no_lease_denied(self):
-        assert not check_lease_write(1, 5, [])
+        assert not check_lease_write(1, 5, {})
 
     def test_other_carrier_lease_grants_nothing(self):
-        assert not check_lease_write(1, 5, [Lease(carrier_id=2, t0=0, t1=9)])
-
-    def test_invalid_interval_rejected(self):
-        with pytest.raises(ValueError):
-            Lease(carrier_id=1, t0=5, t1=2)
+        assert not check_lease_write(1, 5, {2: (0, 9)})
 
 
 class TestGateCompleteness:

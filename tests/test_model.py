@@ -201,10 +201,10 @@ class TestDecision:
 
     def test_decisions_compare_by_identity(self):
         """Decision has no value equality: the 12 shared objects are the
-        decisions, so one built outside the table equals none of them."""
+        decisions, so constructing one returns the shared object."""
         assert len(DECISIONS) == 12
         assert len(set(DECISIONS.values())) == 12
-        assert Decision(Verdict.ALLOW, Reason.OK) != Decision.allow()
+        assert Decision(Verdict.ALLOW, Reason.OK) is Decision.allow()
 
     def test_effective_under_guard_modes(self):
         allow = Decision.allow()
@@ -215,6 +215,41 @@ class TestDecision:
         assert deny not in EFFECTIVE[GuardMode.APPROVE_ALL]
         assert guard not in EFFECTIVE[GuardMode.DENY_ALL]
         assert guard in EFFECTIVE[GuardMode.APPROVE_ALL]
+
+
+_INADMISSIBLE = [(v, r) for v in Verdict for r in Reason if not Decision.admits(v, r)]
+
+
+def _pair_id(pair: tuple[Verdict, Reason]) -> str:
+    return f"{pair[0].value}-{pair[1].value}"
+
+
+class TestDecisionsAreShared:
+    """Every construction path returns one of the 12 DECISIONS, so whether
+    a decision takes effect (membership in an EFFECTIVE set) does not depend
+    on how the event holding it was made or copied."""
+
+    @pytest.mark.parametrize("pair", list(DECISIONS), ids=_pair_id)
+    def test_every_construction_is_the_shared_decision(self, pair):
+        shared = DECISIONS[pair]
+        verdict, reason = pair
+        assert Decision(verdict, reason) is shared
+        assert Decision(verdict=verdict, reason=reason) is shared
+        assert copy.copy(shared) is shared
+        assert copy.deepcopy(shared) is shared
+        assert pickle.loads(pickle.dumps(shared)) is shared
+        assert replace(shared) is shared
+        for other in DECISIONS.values():
+            assert replace(other, verdict=verdict, reason=reason) is shared
+
+    @pytest.mark.parametrize("pair", _INADMISSIBLE, ids=_pair_id)
+    def test_inadmissible_pair_raises(self, pair):
+        verdict, reason = pair
+        message = f"a {verdict.value} decision cannot give reason {reason.value}"
+        with pytest.raises(ValueError, match=message):
+            Decision(verdict, reason)
+        with pytest.raises(ValueError, match=message):
+            replace(Decision.allow(), verdict=verdict, reason=reason)
 
 
 class TestCarrierInvariants:

@@ -4,7 +4,6 @@ from itertools import product
 
 import pytest
 
-from reentryguard.memgate import Lease
 from reentryguard.model import (
     EFFECTFUL_KINDS,
     ActionKind,
@@ -40,7 +39,7 @@ def ctx_with(carriers: dict, states: dict, leases=None, candidates=None) -> Medi
         carriers=carriers,
         states=states,
         candidates=candidates or {},
-        leases=leases or [],
+        leases=leases or {},
     )
 
 
@@ -120,7 +119,7 @@ class TestMediateWrite:
         ctx = ctx_with(
             {1: task},
             {"a1": CAPABLE},
-            leases=[Lease(carrier_id=1, t0=0, t1=4)],
+            leases={1: (0, 4)},
         )
         config = EnforcementConfig.from_names("memgate")
         assert mediate(write_event(1, tick=4), ctx, config).verdict is Verdict.ALLOW

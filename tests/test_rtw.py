@@ -14,7 +14,6 @@ from reentryguard.rtw import (
     READ_SYM,
     WRITE_SYM,
     enforce_exposed_read,
-    enforce_opaque_read,
     is_rtw_safe,
 )
 
@@ -88,12 +87,6 @@ class TestEnforceExposedRead:
 
 
 class TestEnforceOpaqueRead:
-    def test_any_label_allowed(self):
-        # the rule reads no label, so none can deny an opaque read
-        decision = enforce_opaque_read()
-        assert decision.verdict is Verdict.ALLOW
-        assert decision.reason is Reason.NOT_MEDIATED_LOWRISK
-
     def test_opaque_neutrality_in_traces(self, bundled, contamination):
         """No opaque read of untrusted content flips its reader's contamination:
         the reader must already act contaminated or stay clean past the read."""

@@ -184,7 +184,7 @@ class TestDictParsing:
             scenario_from_dict(data)
         # a scenario built in code is held to the same rule
         scenario = scenario_from_dict(minimal())
-        scenario.seeded_carriers.append(SeededCarrier("a1", "hearbeat", PayloadFacets.full()))
+        scenario.seeded.append(SeededCarrier("a1", "hearbeat", PayloadFacets.full()))
         with pytest.raises(ScenarioError, match="hearbeat"):
             scenario.validate()
 

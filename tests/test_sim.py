@@ -50,7 +50,7 @@ def tiny_scenario(**kw) -> Scenario:
         enforcement=EnforcementConfig.none(),
         agents=[
             AgentProfile(id="a1", framework="A", privilege=Privilege.LOW,
-                         heartbeat_period=2, channels=("c0",)),
+                         period=2, channels=("c0",)),
         ],
         channels=["c0"],
         injection=Injection(channel="c0", tick=0, facets=PayloadFacets.full()),
@@ -95,7 +95,7 @@ class TestAgentLayout:
         "slot, name", [("heartbeat", "a1.taskfile"), ("task", "a1.taskstate"), ("ondemand", "a1.notes0")]
     )
     def test_seeded_slot_seeds_its_layout_row(self, slot, name):
-        eco = Ecosystem(tiny_scenario(seeded_carriers=[SeededCarrier("a1", slot, PayloadFacets.full())]))
+        eco = Ecosystem(tiny_scenario(seeded=[SeededCarrier("a1", slot, PayloadFacets.full())]))
         external = [c.name for c in eco.carriers.values() if c.owner == "a1" and c.label is TaintLabel.EXTERNAL]
         assert external == [name]
 
@@ -180,7 +180,7 @@ class TestScenarioValidation:
     def test_unknown_agent_channel(self):
         agents = [
             AgentProfile(id="a1", framework="A", privilege=Privilege.LOW,
-                         heartbeat_period=2, channels=("ghost",)),
+                         period=2, channels=("ghost",)),
         ]
         with pytest.raises(ScenarioError):
             tiny_scenario(agents=agents)
@@ -188,7 +188,7 @@ class TestScenarioValidation:
     def test_reserved_attacker_id(self):
         agents = [
             AgentProfile(id="attacker", framework="A", privilege=Privilege.LOW,
-                         heartbeat_period=2, channels=("c0",)),
+                         period=2, channels=("c0",)),
         ]
         with pytest.raises(ScenarioError):
             tiny_scenario(agents=agents)
@@ -216,7 +216,7 @@ class TestScheduling:
     def test_period_one_fires_every_tick(self):
         agents = [
             AgentProfile(id="a1", framework="A", privilege=Privilege.LOW,
-                         heartbeat_period=1, channels=("c0",)),
+                         period=1, channels=("c0",)),
         ]
         result = run_scenario(tiny_scenario(agents=agents, injection=None))
         beats = [ev.tick for ev in result.trace if ev.kind is EventKind.HEARTBEAT]
@@ -250,7 +250,7 @@ class TestCompliance:
         invokes anything driven by the payload."""
         agents = [
             AgentProfile(
-                id="a1", framework="A", privilege=Privilege.HIGH, heartbeat_period=1,
+                id="a1", framework="A", privilege=Privilege.HIGH, period=1,
                 channels=("c0",),
                 compliance={InjectionPosition.USER_PROMPT: NEVER, InjectionPosition.SYSTEM_PROMPT: NEVER},
             ),
@@ -274,7 +274,7 @@ class TestCompliance:
         def run(seed: int) -> str:
             agents = [
                 AgentProfile(
-                    id="a1", framework="A", privilege=Privilege.LOW, heartbeat_period=1,
+                    id="a1", framework="A", privilege=Privilege.LOW, period=1,
                     channels=("c0",),
                     compliance={
                         InjectionPosition.USER_PROMPT: bernoulli(0.5),
@@ -389,7 +389,7 @@ class TestPropagationShape:
         from reentryguard import load_bundled
 
         base = load_bundled("fwA")
-        cured = replace(base, declassify_carrier_of=[("a1", 2)], resets=[("a1", 2)])
+        cured = replace(base, declassify=[("a1", 2)], resets=[("a1", 2)])
         _, events = parse_trace(run_scenario(cured).trace_text)
         declassified = [ev for ev in events if ev.kind is EventKind.DECLASSIFY]
         assert declassified

@@ -6,6 +6,8 @@ so these tests double as format-contract tests.
 """
 
 import ast
+import copy
+import pickle
 import random
 from dataclasses import replace
 from itertools import product
@@ -666,6 +668,44 @@ class TestActorRefusals:
         path.write_text(text)
         assert main(["--verify-trace", str(path)]) == 2
 
+
+
+def _unlabel(kind: str):
+    """An edit setting the label column of every kind line to -."""
+    def edit(text: str) -> str:
+        lines = []
+        for line in text.splitlines(keepends=True):
+            cols = line.split("|")
+            if not line.startswith("#") and len(cols) == 7 and cols[2].split(":")[0] == kind:
+                cols[4] = "-"
+            lines.append("|".join(cols))
+        return "".join(lines)
+    return edit
+
+
+@pytest.mark.parametrize("kind", ["write", "exposed_read", "promote"])
+def test_unlabelled_event_refused(kind, bundled, tmp_path):
+    """The passes judge a write, exposed read or promotion by its label, so
+    one without a label is refused, not read as clean: undefended fwA, with
+    its labels gone, would otherwise certify safe."""
+    text = _unlabel(kind)(bundled("fwA").trace_text)
+    assert text != bundled("fwA").trace_text
+    with pytest.raises(VerificationError, match=f"^event \\d+: {kind} carries no label"):
+        build_report(text)
+    path = tmp_path / "unlabelled.trace"
+    path.write_text(text)
+    assert main(["--verify-trace", str(path)]) == 2
+
+
+@pytest.mark.parametrize("enforce", ["none", "all"])
+@pytest.mark.parametrize("name", bundled_names())
+def test_copied_events_audit_as_the_originals(name, enforce, bundled):
+    """Copied or unpickled events hold the shared decisions, so they take
+    effect as the originals do and the report is the same, field for field."""
+    meta, events = parse_trace(bundled(name, enforce).trace_text)
+    report = audit(meta, events)
+    assert audit(meta, pickle.loads(pickle.dumps(events))) == report
+    assert audit(meta, copy.deepcopy(events)) == report
 
 class TestIndependence:
     """The auditor, the header codec it parses with and the scenario schema
