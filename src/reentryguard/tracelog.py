@@ -51,17 +51,23 @@ audit it. A line that parses is the line render writes for it. Decisions
 are the model's shared ``DECISIONS`` objects, and facets its shared
 ``FACET_VALUES``.
 
-Most event lines repeat an earlier line but for the tick, and many repeat
-one exactly, so each ``render_trace`` and ``parse_trace`` call keeps caches
-that live for that call only. Render keys one on an event's fields other
-than the tick (``SHAPE_FIELDS``) and stores the line after the tick, and
-formats a tick when it changes. Parse keys one on the line after the tick
-and stores the last event with that tail and its tick column: ticks never
+Most event lines repeat an earlier line but for the tick, and most header
+lines and event tails (the line after the tick) repeat a line of an earlier
+trace, so the line codecs are memoised for the whole process, each in a
+dict of at most ``_MEMO_BOUND`` entries. Render keys its memo on an event's
+fields other than the tick (``SHAPE_FIELDS``; facets and decisions are the
+model's shared values) and stores the tail. Parse keys one memo on the
+exact header line and one on the exact tail, which stores the event's
+``SHAPE_FIELDS``, so a known tail has only its tick parsed and checked.
+Within a call, parse also keeps the last event with each tail: ticks never
 decrease, so an exact repeat is one lookup and yields that event object
-again, and a new tick for a known tail is parsed and checked alone. The
-first line of each shape goes through the strict
-``event_to_line``/``parse_event_line``. Every line, repeat or not, passes
-the tick-order check.
+again. A line new to the process goes through the strict codec
+(``event_to_line``, ``parse_event_line``, the ``HEADER`` patterns), and a
+line that raises is never memoised. A memo holds immutable parsed values
+and no object a call returns: each ``Event``, ``Carrier`` and ``AgentMeta``
+is built fresh per call. The checks across lines (the opening tag, a
+repeated tag or id, the column row, comments, the tick order) run on every
+line. So a memo cannot change what is read or refused.
 
 Identical runs must serialize byte-identically; nothing here may read the
 clock, the environment, or unordered containers.
@@ -72,6 +78,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from functools import partial
 from itertools import islice
 from operator import attrgetter
 from typing import Any, Callable, NamedTuple
@@ -106,6 +113,24 @@ MISSING = "-"
 
 class TraceFormatError(ReentryGuardError):
     """A serialized trace line or header could not be parsed."""
+
+
+# The process-wide memos of the line codecs (see the module docstring). A
+# memo that holds _MEMO_BOUND entries is emptied before its next insert.
+_MEMO_BOUND = 4096
+# header line -> (tag, its make bound to the parsed values, which builds a
+# fresh record or TraceMeta fields on each call)
+_HEADER_MEMO: dict[str, tuple[str, partial[Any]]] = {}
+_PARSE_MEMO: dict[str, tuple[Any, ...]] = {}  # event line after the tick -> SHAPE_FIELDS values
+_RENDER_MEMO: dict[tuple[Any, ...], str] = {}  # SHAPE_FIELDS values -> line after the tick
+_MEMOS = (_HEADER_MEMO, _PARSE_MEMO, _RENDER_MEMO)
+
+
+def _memoise(memo: dict[Any, Any], key: Any, value: Any) -> Any:
+    if len(memo) >= _MEMO_BOUND:
+        memo.clear()
+    memo[key] = value
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +232,8 @@ agent_id = _token("|:,@")
 channel_name = _token("|:,")
 
 
-def _channel_list(raw: str) -> list[str]:  # an agent line's channels=
-    channels = [] if raw == MISSING else list(map(channel_name, raw.split(",")))
+def _channel_list(raw: str) -> tuple[str, ...]:  # an agent line's channels=
+    channels = () if raw == MISSING else tuple(map(channel_name, raw.split(",")))
     if len(set(channels)) != len(channels):
         raise ValueError(f"repeated channel in {raw!r}")
     return channels
@@ -261,7 +286,7 @@ HEADER: dict[str, _Line] = {
             f"{a.id} privilege={_TOKEN[a.privilege]} period={a.period}"
             f" channels={','.join(a.channels) or MISSING}"
         ),
-        AgentMeta,
+        lambda channels, **fields: AgentMeta(channels=list(channels), **fields),
         (None, "id", agent_id),
         ("privilege", "privilege", _enum(Privilege)),
         ("period", "period", _at_least_one),
@@ -317,22 +342,32 @@ def _parse_header(lines: list[str]) -> tuple[TraceMeta, int]:
             continue
         if not line.startswith("#"):
             raise TraceFormatError(f"line {line_no}: event line before column row")
-        hash_, _, rest = line.partition(" ")
-        tag, _, text = rest.partition(" ")
+        # a memoised line has a known tag and tokens that parse; the checks
+        # that depend on the rest of the trace run on every line
+        memo = _HEADER_MEMO.get(line)
         try:
-            if hash_ != "#" or tag not in HEADER:
-                raise ValueError("unknown tag")
+            if memo is None:
+                hash_, _, rest = line.partition(" ")
+                tag, _, text = rest.partition(" ")
+                if hash_ != "#" or tag not in HEADER:
+                    raise ValueError("unknown tag")
+            else:
+                tag, build = memo
             if not seen and tag != "trace-format":
                 raise ValueError("the header does not open with # trace-format")
             records, _, make, pattern, names, parses = HEADER[tag]
-            match = pattern.fullmatch(text)
-            if match is None:
-                raise ValueError(f"tokens do not match {pattern.pattern}")
-            made = make(**{name: parse(raw) for name, parse, raw in zip(names, parses, match.groups())})
+            if memo is None:
+                match = pattern.fullmatch(text)
+                if match is None:
+                    raise ValueError(f"tokens do not match {pattern.pattern}")
+                build = partial(make, **{name: parse(raw) for name, parse, raw in zip(names, parses, match.groups())})
+            made = build()
             key = (tag, made.id) if records else (tag,)
             if key in seen:
                 raise ValueError("repeated " + " ".join(map(str, key)))
             seen.add(key)
+            if memo is None:
+                _memoise(_HEADER_MEMO, line, (tag, build))
             if records:
                 getattr(meta, records).append(made)
             else:
@@ -454,15 +489,13 @@ def event_to_line(ev: Event) -> str:
 
 def render_trace(events: list[Event], meta: TraceMeta) -> str:
     lines = render_header(meta)
-    # event fields other than the tick -> line tail; lives for this call
-    tails: dict[tuple[Any, ...], str] = {}
     # the tick column of the last event, formatted when the tick changes
     tick, column = None, ""
     for ev in events:
         key = _shape(ev)
-        tail = tails.get(key)
+        tail = _RENDER_MEMO.get(key)
         if tail is None:
-            tail = tails[key] = _line_tail(ev)
+            tail = _memoise(_RENDER_MEMO, key, _line_tail(ev))
         if ev.tick != tick:
             tick = ev.tick
             column = str(tick)
@@ -502,7 +535,8 @@ def parse_trace(text: str) -> tuple[TraceMeta, list[Event]]:
     # the event's fields but the tick] of the last line with that tail, and
     # tick column -> checked tick. Ticks never decrease, so a line that
     # repeats an earlier one repeats the last line with its tail, and yields
-    # that line's event again; a known tail at a known tick is rebuilt.
+    # that line's event again; a known tail at a known tick is rebuilt. A
+    # tail new to this call but in _PARSE_MEMO has only its tick parsed.
     tails: dict[str, list[Any]] = {}
     ticks: dict[str, int] = {}
     last_tick = 0
@@ -522,16 +556,16 @@ def parse_trace(text: str) -> tuple[TraceMeta, list[Event]]:
             if words and words[0] in HEADER:
                 raise TraceFormatError(f"line {line_no}: header line after the column row")
             continue
-        elif last is not None:
+        elif (shape := _PARSE_MEMO.get(tail) if last is None else last[2]) is not None:
             try:
                 tick = ticks[column] = _count(column)
-                ev = last[1] = Event(tick, *last[2])
+                ev = Event(tick, *shape)
             except ValueError as exc:
                 raise TraceFormatError(f"line {line_no}: {exc} in {line!r}") from exc
-            last[0] = column
+            tails[tail] = [column, ev, shape]
         else:
             ev = parse_event_line(line, line_no)
-            tails[tail] = [column, ev, _shape(ev)]
+            tails[tail] = [column, ev, _memoise(_PARSE_MEMO, tail, _shape(ev))]
         if ev.tick < last_tick:
             raise TraceFormatError(f"line {line_no}: tick {ev.tick} after tick {last_tick} in {line!r}")
         last_tick = ev.tick

@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import pytest
 
-from reentryguard import load_bundled
+from reentryguard import load_bundled, tracelog
 from reentryguard.model import EventKind, GuardMode
 from reentryguard.policy import EnforcementConfig
 from reentryguard.sim import RunResult, run_scenario
@@ -32,6 +32,14 @@ def run_bundled(
         )
         _cache[key] = run_scenario(scenario)
     return _cache[key]
+
+
+@pytest.fixture(autouse=True)
+def empty_trace_memos():
+    """Each test starts with the trace codecs' process-wide memos empty, so a
+    test of a line's first, strict parse exercises it whatever ran before."""
+    for memo in tracelog._MEMOS:
+        memo.clear()
 
 
 @pytest.fixture(scope="session")

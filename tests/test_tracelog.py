@@ -1,10 +1,12 @@
 """Trace serialization: stable line format, header metadata, round-trips."""
 
 from dataclasses import fields, replace
+from functools import cache
 from itertools import combinations
 
 import pytest
 
+from reentryguard import tracelog
 from reentryguard.cli import main
 from reentryguard.model import (
     DECISIONS,
@@ -417,6 +419,175 @@ class TestLineShapeCache:
         path.write_text(text)
         assert main(["--verify-trace", str(path)]) == 2
         assert "after tick" in capsys.readouterr().err
+
+
+@cache
+def _fuzz_text(seed: int) -> str:
+    return run_scenario(random_scenario(seed, EnforcementConfig.all_enabled())).trace_text
+
+
+def _memo_sizes() -> list[int]:
+    return [len(memo) for memo in tracelog._MEMOS]
+
+
+def _empty_memos() -> None:
+    for memo in tracelog._MEMOS:
+        memo.clear()
+
+
+def _cold_parse(text: str):
+    _empty_memos()
+    return parse_trace(text)
+
+
+class TestProcessMemos:
+    """The line codecs' memos live for the whole process. A parse with warm
+    memos is the strict parse, a refused line is never learnt, and every
+    check that depends on the rest of the trace still runs on a memoised
+    line."""
+
+    HEARTBEAT = "3|a1|heartbeat|-|-|-|-"
+
+    def test_each_test_starts_with_empty_memos(self):
+        assert _memo_sizes() == [0, 0, 0]
+
+    @staticmethod
+    def _warm_parse_is_the_cold_parse(text: str, other: str, monkeypatch) -> None:
+        cold_meta, cold_events = _cold_parse(text)
+        parse_trace(other)
+        assert all(_memo_sizes()[:2])  # the header and tail memos
+
+        def strict(line, line_no=0):
+            raise AssertionError(f"line {line_no} parsed again: {line!r}")
+
+        monkeypatch.setattr(tracelog, "parse_event_line", strict)
+        meta, events = parse_trace(text)
+        assert meta == cold_meta and events == cold_events
+        # the records are built fresh: none is an object of the earlier call
+        earlier = {id(x) for x in [*cold_meta.agents, *cold_meta.carriers, *cold_events]}
+        assert not earlier & {id(x) for x in [*meta.agents, *meta.carriers, *events]}
+
+    @pytest.mark.parametrize("enforce", ["none", "all"])
+    @pytest.mark.parametrize("name", bundled_names())
+    def test_warm_parse_is_the_cold_parse_bundled(self, name, enforce, bundled, monkeypatch):
+        self._warm_parse_is_the_cold_parse(bundled(name, enforce).trace_text, _fuzz_text(0), monkeypatch)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_warm_parse_is_the_cold_parse_fuzz(self, seed, monkeypatch):
+        self._warm_parse_is_the_cold_parse(_fuzz_text(seed), _fuzz_text((seed + 1) % 30), monkeypatch)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            f"# carrier 90 {CARRIER_KEYS.replace('workspace_file', 'bogus')}",
+            # tokens that parse, for a carrier the model refuses
+            "# carrier 90 name=x owner=a1 class=static_config autoload=never"
+            " position=system_prompt scope=agent_local label0=clean",
+            "# agent a9 privilege=low period=0 channels=c0",
+        ],
+    )
+    def test_refused_header_line_is_refused_again(self, bad, bundled):
+        good = bundled("fwA").trace_text
+        lines = good.splitlines()
+        text = "\n".join([lines[0], bad, *lines[1:]]) + "\n"
+        refusals = []
+        for _ in range(2):
+            with pytest.raises(TraceFormatError, match=r"^line 2: ") as refused:
+                parse_trace(text)
+            refusals.append(str(refused.value))
+        assert refusals[0] == refusals[1]
+        assert bad not in tracelog._HEADER_MEMO
+        assert parse_trace(good) == _cold_parse(good)
+
+    @pytest.mark.parametrize(
+        "bad",
+        ["3|a1|teleport:1111|7|tainted|allow|ok", "3|a1|exposed_read|7|tainted|deny|ok", "-1|a1|heartbeat|-|-|-|-"],
+    )
+    def test_refused_event_line_is_refused_again(self, bad):
+        text = f"{COLUMN_ROW}\n{bad}\n"
+        refusals = []
+        for _ in range(2):
+            with pytest.raises(TraceFormatError, match=r"^line 2: ") as refused:
+                parse_trace(text)
+            refusals.append(str(refused.value))
+        assert refusals[0] == refusals[1]
+        assert bad.partition("|")[2] not in tracelog._PARSE_MEMO
+        good = f"{COLUMN_ROW}\n{self.HEARTBEAT}\n"
+        assert parse_trace(good) == _cold_parse(good)
+
+    def test_mutating_a_parse_changes_no_later_parse(self, bundled):
+        text = bundled("fwA").trace_text
+        meta, events = parse_trace(text)
+        label = meta.carriers[0].label
+        meta.carriers[0].label = TaintLabel.TAINTED if label is TaintLabel.CLEAN else TaintLabel.CLEAN
+        meta.agents[0].channels.append("zz")
+        events[-1].carrier_id = 99
+        again = parse_trace(text)
+        assert again[0].carriers[0].label is label
+        assert "zz" not in again[0].agents[0].channels
+        assert again == _cold_parse(text)
+
+    def test_small_bound_holds_and_changes_nothing(self, bundled, monkeypatch):
+        texts = [bundled(name, enforce).trace_text for name in bundled_names() for enforce in ("none", "all")]
+        texts += [_fuzz_text(seed) for seed in range(5)]
+        expected = [_cold_parse(text) for text in texts]
+        monkeypatch.setattr(tracelog, "_MEMO_BOUND", 8)
+        _empty_memos()
+        for _ in range(2):
+            for text, (meta, events) in zip(texts, expected):
+                assert parse_trace(text) == (meta, events)
+                assert render_trace(events, meta) == text
+                assert 0 < max(_memo_sizes()) <= 8
+
+    # The checks that depend on the rest of the trace, on memoised lines
+
+    def test_memoised_carrier_line_repeated(self, bundled):
+        text = bundled("fwA").trace_text
+        parse_trace(text)
+        lines = text.splitlines()
+        at = lines.index(COLUMN_ROW)
+        assert lines[at - 1] in tracelog._HEADER_MEMO
+        repeated = "\n".join([*lines[:at], lines[at - 1], *lines[at:]]) + "\n"
+        with pytest.raises(TraceFormatError, match=rf"^line {at + 1}: .*repeated carrier"):
+            parse_trace(repeated)
+
+    def test_memoised_line_first(self, bundled):
+        text = bundled("fwA").trace_text
+        parse_trace(text)
+        lines = text.splitlines()
+        assert lines[1] in tracelog._HEADER_MEMO
+        with pytest.raises(TraceFormatError, match=r"^line 1: .*does not open with # trace-format"):
+            parse_trace("\n".join(lines[1:]) + "\n")
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_known_tag_first_is_refused_before_its_tokens(self, warm, bundled):
+        text = bundled("fwA").trace_text
+        if warm:
+            parse_trace(text)
+        with pytest.raises(TraceFormatError) as refused:
+            parse_trace("# carrier zz\n" + text)
+        assert str(refused.value) == "line 1: bad header '# carrier zz': the header does not open with # trace-format"
+
+    @pytest.mark.parametrize(
+        "lines, match",
+        [
+            (["4|a2|heartbeat|-|-|-|-", HEARTBEAT], r"^line 3: tick 3 after tick 4 in "),
+            (["03|a1|heartbeat|-|-|-|-"], r"^line 2: '03' is not written as 3 in "),
+        ],
+        ids=["lower-tick", "non-canonical-tick"],
+    )
+    def test_memoised_tail_still_checks_its_tick(self, lines, match):
+        parse_trace(f"{COLUMN_ROW}\n{self.HEARTBEAT}\n")
+        assert self.HEARTBEAT.partition("|")[2] in tracelog._PARSE_MEMO
+        with pytest.raises(TraceFormatError, match=match):
+            parse_trace("\n".join([COLUMN_ROW, *lines]) + "\n")
+
+    def test_memoised_tail_behind_a_hash_stays_a_comment(self):
+        comment = "# x|a1|heartbeat|-|-|-|-"
+        parse_trace(f"{COLUMN_ROW}\n{self.HEARTBEAT}\n")
+        assert parse_trace(f"{COLUMN_ROW}\n{comment}\n")[1] == []
+        _, events = parse_trace(f"{COLUMN_ROW}\n{self.HEARTBEAT}\n{comment}\n")
+        assert [event_to_line(ev) for ev in events] == [self.HEARTBEAT]
 
 
 class TestTraceRoundTrip:
