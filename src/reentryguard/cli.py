@@ -277,6 +277,13 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("one of --scenario, --suite, --capability-matrix, --verify-trace, --list-scenarios is required")
     if sum(map(bool, modes)) > 1:
         parser.error("choose exactly one mode")
+    # a flag the mode would ignore is refused: the overrides go only with a
+    # run, and --trace-out only with a plain one
+    run = "--capability-matrix" if args.capability_matrix else args.scenario and "--scenario"
+    for flag in ("--enforce", "--guard", "--seed", "--ticks", "--trace-out"):
+        readers = ("--scenario",) if flag == "--trace-out" else ("--scenario", "--capability-matrix")
+        if getattr(args, flag[2:].replace("-", "_")) is not None and run not in readers:
+            parser.error(f"{flag} goes only with {' or '.join(readers)}")
 
     try:
         if args.list_scenarios:

@@ -156,10 +156,8 @@ class Ecosystem:
         # agent order, here and in every loop over agents, is id order
         self.agents: dict[str, AgentProfile] = {a.id: a for a in sorted(scenario.agents, key=lambda a: a.id)}
         self.states: dict[str, AgentDecisionState] = {}
-        # agent -> id -> its submitted candidate; agent -> the facets its
-        # effective promotion put into trusted memory
+        # agent -> id -> its submitted candidate
         self.candidates: dict[str, dict[int, MemoryCandidate]] = {}
-        self.promoted: dict[str, PayloadFacets] = {}
         self.carriers: dict[int, Carrier] = {}
         self.carrier_sets: dict[str, AgentCarrierSet] = {}
         # channel -> its external feed, and its shared log
@@ -362,13 +360,12 @@ class Ecosystem:
         sources: list[tuple[Carrier, PayloadFacets]] = []
         cset = self.carrier_sets[agent]
         for carrier in cset.heartbeat_reads:
-            if carrier is cset.memory:
+            facets = carrier.content
+            if facets is None:
                 # trusted memory renders only what a promotion put there
-                facets = self.promoted.get(agent)
-                if facets is None:
+                if carrier is cset.memory:
                     continue
-            else:
-                facets = carrier.content if carrier.content is not None else NO_FACETS
+                facets = NO_FACETS
             if self._exposed_read(tick, agent, carrier, carrier.label):
                 sources.append((carrier, facets))
         return sources
@@ -436,7 +433,7 @@ class Ecosystem:
             self.candidates[agent] = {_CANDIDATE.id: _CANDIDATE}
             ev = self._propose(tick, agent, _PROMOTE, origin, _CANDIDATE.id, facets, schema=_CANDIDATE.schema)
             if ev is not None:
-                self.promoted[agent] = facets
+                cset.memory.content = facets
                 cset.memory.label = ev.label
 
         if facets.propagate and can_send:

@@ -59,15 +59,16 @@ fields other than the tick (``SHAPE_FIELDS``; facets and decisions are the
 model's shared values) and stores the tail. Parse keys one memo on the
 exact header line and one on the exact tail, which stores the event's
 ``SHAPE_FIELDS``, so a known tail has only its tick parsed and checked.
-Within a call, parse also keeps the last event with each tail: ticks never
-decrease, so an exact repeat is one lookup and yields that event object
-again. A line new to the process goes through the strict codec
-(``event_to_line``, ``parse_event_line``, the ``HEADER`` patterns), and a
-line that raises is never memoised. A memo holds immutable parsed values
-and no object a call returns: each ``Event``, ``Carrier`` and ``AgentMeta``
-is built fresh per call. The checks across lines (the opening tag, a
-repeated tag or id, the column row, comments, the tick order) run on every
-line. So a memo cannot change what is read or refused.
+Within a call, parse maps each exact event line to its event, so a repeat
+is one lookup and yields that event object again, and parses a tick column
+only when it differs from the last new line's, as render formats a tick
+only when it changes. A line new to the process goes through the strict
+codec (``event_to_line``, ``parse_event_line``, the ``HEADER`` patterns),
+and a line that raises is never memoised. A memo holds immutable parsed
+values and no object a call returns: each ``Event``, ``Carrier`` and
+``AgentMeta`` is built fresh per call. The checks across lines (the opening
+tag, a repeated tag or id, the column row, comments, the tick order) run on
+every line. So a memo cannot change what is read or refused.
 
 Identical runs must serialize byte-identically; nothing here may read the
 clock, the environment, or unordered containers.
@@ -531,43 +532,37 @@ def parse_trace(text: str) -> tuple[TraceMeta, list[Event]]:
     lines = text.splitlines()
     meta, start = _parse_header(lines)
     events: list[Event] = []
-    # Both caches live for this call. Line tail -> [tick column, event,
-    # the event's fields but the tick] of the last line with that tail, and
-    # tick column -> checked tick. Ticks never decrease, so a line that
-    # repeats an earlier one repeats the last line with its tail, and yields
-    # that line's event again; a known tail at a known tick is rebuilt. A
-    # tail new to this call but in _PARSE_MEMO has only its tick parsed.
-    tails: dict[str, list[Any]] = {}
-    ticks: dict[str, int] = {}
-    last_tick = 0
+    seen: dict[str, Event] = {}  # exact event line -> its event
+    # the last new line's tick column, and the last line's tick; ticks never
+    # decrease, so a repeat that passes the order check has that tick too
+    column, tick = None, 0
     for line_no, line in enumerate(islice(lines, start, None), start=start + 1):
-        column, _, tail = line.partition("|")
-        last = tails.get(tail)
-        if last is not None and last[0] == column:
-            ev = last[1]
-        elif last is not None and (tick := ticks.get(column)) is not None:
-            ev = last[1] = Event(tick, *last[2])
-            last[0] = column
-        elif not line.strip():
-            continue
-        elif line.startswith("#"):
-            # a comment, unless it names a header tag
-            words = line[1:].split(maxsplit=1)
-            if words and words[0] in HEADER:
-                raise TraceFormatError(f"line {line_no}: header line after the column row")
-            continue
-        elif (shape := _PARSE_MEMO.get(tail) if last is None else last[2]) is not None:
-            try:
-                tick = ticks[column] = _count(column)
+        ev = seen.get(line)
+        if ev is None:
+            if not line or line.isspace():
+                continue
+            if line[0] == "#":
+                # a comment, unless it names a header tag
+                words = line[1:].split(maxsplit=1)
+                if words and words[0] in HEADER:
+                    raise TraceFormatError(f"line {line_no}: header line after the column row")
+                continue
+            head, _, tail = line.partition("|")
+            shape = _PARSE_MEMO.get(tail)
+            if shape is None:
+                ev = parse_event_line(line, line_no)
+                _memoise(_PARSE_MEMO, tail, _shape(ev))
+            elif head == column:
                 ev = Event(tick, *shape)
-            except ValueError as exc:
-                raise TraceFormatError(f"line {line_no}: {exc} in {line!r}") from exc
-            tails[tail] = [column, ev, shape]
-        else:
-            ev = parse_event_line(line, line_no)
-            tails[tail] = [column, ev, _memoise(_PARSE_MEMO, tail, _shape(ev))]
-        if ev.tick < last_tick:
-            raise TraceFormatError(f"line {line_no}: tick {ev.tick} after tick {last_tick} in {line!r}")
-        last_tick = ev.tick
+            else:
+                try:
+                    ev = Event(_count(head), *shape)
+                except ValueError as exc:
+                    raise TraceFormatError(f"line {line_no}: {exc} in {line!r}") from exc
+            column = head
+            seen[line] = ev
+        if ev.tick < tick:
+            raise TraceFormatError(f"line {line_no}: tick {ev.tick} after tick {tick} in {line!r}")
+        tick = ev.tick
         events.append(ev)
     return meta, events

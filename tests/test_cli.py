@@ -139,6 +139,28 @@ class TestExitCodes:
             main(["--scenario", "fwA", "--suite", "tables"])
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize(
+        "argv, flag, readers",
+        [
+            (["--verify-trace", "t", "--enforce", "all"], "--enforce", "--scenario or --capability-matrix"),
+            (["--verify-trace", "t", "--seed", "7"], "--seed", "--scenario or --capability-matrix"),
+            (["--verify-trace", "t", "--ticks", "2"], "--ticks", "--scenario or --capability-matrix"),
+            (["--suite", "tables", "--guard", "approve"], "--guard", "--scenario or --capability-matrix"),
+            (["--suite", "tables", "--trace-out", "x"], "--trace-out", "--scenario"),
+            (["--capability-matrix", "--trace-out", "x"], "--trace-out", "--scenario"),
+            (["--list-scenarios", "--enforce", "bogus"], "--enforce", "--scenario or --capability-matrix"),
+        ],
+    )
+    def test_flag_the_mode_ignores_is_usage_error(self, capsys, tmp_path, monkeypatch, argv, flag, readers):
+        """A flag the chosen mode would not read is refused, naming the flag
+        and the modes that read it, before any file is read or written."""
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert f"{flag} goes only with {readers}\n" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_unknown_flag_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--frobnicate"])

@@ -18,7 +18,8 @@ intended change of behaviour, regenerate the data file with
 
     PYTHONPATH=src python -m tests.test_lock
 
-and say in CHANGES.md which pins moved and why.
+which prints, before it writes, each group's moved pins and each suite's
+changed lines; say in CHANGES.md which pins moved and why.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ FUZZ_UNDEFENDED_TICKS = 6
 FUZZ_ABLATED_SEEDS = range(40)
 # each layer alone, then every layer but one
 ABLATIONS = LAYER_NAMES + tuple(",".join(n for n in LAYER_NAMES if n != out) for out in LAYER_NAMES)
+SHOWN_KEYS = 20  # moved keys printed per group when the lock is regenerated
 
 
 def suite_records(name: str) -> list[str]:
@@ -115,6 +117,33 @@ def current_lock() -> dict:
     }
 
 
+def moved(expected: dict[str, str], actual: dict[str, str]) -> list[str]:
+    """The keys whose pin differs, or that only one side holds, sorted."""
+    return sorted(key for key in expected.keys() | actual.keys() if expected.get(key) != actual.get(key))
+
+
+def lock_changes(old: dict, new: dict) -> list[str]:
+    """Per trace group, the count of moved pins and the first SHOWN_KEYS
+    keys; then each suite's removed (-) and added (+) record lines."""
+    lines = []
+    for group, actual in new["traces"].items():
+        keys = moved(old.get("traces", {}).get(group, {}), actual)
+        more = f" (+{len(keys) - SHOWN_KEYS} more)" if len(keys) > SHOWN_KEYS else ""
+        lines.append(f"{group}: {len(keys)} moved {' '.join(keys[:SHOWN_KEYS])}{more}".rstrip())
+    for name, after in new["suites"].items():
+        before = old.get("suites", {}).get(name, [])
+        lines += [f"suite {name}: - {line}" for line in before if line not in after]
+        lines += [f"suite {name}: + {line}" for line in after if line not in before]
+    return lines
+
+
+def test_lock_changes_names_moved_pins_and_suite_lines():
+    old = {"suites": {"s": ["a", "b"]}, "traces": {"g": {str(i): "x" for i in range(25)}, "h": {"k": "x"}}}
+    new = {"suites": {"s": ["a", "c"]}, "traces": {"g": {str(i): "y" for i in range(25)}, "h": {"k": "x"}}}
+    first = " ".join(sorted(map(str, range(25)))[:20])
+    assert lock_changes(old, new) == [f"g: 25 moved {first} (+5 more)", "h: 0 moved", "suite s: - b", "suite s: + c"]
+
+
 @pytest.fixture(scope="module")
 def pinned() -> dict:
     return json.loads(LOCK_FILE.read_text())
@@ -129,11 +158,13 @@ def test_suite_records(pinned, name):
 def test_trace_digests(pinned, group):
     expected = pinned["traces"][group]
     actual = TRACE_GROUPS[group]()
-    changed = sorted(key for key in expected.keys() | actual.keys() if expected.get(key) != actual.get(key))
+    changed = moved(expected, actual)
     assert not changed, f"{group}: trace bytes changed for {changed}"
 
 
 if __name__ == "__main__":
+    lock = current_lock()
+    print("\n".join(lock_changes(json.loads(LOCK_FILE.read_text()) if LOCK_FILE.exists() else {}, lock)))
     LOCK_FILE.parent.mkdir(exist_ok=True)
-    LOCK_FILE.write_text(json.dumps(current_lock(), indent=1, sort_keys=True) + "\n")
+    LOCK_FILE.write_text(json.dumps(lock, indent=1, sort_keys=True) + "\n")
     print(f"wrote {LOCK_FILE}")

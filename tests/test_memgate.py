@@ -185,26 +185,27 @@ class TestGateCompleteness:
         return eco, eco.run()
 
     def test_ungated_promotion_keeps_the_promoted_facets(self):
-        """With the gate off, each agent's effective promotion leaves one
-        promoted entry holding exactly the facets it proposed."""
+        """With the gate off, each agent's effective promotion leaves its
+        trusted memory holding exactly the facets it proposed."""
         from reentryguard.model import EnforcementConfig, EventKind, Verdict
 
         eco, trace = self._run_fwA(EnforcementConfig.none())
         effective = {ev.agent: ev.facets for ev in trace
                      if ev.kind is EventKind.PROMOTE and ev.decision.verdict is Verdict.ALLOW}
         assert effective
-        assert eco.promoted == effective
+        assert {agent: cset.memory.content for agent, cset in eco.carrier_sets.items()
+                if cset.memory.content is not None} == effective
 
     def test_gated_promotion_submits_but_keeps_nothing(self):
         """With the gate on, every proposing agent's candidate is recorded as
-        submitted, and none reaches the promoted store."""
+        submitted, and no trusted memory holds content."""
         from reentryguard.model import EnforcementConfig, EventKind
 
         eco, trace = self._run_fwA(EnforcementConfig.from_names("memgate"))
         proposers = {ev.agent for ev in trace if ev.kind is EventKind.PROMOTE}
         assert proposers
         assert set(eco.candidates) == proposers
-        assert eco.promoted == {}
+        assert all(cset.memory.content is None for cset in eco.carrier_sets.values())
 
     def test_memgate_runs_never_expose_trusted_memory(self):
         """With the gate on, the one candidate a contaminated agent submits

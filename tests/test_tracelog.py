@@ -1,8 +1,10 @@
 """Trace serialization: stable line format, header metadata, round-trips."""
 
+import random
 from dataclasses import fields, replace
 from functools import cache
 from itertools import combinations
+from typing import Any, Callable
 
 import pytest
 
@@ -588,6 +590,105 @@ class TestProcessMemos:
         assert parse_trace(f"{COLUMN_ROW}\n{comment}\n")[1] == []
         _, events = parse_trace(f"{COLUMN_ROW}\n{self.HEARTBEAT}\n{comment}\n")
         assert [event_to_line(ev) for ev in events] == [self.HEARTBEAT]
+
+
+@cache
+def _strict_event(line: str) -> Event:
+    # parse_event_line is a function of the line but for the number a
+    # refusal names, and a refusal is not cached
+    return parse_event_line(line)
+
+
+def _reference_parse(text: str) -> tuple[TraceMeta, list[Event]]:
+    """The parse by its rules alone, one line at a time: the header, then per
+    line the blank skip, the comment rule, the strict line parse and the
+    tick order."""
+    lines = text.splitlines()
+    meta, start = tracelog._parse_header(lines)
+    events: list[Event] = []
+    last = 0
+    for line_no, line in enumerate(lines[start:], start + 1):
+        if not line.strip():
+            continue
+        if line.startswith("#"):
+            words = line[1:].split(maxsplit=1)
+            if words and words[0] in tracelog.HEADER:
+                raise TraceFormatError(f"line {line_no}: header line after the column row")
+            continue
+        try:
+            ev = _strict_event(line)
+        except TraceFormatError:
+            parse_event_line(line, line_no)
+            raise
+        if ev.tick < last:
+            raise TraceFormatError(f"line {line_no}: tick {ev.tick} after tick {last} in {line!r}")
+        last = ev.tick
+        events.append(ev)
+    return meta, events
+
+
+MUTATIONS = ("delete", "duplicate", "swap", "zero-tick", "comment", "foreign", "truncate", "blank", "double-bar")
+
+
+def _mutate(kind: str, lines: list[str], start: int, foreign: list[str], rng: random.Random) -> str:
+    """The trace with one mutation of the kind at a line after the column row."""
+    out = list(lines)
+    i = rng.randrange(start, len(lines))
+    line = lines[i]
+    if kind == "delete":
+        del out[i]
+    elif kind == "duplicate":  # the copy goes anywhere, before or after
+        out.insert(rng.randint(start, len(out)), line)
+    elif kind == "swap":
+        j = rng.randrange(start, len(lines))
+        out[i], out[j] = out[j], out[i]
+    elif kind == "zero-tick":
+        out[i] = "0" + line
+    elif kind == "comment":
+        out[i] = "# x|" + line.partition("|")[2]
+    elif kind == "foreign":  # an event line of another trace
+        out.insert(rng.randint(start, len(out)), rng.choice(foreign))
+    elif kind == "truncate":
+        out[i:] = [line[: rng.randrange(len(line))]]
+    elif kind == "blank":
+        out.insert(rng.randint(start, len(out)), rng.choice(["", " ", "\t"]))
+    else:
+        bar = rng.choice([at for at, char in enumerate(line) if char == "|"])
+        out[i] = line[:bar] + "|" + line[bar:]
+    return "\n".join(out) + "\n"
+
+
+def _outcome(parse: Callable[[str], Any], text: str) -> Any:
+    try:
+        return parse(text)
+    except TraceFormatError as exc:
+        return str(exc)
+
+
+class TestParseDifferential:
+    """On mutated bundled and fuzz traces, parse_trace with cold memos and
+    again with warm ones gives what the line-by-line reference gives: equal
+    events field for field, or the identical refusal message."""
+
+    def test_cold_warm_and_reference_agree(self, bundled):
+        texts = [bundled(name, enforce).trace_text for name in bundled_names() for enforce in ("none", "all")]
+        corpus = [text.splitlines() for text in texts + [_fuzz_text(seed) for seed in range(10)]]
+        rng = random.Random(0)
+        outcomes = []
+        for k, lines in enumerate(corpus):
+            start = lines.index(COLUMN_ROW) + 1
+            other = corpus[(k + 1) % len(corpus)]
+            foreign = other[other.index(COLUMN_ROW) + 1:]
+            for kind in MUTATIONS:
+                for n in range(10):
+                    text = _mutate(kind, lines, start, foreign, rng)
+                    expected = _outcome(_reference_parse, text)
+                    _empty_memos()
+                    assert _outcome(parse_trace, text) == expected, ("cold", k, kind, n)
+                    assert _outcome(parse_trace, text) == expected, ("warm", k, kind, n)
+                    outcomes.append(isinstance(expected, str))
+        # the sample holds both refusals and parses, or it shows little
+        assert 0.2 < sum(outcomes) / len(outcomes) < 0.8
 
 
 class TestTraceRoundTrip:
