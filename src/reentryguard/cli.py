@@ -65,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="override the scenario seed")
     p.add_argument("--ticks", type=int, help="override the tick budget")
     p.add_argument("--trace-out", metavar="FILE", help="write the serialized trace here")
-    p.add_argument("--report", choices=["table", "machine"], default="table")
+    p.add_argument("--report", choices=["table", "machine"], help="report rendering (default table)")
     p.add_argument(
         "--capability-matrix",
         action="store_true",
@@ -277,12 +277,16 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("one of --scenario, --suite, --capability-matrix, --verify-trace, --list-scenarios is required")
     if sum(map(bool, modes)) > 1:
         parser.error("choose exactly one mode")
-    # a flag the mode would ignore is refused: the overrides go only with a
-    # run, and --trace-out only with a plain one
     run = "--capability-matrix" if args.capability_matrix else args.scenario and "--scenario"
-    for flag in ("--enforce", "--guard", "--seed", "--ticks", "--trace-out"):
-        readers = ("--scenario",) if flag == "--trace-out" else ("--scenario", "--capability-matrix")
-        if getattr(args, flag[2:].replace("-", "_")) is not None and run not in readers:
+    mode = run or ("--suite" if args.suite else "--verify-trace" if args.verify_trace else "--list-scenarios")
+    # a flag the mode would ignore is refused: the overrides go only with a
+    # run, --trace-out only with a plain one, and --report with every mode
+    # that reports
+    runs = ("--scenario", "--capability-matrix")
+    readers_of = {"--trace-out": runs[:1], "--report": runs + ("--suite", "--verify-trace")}
+    for flag in ("--enforce", "--guard", "--seed", "--ticks", "--trace-out", "--report"):
+        readers = readers_of.get(flag, runs)
+        if getattr(args, flag[2:].replace("-", "_")) is not None and mode not in readers:
             parser.error(f"{flag} goes only with {' or '.join(readers)}")
 
     try:

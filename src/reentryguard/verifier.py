@@ -16,17 +16,14 @@ simulator's declassification clears a carrier, not an agent; the two rules
 do not yet agree.) A trace is safe when no such chain completes.
 
 audit runs every pass in one forward scan, reading each event once. The
-pattern is past-time, so chains are decided online, from state kept per
-agent and carrier. Each carrier keeps its effective untrusted writes still
-waiting for a witness, and a FIFO of the effective untrusted exposed reads
-made while writes wait; each agent keeps the reads it has opened. The
-agent's next effective high-risk action settles its open reads as qualified
-with that action; a context reset, an effective declassification by the
-agent or the end of the trace settles them as dead. A settled read at the
-head of its carrier's queue leaves it: a qualified one is the witness for
-every waiting write before it, a dead one is dropped. So each offending
-write gets one minimal witness, the earliest qualifying read after it with
-that read's earliest action.
+chain rule has two parts. During the scan, each carrier keeps its effective
+untrusted writes and, once it has one, its effective untrusted exposed reads;
+each read takes its reader's next effective high-risk action, unless a
+context reset or an effective declassification by the reader comes first.
+After the scan, one index-ordered merge per carrier gives each write its
+witness: the first read after it that took an action, with that action. So
+each offending write gets one minimal witness, the earliest qualifying read
+after it with that read's earliest action.
 
 The entry points are build_report, which parses a trace and audits it, and
 find_chains, which returns the chain witnesses alone. chains_in,
@@ -40,7 +37,6 @@ blocked action harms nothing.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import Any
@@ -139,7 +135,8 @@ def audit(meta: TraceMeta, events: Iterable[Event]) -> Report:
     Refuses what no pass may skip over: a header that lacks a single tag (a
     header-less fragment parses, but the passes read the enforcement and
     the attacker, and the report the rest), an effectful event without a
-    decision, a write, exposed read or promotion without a label (the
+    decision, a decision on an event nothing mediates (it would count as an
+    intervention), a write, exposed read or promotion without a label (the
     passes judge it by its label), and an event on a carrier the header
     does not declare (its owner and class, which hops and high-risk writes
     are judged by, would be unknown). Zero-click, hops and propagation are
@@ -188,46 +185,15 @@ def audit(meta: TraceMeta, events: Iterable[Event]) -> Report:
     contaminated: set[str] = set()
     last_write: dict[int, int] = {}
     violations: list[RtwViolation] = []
-    # chains: each carrier ever written untrusted has a list of its writes
-    # that await a witness. An open read is [index, event, None]; settling
-    # sets its last item to (action index, action event) when the read
-    # qualifies, to False when it dies.
-    waiting: dict[int, list[tuple[int, Event]]] = {}
-    queued: dict[int, deque[list[Any]]] = {cid: deque() for cid in owners}
+    # chains: each carrier's effective untrusted writes and, once it has one,
+    # its effective untrusted exposed reads. A read is [index, event, None]
+    # until its reader's next effective high-risk action sets its last item
+    # to (action index, action event); one its reader resets or declassifies
+    # before then, or that is still open at the end, stays dead.
+    writes: dict[int, list[tuple[int, Event]]] = {}
+    reads: dict[int, list[list[Any]]] = {}
     opened: dict[str, list[list[Any]]] = {}
     chains: list[ChainWitness] = []
-
-    def settle(reads: list[list[Any]], outcome: Any) -> None:
-        for read in reads:
-            read[2] = outcome
-        for read in reads:
-            cid = read[1].carrier_id
-            queue = queued[cid]
-            while queue and queue[0][2] is not None:
-                j, rev, act = queue.popleft()
-                if not act:
-                    continue
-                a, aev = act
-                pending = waiting[cid]
-                k = 0
-                while k < len(pending) and pending[k][0] < j:
-                    w, wev = pending[k]
-                    chains.append(
-                        ChainWitness(
-                            carrier_id=cid,
-                            writer=wev.agent,
-                            write_index=w,
-                            write_tick=wev.tick,
-                            reader=rev.agent,
-                            read_index=j,
-                            read_tick=rev.tick,
-                            action_index=a,
-                            action_tick=aev.tick,
-                            action=aev.action.value if aev.action else aev.kind.value,
-                        )
-                    )
-                    k += 1
-                del pending[:k]
 
     i = -1
     for i, ev in enumerate(events):
@@ -237,6 +203,8 @@ def audit(meta: TraceMeta, events: Iterable[Event]) -> Report:
                 raise VerificationError(f"event {i}: effectful kind {kind.value} carries no decision")
             live = False
         else:
+            if kind not in EFFECTFUL_KINDS:
+                raise VerificationError(f"event {i}: {kind.value} is not mediated, yet carries a decision")
             if decision.verdict is not allow:
                 denied[decision.reason] = denied.get(decision.reason, 0) + 1
             live = decision in effective
@@ -264,22 +232,23 @@ def audit(meta: TraceMeta, events: Iterable[Event]) -> Report:
                     infections[agent] = ev.tick
                 if cid not in last_write:
                     last_write[cid] = i
-                waiting.setdefault(cid, []).append((i, ev))
+                writes.setdefault(cid, []).append((i, ev))
             if cid in risky and agent in opened:
-                settle(opened.pop(agent), (i, ev))
+                for read in opened.pop(agent):
+                    read[2] = (i, ev)
         elif kind is exposed_read:
             if ev.label is None:
                 raise VerificationError(f"event {i}: exposed_read carries no label")
             if not live or ev.label is clean:
                 continue
-            re_entry = re_entry or cid in waiting
+            re_entry = re_entry or cid in writes
             w = last_write.get(cid)
             if w is not None and not (attenuation_on and agent in contaminated):
                 violations.append(RtwViolation(carrier_id=cid, write_index=w, read_index=i, reader=agent))
             contaminated.add(agent)
-            if waiting.get(cid):
+            if cid in writes:
                 read = [i, ev, None]
-                queued[cid].append(read)
+                reads.setdefault(cid, []).append(read)
                 opened.setdefault(agent, []).append(read)
         elif kind is msg_send or kind is high_risk:
             if not live:
@@ -289,7 +258,8 @@ def audit(meta: TraceMeta, events: Iterable[Event]) -> Report:
             else:
                 exfiltration = exfiltration or ev.exfil
             if agent in opened:
-                settle(opened.pop(agent), (i, ev))
+                for read in opened.pop(agent):
+                    read[2] = (i, ev)
         elif kind is msg_recv:
             sender = ev.sender
             if sender not in agents:
@@ -305,17 +275,38 @@ def audit(meta: TraceMeta, events: Iterable[Event]) -> Report:
         elif kind is declassify:
             if live:
                 last_write.pop(cid, None)
-                if agent in opened:
-                    settle(opened.pop(agent), False)
+                opened.pop(agent, None)
         elif kind is reset:
             contaminated.discard(agent)
-            if agent in opened:
-                settle(opened.pop(agent), False)
+            opened.pop(agent, None)
     # ticks never decrease, so the last event has the highest
     if i >= 0 and ev.tick > meta.ticks:
         raise VerificationError(f"event {i}: tick {ev.tick} is past the header's # ticks {meta.ticks}")
-    for reads in opened.values():
-        settle(reads, False)
+    # each write's witness is the first read after it that took an action:
+    # writes and reads are in index order, so one merge per carrier
+    for cid, carrier_writes in writes.items():
+        carrier_reads = reads.get(cid, [])
+        k = 0
+        for w, wev in carrier_writes:
+            while k < len(carrier_reads) and (carrier_reads[k][0] < w or carrier_reads[k][2] is None):
+                k += 1
+            if k == len(carrier_reads):
+                break
+            j, rev, (a, aev) = carrier_reads[k]
+            chains.append(
+                ChainWitness(
+                    carrier_id=cid,
+                    writer=wev.agent,
+                    write_index=w,
+                    write_tick=wev.tick,
+                    reader=rev.agent,
+                    read_index=j,
+                    read_tick=rev.tick,
+                    action_index=a,
+                    action_tick=aev.tick,
+                    action=aev.action.value if aev.action else aev.kind.value,
+                )
+            )
     chains.sort(key=lambda w: w.write_index)
 
     reasons: dict[str, int] = {}

@@ -149,6 +149,11 @@ class TestExitCodes:
             (["--suite", "tables", "--trace-out", "x"], "--trace-out", "--scenario"),
             (["--capability-matrix", "--trace-out", "x"], "--trace-out", "--scenario"),
             (["--list-scenarios", "--enforce", "bogus"], "--enforce", "--scenario or --capability-matrix"),
+            (
+                ["--list-scenarios", "--report", "machine"],
+                "--report",
+                "--scenario or --capability-matrix or --suite or --verify-trace",
+            ),
         ],
     )
     def test_flag_the_mode_ignores_is_usage_error(self, capsys, tmp_path, monkeypatch, argv, flag, readers):

@@ -1,7 +1,10 @@
-"""Behaviour lock: machine records and trace bytes pinned against a data file.
+"""Behaviour lock: machine records, trace bytes and reports pinned against a data file.
 
-Pins the ``--suite tables`` and ``--suite ablation`` machine records, and the
-SHA-256 of the trace text of every run in three groups:
+Pins the ``--suite tables`` and ``--suite ablation`` machine records, and for
+every run in four groups two SHA-256 digests: of its trace text, and of its
+machine record line followed by each chain witness's write, read and action
+indices (so a moved witness moves a pin even where the counts stay). The
+groups:
 
 * the bundled scenarios, each undefended and fully enforced;
 * fuzz seeds 0-199 fully enforced;
@@ -18,8 +21,8 @@ intended change of behaviour, regenerate the data file with
 
     PYTHONPATH=src python -m tests.test_lock
 
-which prints, before it writes, each group's moved pins and each suite's
-changed lines; say in CHANGES.md which pins moved and why.
+which prints, before it writes, each group's moved trace and report pins and
+each suite's changed lines; say in CHANGES.md which pins moved and why.
 """
 
 from __future__ import annotations
@@ -27,16 +30,18 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+from collections.abc import Iterator
 from contextlib import redirect_stdout
 from dataclasses import replace
+from functools import cache
 from pathlib import Path
 
 import pytest
 
-from reentryguard.cli import main
+from reentryguard.cli import main, render_machine, report_record
 from reentryguard.model import LAYER_NAMES, GuardMode
 from reentryguard.policy import EnforcementConfig
-from reentryguard.scenarios import bundled_names, load_bundled, random_scenario
+from reentryguard.scenarios import Scenario, bundled_names, load_bundled, random_scenario
 from reentryguard.sim import run_scenario
 
 LOCK_FILE = Path(__file__).parent / "data" / "behaviour_lock.json"
@@ -58,62 +63,66 @@ def suite_records(name: str) -> list[str]:
     return out.getvalue().splitlines()
 
 
-def _digest(scenario) -> str:
-    return hashlib.sha256(run_scenario(scenario).trace_text.encode()).hexdigest()
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _bundled_digests() -> dict[str, str]:
-    return {
-        f"{name}:{enforce}": _digest(
-            replace(load_bundled(name), enforcement=EnforcementConfig.from_names(enforce))
-        )
-        for name in bundled_names()
-        for enforce in ("none", "all")
-    }
+def _pins(scenario: Scenario) -> tuple[str, str]:
+    """One run's trace pin and report pin: the SHA-256 of its trace text, and
+    of its machine record line followed by each chain witness's write, read
+    and action indices."""
+    result = run_scenario(scenario)
+    report = result.report
+    witnesses = " ".join(f"{c.write_index},{c.read_index},{c.action_index}" for c in report.chains)
+    return _sha(result.trace_text), _sha(render_machine("report", report_record(report)) + "\n" + witnesses)
 
 
-def _fuzz_enforced_digests() -> dict[str, str]:
-    return {
-        str(seed): _digest(random_scenario(seed, EnforcementConfig.all_enabled()))
-        for seed in FUZZ_ENFORCED_SEEDS
-    }
+def _bundled() -> Iterator[tuple[str, Scenario]]:
+    for name in bundled_names():
+        for enforce in ("none", "all"):
+            yield f"{name}:{enforce}", replace(load_bundled(name), enforcement=EnforcementConfig.from_names(enforce))
 
 
-def _fuzz_undefended_digests() -> dict[str, str]:
-    return {
-        str(seed): _digest(
-            replace(random_scenario(seed, EnforcementConfig.none()), max_ticks=FUZZ_UNDEFENDED_TICKS)
-        )
-        for seed in FUZZ_UNDEFENDED_SEEDS
-    }
+def _fuzz_enforced() -> Iterator[tuple[str, Scenario]]:
+    for seed in FUZZ_ENFORCED_SEEDS:
+        yield str(seed), random_scenario(seed, EnforcementConfig.all_enabled())
 
 
-def _fuzz_ablated_digests() -> dict[str, str]:
-    return {
-        f"{spec}:{guard.value}:{seed}": _digest(
-            replace(
-                random_scenario(seed, EnforcementConfig.from_names(spec, guard)),
-                max_ticks=FUZZ_UNDEFENDED_TICKS,
-            )
-        )
-        for spec in ABLATIONS
-        for guard in GuardMode
-        for seed in FUZZ_ABLATED_SEEDS
-    }
+def _fuzz_undefended() -> Iterator[tuple[str, Scenario]]:
+    for seed in FUZZ_UNDEFENDED_SEEDS:
+        yield str(seed), replace(random_scenario(seed, EnforcementConfig.none()), max_ticks=FUZZ_UNDEFENDED_TICKS)
 
 
-TRACE_GROUPS = {
-    "bundled": _bundled_digests,
-    "fuzz_enforced": _fuzz_enforced_digests,
-    "fuzz_undefended": _fuzz_undefended_digests,
-    "fuzz_ablated": _fuzz_ablated_digests,
+def _fuzz_ablated() -> Iterator[tuple[str, Scenario]]:
+    for spec in ABLATIONS:
+        for guard in GuardMode:
+            for seed in FUZZ_ABLATED_SEEDS:
+                scenario = random_scenario(seed, EnforcementConfig.from_names(spec, guard))
+                yield f"{spec}:{guard.value}:{seed}", replace(scenario, max_ticks=FUZZ_UNDEFENDED_TICKS)
+
+
+GROUPS = {
+    "bundled": _bundled,
+    "fuzz_enforced": _fuzz_enforced,
+    "fuzz_undefended": _fuzz_undefended,
+    "fuzz_ablated": _fuzz_ablated,
 }
+PINS = ("traces", "reports")
+
+
+@cache
+def group_pins(group: str) -> dict[str, dict[str, str]]:
+    """The group's trace pins and report pins, by run key, from one run each."""
+    pins: dict[str, dict[str, str]] = {kind: {} for kind in PINS}
+    for key, scenario in GROUPS[group]():
+        pins["traces"][key], pins["reports"][key] = _pins(scenario)
+    return pins
 
 
 def current_lock() -> dict:
     return {
         "suites": {name: suite_records(name) for name in SUITES},
-        "traces": {group: digests() for group, digests in TRACE_GROUPS.items()},
+        **{kind: {group: group_pins(group)[kind] for group in GROUPS} for kind in PINS},
     }
 
 
@@ -123,13 +132,15 @@ def moved(expected: dict[str, str], actual: dict[str, str]) -> list[str]:
 
 
 def lock_changes(old: dict, new: dict) -> list[str]:
-    """Per trace group, the count of moved pins and the first SHOWN_KEYS
-    keys; then each suite's removed (-) and added (+) record lines."""
+    """Per trace group, the count of moved trace pins and the first
+    SHOWN_KEYS keys, then the same for report pins; then each suite's
+    removed (-) and added (+) record lines."""
     lines = []
-    for group, actual in new["traces"].items():
-        keys = moved(old.get("traces", {}).get(group, {}), actual)
-        more = f" (+{len(keys) - SHOWN_KEYS} more)" if len(keys) > SHOWN_KEYS else ""
-        lines.append(f"{group}: {len(keys)} moved {' '.join(keys[:SHOWN_KEYS])}{more}".rstrip())
+    for kind in PINS:
+        for group, actual in new[kind].items():
+            keys = moved(old.get(kind, {}).get(group, {}), actual)
+            more = f" (+{len(keys) - SHOWN_KEYS} more)" if len(keys) > SHOWN_KEYS else ""
+            lines.append(f"{kind} {group}: {len(keys)} moved {' '.join(keys[:SHOWN_KEYS])}{more}".rstrip())
     for name, after in new["suites"].items():
         before = old.get("suites", {}).get(name, [])
         lines += [f"suite {name}: - {line}" for line in before if line not in after]
@@ -138,10 +149,25 @@ def lock_changes(old: dict, new: dict) -> list[str]:
 
 
 def test_lock_changes_names_moved_pins_and_suite_lines():
-    old = {"suites": {"s": ["a", "b"]}, "traces": {"g": {str(i): "x" for i in range(25)}, "h": {"k": "x"}}}
-    new = {"suites": {"s": ["a", "c"]}, "traces": {"g": {str(i): "y" for i in range(25)}, "h": {"k": "x"}}}
+    old = {
+        "suites": {"s": ["a", "b"]},
+        "traces": {"g": {str(i): "x" for i in range(25)}, "h": {"k": "x"}},
+        "reports": {"g": {"k": "x"}},
+    }
+    new = {
+        "suites": {"s": ["a", "c"]},
+        "traces": {"g": {str(i): "y" for i in range(25)}, "h": {"k": "x"}},
+        "reports": {"g": {"k": "y"}, "h": {"k": "x"}},
+    }
     first = " ".join(sorted(map(str, range(25)))[:20])
-    assert lock_changes(old, new) == [f"g: 25 moved {first} (+5 more)", "h: 0 moved", "suite s: - b", "suite s: + c"]
+    assert lock_changes(old, new) == [
+        f"traces g: 25 moved {first} (+5 more)",
+        "traces h: 0 moved",
+        "reports g: 1 moved k",
+        "reports h: 1 moved k",
+        "suite s: - b",
+        "suite s: + c",
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -154,12 +180,16 @@ def test_suite_records(pinned, name):
     assert suite_records(name) == pinned["suites"][name]
 
 
-@pytest.mark.parametrize("group", TRACE_GROUPS)
+@pytest.mark.parametrize("group", GROUPS)
 def test_trace_digests(pinned, group):
-    expected = pinned["traces"][group]
-    actual = TRACE_GROUPS[group]()
-    changed = moved(expected, actual)
+    changed = moved(pinned["traces"][group], group_pins(group)["traces"])
     assert not changed, f"{group}: trace bytes changed for {changed}"
+
+
+@pytest.mark.parametrize("group", GROUPS)
+def test_report_digests(pinned, group):
+    changed = moved(pinned["reports"][group], group_pins(group)["reports"])
+    assert not changed, f"{group}: report or witnesses changed for {changed}"
 
 
 if __name__ == "__main__":

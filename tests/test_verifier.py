@@ -55,6 +55,9 @@ DENY = Decision.deny(Reason.ATTENUATED_HIGHRISK)
 
 
 def toy_meta(carrier_owner: str = "a1", enforcement: EnforcementConfig | None = None) -> TraceMeta:
+    """Three agents; carrier 1 is heartbeat-autoloaded, so a write to it is a
+    high-risk action, and a2's carrier 2 is an on-demand local file below
+    that bar."""
     return TraceMeta(
         scenario="toy",
         seed=0,
@@ -72,7 +75,17 @@ def toy_meta(carrier_owner: str = "a1", enforcement: EnforcementConfig | None = 
                 injection=InjectionPosition.USER_PROMPT,
                 scope=CarrierScope.AGENT_LOCAL,
                 label=TaintLabel.CLEAN,
-            )
+            ),
+            Carrier(
+                id=2,
+                name="f2",
+                owner="a2",
+                cls=CarrierClass.WORKSPACE_FILE,
+                autoload=AutoloadPolicy.ON_DEMAND,
+                injection=InjectionPosition.USER_PROMPT,
+                scope=CarrierScope.AGENT_LOCAL,
+                label=TaintLabel.CLEAN,
+            ),
         ],
     )
 
@@ -142,6 +155,13 @@ class TestFindChainsFixtures:
     def test_declassify_of_reader_breaks_chain(self):
         assert find_chains(render([W(1), R(2), DECL(2), A(3)])) == []
 
+    def test_write_is_an_action_only_on_a_risky_carrier(self):
+        """A reader's write to an autoloaded carrier feeds future contexts and
+        completes the chain; the same write to an on-demand local file does not."""
+        assert find_chains(render([W(1), R(2), W(3, agent="a2", cid=2)])) == []
+        (w,) = find_chains(render([W(1), R(2), W(3, agent="a2", cid=1)]))
+        assert (w.write_index, w.read_index, w.action_index, w.action) == (0, 1, 2, "write")
+
     def test_action_before_read_does_not_count(self):
         assert find_chains(render([W(1), A(2), R(3)])) == []
 
@@ -185,6 +205,25 @@ class TestFindChainsFixtures:
                     label=TaintLabel.TAINTED, facets=PayloadFacets.full())
         with pytest.raises(VerificationError):
             find_chains(render([bad]))
+
+    @pytest.mark.parametrize(
+        "event",
+        [
+            Event(tick=1, agent="a1", kind=EventKind.HEARTBEAT),
+            Event(tick=1, agent="a2", kind=EventKind.MSG_RECV, channel="c0",
+                  facets=PayloadFacets.full(), sender="a1"),
+            INJECT(1),
+            RESET(1),
+        ],
+        ids=lambda ev: ev.kind.value,
+    )
+    def test_decision_on_unmediated_event_rejected(self, event):
+        """Nothing mediates these kinds, so a decision on one is refused, not
+        counted as an intervention."""
+        bad = replace(event, decision=Decision.deny(Reason.SEALED_CONFIG))
+        match = f"^event 1: {event.kind.value} is not mediated, yet carries a decision$"
+        with pytest.raises(VerificationError, match=match):
+            build_report(render([W(0), bad]))
 
     @pytest.mark.parametrize(
         "event",
@@ -310,7 +349,7 @@ class TestFindChainsAgainstNaiveScan:
     """Exhaustive toy-run enumeration: one carrier, two agents, every sequence
     of up to five template events, plus a random sample of longer runs over a
     wider template pool (denied events, clean writes, self-reading writers,
-    declassifications)."""
+    declassifications, a reader's write to a carrier below the high-risk bar)."""
 
     CORE = [
         lambda t: W(t, agent="a1"),
@@ -325,6 +364,7 @@ class TestFindChainsAgainstNaiveScan:
         lambda t: W(t, agent="a2", label=TaintLabel.CLEAN),
         lambda t: R(t, agent="a1"),
         lambda t: DECL(t, agent="a2"),
+        lambda t: W(t, agent="a2", cid=2),
     ]
 
     def _check(self, events: list[Event]) -> None:
@@ -551,14 +591,6 @@ class TestAuditRtw:
                     events.append(R(t, agent="a2", cid=cid))
                     words[cid].append("R")
             meta = toy_meta()
-            meta.carriers.append(
-                Carrier(
-                    id=2, name="f2", owner="a2", cls=CarrierClass.WORKSPACE_FILE,
-                    autoload=AutoloadPolicy.HEARTBEAT,
-                    injection=InjectionPosition.USER_PROMPT,
-                    scope=CarrierScope.AGENT_LOCAL, label=TaintLabel.CLEAN,
-                )
-            )
             expected = all(is_rtw_safe("".join(words[cid])).safe for cid in (1, 2))
             assert (not build_report(render(events, meta)).rtw_violations) == expected
 
