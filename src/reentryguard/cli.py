@@ -260,11 +260,21 @@ def _mode_verify(args: argparse.Namespace, out) -> int:
     return _emit(args, out, [report_record(build_report(Path(args.verify_trace).read_text()))])
 
 
-def _mode_list(out) -> int:
+def _mode_list(args: argparse.Namespace, out) -> int:
     print("scenarios:", ", ".join(bundled_names()), file=out)
     print("suites:", ", ".join(suite_names()), file=out)
     print("capability presets:", ", ".join(MATRIX_ORDER), file=out)
     return EXIT_OK
+
+
+# the flag that names a mode -> its handler
+_MODES: dict[str, Callable[[argparse.Namespace, Any], int]] = {
+    "--scenario": _mode_run,
+    "--capability-matrix": _mode_matrix,
+    "--suite": _mode_suite,
+    "--verify-trace": _mode_verify,
+    "--list-scenarios": _mode_list,
+}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -290,15 +300,7 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"{flag} goes only with {' or '.join(readers)}")
 
     try:
-        if args.list_scenarios:
-            return _mode_list(sys.stdout)
-        if args.verify_trace:
-            return _mode_verify(args, sys.stdout)
-        if args.suite:
-            return _mode_suite(args, sys.stdout)
-        if args.capability_matrix:
-            return _mode_matrix(args, sys.stdout)
-        return _mode_run(args, sys.stdout)
+        return _MODES[mode](args, sys.stdout)
     except MediationError as exc:
         print(f"reentryguard: internal mediation gap: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

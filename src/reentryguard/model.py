@@ -17,6 +17,11 @@ Invariants that the rest of the package leans on:
   is a member of an EFFECTIVE set, however the event holding it was made.
 * Facets compare by identity too. The 16 FACET_VALUES objects are the only
   facets: constructing a PayloadFacets by any path returns one of them.
+* Header records are values. A Carrier holds what the trace header declares
+  (class, autoload, position, scope and label0, its label at session start)
+  and is frozen, like the tracelog's AgentMeta. What a run changes per
+  carrier, its label and content, is the simulator's own state, so the
+  simulator, the header and the parser can share one record.
 """
 
 from __future__ import annotations
@@ -383,7 +388,7 @@ class EnforcementConfig:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class Carrier:
     id: int
     name: str
@@ -392,8 +397,7 @@ class Carrier:
     injection: InjectionPosition
     autoload: AutoloadPolicy
     scope: CarrierScope
-    label: TaintLabel = TaintLabel.CLEAN
-    content: PayloadFacets | None = None
+    label0: TaintLabel = TaintLabel.CLEAN
 
     def __post_init__(self) -> None:
         if self.cls is _STATIC_CONFIG and self.autoload is not _SESSION_START:

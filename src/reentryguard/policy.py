@@ -137,14 +137,13 @@ def _mediate_write(event: Event, ctx: MediationContext, config: EnforcementConfi
 
 
 def _mediate_exposed_read(event: Event, ctx: MediationContext, config: EnforcementConfig) -> Decision:
-    carrier = ctx.carriers[event.carrier_id]
     reader = ctx.states[event.agent]
-    label = event.label if event.label is not None else carrier.label
 
-    if carrier.cls in _RTW_CLASSES and config.rtw:
+    if ctx.carriers[event.carrier_id].cls in _RTW_CLASSES and config.rtw:
         # the reader holds a high-risk capability when its deployment grants
-        # one and attenuation has not taken it away
-        return enforce_exposed_read(label, reader.capable and not attenuated(reader, config))
+        # one and attenuation has not taken it away; the simulator labels
+        # every exposed read with what the carrier holds
+        return enforce_exposed_read(event.label, reader.capable and not attenuated(reader, config))
     # external sources are unavoidable reads: cut sits after the read, on
     # the reader's actions; trusted memory, task state and config are gated
     # when they are written or promoted into
@@ -176,7 +175,7 @@ _RULES: dict[EventKind, Callable[[Event, MediationContext, EnforcementConfig], D
     EventKind.HIGH_RISK: _mediate_action,
     EventKind.MSG_SEND: _mediate_action,
     # declassification is runtime-initiated: mediation lets it through, and
-    # the simulator then clears the carrier
+    # the simulator then clears the carrier's label and content
     EventKind.DECLASSIFY: lambda event, ctx, config: _ALLOW,
 }
 

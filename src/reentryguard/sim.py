@@ -67,7 +67,6 @@ from .taint import (
     AgentDecisionState,
     content_label,
     context_reset,
-    declassify_carrier,
     mark_contamination,
     propagate_on_write,
 )
@@ -159,6 +158,10 @@ class Ecosystem:
         # agent -> id -> its submitted candidate
         self.candidates: dict[str, dict[int, MemoryCandidate]] = {}
         self.carriers: dict[int, Carrier] = {}
+        # carrier id -> its label, and its content when it holds any: what a
+        # run changes per carrier, which the carrier records never hold
+        self.labels: dict[int, TaintLabel] = {}
+        self.contents: dict[int, PayloadFacets] = {}
         self.carrier_sets: dict[str, AgentCarrierSet] = {}
         # channel -> its external feed, and its shared log
         self.feeds: dict[str, Carrier] = {}
@@ -180,16 +183,16 @@ class Ecosystem:
             candidates=self.candidates,
             leases=self.leases,
         )
-        # the header: initial labels, copied before run() changes them; the
-        # header carries no content
+        # the header: the carrier records themselves, whose label0 run()
+        # never changes; the header carries no content
         self.meta = TraceMeta(
             scenario=scenario.name,
             seed=scenario.seed,
             ticks=scenario.max_ticks,
             enforcement=self.config,
             attacker=ATTACKER,
-            agents=[AgentMeta(p.id, p.privilege, p.period, list(p.channels)) for p in self.agents.values()],
-            carriers=[Carrier(**vars(c) | {"content": None}) for c in self.carriers.values()],
+            agents=[AgentMeta(p.id, p.privilege, p.period, p.channels) for p in self.agents.values()],
+            carriers=list(self.carriers.values()),
         )
 
     # -- construction -------------------------------------------------------
@@ -207,18 +210,12 @@ class Ecosystem:
     ) -> Carrier:
         """Register a carrier under the next id. A seeded slot starts as
         external content carrying the seed's facets."""
-        carrier = Carrier(
-            id=len(self.carriers) + 1,
-            name=name,
-            cls=cls,
-            owner=owner,
-            injection=injection,
-            autoload=autoload,
-            scope=scope,
-            label=TaintLabel.EXTERNAL if seed else label,
-            content=seed.facets if seed else None,
-        )
-        self.carriers[carrier.id] = carrier
+        cid = len(self.carriers) + 1
+        label = TaintLabel.EXTERNAL if seed else label
+        carrier = self.carriers[cid] = Carrier(cid, name, cls, owner, injection, autoload, scope, label)
+        self.labels[cid] = label
+        if seed:
+            self.contents[cid] = seed.facets
         return carrier
 
     def _build(self) -> None:
@@ -318,20 +315,22 @@ class Ecosystem:
     ) -> None:
         """Propose a write of content from origin; when it takes effect the
         carrier takes the writer's label and any facets."""
-        if self._propose(tick, agent, _WRITE, origin, carrier.id, facets) is not None:
-            carrier.label = propagate_on_write(self.states[agent], carrier, origin)
+        cid = carrier.id
+        if self._propose(tick, agent, _WRITE, origin, cid, facets) is not None:
+            self.labels[cid] = propagate_on_write(self.states[agent], self.labels[cid], origin)
             if facets.any:
-                carrier.content = facets
+                self.contents[cid] = facets
 
     def _queue_message(self, msg: Event) -> None:
         """Queue an effective msg_send or an inject; the channel's log keeps
         its label and facets."""
         self.queued[msg.channel].append(msg)
-        log = self.logs[msg.channel]
-        if msg.label.untrusted and not log.label.untrusted:
-            log.label = msg.label
+        log = self.logs[msg.channel].id
+        if msg.label.untrusted and not self.labels[log].untrusted:
+            self.labels[log] = msg.label
         if msg.facets.any:
-            log.content = msg.facets if log.content is None else log.content.union(msg.facets)
+            held = self.contents.get(log)
+            self.contents[log] = msg.facets if held is None else held.union(msg.facets)
 
     # -- agent turns ---------------------------------------------------------
 
@@ -354,20 +353,21 @@ class Ecosystem:
             return
         self._act_on_payload(tick, agent, was_clean, delivered, msg.label)
 
-    def _heartbeat_reads(self, tick: int, agent: str) -> list[tuple[Carrier, PayloadFacets]]:
+    def _heartbeat_reads(self, tick: int, agent: str) -> list[tuple[Carrier, PayloadFacets, TaintLabel]]:
         """The carriers the turn read with effect, each with the facets it
-        surfaced."""
-        sources: list[tuple[Carrier, PayloadFacets]] = []
+        surfaced and the label its read carried."""
+        sources: list[tuple[Carrier, PayloadFacets, TaintLabel]] = []
         cset = self.carrier_sets[agent]
         for carrier in cset.heartbeat_reads:
-            facets = carrier.content
+            facets = self.contents.get(carrier.id)
             if facets is None:
                 # trusted memory renders only what a promotion put there
                 if carrier is cset.memory:
                     continue
                 facets = NO_FACETS
-            if self._exposed_read(tick, agent, carrier, carrier.label):
-                sources.append((carrier, facets))
+            label = self.labels[carrier.id]
+            if self._exposed_read(tick, agent, carrier, label):
+                sources.append((carrier, facets, label))
         return sources
 
     def _heartbeat_turn(self, tick: int, agent: str) -> None:
@@ -377,30 +377,28 @@ class Ecosystem:
 
         # routine config validity probe: opaque, so any label is fine and
         # nothing enters the decision context
-        self._mediated(Event(tick, agent, _OPAQUE_READ, cset.config.id, cset.config.label))
+        self._mediated(Event(tick, agent, _OPAQUE_READ, cset.config.id, self.labels[cset.config.id]))
 
         was_clean = not self.states[agent].contaminated
         sources = self._heartbeat_reads(tick, agent)
 
         # routine task bookkeeping under lease; a compromised agent's turn is
-        # payload-driven, so only clean agents keep their routine. A clean
-        # write of no facets changes no label, so each source below still
-        # has the label its read saw.
+        # payload-driven, so only clean agents keep their routine
         if Capability.FILE_WRITE in profile.capabilities and not self.states[agent].contaminated:
             self._write(tick, agent, cset.task, NO_FACETS, _CLEAN)
 
         facets = NO_FACETS
         origin = _CLEAN
         decided: dict[InjectionPosition, bool] = {}
-        for carrier, read in sources:
+        for carrier, read, label in sources:
             if not read.any:
                 continue
             if carrier.injection not in decided:
                 decided[carrier.injection] = profile.complies(carrier.injection, self.rng)
             if decided[carrier.injection]:
                 facets = facets.union(read)
-                if origin is _CLEAN and carrier.label.untrusted:
-                    origin = carrier.label
+                if origin is _CLEAN and label.untrusted:
+                    origin = label
         self._act_on_payload(tick, agent, was_clean, facets, origin)
 
     def _act_on_payload(
@@ -433,8 +431,8 @@ class Ecosystem:
             self.candidates[agent] = {_CANDIDATE.id: _CANDIDATE}
             ev = self._propose(tick, agent, _PROMOTE, origin, _CANDIDATE.id, facets, schema=_CANDIDATE.schema)
             if ev is not None:
-                cset.memory.content = facets
-                cset.memory.label = ev.label
+                self.contents[cset.memory.id] = facets
+                self.labels[cset.memory.id] = ev.label
 
         if facets.propagate and can_send:
             for ch in cset.channels:
@@ -447,7 +445,7 @@ class Ecosystem:
                 self._propose(tick, agent, _HIGH_RISK, origin, action=ActionKind.INVOKE_SHELL)
             exfil_ch = self.scenario.exfil_channel
             if exfil_ch is not None and exfil_ch in profile.channels and can_send:
-                self._exposed_read(tick, agent, cset.config, cset.config.label)
+                self._exposed_read(tick, agent, cset.config, self.labels[cset.config.id])
                 msg = self._propose(tick, agent, _MSG_SEND, origin, facets=facets, channel=exfil_ch, exfil=True)
                 if msg is not None:
                     self._queue_message(msg)
@@ -478,11 +476,14 @@ class Ecosystem:
                 self.states[agent] = context_reset(self.states[agent])
         for agent, when in self.scenario.declassify:
             if when == tick:
-                carrier = self.carrier_sets[agent].heartbeat
+                cid = self.carrier_sets[agent].heartbeat.id
                 # carrier_id, label, facets, channel, action, schema, procedure
-                ev = Event(tick, agent, _DECLASSIFY, carrier.id, carrier.label, None, None, None, None, _VALIDATION)
+                ev = Event(tick, agent, _DECLASSIFY, cid, self.labels[cid], None, None, None, None, _VALIDATION)
+                # runtime-initiated, so no agent can ask for it: an effective
+                # declassification clears the carrier's label and content
                 if self._mediated(ev):
-                    declassify_carrier(carrier)
+                    self.labels[cid] = _CLEAN
+                    self.contents.pop(cid, None)
 
     def run(self) -> list[Event]:
         """Run ticks 0..max_ticks in the order the module docstring gives."""
@@ -491,7 +492,7 @@ class Ecosystem:
             if tick == 0:
                 for agent, cset in self.carrier_sets.items():
                     for carrier in cset.session_reads:
-                        self._exposed_read(0, agent, carrier, carrier.label)
+                        self._exposed_read(0, agent, carrier, self.labels[carrier.id])
             else:
                 self._scheduled_maintenance(tick)
                 self._deliver(tick)

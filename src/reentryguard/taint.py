@@ -1,4 +1,4 @@
-"""Taint engine: label propagation on write, contamination, declassification.
+"""Taint engine: label propagation on write, contamination, context reset.
 
 Propagation is deliberately over-conservative. Once an agent's decision
 state has been exposed to untrusted content, everything it writes is
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import Carrier, TaintLabel
+from .model import TaintLabel
 
 
 @dataclass(frozen=True)
@@ -58,17 +58,13 @@ def content_label(writer: AgentDecisionState, origin: TaintLabel) -> TaintLabel:
     return _CLEAN
 
 
-def propagate_on_write(
-    writer: AgentDecisionState,
-    target: Carrier,
-    content_origin: TaintLabel,
-) -> TaintLabel:
-    """Label the target carrier takes after an allowed write: the content
-    label, except that clean content leaves the target label unchanged;
+def propagate_on_write(writer: AgentDecisionState, current: TaintLabel, content_origin: TaintLabel) -> TaintLabel:
+    """Label a carrier labelled current takes after an allowed write: the
+    content label, except that clean content leaves the label unchanged;
     overwriting a tainted carrier with clean bytes is not a declassification.
     """
     label = content_label(writer, content_origin)
-    return target.label if label is _CLEAN else label
+    return current if label is _CLEAN else label
 
 
 def mark_contamination(state: AgentDecisionState) -> AgentDecisionState:
@@ -80,15 +76,3 @@ def context_reset(state: AgentDecisionState) -> AgentDecisionState:
     capability attenuation took. Carrier labels are untouched; a reset wipes
     the decision state, not disk."""
     return AgentDecisionState(state.capable)
-
-
-# ---------------------------------------------------------------------------
-# declassification
-# ---------------------------------------------------------------------------
-
-
-def declassify_carrier(carrier: Carrier) -> None:
-    """Runtime-initiated declassification: the carrier's label and content
-    are cleared. The simulator schedules it; no agent can ask for it."""
-    carrier.label = _CLEAN
-    carrier.content = None

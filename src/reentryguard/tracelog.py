@@ -37,12 +37,14 @@ simulator writes, and fails closed: anything it cannot interpret raises
 ``TraceFormatError`` naming the line. That covers a wrong column, token or
 detail-field count, an unknown tag, kind, key, enum value or facet token, a
 key out of order, a negative tick, a ``# ticks`` or agent ``period=`` below
-1, an integer not written as ``str(int)`` writes it (``+3``, `` 4``, ``03``, ``1_0``), a tick lower than the previous
-event line's, a sender without ``from=``, a decision/reason pair that
-``Decision`` does not admit (``allow|rtw-re-entry``, ``deny|ok``), a repeated
-single tag, agent id, carrier id or channel of one agent line, a carrier
-that breaks a ``Carrier`` invariant, a name that ``agent_id``,
-``channel_name`` or ``scenario_name`` refuses, a header that does not open
+1, an integer not written as ``str(int)`` writes it (``+3``, `` 4``,
+``03``, ``1_0``), a tick lower than the previous event line's, a sender
+without ``from=``, a decision/reason pair that ``Decision`` does not admit
+(``allow|rtw-re-entry``, ``deny|ok``), a repeated single tag, agent id,
+carrier id or channel of one agent line, a carrier that breaks a
+``Carrier`` invariant, a name that ``agent_id``, ``channel_name`` or
+``scenario_name`` refuses (in a header line, or the channel of an event
+line: ``msg_send:-:1111``, ``inject::1111``), a header that does not open
 with ``# trace-format``, and a header line after the column row. There a
 ``#`` line whose first word is not a header tag is a comment, which the
 parser skips. A header that lacks a single tag parses with the field
@@ -64,11 +66,13 @@ is one lookup and yields that event object again, and parses a tick column
 only when it differs from the last new line's, as render formats a tick
 only when it changes. A line new to the process goes through the strict
 codec (``event_to_line``, ``parse_event_line``, the ``HEADER`` patterns),
-and a line that raises is never memoised. A memo holds immutable parsed
-values and no object a call returns: each ``Event``, ``Carrier`` and
-``AgentMeta`` is built fresh per call. The checks across lines (the opening
-tag, a repeated tag or id, the column row, comments, the tick order) run on
-every line. So a memo cannot change what is read or refused.
+and a line that raises is never memoised. A memo holds immutable values
+only. The header records are frozen (``Carrier``, ``AgentMeta``), so a
+header line's memo holds the record itself and every parse of that line
+returns it. Each ``Event`` is built fresh per call, since the simulator
+sets ``event.decision``. The checks across lines (the opening tag, a
+repeated tag or id, the column row, comments, the tick order) run on every
+line. So a memo cannot change what is read or refused.
 
 Identical runs must serialize byte-identically; nothing here may read the
 clock, the environment, or unordered containers.
@@ -79,7 +83,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from functools import partial
 from itertools import islice
 from operator import attrgetter
 from typing import Any, Callable, NamedTuple
@@ -119,9 +122,8 @@ class TraceFormatError(ReentryGuardError):
 # The process-wide memos of the line codecs (see the module docstring). A
 # memo that holds _MEMO_BOUND entries is emptied before its next insert.
 _MEMO_BOUND = 4096
-# header line -> (tag, its make bound to the parsed values, which builds a
-# fresh record or TraceMeta fields on each call)
-_HEADER_MEMO: dict[str, tuple[str, partial[Any]]] = {}
+# header line -> (tag, the frozen record it parses to, or its TraceMeta fields)
+_HEADER_MEMO: dict[str, tuple[str, Any]] = {}
 _PARSE_MEMO: dict[str, tuple[Any, ...]] = {}  # event line after the tick -> SHAPE_FIELDS values
 _RENDER_MEMO: dict[tuple[Any, ...], str] = {}  # SHAPE_FIELDS values -> line after the tick
 _MEMOS = (_HEADER_MEMO, _PARSE_MEMO, _RENDER_MEMO)
@@ -139,12 +141,12 @@ def _memoise(memo: dict[Any, Any], key: Any, value: Any) -> Any:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class AgentMeta:
     id: str
     privilege: Privilege
     period: int
-    channels: list[str]
+    channels: tuple[str, ...]
 
 
 @dataclass
@@ -287,7 +289,7 @@ HEADER: dict[str, _Line] = {
             f"{a.id} privilege={_TOKEN[a.privilege]} period={a.period}"
             f" channels={','.join(a.channels) or MISSING}"
         ),
-        lambda channels, **fields: AgentMeta(channels=list(channels), **fields),
+        AgentMeta,
         (None, "id", agent_id),
         ("privilege", "privilege", _enum(Privilege)),
         ("period", "period", _at_least_one),
@@ -298,7 +300,7 @@ HEADER: dict[str, _Line] = {
         lambda c: (
             f"{c.id} name={c.name} owner={MISSING if c.owner is None else c.owner} class={_TOKEN[c.cls]}"
             f" autoload={_TOKEN[c.autoload]} position={_TOKEN[c.injection]} scope={_TOKEN[c.scope]}"
-            f" label0={_TOKEN[c.label]}"
+            f" label0={_TOKEN[c.label0]}"
         ),
         Carrier,
         (None, "id", _count),
@@ -308,7 +310,7 @@ HEADER: dict[str, _Line] = {
         ("autoload", "autoload", _enum(AutoloadPolicy)),
         ("position", "injection", _enum(InjectionPosition)),
         ("scope", "scope", _enum(CarrierScope)),
-        ("label0", "label", _enum(TaintLabel)),
+        ("label0", "label0", _enum(TaintLabel)),
     ),
 }
 # The single tags but trace-format, each filling the TraceMeta field of its
@@ -353,7 +355,7 @@ def _parse_header(lines: list[str]) -> tuple[TraceMeta, int]:
                 if hash_ != "#" or tag not in HEADER:
                     raise ValueError("unknown tag")
             else:
-                tag, build = memo
+                tag, made = memo
             if not seen and tag != "trace-format":
                 raise ValueError("the header does not open with # trace-format")
             records, _, make, pattern, names, parses = HEADER[tag]
@@ -361,14 +363,13 @@ def _parse_header(lines: list[str]) -> tuple[TraceMeta, int]:
                 match = pattern.fullmatch(text)
                 if match is None:
                     raise ValueError(f"tokens do not match {pattern.pattern}")
-                build = partial(make, **{name: parse(raw) for name, parse, raw in zip(names, parses, match.groups())})
-            made = build()
+                made = make(**{name: parse(raw) for name, parse, raw in zip(names, parses, match.groups())})
             key = (tag, made.id) if records else (tag,)
             if key in seen:
                 raise ValueError("repeated " + " ".join(map(str, key)))
             seen.add(key)
             if memo is None:
-                _memoise(_HEADER_MEMO, line, (tag, build))
+                _memoise(_HEADER_MEMO, line, (tag, made))
             if records:
                 getattr(meta, records).append(made)
             else:
@@ -423,7 +424,7 @@ _CODECS: dict[str, tuple[Callable[[Any], str | None], Callable[[str], Any], Any]
     "action": (lambda v: v.value, _by_value(ActionKind).__getitem__, _REQUIRED),
     "schema": (lambda v: v.value, _by_value(SchemaKind).__getitem__, _REQUIRED),
     "procedure": (lambda v: v.value, _by_value(DeclassProcedure).__getitem__, _REQUIRED),
-    "channel": (str, str, _REQUIRED),
+    "channel": (str, channel_name, _REQUIRED),
     "sender": (lambda v: "from=" + v, _sender, _REQUIRED),
     "exfil": (lambda v: "exfil" if v else None, {"exfil": True}.__getitem__, False),
 }

@@ -193,8 +193,8 @@ class TestGateCompleteness:
         effective = {ev.agent: ev.facets for ev in trace
                      if ev.kind is EventKind.PROMOTE and ev.decision.verdict is Verdict.ALLOW}
         assert effective
-        assert {agent: cset.memory.content for agent, cset in eco.carrier_sets.items()
-                if cset.memory.content is not None} == effective
+        assert {agent: eco.contents[cset.memory.id] for agent, cset in eco.carrier_sets.items()
+                if cset.memory.id in eco.contents} == effective
 
     def test_gated_promotion_submits_but_keeps_nothing(self):
         """With the gate on, every proposing agent's candidate is recorded as
@@ -205,7 +205,7 @@ class TestGateCompleteness:
         proposers = {ev.agent for ev in trace if ev.kind is EventKind.PROMOTE}
         assert proposers
         assert set(eco.candidates) == proposers
-        assert all(cset.memory.content is None for cset in eco.carrier_sets.values())
+        assert all(cset.memory.id not in eco.contents for cset in eco.carrier_sets.values())
 
     def test_memgate_runs_never_expose_trusted_memory(self):
         """With the gate on, the one candidate a contaminated agent submits

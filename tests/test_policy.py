@@ -153,7 +153,7 @@ class TestMediateWrite:
 
 class TestMediateRead:
     def test_tainted_workspace_read_by_high_cap_denied(self):
-        f = make_carrier(cid=1, label=TaintLabel.TAINTED)
+        f = make_carrier(cid=1, label0=TaintLabel.TAINTED)
         ctx = ctx_with({1: f}, {"a1": CAPABLE})
         event = Event(tick=1, agent="a1", kind=EventKind.EXPOSED_READ, carrier_id=1, label=TaintLabel.TAINTED)
         decision = mediate(event, ctx, EnforcementConfig.from_names("rtw"))
@@ -178,13 +178,13 @@ class TestMediateRead:
 
     def test_external_source_read_not_rtw_gated(self):
         # unavoidable input: its cut sits after the read, on the actions
-        src = make_carrier(cid=1, cls=CarrierClass.EXTERNAL_SOURCE, label=TaintLabel.EXTERNAL)
+        src = make_carrier(cid=1, cls=CarrierClass.EXTERNAL_SOURCE, label0=TaintLabel.EXTERNAL)
         ctx = ctx_with({1: src}, {"a1": CAPABLE})
         event = Event(tick=1, agent="a1", kind=EventKind.EXPOSED_READ, carrier_id=1, label=TaintLabel.EXTERNAL)
         assert mediate(event, ctx, EnforcementConfig.all_enabled()).verdict is Verdict.ALLOW
 
     def test_opaque_read_always_allowed(self):
-        f = make_carrier(cid=1, label=TaintLabel.TAINTED)
+        f = make_carrier(cid=1, label0=TaintLabel.TAINTED)
         ctx = ctx_with({1: f}, {"a1": CAPABLE})
         event = Event(tick=1, agent="a1", kind=EventKind.OPAQUE_READ, carrier_id=1)
         decision = mediate(event, ctx, EnforcementConfig.all_enabled())

@@ -96,7 +96,7 @@ class TestAgentLayout:
     )
     def test_seeded_slot_seeds_its_layout_row(self, slot, name):
         eco = Ecosystem(tiny_scenario(seeded=[SeededCarrier("a1", slot, PayloadFacets.full())]))
-        external = [c.name for c in eco.carriers.values() if c.owner == "a1" and c.label is TaintLabel.EXTERNAL]
+        external = [c.name for c in eco.carriers.values() if c.owner == "a1" and c.label0 is TaintLabel.EXTERNAL]
         assert external == [name]
 
 
@@ -310,16 +310,19 @@ class TestDeterminism:
 
 
     def test_header_snapshot_is_taken_at_construction(self):
-        """The header holds the labels of session start: run() relabels
-        carriers on undefended fwA but leaves eco.meta as it was built."""
+        """The header holds the simulator's own carrier records and their
+        labels of session start: run() relabels carriers on undefended fwA
+        but leaves eco.meta as it was built."""
         from reentryguard import load_bundled
 
         scenario = load_bundled("fwA")
         eco = Ecosystem(scenario)
+        assert all(c is eco.carriers[c.id] for c in eco.meta.carriers)
+        assert eco.labels == {c.id: c.label0 for c in eco.meta.carriers}
         built = deepcopy(eco.meta)
         trace = eco.run()
         assert eco.meta == built
-        assert any(eco.carriers[c.id].label is not c.label for c in built.carriers)
+        assert any(eco.labels[c.id] is not c.label0 for c in built.carriers)
         assert render_trace(trace, eco.meta) == run_scenario(scenario).trace_text
 
 

@@ -1,11 +1,14 @@
 """Taint engine: initial labels, write propagation, contamination, declassification."""
 
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
 
+from reentryguard import load_bundled
 from reentryguard.model import (
     CarrierClass,
+    EventKind,
     PayloadFacets,
     Privilege,
     TaintLabel,
@@ -17,11 +20,9 @@ from reentryguard.taint import (
     AgentDecisionState,
     content_label,
     context_reset,
-    declassify_carrier,
     mark_contamination,
     propagate_on_write,
 )
-from tests.test_model import make_carrier
 
 
 def clean_state() -> AgentDecisionState:
@@ -47,15 +48,16 @@ def ecosystem(**extra) -> Ecosystem:
 class TestInitialLabel:
     def test_signed_baseline_is_clean(self):
         # only the channel feeds start untrusted in an unseeded ecosystem
-        for carrier in ecosystem().carriers.values():
+        eco = ecosystem()
+        for carrier in eco.carriers.values():
             external = carrier.cls is CarrierClass.EXTERNAL_SOURCE
-            assert carrier.label is (TaintLabel.EXTERNAL if external else TaintLabel.CLEAN)
+            assert carrier.label0 is eco.labels[carrier.id] is (TaintLabel.EXTERNAL if external else TaintLabel.CLEAN)
 
     def test_seeded_slot_starts_external(self):
         eco = ecosystem(seeded=[{"agent": "lo", "slot": "task", "facets": "1110"}])
         task = eco.carrier_sets["lo"].task
-        assert task.label is TaintLabel.EXTERNAL
-        assert task.content == PayloadFacets.from_token("1110")
+        assert task.label0 is eco.labels[task.id] is TaintLabel.EXTERNAL
+        assert eco.contents == {task.id: PayloadFacets.from_token("1110")}
 
     def test_agent_written_tracks_writer_state(self):
         assert content_label(clean_state(), TaintLabel.CLEAN) is TaintLabel.CLEAN
@@ -74,21 +76,17 @@ class TestPropagateOnWrite:
         return target_label
 
     def test_clean_writer_clean_content_keeps_target_label(self):
-        target = make_carrier()
-        assert propagate_on_write(clean_state(), target, TaintLabel.CLEAN) is TaintLabel.CLEAN
+        assert propagate_on_write(clean_state(), TaintLabel.CLEAN, TaintLabel.CLEAN) is TaintLabel.CLEAN
 
     def test_contaminated_writer_always_tainted_derived(self):
-        target = make_carrier()
         for origin in TaintLabel:
-            assert propagate_on_write(dirty_state(), target, origin) is TaintLabel.TAINTED_DERIVED
+            assert propagate_on_write(dirty_state(), TaintLabel.CLEAN, origin) is TaintLabel.TAINTED_DERIVED
 
     def test_clean_writer_relaying_external_taints(self):
-        target = make_carrier()
-        assert propagate_on_write(clean_state(), target, TaintLabel.EXTERNAL) is TaintLabel.TAINTED
+        assert propagate_on_write(clean_state(), TaintLabel.CLEAN, TaintLabel.EXTERNAL) is TaintLabel.TAINTED
 
     def test_overwrite_is_not_declassification(self):
-        tainted = make_carrier(label=TaintLabel.TAINTED)
-        assert propagate_on_write(clean_state(), tainted, TaintLabel.CLEAN) is TaintLabel.TAINTED
+        assert propagate_on_write(clean_state(), TaintLabel.TAINTED, TaintLabel.CLEAN) is TaintLabel.TAINTED
 
     def test_full_writer_origin_target_matrix(self):
         """Exhaustive 2 x 4 x 4 sweep against the independently stated rule."""
@@ -96,8 +94,7 @@ class TestPropagateOnWrite:
             writer = dirty_state() if contaminated else clean_state()
             for origin in TaintLabel:
                 for target_label in TaintLabel:
-                    target = make_carrier(label=target_label)
-                    got = propagate_on_write(writer, target, origin)
+                    got = propagate_on_write(writer, target_label, origin)
                     assert got is self._expected(contaminated, origin, target_label)
 
 
@@ -155,20 +152,30 @@ class TestCapabilities:
 
 
 class TestDeclassify:
-    def test_declassify_carrier_resets_label(self):
-        carrier = make_carrier(label=TaintLabel.TAINTED)
-        carrier.content = PayloadFacets.full()
-        declassify_carrier(carrier)
-        assert carrier.label is TaintLabel.CLEAN
-        assert carrier.content is None
+    @pytest.mark.parametrize("tick", [2, 5, 8])
+    def test_effective_declassification_clears_label_and_content(self, tick):
+        """On undefended fwA, a1 writes the worm into its heartbeat carrier
+        at tick 1. Right after a declassification of it takes effect, before
+        any later write of the tick can land, the simulator holds the carrier
+        clean and without content."""
+        eco = Ecosystem(replace(load_bundled("fwA"), declassify=[("a1", tick)]))
+        cid = eco.carrier_sets["a1"].heartbeat.id
+        maintain = eco._scheduled_maintenance
+        observed = []
 
-    @pytest.mark.parametrize("label", list(TaintLabel))
-    def test_declassify_carrier_clears_every_label(self, label):
-        carrier = make_carrier(label=label)
-        carrier.content = PayloadFacets.from_token("1110")
-        declassify_carrier(carrier)
-        assert carrier.label is TaintLabel.CLEAN
-        assert carrier.content is None
+        def maintenance(t: int) -> None:
+            before = eco.labels[cid], eco.contents.get(cid)
+            maintain(t)
+            if t == tick:
+                observed.append((before, eco.labels[cid], cid in eco.contents))
+
+        eco._scheduled_maintenance = maintenance
+        trace = eco.run()
+        [declassify] = [ev for ev in trace if ev.kind is EventKind.DECLASSIFY]
+        assert declassify.carrier_id == cid and declassify.decision in eco.effective
+        [((label_before, content_before), label, held)] = observed
+        assert label_before.untrusted and content_before is not None
+        assert label is TaintLabel.CLEAN and not held
 
 
 class TestTraceLevelProperties:

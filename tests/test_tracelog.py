@@ -1,7 +1,8 @@
 """Trace serialization: stable line format, header metadata, round-trips."""
 
+import operator
 import random
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from functools import cache
 from itertools import combinations
 from typing import Any, Callable
@@ -181,6 +182,10 @@ class TestParseErrors:
             # are events of their own kinds
             "3|a1|high_risk:write_config|-|tainted|allow|ok",
             "3|a1|high_risk:send_message|-|tainted|allow|ok",
+            # a channel is one trace token, in an event line as in the header
+            "1|a1|msg_send:-:1111|-|tainted|allow|ok",
+            "0|attacker|inject::1111|-|tainted|-|-",
+            "1|a1|msg_recv:c 1:0110:from=a2|-|tainted|-|-",
         ],
     )
     def test_malformed_event_line_names_its_line(self, line):
@@ -465,9 +470,11 @@ class TestProcessMemos:
         monkeypatch.setattr(tracelog, "parse_event_line", strict)
         meta, events = parse_trace(text)
         assert meta == cold_meta and events == cold_events
-        # the records are built fresh: none is an object of the earlier call
-        earlier = {id(x) for x in [*cold_meta.agents, *cold_meta.carriers, *cold_events]}
-        assert not earlier & {id(x) for x in [*meta.agents, *meta.carriers, *events]}
+        # the frozen header records are the earlier call's own objects, and
+        # every event is built fresh
+        records = [*meta.agents, *meta.carriers]
+        assert all(map(operator.is_, records, [*cold_meta.agents, *cold_meta.carriers]))
+        assert not {id(ev) for ev in cold_events} & {id(ev) for ev in events}
 
     @pytest.mark.parametrize("enforce", ["none", "all"])
     @pytest.mark.parametrize("name", bundled_names())
@@ -519,15 +526,16 @@ class TestProcessMemos:
 
     def test_mutating_a_parse_changes_no_later_parse(self, bundled):
         text = bundled("fwA").trace_text
-        meta, events = parse_trace(text)
-        label = meta.carriers[0].label
-        meta.carriers[0].label = TaintLabel.TAINTED if label is TaintLabel.CLEAN else TaintLabel.CLEAN
-        meta.agents[0].channels.append("zz")
+        _, events = parse_trace(text)
         events[-1].carrier_id = 99
-        again = parse_trace(text)
-        assert again[0].carriers[0].label is label
-        assert "zz" not in again[0].agents[0].channels
-        assert again == _cold_parse(text)
+        assert parse_trace(text) == _cold_parse(text)
+
+    def test_parsed_header_records_are_frozen(self, bundled):
+        meta, _ = parse_trace(bundled("fwA").trace_text)
+        with pytest.raises(FrozenInstanceError):
+            meta.carriers[0].label0 = TaintLabel.TAINTED
+        with pytest.raises(FrozenInstanceError):
+            meta.agents[0].channels = ("zz",)
 
     def test_small_bound_holds_and_changes_nothing(self, bundled, monkeypatch):
         texts = [bundled(name, enforce).trace_text for name in bundled_names() for enforce in ("none", "all")]
@@ -771,4 +779,4 @@ class TestTraceRoundTrip:
         assert heartbeat.owner == "a1"
         assert heartbeat.cls == "workspace_file"
         assert heartbeat.autoload == "heartbeat"
-        assert heartbeat.label == "clean"
+        assert heartbeat.label0 == "clean"

@@ -64,7 +64,7 @@ def toy_meta(carrier_owner: str = "a1", enforcement: EnforcementConfig | None = 
         ticks=12,  # every fixture's events fall within it
         enforcement=enforcement or EnforcementConfig.none(),
         attacker="attacker",
-        agents=[AgentMeta(agent, Privilege.HIGH, 1, ["c0"]) for agent in ("a1", "a2", "a3")],
+        agents=[AgentMeta(agent, Privilege.HIGH, 1, ("c0",)) for agent in ("a1", "a2", "a3")],
         carriers=[
             Carrier(
                 id=1,
@@ -74,7 +74,7 @@ def toy_meta(carrier_owner: str = "a1", enforcement: EnforcementConfig | None = 
                 autoload=AutoloadPolicy.HEARTBEAT,
                 injection=InjectionPosition.USER_PROMPT,
                 scope=CarrierScope.AGENT_LOCAL,
-                label=TaintLabel.CLEAN,
+                label0=TaintLabel.CLEAN,
             ),
             Carrier(
                 id=2,
@@ -84,7 +84,7 @@ def toy_meta(carrier_owner: str = "a1", enforcement: EnforcementConfig | None = 
                 autoload=AutoloadPolicy.ON_DEMAND,
                 injection=InjectionPosition.USER_PROMPT,
                 scope=CarrierScope.AGENT_LOCAL,
-                label=TaintLabel.CLEAN,
+                label0=TaintLabel.CLEAN,
             ),
         ],
     )
