@@ -192,7 +192,8 @@ class Scenario:
 
     def validate(self) -> None:
         """Run the reference and range checks of SCENARIO_KEYS."""
-        refs = _Refs(frozenset(self.channels), frozenset(a.id for a in self.agents), self.max_ticks)
+        joined = frozenset(ch for a in self.agents for ch in a.channels)
+        refs = _Refs(frozenset(self.channels), frozenset(a.id for a in self.agents), self.max_ticks, joined)
         _check(self, SCENARIO_KEYS, refs)
 
 
@@ -223,6 +224,7 @@ class _Refs(NamedTuple):
     channels: frozenset[str]
     agents: frozenset[str]
     max_ticks: int
+    joined: frozenset[str]  # the channels some agent is on
 
 
 def _at(where: str, fn: Callable[..., Any], *args: Any) -> Any:
@@ -363,6 +365,8 @@ def _rule(ok: Callable[[Any, _Refs], bool], problem: str) -> Callable[[Any, _Ref
 
 
 _channel = _rule(lambda name, refs: name in refs.channels, "unknown channel {0!r}")
+# the auditor refuses an inject on a channel no agent is on
+_joined = _rule(lambda name, refs: name in refs.joined, "no agent is on channel {0!r}")
 _agent = _rule(lambda name, refs: name in refs.agents, "unknown agent {0!r}")
 _framework = _rule(lambda name, refs: name in FRAMEWORKS, "unknown framework {0!r}")
 _slot = _rule(lambda slot, refs: slot in SEEDED_SLOTS, f"{{0!r}} is not one of {', '.join(SEEDED_SLOTS)}")
@@ -456,7 +460,7 @@ AGENT_KEYS = (
 )
 
 INJECTION_KEYS = (
-    Key("channel", _str, check=_channel),
+    Key("channel", _str, check=_all(_channel, _joined)),
     Key("tick", _int, 0, _injection_tick),
     Key("facets", _facets, "1111"),
 )

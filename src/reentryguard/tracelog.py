@@ -32,26 +32,29 @@ and parsing both read that one table:
 Missing values are ``-``. Events without a decision are bookkeeping; the
 verifier rejects decision-less lines for effectful kinds.
 
-The parser yields ``model.Event`` and ``model.Carrier``, the records the
-simulator writes, and fails closed: anything it cannot interpret raises
-``TraceFormatError`` naming the line. That covers a wrong column, token or
-detail-field count, an unknown tag, kind, key, enum value or facet token, a
-key out of order, a negative tick, a ``# ticks`` or agent ``period=`` below
-1, an integer not written as ``str(int)`` writes it (``+3``, `` 4``,
-``03``, ``1_0``), a tick lower than the previous event line's, a sender
-without ``from=``, a decision/reason pair that ``Decision`` does not admit
-(``allow|rtw-re-entry``, ``deny|ok``), a repeated single tag, agent id,
-carrier id or channel of one agent line, a carrier that breaks a
-``Carrier`` invariant, a name that ``agent_id``, ``channel_name`` or
-``scenario_name`` refuses (in a header line, or the channel of an event
-line: ``msg_send:-:1111``, ``inject::1111``), a header that does not open
-with ``# trace-format``, and a header line after the column row. There a
-``#`` line whose first word is not a header tag is a comment, which the
-parser skips. A header that lacks a single tag parses with the field
-``SINGLE_FIELDS`` names None, so fragments parse; the verifier refuses to
-audit it. A line that parses is the line render writes for it. Decisions
-are the model's shared ``DECISIONS`` objects, and facets its shared
-``FACET_VALUES``.
+The parser accepts the texts render writes and, among the events, comments:
+``#`` lines that hold no ``|`` and whose first word is no header tag. For
+every ``text`` it accepts, ``render_trace(events, meta)`` is ``text`` without
+its comments. Its header grammar is ``HEADER``: the single tags one line
+each and the record tags a run of lines each, ids ascending, in table
+order; then the column row, the event lines, and the final newline. It
+yields ``model.Event`` and ``model.Carrier``, the records the simulator
+writes, and fails closed: anything else raises ``TraceFormatError`` naming
+the line. That covers a missing, repeated or misplaced tag, a record id not
+above the one before it, an unknown tag, kind, key, enum value or facet
+token, a wrong column, token or detail-field count, a key out of order, a
+blank line, a header line after the column row, a ``#`` line with a ``|``
+(read as an event line, so no event line can be commented out), a carriage
+return, a missing final newline, a negative tick, a ``# ticks`` or agent
+``period=`` below 1, an integer not written as ``str(int)`` writes it
+(``+3``, `` 4``, ``03``, ``1_0``), a tick lower than the previous event
+line's, a sender without ``from=``, a decision/reason pair that ``Decision``
+does not admit (``allow|rtw-re-entry``, ``deny|ok``), a repeated channel of
+one agent line, a carrier that breaks a ``Carrier`` invariant, and a name
+that ``agent_id``, ``channel_name`` or ``scenario_name`` refuses (in a
+header line, or the channel of an event line: ``msg_send:-:1111``,
+``inject::1111``). Decisions are the model's shared ``DECISIONS`` objects,
+and facets its shared ``FACET_VALUES``.
 
 Most event lines repeat an earlier line but for the tick, and most header
 lines and event tails (the line after the tick) repeat a line of an earlier
@@ -70,9 +73,9 @@ and a line that raises is never memoised. A memo holds immutable values
 only. The header records are frozen (``Carrier``, ``AgentMeta``), so a
 header line's memo holds the record itself and every parse of that line
 returns it. Each ``Event`` is built fresh per call, since the simulator
-sets ``event.decision``. The checks across lines (the opening tag, a
-repeated tag or id, the column row, comments, the tick order) run on every
-line. So a memo cannot change what is read or refused.
+sets ``event.decision``. The checks across lines (the tag order, the id
+order, the column row, comments, the tick order) run on every line. So a
+memo cannot change what is read or refused.
 
 Identical runs must serialize byte-identically; nothing here may read the
 clock, the environment, or unordered containers.
@@ -122,8 +125,8 @@ class TraceFormatError(ReentryGuardError):
 # The process-wide memos of the line codecs (see the module docstring). A
 # memo that holds _MEMO_BOUND entries is emptied before its next insert.
 _MEMO_BOUND = 4096
-# header line -> (tag, the frozen record it parses to, or its TraceMeta fields)
-_HEADER_MEMO: dict[str, tuple[str, Any]] = {}
+# header line -> the frozen record it parses to, or its TraceMeta fields
+_HEADER_MEMO: dict[str, Any] = {}
 _PARSE_MEMO: dict[str, tuple[Any, ...]] = {}  # event line after the tick -> SHAPE_FIELDS values
 _RENDER_MEMO: dict[tuple[Any, ...], str] = {}  # SHAPE_FIELDS values -> line after the tick
 _MEMOS = (_HEADER_MEMO, _PARSE_MEMO, _RENDER_MEMO)
@@ -151,8 +154,6 @@ class AgentMeta:
 
 @dataclass
 class TraceMeta:
-    # parse_trace leaves None the SINGLE_FIELDS field of a single tag the
-    # header lacks; verifier.audit refuses such a header
     scenario: str
     seed: int
     ticks: int
@@ -313,10 +314,6 @@ HEADER: dict[str, _Line] = {
         ("label0", "label0", _enum(TaintLabel)),
     ),
 }
-# The single tags but trace-format, each filling the TraceMeta field of its
-# own name, which parse_trace leaves None when the header lacks the tag.
-# trace-format fills none, and the parser refuses a header not opening with it.
-SINGLE_FIELDS = tuple(tag for tag, line in HEADER.items() if line.records is None and tag != "trace-format")
 
 
 def render_header(meta: TraceMeta) -> list[str]:
@@ -329,56 +326,46 @@ def render_header(meta: TraceMeta) -> list[str]:
     return lines
 
 
-def missing_tags(meta: TraceMeta) -> list[str]:
-    """The single tags, other than trace-format, that a parsed header lacks."""
-    return [tag for tag in SINGLE_FIELDS if getattr(meta, tag) is None]
-
-
 def _parse_header(lines: list[str]) -> tuple[TraceMeta, int]:
-    """The header, and the number of lines up to and including the column row."""
-    meta = TraceMeta(**dict.fromkeys(SINGLE_FIELDS))
-    seen: set[tuple[Any, ...]] = set()  # (tag,) per single tag, (tag, id) per record
-    for line_no, line in enumerate(lines, start=1):
-        if line == COLUMN_ROW:
-            return meta, line_no
-        if not line.strip():
-            continue
-        if not line.startswith("#"):
-            raise TraceFormatError(f"line {line_no}: event line before column row")
-        # a memoised line has a known tag and tokens that parse; the checks
-        # that depend on the rest of the trace run on every line
-        memo = _HEADER_MEMO.get(line)
-        try:
+    """The header, and the number of lines up to and including the column
+    row. ``HEADER`` is its grammar: a line per single tag and a run of lines
+    per record tag, ids ascending, in table order; then the column row.
+    ``lines`` ends with the empty line after the text's final newline."""
+    values: dict[str, Any] = {}
+    at = 0  # the index of the next line
+    for tag, (records, _, make, pattern, names, parses) in HEADER.items():
+        prefix = f"# {tag} "
+        run: list[Any] = []  # a record tag's records so far
+        while lines[at].startswith(prefix):
+            line = lines[at]
+            at += 1
+            # a memoised line's tokens parse; the id order runs on every line
+            memo = made = _HEADER_MEMO.get(line)
+            try:
+                if made is None:
+                    match = pattern.fullmatch(line, len(prefix))
+                    if match is None:
+                        raise ValueError(f"tokens do not match {pattern.pattern}")
+                    made = make(**{name: parse(raw) for name, parse, raw in zip(names, parses, match.groups())})
+                if run and not run[-1].id < made.id:
+                    raise ValueError(f"{tag} {made.id} after {tag} {run[-1].id}: ids ascend")
+            except KeyError as exc:
+                raise TraceFormatError(f"line {at}: unknown value {exc} in {line!r}") from exc
+            except (ValueError, CarrierInvariantError) as exc:
+                raise TraceFormatError(f"line {at}: bad header {line!r}: {exc}") from exc
             if memo is None:
-                hash_, _, rest = line.partition(" ")
-                tag, _, text = rest.partition(" ")
-                if hash_ != "#" or tag not in HEADER:
-                    raise ValueError("unknown tag")
-            else:
-                tag, made = memo
-            if not seen and tag != "trace-format":
-                raise ValueError("the header does not open with # trace-format")
-            records, _, make, pattern, names, parses = HEADER[tag]
-            if memo is None:
-                match = pattern.fullmatch(text)
-                if match is None:
-                    raise ValueError(f"tokens do not match {pattern.pattern}")
-                made = make(**{name: parse(raw) for name, parse, raw in zip(names, parses, match.groups())})
-            key = (tag, made.id) if records else (tag,)
-            if key in seen:
-                raise ValueError("repeated " + " ".join(map(str, key)))
-            seen.add(key)
-            if memo is None:
-                _memoise(_HEADER_MEMO, line, (tag, made))
-            if records:
-                getattr(meta, records).append(made)
-            else:
-                vars(meta).update(made)
-        except KeyError as exc:
-            raise TraceFormatError(f"line {line_no}: unknown value {exc} in {line!r}") from exc
-        except (ValueError, CarrierInvariantError) as exc:
-            raise TraceFormatError(f"line {line_no}: bad header {line!r}: {exc}") from exc
-    return meta, len(lines)
+                _memoise(_HEADER_MEMO, line, made)
+            if records is None:
+                values.update(made)
+                break
+            run.append(made)
+        else:
+            if records is None:
+                raise TraceFormatError(f"line {at + 1}: expected # {tag}, got {lines[at]!r}")
+            values[records] = run
+    if lines[at] != COLUMN_ROW:
+        raise TraceFormatError(f"line {at + 1}: expected the column row, got {lines[at]!r}")
+    return TraceMeta(**values), at + 1
 
 
 # ---------------------------------------------------------------------------
@@ -530,20 +517,21 @@ def parse_event_line(line: str, line_no: int = 0) -> Event:
 def parse_trace(text: str) -> tuple[TraceMeta, list[Event]]:
     """The header and the events. A line that repeats an earlier one yields
     the same event object, so a caller must not mutate them."""
-    lines = text.splitlines()
+    lines = text.split("\n")
+    if lines[-1]:
+        raise TraceFormatError(f"line {len(lines)}: the text does not end with a newline")
     meta, start = _parse_header(lines)
     events: list[Event] = []
     seen: dict[str, Event] = {}  # exact event line -> its event
     # the last new line's tick column, and the last line's tick; ticks never
     # decrease, so a repeat that passes the order check has that tick too
     column, tick = None, 0
-    for line_no, line in enumerate(islice(lines, start, None), start=start + 1):
+    for line_no, line in enumerate(islice(lines, start, len(lines) - 1), start=start + 1):
         ev = seen.get(line)
         if ev is None:
-            if not line or line.isspace():
-                continue
-            if line[0] == "#":
-                # a comment, unless it names a header tag
+            if line[:1] == "#" and "|" not in line:
+                # a comment, unless it names a header tag; a # line with a |
+                # is read as an event line, so no event line can be commented out
                 words = line[1:].split(maxsplit=1)
                 if words and words[0] in HEADER:
                     raise TraceFormatError(f"line {line_no}: header line after the column row")

@@ -54,7 +54,7 @@ from .model import (
     TaintLabel,
     Verdict,
 )
-from .tracelog import TraceMeta, missing_tags, parse_trace
+from .tracelog import TraceMeta, parse_trace
 
 
 class VerificationError(ReentryGuardError):
@@ -132,9 +132,7 @@ _CARRIER_KINDS = frozenset(
 def audit(meta: TraceMeta, events: Iterable[Event]) -> Report:
     """Every audit pass in one forward scan; events are read once, in order.
 
-    Refuses what no pass may skip over: a header that lacks a single tag (a
-    header-less fragment parses, but the passes read the enforcement and
-    the attacker, and the report the rest), an effectful event without a
+    Refuses what no pass may skip over: an effectful event without a
     decision, a decision on an event nothing mediates (it would count as an
     intervention), a write, exposed read or promotion without a label (the
     passes judge it by its label), and an event on a carrier the header
@@ -143,15 +141,15 @@ def audit(meta: TraceMeta, events: Iterable[Event]) -> Report:
     judged by who acts, so it also refuses an actor the header does not
     declare: an attacker that is also a declared agent, a carrier owner
     that is not one, an event agent or msg_recv sender that is neither one
-    nor the attacker, and an inject by anyone but the attacker; and an
-    event past the # ticks the record reports."""
-    missing = missing_tags(meta)
-    if missing:
-        raise VerificationError(f"the header has no {', '.join('# ' + tag for tag in missing)} line")
+    nor the attacker, and an inject by anyone but the attacker; a message
+    on a channel its agent's # agent line does not list, and an inject on
+    one no agent lists (no run of the header carries either); and an event
+    past the # ticks the record reports."""
     effective = EFFECTIVE[meta.enforcement.guard_mode]
     attacker = meta.attacker
     attenuation_on = meta.enforcement.attenuation
-    agents = {a.id for a in meta.agents}
+    agents = {a.id: a.channels for a in meta.agents}  # agent -> the channels it lists
+    listed = {ch for a in meta.agents for ch in a.channels}
     if attacker in agents:
         raise VerificationError(f"the attacker {attacker} is also a declared agent")
     owners = {c.id: c.owner for c in meta.carriers}
@@ -215,12 +213,18 @@ def audit(meta: TraceMeta, events: Iterable[Event]) -> Report:
         if kind is inject:
             if agent != attacker:
                 raise VerificationError(f"event {i}: inject by {agent}, not the attacker {attacker}")
+            if ev.channel not in listed:
+                raise VerificationError(f"event {i}: inject on {ev.channel}, which no # agent line lists")
             injects += 1
             continue
         if agent not in agents:
             if agent != attacker:
                 raise VerificationError(f"event {i}: {kind.value} by {agent}, which the header does not declare")
             attacker_acts = True
+        if (kind is msg_send or kind is msg_recv) and ev.channel not in agents.get(agent, ()):
+            raise VerificationError(
+                f"event {i}: {kind.value} by {agent} on {ev.channel}, which its # agent line does not list"
+            )
         if kind is write:
             if ev.label is None:
                 raise VerificationError(f"event {i}: write carries no label")

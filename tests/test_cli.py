@@ -7,6 +7,8 @@ from reentryguard.cli import MATRIX_ORDER, main
 from reentryguard.policy import EnforcementConfig, MediationError
 from reentryguard.scenarios import bundled_names, load_bundled, random_scenario
 from reentryguard.sim import run_scenario
+from reentryguard.tracelog import TraceFormatError
+from reentryguard.verifier import build_report
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -114,6 +116,35 @@ class TestTraceOutAndVerify:
         )
         assert code == 0
         assert verify_out == run_out
+
+    def test_verify_refuses_commented_event_lines(self, capsys, tmp_path):
+        """A # before each write, high_risk and msg_send line of undefended
+        fwA would hide its chains from an auditor that skipped comments."""
+        trace = tmp_path / "run.trace"
+        run_cli(capsys, "--scenario", "fwA", "--trace-out", str(trace))
+        hidden = ("write", "high_risk", "msg_send")
+        commented = tmp_path / "commented.trace"
+        commented.write_text("".join(
+            "#" + line if line.count("|") == 6 and line.split("|")[2].split(":")[0] in hidden else line
+            for line in trace.read_text().splitlines(keepends=True)
+        ))
+        code, out, err = run_cli(capsys, "--verify-trace", str(commented))
+        assert code == 2
+        assert out == ""
+        assert "reentryguard: line " in err
+
+    def test_verify_reads_a_crlf_copy_as_text(self, capsys, tmp_path):
+        """The CLI reads a trace file as text, which translates line ends;
+        parse_trace itself refuses a carriage return."""
+        trace = tmp_path / "run.trace"
+        _, run_out, _ = run_cli(capsys, "--scenario", "fwA", "--trace-out", str(trace), "--report", "machine")
+        crlf = tmp_path / "crlf.trace"
+        crlf.write_bytes(trace.read_bytes().replace(b"\n", b"\r\n"))
+        code, verify_out, _ = run_cli(capsys, "--verify-trace", str(crlf), "--report", "machine")
+        assert code == 0
+        assert verify_out == run_out
+        with pytest.raises(TraceFormatError, match=r"^line 1: "):
+            build_report(crlf.read_bytes().decode())
 
     def test_verify_missing_file_is_config_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "--verify-trace", str(tmp_path / "nope.trace"))

@@ -97,6 +97,12 @@ class TestDictParsing:
         with pytest.raises(ScenarioError):
             scenario_from_dict(data)
 
+    def test_injection_into_a_channel_no_agent_is_on(self):
+        """The auditor refuses such an inject, so the run could not be audited."""
+        data = minimal() | {"channels": ["c0", "c9"], "injection": {"channel": "c9", "facets": "1111"}}
+        with pytest.raises(ScenarioError, match="injection: channel: no agent is on channel 'c9'"):
+            scenario_from_dict(data)
+
     def test_compliance_parsing(self):
         data = minimal()
         data["agents"][0]["compliance"] = {

@@ -32,7 +32,6 @@ from reentryguard.sim import Ecosystem, run_scenario
 from reentryguard.tracelog import (
     COLUMN_ROW,
     MISSING,
-    SINGLE_FIELDS,
     SHAPE_FIELDS,
     TraceFormatError,
     TraceMeta,
@@ -59,6 +58,30 @@ def minimal_meta() -> TraceMeta:
         enforcement=EnforcementConfig.none(),
         attacker="attacker",
     )
+
+
+# the rendered header of minimal_meta, through the column row and its newline
+TOY_HEADER = render_trace([], minimal_meta())
+FIRST = TOY_HEADER.count("\n") + 1  # the line number of the first event line
+
+
+def toy_trace(*lines: str) -> str:
+    """The toy header, then the lines, each ending with a newline."""
+    return TOY_HEADER + "".join(line + "\n" for line in lines)
+
+
+def in_place(text: str, bad: str) -> tuple[str, int]:
+    """The text with bad in place of the first header line of bad's tag, or
+    after the first line where it has none, and bad's line number."""
+    lines = text.splitlines()
+    tag = bad.split(" ")[1]
+    at = next((i for i, line in enumerate(lines) if line.startswith(f"# {tag} ")), None)
+    if at is None:
+        at = 1
+        lines.insert(at, bad)
+    else:
+        lines[at] = bad
+    return "\n".join(lines) + "\n", at + 1
 
 
 ONE_PER_KIND = [
@@ -189,12 +212,12 @@ class TestParseErrors:
         ],
     )
     def test_malformed_event_line_names_its_line(self, line):
-        with pytest.raises(TraceFormatError, match=r"^line 2: "):
-            parse_trace(f"{COLUMN_ROW}\n{line}\n")
+        with pytest.raises(TraceFormatError, match=rf"^line {FIRST}: "):
+            parse_trace(toy_trace(line))
 
     def test_event_line_before_column_row_rejected(self):
-        text = "1|a1|heartbeat|-|-|-|-\n" + COLUMN_ROW + "\n"
-        with pytest.raises(TraceFormatError):
+        text = TOY_HEADER.replace(COLUMN_ROW, "1|a1|heartbeat|-|-|-|-\n" + COLUMN_ROW)
+        with pytest.raises(TraceFormatError, match=rf"^line {FIRST - 1}: expected the column row"):
             parse_trace(text)
 
     @pytest.mark.parametrize(
@@ -242,14 +265,13 @@ class TestParseErrors:
         ],
     )
     def test_malformed_header_names_its_line(self, header, bundled, tmp_path, capsys):
-        lines = bundled("fwA").trace_text.splitlines()
-        text = "\n".join([lines[0], header, *lines[1:]]) + "\n"
-        with pytest.raises(TraceFormatError, match=r"^line 2: "):
+        text, at = in_place(bundled("fwA").trace_text, header)
+        with pytest.raises(TraceFormatError, match=rf"^line {at}: "):
             parse_trace(text)
         path = tmp_path / "bad.trace"
         path.write_text(text)
         assert main(["--verify-trace", str(path)]) == 2
-        assert "line 2: " in capsys.readouterr().err
+        assert f"line {at}: " in capsys.readouterr().err
 
 
 def _refused(text: str, tmp_path, match: str) -> None:
@@ -270,18 +292,41 @@ class TestHeaderRefusals:
         at = next(i for i, line in enumerate(lines) if line.startswith("# enforcement ")) + 1
         weaker = "# enforcement attenuation=0 memgate=0 rtw=0 seal=0 guard=approve"
         text = "\n".join([*lines[:at], weaker, *lines[at:]]) + "\n"
-        _refused(text, tmp_path, rf"^line {at + 1}: .*repeated")
+        _refused(text, tmp_path, rf"^line {at + 1}: expected # attacker, got '# enforcement ")
 
     def test_second_scenario_line(self, bundled, tmp_path):
         lines = bundled("fwA").trace_text.splitlines()
         text = "\n".join([*lines[:2], "# scenario fwB", *lines[2:]]) + "\n"
-        _refused(text, tmp_path, r"^line 3: .*repeated")
+        _refused(text, tmp_path, r"^line 3: expected # seed, got '# scenario fwB'")
 
     def test_carrier_declared_twice(self, bundled, tmp_path):
         lines = bundled("fwA").trace_text.splitlines()
         at = lines.index(COLUMN_ROW)
         text = "\n".join([*lines[:at], lines[at - 1], *lines[at:]]) + "\n"
-        _refused(text, tmp_path, rf"^line {at + 1}: .*repeated carrier")
+        _refused(text, tmp_path, rf"^line {at + 1}: bad header .*: carrier (\d+) after carrier \1: ids ascend")
+
+    @pytest.mark.parametrize("tag", ["agent", "carrier"])
+    def test_records_out_of_id_order(self, tag, bundled, tmp_path):
+        """The simulator writes agents in id order and numbers carriers in
+        order, so a swapped pair is no trace it wrote."""
+        lines = bundled("fwA").trace_text.splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith(f"# {tag} "))
+        lines[at], lines[at + 1] = lines[at + 1], lines[at]
+        match = rf"^line {at + 2}: bad header .*: {tag} \S+ after {tag} \S+: ids ascend"
+        _refused("\n".join(lines) + "\n", tmp_path, match)
+
+    @pytest.mark.parametrize("at", range(6))
+    def test_single_tags_out_of_order(self, at, bundled, tmp_path):
+        lines = bundled("fwA").trace_text.splitlines()
+        lines[at], lines[at + 1] = lines[at + 1], lines[at]
+        tag = lines[at + 1].split(" ")[1]
+        _refused("\n".join(lines) + "\n", tmp_path, rf"^line {at + 1}: expected # {tag}, got ")
+
+    @pytest.mark.parametrize("at", [1, 6, 9])
+    def test_blank_header_line(self, at, bundled, tmp_path):
+        lines = bundled("fwA").trace_text.splitlines()
+        lines.insert(at, "")
+        _refused("\n".join(lines) + "\n", tmp_path, rf"^line {at + 1}: expected ")
 
     @pytest.mark.parametrize(
         "header",
@@ -298,16 +343,40 @@ class TestHeaderRefusals:
         _refused(text, tmp_path, rf"^line {len(lines) + 1}: header line after the column row")
 
     def test_comment_after_the_column_row_is_skipped(self, bundled):
-        """A # line after the column row whose first word is no header tag
-        carries nothing the audit reads."""
+        """A # line after the column row that holds no | and whose first word
+        is no header tag carries nothing the audit reads."""
         text = bundled("fwA").trace_text
         lines = text.splitlines()
         at = lines.index(COLUMN_ROW) + 5
-        # the text after the first | repeats an event line's
-        repeat = "# repeat" + lines[at][lines[at].index("|"):]
-        commented = "\n".join([*lines[:at], "# note", *lines[at:], repeat, "#", "# nonce 3"]) + "\n"
+        commented = "\n".join([*lines[:at], "# note", *lines[at:], "#", "# nonce 3"]) + "\n"
         assert parse_trace(commented) == parse_trace(text)
         assert build_report(commented) == build_report(text)
+
+    @pytest.mark.parametrize("kind", ["repeat", "blank", "space", "commented-write"])
+    def test_barred_comment_or_blank_after_the_column_row_is_refused(self, kind, bundled, tmp_path):
+        """A # line with a | is read as an event line, so no event line can
+        be commented out and hidden from the audit; a blank line is no line
+        render writes."""
+        lines = bundled("fwA").trace_text.splitlines()
+        at = lines.index(COLUMN_ROW) + 5
+        write = next(i for i, line in enumerate(lines) if "|write:" in line)
+        # repeat: the text after the first | repeats an event line's
+        edit = {
+            "repeat": (at, "# repeat" + lines[at][lines[at].index("|"):]),
+            "blank": (at, ""),
+            "space": (at, " "),
+            "commented-write": (write, "#" + lines[write]),
+        }
+        at, line = edit[kind]
+        lines[at] = line
+        _refused("\n".join(lines) + "\n", tmp_path, rf"^line {at + 1}: ")
+
+    @pytest.mark.parametrize("cut", [0, 1, 40])
+    def test_no_final_newline_refused(self, cut, bundled):
+        lines = bundled("fwA").trace_text.splitlines()
+        text = "\n".join(lines[: len(lines) - cut])
+        with pytest.raises(TraceFormatError, match=rf"^line {len(lines) - cut}: the text does not end with a newline"):
+            parse_trace(text)
 
     @pytest.mark.parametrize(
         "old, new",
@@ -351,12 +420,12 @@ class TestHeaderRefusals:
     @pytest.mark.parametrize(
         "tag, match",
         [
-            ("attacker", "no # attacker line"),
-            ("seed", "no # seed line"),
-            ("scenario", "no # scenario line"),
-            ("ticks", "no # ticks line"),
-            ("enforcement", "no # enforcement line"),
-            ("trace-format", r"^line 1: .*does not open with # trace-format"),
+            ("attacker", r"^line 6: expected # attacker, got '# agent "),
+            ("seed", r"^line 3: expected # seed, got '# ticks "),
+            ("scenario", r"^line 2: expected # scenario, got '# seed "),
+            ("ticks", r"^line 4: expected # ticks, got '# enforcement "),
+            ("enforcement", r"^line 5: expected # enforcement, got '# attacker "),
+            ("trace-format", r"^line 1: expected # trace-format, got '# scenario "),
         ],
     )
     def test_single_tag_deleted(self, tag, match, bundled, tmp_path):
@@ -365,10 +434,6 @@ class TestHeaderRefusals:
             if not line.startswith(f"# {tag} ")
         )
         _refused(text, tmp_path, match)
-
-    def test_every_single_tag_but_trace_format_names_its_field(self):
-        # missing_tags reads each of SINGLE_FIELDS as a TraceMeta field
-        assert set(SINGLE_FIELDS) <= {f.name for f in fields(TraceMeta)}
 
 
 class TestLineShapeCache:
@@ -379,19 +444,19 @@ class TestLineShapeCache:
 
     @pytest.mark.parametrize("tick", ["-1", "x", "2", "", "+3", " 4", "1_0", "03"])
     def test_cached_tail_still_checks_its_tick(self, tick):
-        text = f"{COLUMN_ROW}\n3{self.HEARTBEAT_TAIL}\n3{self.HEARTBEAT_TAIL}\n{tick}{self.HEARTBEAT_TAIL}\n"
-        with pytest.raises(TraceFormatError, match=r"^line 4: "):
+        text = toy_trace(f"3{self.HEARTBEAT_TAIL}", f"3{self.HEARTBEAT_TAIL}", f"{tick}{self.HEARTBEAT_TAIL}")
+        with pytest.raises(TraceFormatError, match=rf"^line {FIRST + 2}: "):
             parse_trace(text)
 
     def test_cached_tail_takes_its_own_tick(self):
-        text = f"{COLUMN_ROW}\n3{self.HEARTBEAT_TAIL}\n5{self.HEARTBEAT_TAIL}\n"
+        text = toy_trace(f"3{self.HEARTBEAT_TAIL}", f"5{self.HEARTBEAT_TAIL}")
         _, events = parse_trace(text)
         assert [ev.tick for ev in events] == [3, 5]
         assert events[0] is not events[1]
 
     def test_repeated_line_yields_its_event_again(self):
         other = "3|a2|heartbeat|-|-|-|-"
-        text = f"{COLUMN_ROW}\n3{self.HEARTBEAT_TAIL}\n{other}\n3{self.HEARTBEAT_TAIL}\n"
+        text = toy_trace(f"3{self.HEARTBEAT_TAIL}", other, f"3{self.HEARTBEAT_TAIL}")
         _, events = parse_trace(text)
         assert [ev.agent for ev in events] == ["a1", "a2", "a1"]
         assert events[0] is events[2]
@@ -400,16 +465,17 @@ class TestLineShapeCache:
     def test_repeated_line_still_checks_tick_order(self, middle):
         """A line that repeats an earlier one is one lookup, and the
         tick-order check still runs on it."""
-        text = f"{COLUMN_ROW}\n3{self.HEARTBEAT_TAIL}\n{middle}\n3{self.HEARTBEAT_TAIL}\n"
-        with pytest.raises(TraceFormatError, match=r"^line 4: tick 3 after tick 4"):
+        text = toy_trace(f"3{self.HEARTBEAT_TAIL}", middle, f"3{self.HEARTBEAT_TAIL}")
+        with pytest.raises(TraceFormatError, match=rf"^line {FIRST + 2}: tick 3 after tick 4"):
             parse_trace(text)
 
     @pytest.mark.parametrize("enforce", ["none", "all"])
     @pytest.mark.parametrize("name", bundled_names())
     def test_cached_parse_is_the_line_parse(self, name, enforce, bundled):
-        lines = bundled(name, enforce).trace_text.splitlines()
+        text = bundled(name, enforce).trace_text
+        lines = text.splitlines()
         start = lines.index(COLUMN_ROW) + 1
-        _, events = parse_trace("\n".join(lines))
+        _, events = parse_trace(text)
         assert events == [parse_event_line(line, no) for no, line in enumerate(lines[start:], start + 1)]
 
     def test_shape_is_every_event_field_but_tick(self):
@@ -497,11 +563,10 @@ class TestProcessMemos:
     )
     def test_refused_header_line_is_refused_again(self, bad, bundled):
         good = bundled("fwA").trace_text
-        lines = good.splitlines()
-        text = "\n".join([lines[0], bad, *lines[1:]]) + "\n"
+        text, at = in_place(good, bad)
         refusals = []
         for _ in range(2):
-            with pytest.raises(TraceFormatError, match=r"^line 2: ") as refused:
+            with pytest.raises(TraceFormatError, match=rf"^line {at}: ") as refused:
                 parse_trace(text)
             refusals.append(str(refused.value))
         assert refusals[0] == refusals[1]
@@ -513,15 +578,15 @@ class TestProcessMemos:
         ["3|a1|teleport:1111|7|tainted|allow|ok", "3|a1|exposed_read|7|tainted|deny|ok", "-1|a1|heartbeat|-|-|-|-"],
     )
     def test_refused_event_line_is_refused_again(self, bad):
-        text = f"{COLUMN_ROW}\n{bad}\n"
+        text = toy_trace(bad)
         refusals = []
         for _ in range(2):
-            with pytest.raises(TraceFormatError, match=r"^line 2: ") as refused:
+            with pytest.raises(TraceFormatError, match=rf"^line {FIRST}: ") as refused:
                 parse_trace(text)
             refusals.append(str(refused.value))
         assert refusals[0] == refusals[1]
         assert bad.partition("|")[2] not in tracelog._PARSE_MEMO
-        good = f"{COLUMN_ROW}\n{self.HEARTBEAT}\n"
+        good = toy_trace(self.HEARTBEAT)
         assert parse_trace(good) == _cold_parse(good)
 
     def test_mutating_a_parse_changes_no_later_parse(self, bundled):
@@ -558,7 +623,8 @@ class TestProcessMemos:
         at = lines.index(COLUMN_ROW)
         assert lines[at - 1] in tracelog._HEADER_MEMO
         repeated = "\n".join([*lines[:at], lines[at - 1], *lines[at:]]) + "\n"
-        with pytest.raises(TraceFormatError, match=rf"^line {at + 1}: .*repeated carrier"):
+        match = rf"^line {at + 1}: bad header .*: carrier (\d+) after carrier \1: ids ascend"
+        with pytest.raises(TraceFormatError, match=match):
             parse_trace(repeated)
 
     def test_memoised_line_first(self, bundled):
@@ -566,7 +632,7 @@ class TestProcessMemos:
         parse_trace(text)
         lines = text.splitlines()
         assert lines[1] in tracelog._HEADER_MEMO
-        with pytest.raises(TraceFormatError, match=r"^line 1: .*does not open with # trace-format"):
+        with pytest.raises(TraceFormatError, match=r"^line 1: expected # trace-format, got '# scenario "):
             parse_trace("\n".join(lines[1:]) + "\n")
 
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
@@ -576,28 +642,30 @@ class TestProcessMemos:
             parse_trace(text)
         with pytest.raises(TraceFormatError) as refused:
             parse_trace("# carrier zz\n" + text)
-        assert str(refused.value) == "line 1: bad header '# carrier zz': the header does not open with # trace-format"
+        assert str(refused.value) == "line 1: expected # trace-format, got '# carrier zz'"
 
     @pytest.mark.parametrize(
         "lines, match",
         [
-            (["4|a2|heartbeat|-|-|-|-", HEARTBEAT], r"^line 3: tick 3 after tick 4 in "),
-            (["03|a1|heartbeat|-|-|-|-"], r"^line 2: '03' is not written as 3 in "),
+            (["4|a2|heartbeat|-|-|-|-", HEARTBEAT], rf"^line {FIRST + 1}: tick 3 after tick 4 in "),
+            (["03|a1|heartbeat|-|-|-|-"], rf"^line {FIRST}: '03' is not written as 3 in "),
         ],
         ids=["lower-tick", "non-canonical-tick"],
     )
     def test_memoised_tail_still_checks_its_tick(self, lines, match):
-        parse_trace(f"{COLUMN_ROW}\n{self.HEARTBEAT}\n")
+        parse_trace(toy_trace(self.HEARTBEAT))
         assert self.HEARTBEAT.partition("|")[2] in tracelog._PARSE_MEMO
         with pytest.raises(TraceFormatError, match=match):
-            parse_trace("\n".join([COLUMN_ROW, *lines]) + "\n")
+            parse_trace(toy_trace(*lines))
 
-    def test_memoised_tail_behind_a_hash_stays_a_comment(self):
+    def test_memoised_tail_behind_a_hash_is_refused(self):
+        """A # before a known tail makes a tick column that is no integer."""
         comment = "# x|a1|heartbeat|-|-|-|-"
-        parse_trace(f"{COLUMN_ROW}\n{self.HEARTBEAT}\n")
-        assert parse_trace(f"{COLUMN_ROW}\n{comment}\n")[1] == []
-        _, events = parse_trace(f"{COLUMN_ROW}\n{self.HEARTBEAT}\n{comment}\n")
-        assert [event_to_line(ev) for ev in events] == [self.HEARTBEAT]
+        parse_trace(toy_trace(self.HEARTBEAT))
+        with pytest.raises(TraceFormatError, match=rf"^line {FIRST}: .* in '# x\|"):
+            parse_trace(toy_trace(comment))
+        with pytest.raises(TraceFormatError, match=rf"^line {FIRST + 1}: .* in '# x\|"):
+            parse_trace(toy_trace(self.HEARTBEAT, comment))
 
 
 @cache
@@ -608,17 +676,17 @@ def _strict_event(line: str) -> Event:
 
 
 def _reference_parse(text: str) -> tuple[TraceMeta, list[Event]]:
-    """The parse by its rules alone, one line at a time: the header, then per
-    line the blank skip, the comment rule, the strict line parse and the
-    tick order."""
-    lines = text.splitlines()
+    """The parse by its rules alone, one line at a time: the final newline,
+    the header, then per line the comment rule, the strict line parse and
+    the tick order."""
+    lines = text.split("\n")
+    if lines[-1]:
+        raise TraceFormatError(f"line {len(lines)}: the text does not end with a newline")
     meta, start = tracelog._parse_header(lines)
     events: list[Event] = []
     last = 0
-    for line_no, line in enumerate(lines[start:], start + 1):
-        if not line.strip():
-            continue
-        if line.startswith("#"):
+    for line_no, line in enumerate(lines[start:-1], start + 1):
+        if line.startswith("#") and "|" not in line:
             words = line[1:].split(maxsplit=1)
             if words and words[0] in tracelog.HEADER:
                 raise TraceFormatError(f"line {line_no}: header line after the column row")
@@ -635,11 +703,23 @@ def _reference_parse(text: str) -> tuple[TraceMeta, list[Event]]:
     return meta, events
 
 
-MUTATIONS = ("delete", "duplicate", "swap", "zero-tick", "comment", "foreign", "truncate", "blank", "double-bar")
+def _uncommented(text: str) -> str:
+    """The text without its comments: the # lines after the column row that
+    hold no |."""
+    header, row, rest = text.partition(COLUMN_ROW + "\n")
+    kept = [line for line in rest.split("\n") if not (line.startswith("#") and "|" not in line)]
+    return header + row + "\n".join(kept)
+
+
+MUTATIONS = (
+    "delete", "duplicate", "swap", "zero-tick", "comment", "note", "foreign", "truncate", "blank", "double-bar",
+    "header-swap", "header-blank", "crlf", "no-final-newline", "repeat", "cut", "reseed",
+)
 
 
 def _mutate(kind: str, lines: list[str], start: int, foreign: list[str], rng: random.Random) -> str:
-    """The trace with one mutation of the kind at a line after the column row."""
+    """The trace with one mutation of the kind: at a random line after the
+    column row, or in the header for the header kinds and reseed."""
     out = list(lines)
     i = rng.randrange(start, len(lines))
     line = lines[i]
@@ -654,15 +734,33 @@ def _mutate(kind: str, lines: list[str], start: int, foreign: list[str], rng: ra
         out[i] = "0" + line
     elif kind == "comment":
         out[i] = "# x|" + line.partition("|")[2]
+    elif kind == "note":  # a comment, or a # line naming a header tag
+        out.insert(rng.randint(start, len(out)), rng.choice(["# note", "#", "# nonce 3", "# agent a9"]))
     elif kind == "foreign":  # an event line of another trace
         out.insert(rng.randint(start, len(out)), rng.choice(foreign))
     elif kind == "truncate":
         out[i:] = [line[: rng.randrange(len(line))]]
     elif kind == "blank":
         out.insert(rng.randint(start, len(out)), rng.choice(["", " ", "\t"]))
-    else:
+    elif kind == "double-bar":
         bar = rng.choice([at for at, char in enumerate(line) if char == "|"])
         out[i] = line[:bar] + "|" + line[bar:]
+    elif kind == "header-swap":
+        h, j = rng.randrange(start), rng.randrange(start)
+        out[h], out[j] = out[j], out[h]
+    elif kind == "header-blank":
+        out.insert(rng.randrange(start), rng.choice(["", " ", "#"]))
+    elif kind == "crlf":  # the line ends from a random line on, header or events
+        k = rng.randrange(len(out))
+        out[k:] = [each + "\r" for each in out[k:]]
+    elif kind == "no-final-newline":  # the text cut after a line, without its newline
+        return "\n".join(out[:i + 1])
+    elif kind == "repeat":  # the line again right after it
+        out.insert(i, line)
+    elif kind == "cut":  # a cut at a line boundary, which the format cannot tell
+        del out[i + 1:]
+    else:  # another seed, in the header's third line
+        out[2] = f"# seed {rng.randrange(1000)}"
     return "\n".join(out) + "\n"
 
 
@@ -676,7 +774,9 @@ def _outcome(parse: Callable[[str], Any], text: str) -> Any:
 class TestParseDifferential:
     """On mutated bundled and fuzz traces, parse_trace with cold memos and
     again with warm ones gives what the line-by-line reference gives: equal
-    events field for field, or the identical refusal message."""
+    events field for field, or the identical refusal message. And whatever
+    it accepts is, but for its comments, the text render writes for what it
+    read."""
 
     def test_cold_warm_and_reference_agree(self, bundled):
         texts = [bundled(name, enforce).trace_text for name in bundled_names() for enforce in ("none", "all")]
@@ -694,6 +794,9 @@ class TestParseDifferential:
                     _empty_memos()
                     assert _outcome(parse_trace, text) == expected, ("cold", k, kind, n)
                     assert _outcome(parse_trace, text) == expected, ("warm", k, kind, n)
+                    if not isinstance(expected, str):
+                        meta, events = expected
+                        assert render_trace(events, meta) == _uncommented(text), ("round trip", k, kind, n)
                     outcomes.append(isinstance(expected, str))
         # the sample holds both refusals and parses, or it shows little
         assert 0.2 < sum(outcomes) / len(outcomes) < 0.8

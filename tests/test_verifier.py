@@ -9,6 +9,7 @@ import ast
 import copy
 import pickle
 import random
+import re
 from dataclasses import replace
 from itertools import product
 from pathlib import Path
@@ -39,7 +40,7 @@ from reentryguard.policy import EnforcementConfig
 from reentryguard.rtw import is_rtw_safe
 from reentryguard.scenarios import bundled_names, random_scenario
 from reentryguard.sim import Ecosystem
-from reentryguard.tracelog import AgentMeta, TraceMeta, parse_trace, render_trace
+from reentryguard.tracelog import AgentMeta, TraceFormatError, TraceMeta, parse_trace, render_trace
 from reentryguard.verifier import (
     RtwViolation,
     VerificationError,
@@ -263,8 +264,7 @@ class TestFindChainsFixtures:
             line for line in bundled("fwA", enforce="all").trace_text.splitlines(keepends=True)
             if not line.startswith("# enforcement ")
         )
-        assert parse_trace(text)[0].enforcement is None  # a fragment still parses
-        with pytest.raises(VerificationError, match="enforcement"):
+        with pytest.raises(TraceFormatError, match=r"^line 5: expected # enforcement, got '# attacker "):
             build_report(text)
         path = tmp_path / "no-enforcement.trace"
         path.write_text(text)
@@ -627,10 +627,10 @@ class TestReportOutcomes:
         assert not build_report(render([A(1, decision=DENY)])).privilege_escalation
 
     def test_exfiltration_is_effective_exfil_send(self):
-        send = Event(tick=1, agent="a1", kind=EventKind.MSG_SEND, channel="kx",
+        send = Event(tick=1, agent="a1", kind=EventKind.MSG_SEND, channel="c0",
                      facets=PayloadFacets.none(), exfil=True, decision=ALLOW)
         assert build_report(render([send])).exfiltration
-        blocked = Event(tick=1, agent="a1", kind=EventKind.MSG_SEND, channel="kx",
+        blocked = Event(tick=1, agent="a1", kind=EventKind.MSG_SEND, channel="c0",
                         facets=PayloadFacets.none(), exfil=True, decision=DENY)
         assert not build_report(render([blocked])).exfiltration
 
@@ -668,8 +668,8 @@ def _swap(old: str, new: str):
 
 
 class TestActorRefusals:
-    """Edits of bundled undefended fwA's trace that name an actor or a tick
-    the header does not declare. Each would change who the report blames
+    """Edits of bundled undefended fwA's trace that name an actor, a channel
+    or a tick the header does not declare. Each would change who the report blames
     (zero-click, hops, propagation) or what it covers, so each is refused."""
 
     @pytest.mark.parametrize(
@@ -677,7 +677,7 @@ class TestActorRefusals:
         [
             (_swap("# attacker attacker\n", "# attacker a1\n"), "attacker a1 is also a declared agent"),
             (
-                _swap("# agent a1 ", "# agent attacker privilege=low period=2 channels=c0\n# agent a1 "),
+                _swap("\n# carrier ", "\n# agent attacker privilege=low period=2 channels=c0\n# carrier "),
                 "attacker attacker is also a declared agent",
             ),
             (_swap("name=a1.identity owner=a1 ", "name=a1.identity owner=a9 "), "carrier 1 is owned by a9"),
@@ -686,10 +686,17 @@ class TestActorRefusals:
             (_swap(":from=a1|", ":from=a9|"), "msg_recv from a9, which the header does not declare"),
             (_swap("|attacker|inject:", "|a2|inject:"), "inject by a2, not the attacker"),
             (_swap("# ticks 8\n", "# ticks 2\n"), "tick 8 is past the header's # ticks 2"),
+            (
+                lambda text: re.sub(r"\|(msg_send|msg_recv|inject):[^:|]+:", r"|\1:zz:", text),
+                r"^event \d+: inject on zz, which no # agent line lists",
+            ),
+            (_swap("|a3|msg_recv:c2:", "|a3|msg_recv:c0:"), "msg_recv by a3 on c0, which its # agent line does not list"),
+            (_swap("|a1|msg_send:c1:", "|a1|msg_send:c2:"), "msg_send by a1 on c2, which its # agent line does not list"),
         ],
         ids=[
             "attacker-is-agent", "agent-named-attacker", "undeclared-owner", "attacker-owner",
             "undeclared-actor", "undeclared-sender", "inject-by-agent", "events-past-ticks",
+            "unlisted-channels", "recv-off-channel", "send-off-channel",
         ],
     )
     def test_undeclared_actor_or_tick_refused(self, edit, match, bundled, tmp_path):
