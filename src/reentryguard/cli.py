@@ -190,20 +190,18 @@ def render_columns(records: list[dict[str, str]], columns: tuple[str, ...]) -> s
 
 
 def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
-    updated = scenario
+    changes: dict[str, Any] = {}
     if args.enforce is not None or args.guard is not None:
         guard = GuardMode(args.guard) if args.guard else scenario.enforcement.guard_mode
         if args.enforce is not None:
-            enforcement = EnforcementConfig.from_names(args.enforce, guard)
+            changes["enforcement"] = EnforcementConfig.from_names(args.enforce, guard)
         else:
-            enforcement = replace(scenario.enforcement, guard_mode=guard)
-        updated = replace(updated, enforcement=enforcement)
+            changes["enforcement"] = replace(scenario.enforcement, guard_mode=guard)
     if args.seed is not None:
-        updated = replace(updated, seed=args.seed)
+        changes["seed"] = args.seed
     if args.ticks is not None:
-        updated = replace(updated, max_ticks=args.ticks)
-    updated.validate()
-    return updated
+        changes["max_ticks"] = args.ticks
+    return replace(scenario, **changes)
 
 
 def _emit(
@@ -251,7 +249,6 @@ def _mode_suite(args: argparse.Namespace, out) -> int:
         enforcement = EnforcementConfig.from_names(entry.enforce, entry.guard)
         for seed in entry.seeds or (base.seed,):
             scenario = replace(base, enforcement=enforcement, seed=seed)
-            scenario.validate()
             records.append(report_record(run_scenario(scenario).report))
     return _emit(args, out, records, columns=_SUITE_COLUMNS)
 

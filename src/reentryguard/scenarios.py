@@ -12,10 +12,11 @@ relaxed an ecosystem would invalidate every downstream comparison), the
 strict parse of each value (an int is not a bool or a float, a list is not a
 string), the default of an absent key, and the reference, range and name
 checks that Scenario.validate() runs (a name must read back from the trace
-as itself). The loader checks shapes and types only and validate() the
-rest, so a scenario built in code meets the rules a file does. Every
-failure is a ScenarioError naming its key. README.md shows every key with
-an example value.
+as itself). A Scenario is a frozen value that runs validate() when it is
+constructed, including by dataclasses.replace; the loader checks shapes
+and types only, so a scenario built in code or by replace meets the rules
+a file does. Every failure is a ScenarioError naming its key. README.md
+shows every key with an example value.
 """
 
 from __future__ import annotations
@@ -172,23 +173,26 @@ class SeededCarrier:
 SEEDED_SLOTS = tuple(row.slot for row in AGENT_CARRIERS if row.slot is not None)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
     name: str
     seed: int
     max_ticks: int
     enforcement: EnforcementConfig
-    agents: list[AgentProfile]
-    channels: list[str]
+    agents: tuple[AgentProfile, ...]
+    channels: tuple[str, ...]
     injection: Injection | None
     transform_default: int = 0
     transform_strength: dict[str, int] = field(default_factory=dict)
     task_leases: dict[str, tuple[int, int]] = field(default_factory=dict)
     exfil_channel: str | None = None
-    resets: list[tuple[str, int]] = field(default_factory=list)
-    declassify: list[tuple[str, int]] = field(default_factory=list)  # (agent, tick): clear heartbeat carrier
-    seeded: list[SeededCarrier] = field(default_factory=list)
-    heartbeat_logs: list[str] = field(default_factory=list)  # channels whose log is heartbeat-autoloaded
+    resets: tuple[tuple[str, int], ...] = ()
+    declassify: tuple[tuple[str, int], ...] = ()  # (agent, tick): clear heartbeat carrier
+    seeded: tuple[SeededCarrier, ...] = ()
+    heartbeat_logs: tuple[str, ...] = ()  # channels whose log is heartbeat-autoloaded
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         """Run the reference and range checks of SCENARIO_KEYS."""
@@ -290,7 +294,7 @@ _int = _typed("an integer", lambda value: type(value) is int)
 _number = _typed("a number", lambda value: type(value) in (int, float))
 
 
-def _seq(item: Callable[[Any], Any], into: Callable[[Any], Any] = list) -> Callable[[Any], Any]:
+def _seq(item: Callable[[Any], Any], into: Callable[[Any], Any] = tuple) -> Callable[[Any], Any]:
     def parse(value: Any) -> Any:
         if not isinstance(value, (list, tuple)):
             raise ValueError(f"expected a list, got {value!r}")
@@ -399,7 +403,7 @@ def _name(rule: Callable[[str], str]) -> Callable[[Any, _Refs], None]:
     return lambda name, refs: rule(name)
 
 
-def _channel_names(names: list[str], refs: _Refs) -> None:
+def _channel_names(names: tuple[str, ...], refs: _Refs) -> None:
     _distinct(names, refs)
     for name in names:
         channel_name(name)
@@ -419,7 +423,7 @@ def _all(*checks: Callable[[Any, _Refs], None]) -> Callable[[Any, _Refs], None]:
     return check
 
 
-def _agents(agents: list[AgentProfile], refs: _Refs) -> None:
+def _agents(agents: tuple[AgentProfile, ...], refs: _Refs) -> None:
     if not agents:
         raise ValueError("at least one agent is required")
     if len(refs.agents) != len(agents):
@@ -442,7 +446,7 @@ def _keyed(value: Callable[[Any, _Refs], None], key: Callable[[Any, _Refs], None
     return check
 
 
-def _seeded(carriers: list[SeededCarrier], refs: _Refs) -> None:
+def _seeded(carriers: tuple[SeededCarrier, ...], refs: _Refs) -> None:
     for i, carrier in enumerate(carriers):
         _check(carrier, SEEDED_KEYS, refs)
         if (carrier.agent, carrier.slot) in {(c.agent, c.slot) for c in carriers[:i]}:
@@ -454,7 +458,7 @@ AGENT_KEYS = (
     Key("framework", _str, "A", _framework),
     Key("privilege", _enum(Privilege), "low"),
     Key("period", _int, 1, _at_least_one),
-    Key("channels", _seq(_str, tuple), [], _all(_distinct, _channels)),
+    Key("channels", _seq(_str), [], _all(_distinct, _channels)),
     Key("compliance", _compliance, {}, _keyed(_policy_ok)),
     Key("capabilities", _parse_capabilities, "full", _capabilities),
 )
@@ -497,9 +501,7 @@ _parse_scenario = _record(
 
 
 def scenario_from_dict(data: Any, default_name: str = "scenario") -> Scenario:
-    scenario = _parse_scenario(data, name=default_name)
-    scenario.validate()
-    return scenario
+    return _parse_scenario(data, name=default_name)
 
 
 # ---------------------------------------------------------------------------
@@ -576,12 +578,12 @@ SUITE_ENTRY_KEYS = (
     Key("scenario", _str, check=lambda ref, refs: resolve_scenario(ref)),
     Key("enforce", _str, "none", lambda names, refs: EnforcementConfig.from_names(names)),
     Key("guard", _enum(GuardMode), "deny"),
-    Key("seeds", _seq(_int, tuple), []),
+    Key("seeds", _seq(_int), []),
 )
 
 SUITE_KEYS = (
     Key("name", _str),
-    Key("entries", _seq(_record(SUITE_ENTRY_KEYS, SuiteEntry), tuple)),
+    Key("entries", _seq(_record(SUITE_ENTRY_KEYS, SuiteEntry))),
 )
 
 _parse_suite = _record(SUITE_KEYS, SuiteSpec)
@@ -601,7 +603,7 @@ def load_suite(ref: str) -> SuiteSpec:
 
 def with_capabilities(scenario: Scenario, preset: str) -> Scenario:
     caps = capability_preset(preset)
-    agents = [replace(a, capabilities=caps) for a in scenario.agents]
+    agents = tuple(replace(a, capabilities=caps) for a in scenario.agents)
     return replace(scenario, agents=agents, name=f"{scenario.name}+{preset}")
 
 
@@ -655,19 +657,19 @@ def random_scenario(seed: int, enforcement: EnforcementConfig | None = None) -> 
             hi = max_ticks if rng.random() < 0.7 else rng.randint(1, max_ticks)
             leases[f"n{i}"] = (0, hi)
 
-    seeded = []
+    seeded: tuple[SeededCarrier, ...] = ()
     if rng.random() < 0.3:
-        seeded.append(
+        seeded = (
             SeededCarrier(
                 agent=f"n{rng.randrange(n)}",
                 slot=rng.choice(SEEDED_SLOTS),
                 facets=PayloadFacets.from_token(rng.choice(["1111", "1110", "1010", "0110"])),
-            )
+            ),
         )
 
-    resets = []
+    resets: tuple[tuple[str, int], ...] = ()
     if rng.random() < 0.25:
-        resets.append((f"n{rng.randrange(n)}", rng.randint(1, max_ticks)))
+        resets = ((f"n{rng.randrange(n)}", rng.randint(1, max_ticks)),)
 
     strengths = {}
     for ch in channels:
@@ -675,13 +677,13 @@ def random_scenario(seed: int, enforcement: EnforcementConfig | None = None) -> 
             strengths[ch] = rng.randint(0, 4)
 
     facet_token = rng.choice(["1111", "1111", "1111", "1110", "1101", "0111", "1011"])
-    scenario = Scenario(
+    return Scenario(
         name=f"fuzz{seed}",
         seed=seed,
         max_ticks=max_ticks,
         enforcement=enforcement if enforcement is not None else EnforcementConfig.none(),
-        agents=agents,
-        channels=channels,
+        agents=tuple(agents),
+        channels=tuple(channels),
         injection=Injection(channel="ch0", tick=rng.randint(0, 2), facets=PayloadFacets.from_token(facet_token)),
         transform_default=rng.choice([0, 0, 1, 2]),
         transform_strength=strengths,
@@ -689,7 +691,5 @@ def random_scenario(seed: int, enforcement: EnforcementConfig | None = None) -> 
         exfil_channel=rng.choice(channels) if rng.random() < 0.2 else None,
         resets=resets,
         seeded=seeded,
-        heartbeat_logs=[rng.choice(channels)] if rng.random() < 0.3 else [],
+        heartbeat_logs=(rng.choice(channels),) if rng.random() < 0.3 else (),
     )
-    scenario.validate()
-    return scenario

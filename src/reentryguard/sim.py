@@ -147,7 +147,6 @@ class AgentCarrierSet:
 
 class Ecosystem:
     def __init__(self, scenario: Scenario):
-        scenario.validate()
         self.scenario = scenario
         self.config = scenario.enforcement
         self.rng = random.Random(scenario.seed)

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,7 @@ from reentryguard.scenarios import (
     SUITE_ENTRY_KEYS,
     SUITE_KEYS,
     Capability,
+    Scenario,
     ScenarioError,
     SeededCarrier,
     bundled_names,
@@ -190,9 +192,8 @@ class TestDictParsing:
             scenario_from_dict(data)
         # a scenario built in code is held to the same rule
         scenario = scenario_from_dict(minimal())
-        scenario.seeded.append(SeededCarrier("a1", "hearbeat", PayloadFacets.full()))
         with pytest.raises(ScenarioError, match="hearbeat"):
-            scenario.validate()
+            replace(scenario, seeded=(SeededCarrier("a1", "hearbeat", PayloadFacets.full()),))
 
     def test_declassify_for_unknown_agent_rejected(self):
         with pytest.raises(ScenarioError, match="ghost"):
@@ -213,7 +214,7 @@ class TestDictParsing:
     def test_scheduled_step_past_the_budget_still_loads(self):
         # shortening a run (--ticks, a tick cap) must not invalidate it
         data = minimal() | {"max_ticks": 3, "resets": [["a1", 99]], "declassify": [["a1", 99]]}
-        assert scenario_from_dict(data).resets == [("a1", 99)]
+        assert scenario_from_dict(data).resets == (("a1", 99),)
 
     def test_reserved_agent_id(self):
         data = minimal()
@@ -471,6 +472,53 @@ class TestDerivedScenarios:
     def test_with_capabilities_unknown_preset(self):
         with pytest.raises(ScenarioError, match="preset"):
             with_capabilities(load_bundled("fwA"), "godmode")
+
+
+SEQUENCE_FIELDS = ("agents", "channels", "resets", "declassify", "seeded", "heartbeat_logs")
+
+
+class TestScenarioIsAValue:
+    """A Scenario is checked when it is made, by any path, and never changes."""
+
+    def test_replace_refuses_what_the_loader_refuses(self):
+        valid = scenario_from_dict(minimal())
+        with pytest.raises(ScenarioError, match="^max_ticks: must be at least 1, got 0$"):
+            replace(valid, max_ticks=0)
+        with pytest.raises(ScenarioError, match="^declassify: unknown agent 'ghost'$"):
+            replace(valid, declassify=(("ghost", 1),))
+        with pytest.raises(ScenarioError, match="^declassify: unknown agent 'ghost'$"):
+            scenario_from_dict(minimal() | {"declassify": [["ghost", 1]]})
+
+    def test_fields_cannot_be_assigned(self):
+        scenario = load_bundled("fwA")
+        with pytest.raises(FrozenInstanceError):
+            scenario.max_ticks = 0
+        assert scenario.max_ticks == load_bundled("fwA").max_ticks
+
+    @pytest.mark.parametrize("source", ["bundled", "fuzz"])
+    def test_sequences_are_tuples(self, source):
+        if source == "bundled":
+            steps = {"resets": [["a1", 2]], "declassify": [["a1", 3]], "heartbeat_logs": ["c0"]}
+            seeded = {"seeded": [{"agent": "a1", "slot": "task"}]}
+            scenarios = [load_bundled(n) for n in BUNDLED] + [scenario_from_dict(minimal() | steps | seeded)]
+        else:
+            scenarios = [random_scenario(seed) for seed in range(60)]
+        for scenario in scenarios:
+            for name in SEQUENCE_FIELDS:
+                assert type(getattr(scenario, name)) is tuple, (scenario.name, name)
+            assert all(type(step) is tuple for step in scenario.resets + scenario.declassify)
+
+    def test_a_run_checks_its_scenario_once(self, monkeypatch):
+        calls = []
+        check = Scenario.validate
+        monkeypatch.setattr(Scenario, "validate", lambda self: calls.append(self.name) or check(self))
+        run_scenario(load_bundled("fwA"))
+        run_scenario(random_scenario(3, EnforcementConfig.all_enabled()))
+        assert calls == ["fwA", "fuzz3"]
+
+    def test_cli_override_is_refused_with_the_same_text(self, capsys):
+        assert cli.main(["--scenario", "fwA", "--ticks", "0"]) == 2
+        assert capsys.readouterr().err == "reentryguard: max_ticks: must be at least 1, got 0\n"
 
 
 class TestRandomScenario:

@@ -48,17 +48,15 @@ def tiny_scenario(**kw) -> Scenario:
         seed=3,
         max_ticks=4,
         enforcement=EnforcementConfig.none(),
-        agents=[
+        agents=(
             AgentProfile(id="a1", framework="A", privilege=Privilege.LOW,
                          period=2, channels=("c0",)),
-        ],
-        channels=["c0"],
+        ),
+        channels=("c0",),
         injection=Injection(channel="c0", tick=0, facets=PayloadFacets.full()),
     )
     defaults.update(kw)
-    scenario = Scenario(**defaults)
-    scenario.validate()
-    return scenario
+    return Scenario(**defaults)
 
 
 facet_strategy = st.builds(
@@ -169,9 +167,8 @@ class TestSharedDecisions:
 class TestScenarioValidation:
     def test_duplicate_agent_ids(self):
         base = tiny_scenario()
-        bad = replace(base, agents=base.agents + base.agents)
         with pytest.raises(ScenarioError):
-            bad.validate()
+            replace(base, agents=base.agents + base.agents)
 
     def test_unknown_injection_channel(self):
         with pytest.raises(ScenarioError):
