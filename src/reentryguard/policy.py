@@ -81,8 +81,8 @@ def high_risk_write(carrier: Carrier) -> bool:
 
 
 def attenuated(state: AgentDecisionState, config: EnforcementConfig) -> bool:
-    """The attenuation rule: contamination takes away the context's
-    high-risk capabilities until a context reset."""
+    """The attenuation rule: contamination attenuates the context's
+    high-risk actions until a context reset."""
     return config.attenuation and state.contaminated
 
 
@@ -141,9 +141,11 @@ def _mediate_exposed_read(event: Event, ctx: MediationContext, config: Enforceme
 
     if ctx.carriers[event.carrier_id].cls in _RTW_CLASSES and config.rtw:
         # the reader holds a high-risk capability when its deployment grants
-        # one and attenuation has not taken it away; the simulator labels
-        # every exposed read with what the carrier holds
-        return enforce_exposed_read(event.label, reader.capable and not attenuated(reader, config))
+        # one and attenuation does not deny its actions (under approve-mode
+        # guards an attenuated action is guarded and still takes effect);
+        # the simulator labels every exposed read with what the carrier holds
+        capable = reader.capable and attenuate(reader, config) is not _DENY_ATTENUATED
+        return enforce_exposed_read(event.label, capable)
     # external sources are unavoidable reads: cut sits after the read, on
     # the reader's actions; trusted memory, task state and config are gated
     # when they are written or promoted into

@@ -52,9 +52,10 @@ def enforce_exposed_read(carrier_label: TaintLabel, high_cap: bool) -> Decision:
     """Dynamic re-entry rule for one exposed read.
 
     Deny when the carrier is untrusted and the reading context still holds
-    any high-risk capability. A fully attenuated context may read tainted
-    content: it cannot act on it, and the contamination marking downstream
-    keeps it that way.
+    any high-risk capability. A context attenuated under deny-mode guards
+    may read tainted content: it cannot act on it, and the contamination
+    marking downstream keeps it that way. Under approve-mode guards its
+    guarded actions take effect, so it may not.
     """
     if carrier_label.untrusted and high_cap:
         return _DENY_RE_ENTRY

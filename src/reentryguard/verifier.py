@@ -49,6 +49,7 @@ from .model import (
     CarrierScope,
     Event,
     EventKind,
+    GuardMode,
     Reason,
     ReentryGuardError,
     TaintLabel,
@@ -147,7 +148,8 @@ def audit(meta: TraceMeta, events: Iterable[Event]) -> Report:
     past the # ticks the record reports."""
     effective = EFFECTIVE[meta.enforcement.guard_mode]
     attacker = meta.attacker
-    attenuation_on = meta.enforcement.attenuation
+    # contamination excuses an RTW violation only where attenuation denies actions
+    attenuation_denies = meta.enforcement.attenuation and meta.enforcement.guard_mode is GuardMode.DENY_ALL
     agents = {a.id: a.channels for a in meta.agents}  # agent -> the channels it lists
     listed = {ch for a in meta.agents for ch in a.channels}
     if attacker in agents:
@@ -247,7 +249,7 @@ def audit(meta: TraceMeta, events: Iterable[Event]) -> Report:
                 continue
             re_entry = re_entry or cid in writes
             w = last_write.get(cid)
-            if w is not None and not (attenuation_on and agent in contaminated):
+            if w is not None and not (attenuation_denies and agent in contaminated):
                 violations.append(RtwViolation(carrier_id=cid, write_index=w, read_index=i, reader=agent))
             contaminated.add(agent)
             if cid in writes:
@@ -361,8 +363,9 @@ def chains_in(events: list[Event], meta: TraceMeta) -> list[ChainWitness]:
 def rtw_violations_in(events: list[Event], meta: TraceMeta) -> list[RtwViolation]:
     """Effective untrusted writes later exposure-read, effectively, by a
     reader still holding high capability: one not yet contaminated when the
-    attenuation layer is on. An effective declassification of the carrier
-    clears its pending writes."""
+    attenuation layer is on under deny-mode guards (under approve-mode guards
+    an attenuated action takes effect, so no reader is excused). An effective
+    declassification of the carrier clears its pending writes."""
     return audit(meta, events).rtw_violations
 
 

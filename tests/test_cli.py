@@ -79,6 +79,9 @@ class TestRunMode:
         )
         (record,) = machine_records(out)
         assert record["guard"] == "approve"
+        # attenuation under approve-mode guards leaves rtw on: a contaminated
+        # reader's actions still take effect, so its tainted reads are denied
+        assert (record["safe"], record["chains"], record["events"]) == ("1", "0", "209")
 
     def test_seed_and_ticks_overrides(self, capsys):
         _, out, _ = run_cli(

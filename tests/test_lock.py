@@ -21,8 +21,10 @@ intended change of behaviour, regenerate the data file with
 
     PYTHONPATH=src python -m tests.test_lock
 
-which prints, before it writes, each group's moved trace and report pins and
-each suite's changed lines; say in CHANGES.md which pins moved and why.
+which prints, before it writes, each group's moved trace and report pins,
+counted per run prefix (a key up to its last ``:``, such as
+``rtw,seal:approve``), and each suite's changed lines; say in CHANGES.md
+which pins moved and why.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+from collections import Counter
 from collections.abc import Iterator
 from contextlib import redirect_stdout
 from dataclasses import replace
@@ -132,15 +135,18 @@ def moved(expected: dict[str, str], actual: dict[str, str]) -> list[str]:
 
 
 def lock_changes(old: dict, new: dict) -> list[str]:
-    """Per trace group, the count of moved trace pins and the first
-    SHOWN_KEYS keys, then the same for report pins; then each suite's
-    removed (-) and added (+) record lines."""
+    """Per trace group, the count of moved trace pins, that count per run
+    prefix where the keys have one, and the first SHOWN_KEYS keys; then the
+    same for report pins; then each suite's removed (-) and added (+) record
+    lines."""
     lines = []
     for kind in PINS:
         for group, actual in new[kind].items():
             keys = moved(old.get(kind, {}).get(group, {}), actual)
+            runs = Counter(key.rpartition(":")[0] for key in keys)
+            per_run = f" [{', '.join(f'{run}={n}' for run, n in sorted(runs.items()))}]" if any(runs) else ""
             more = f" (+{len(keys) - SHOWN_KEYS} more)" if len(keys) > SHOWN_KEYS else ""
-            lines.append(f"{kind} {group}: {len(keys)} moved {' '.join(keys[:SHOWN_KEYS])}{more}".rstrip())
+            lines.append(f"{kind} {group}: {len(keys)} moved{per_run} {' '.join(keys[:SHOWN_KEYS])}{more}".rstrip())
     for name, after in new["suites"].items():
         before = old.get("suites", {}).get(name, [])
         lines += [f"suite {name}: - {line}" for line in before if line not in after]
@@ -152,12 +158,12 @@ def test_lock_changes_names_moved_pins_and_suite_lines():
     old = {
         "suites": {"s": ["a", "b"]},
         "traces": {"g": {str(i): "x" for i in range(25)}, "h": {"k": "x"}},
-        "reports": {"g": {"k": "x"}},
+        "reports": {"g": {"k": "x"}, "p": {"a,b:deny:1": "x", "a,b:deny:2": "x", "a:approve:1": "x"}},
     }
     new = {
         "suites": {"s": ["a", "c"]},
         "traces": {"g": {str(i): "y" for i in range(25)}, "h": {"k": "x"}},
-        "reports": {"g": {"k": "y"}, "h": {"k": "x"}},
+        "reports": {"g": {"k": "y"}, "h": {"k": "x"}, "p": {"a,b:deny:1": "y", "a,b:deny:2": "y", "a:approve:1": "y"}},
     }
     first = " ".join(sorted(map(str, range(25)))[:20])
     assert lock_changes(old, new) == [
@@ -165,6 +171,7 @@ def test_lock_changes_names_moved_pins_and_suite_lines():
         "traces h: 0 moved",
         "reports g: 1 moved k",
         "reports h: 1 moved k",
+        "reports p: 3 moved [a,b:deny=2, a:approve=1] a,b:deny:1 a,b:deny:2 a:approve:1",
         "suite s: - b",
         "suite s: + c",
     ]

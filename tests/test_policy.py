@@ -1,6 +1,7 @@
 """Policy engine: mediation dispatch, attenuation, layer ownership."""
 
-from itertools import product
+from dataclasses import replace
+from itertools import combinations, product
 
 import pytest
 
@@ -12,6 +13,7 @@ from reentryguard.model import (
     CarrierScope,
     Event,
     EventKind,
+    LAYER_NAMES,
     GuardMode,
     Layer,
     Reason,
@@ -27,6 +29,8 @@ from reentryguard.policy import (
     high_risk_write,
     mediate,
 )
+from reentryguard.scenarios import bundled_names, load_bundled, random_scenario
+from reentryguard.sim import run_scenario
 from reentryguard.taint import AgentDecisionState, mark_contamination
 from tests.test_model import make_carrier
 
@@ -163,16 +167,17 @@ class TestMediateRead:
     def test_gate_reads_the_derived_capability(self):
         """Deny iff rtw is on, the label is untrusted and the reader holds a
         high-risk capability: its deployment grants one and it is not a
-        contaminated context under attenuation."""
+        contaminated context under attenuation with deny-mode guards. Under
+        approve-mode guards its attenuated actions still take effect."""
         f = make_carrier(cid=1)
-        for rtw, attenuation, capable, contaminated, label in product(
-            (False, True), (False, True), (False, True), (False, True), TaintLabel
+        for rtw, attenuation, capable, contaminated, label, guard in product(
+            (False, True), (False, True), (False, True), (False, True), TaintLabel, GuardMode
         ):
-            config = EnforcementConfig(rtw=rtw, attenuation=attenuation)
+            config = EnforcementConfig(rtw=rtw, attenuation=attenuation, guard_mode=guard)
             state = AgentDecisionState(capable=capable, contaminated=contaminated)
             ctx = ctx_with({1: f}, {"a1": state})
             event = Event(tick=1, agent="a1", kind=EventKind.EXPOSED_READ, carrier_id=1, label=label)
-            holds = capable and not (attenuation and contaminated)
+            holds = capable and not (attenuation and contaminated and guard is GuardMode.DENY_ALL)
             expected = Verdict.DENY if rtw and label.untrusted and holds else Verdict.ALLOW
             assert mediate(event, ctx, config).verdict is expected, (config, state, label)
 
@@ -304,3 +309,30 @@ class TestLayerProperties:
                 bundled(name, enforce="all", guard=GuardMode.APPROVE_ALL).report.chains
             )
             assert deny_chains <= approve_chains
+
+    def test_adding_a_layer_never_makes_a_run_unsafe(self):
+        """Monotonicity: a run safe under a layer subset S is safe under every
+        superset T, in both guard modes, over the bundled scenarios and fuzz
+        seeds 0-39 capped at 6 ticks (1,472 runs). Every one of them is safe
+        under all four layers."""
+        bases = [load_bundled(name) for name in bundled_names()]
+        bases += [replace(s, max_ticks=min(s.max_ticks, 6)) for s in map(random_scenario, range(40))]
+        subsets = [frozenset(c) for k in range(len(LAYER_NAMES) + 1) for c in combinations(LAYER_NAMES, k)]
+        breaks, unsafe = [], []
+        for guard, base in product(GuardMode, bases):
+            safe = {
+                layers: run_scenario(
+                    replace(base, enforcement=EnforcementConfig(guard_mode=guard, **dict.fromkeys(layers, True)))
+                ).report.safe
+                for layers in subsets
+            }
+            breaks += [
+                (base.name, guard.value, sorted(s), sorted(t))
+                for s in subsets
+                for t in subsets
+                if s < t and safe[s] and not safe[t]
+            ]
+            if not safe[subsets[-1]]:
+                unsafe.append((base.name, guard.value))
+        assert not breaks, f"{len(breaks)} breaks, first {breaks[:3]}"
+        assert not unsafe
