@@ -7,13 +7,13 @@ import pytest
 
 from reentryguard.model import (
     EFFECTFUL_KINDS,
+    LAYER_NAMES,
     ActionKind,
     AutoloadPolicy,
     CarrierClass,
     CarrierScope,
     Event,
     EventKind,
-    LAYER_NAMES,
     GuardMode,
     Layer,
     Reason,

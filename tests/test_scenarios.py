@@ -495,14 +495,10 @@ class TestScenarioIsAValue:
             scenario.max_ticks = 0
         assert scenario.max_ticks == load_bundled("fwA").max_ticks
 
-    @pytest.mark.parametrize("source", ["bundled", "fuzz"])
-    def test_sequences_are_tuples(self, source):
-        if source == "bundled":
-            steps = {"resets": [["a1", 2]], "declassify": [["a1", 3]], "heartbeat_logs": ["c0"]}
-            seeded = {"seeded": [{"agent": "a1", "slot": "task"}]}
-            scenarios = [load_bundled(n) for n in BUNDLED] + [scenario_from_dict(minimal() | steps | seeded)]
-        else:
-            scenarios = [random_scenario(seed) for seed in range(60)]
+    def test_sequences_are_tuples(self):
+        steps = {"resets": [["a1", 2]], "declassify": [["a1", 3]], "heartbeat_logs": ["c0"]}
+        loaded = scenario_from_dict(minimal() | steps | {"seeded": [{"agent": "a1", "slot": "task"}]})
+        scenarios = [load_bundled(n) for n in BUNDLED] + [loaded] + [random_scenario(s) for s in range(60)]
         for scenario in scenarios:
             for name in SEQUENCE_FIELDS:
                 assert type(getattr(scenario, name)) is tuple, (scenario.name, name)
