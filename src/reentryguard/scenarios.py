@@ -13,21 +13,22 @@ strict parse of each value (an int is not a bool or a float, a list is not a
 string), the default of an absent key, and the reference, range and name
 checks that Scenario.validate() runs (a name must read back from the trace
 as itself). A Scenario is a frozen value that runs validate() when it is
-constructed, including by dataclasses.replace; the loader checks shapes
-and types only, so a scenario built in code or by replace meets the rules
-a file does. Every failure is a ScenarioError naming its key. README.md
-shows every key with an example value.
+constructed, including by dataclasses.replace, and keeps read-only copies of
+the mappings it is given; the loader checks shapes and types only, so a
+scenario built in code or by replace meets the rules a file does. Every
+failure is a ScenarioError naming its key. README.md shows every key with an
+example value.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
+from types import MappingProxyType
 from typing import Any, Callable, NamedTuple
-
-import yaml
 
 from .model import (
     ATTACKER,
@@ -146,8 +147,11 @@ class AgentProfile:
     privilege: Privilege
     period: int  # heartbeat period in ticks
     channels: tuple[str, ...]
-    compliance: dict[InjectionPosition, CompliancePolicy] = field(default_factory=lambda: dict(DEFAULT_COMPLIANCE))
+    compliance: Mapping[InjectionPosition, CompliancePolicy] = field(default_factory=lambda: DEFAULT_COMPLIANCE)
     capabilities: frozenset[str] = Capability.ALL
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "compliance", MappingProxyType(dict(self.compliance)))
 
     def complies(self, position: InjectionPosition, rng: random.Random) -> bool:
         return self.compliance.get(position, NEVER).decide(rng)
@@ -183,8 +187,8 @@ class Scenario:
     channels: tuple[str, ...]
     injection: Injection | None
     transform_default: int = 0
-    transform_strength: dict[str, int] = field(default_factory=dict)
-    task_leases: dict[str, tuple[int, int]] = field(default_factory=dict)
+    transform_strength: Mapping[str, int] = field(default_factory=dict)
+    task_leases: Mapping[str, tuple[int, int]] = field(default_factory=dict)
     exfil_channel: str | None = None
     resets: tuple[tuple[str, int], ...] = ()
     declassify: tuple[tuple[str, int], ...] = ()  # (agent, tick): clear heartbeat carrier
@@ -192,6 +196,9 @@ class Scenario:
     heartbeat_logs: tuple[str, ...] = ()  # channels whose log is heartbeat-autoloaded
 
     def __post_init__(self) -> None:
+        # read-only copies, so that no edit after construction escapes validate()
+        for name in ("transform_strength", "task_leases"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
         self.validate()
 
     def validate(self) -> None:
@@ -438,7 +445,7 @@ def _keyed(value: Callable[[Any, _Refs], None], key: Callable[[Any, _Refs], None
     """A check of each (key, value) item of a mapping, or each pair of a list."""
 
     def check(items: Any, refs: _Refs) -> None:
-        for k, v in items.items() if isinstance(items, dict) else items:
+        for k, v in items.items() if isinstance(items, MappingProxyType) else items:
             if key is not None:
                 key(k, refs)
             _at(getattr(k, "value", k), value, v, refs)
@@ -523,6 +530,8 @@ def _read_yaml(source: Any) -> Any:
         text = source.read_text()
     except OSError as exc:
         raise ScenarioError(f"cannot read {source}: {exc}") from exc
+    import yaml  # here, not at the top: a run, fuzz draw or audit reads no YAML
+
     try:
         return yaml.safe_load(text)
     except yaml.YAMLError as exc:

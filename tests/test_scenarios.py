@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import textwrap
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from reentryguard.model import GuardMode, InjectionPosition, PayloadFacets, Priv
 from reentryguard.policy import EnforcementConfig
 from reentryguard.scenarios import (
     AGENT_KEYS,
+    ALWAYS,
     CAPABILITY_PRESETS,
     INJECTION_KEYS,
     SCENARIO_KEYS,
@@ -342,6 +344,33 @@ class TestMalformedInputs:
         assert "reentryguard.scenarios" in out
         assert "reentryguard.sim" not in out
 
+    def test_yaml_is_imported_only_when_a_file_is_read(self, tmp_path):
+        """A run, a fuzz draw, an audit and the listing read no YAML, so they
+        never import PyYAML; the first scenario file read does."""
+        src = Path(cli.__file__).resolve().parents[1]
+        code = textwrap.dedent(
+            """
+            import contextlib, io, sys
+            import reentryguard.cli as cli
+            from reentryguard.policy import EnforcementConfig
+            from reentryguard.scenarios import load_bundled, random_scenario
+            from reentryguard.sim import run_scenario
+
+            trace = sys.argv[1]
+            with open(trace, "w") as f:
+                f.write(run_scenario(random_scenario(3, EnforcementConfig.all_enabled())).trace_text)
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes = [cli.main(["--verify-trace", trace, "--report", "machine"]), cli.main(["--list-scenarios"])]
+            print(codes, "yaml" in sys.modules, end=" ")
+            load_bundled("fwA")
+            print("yaml" in sys.modules)
+            """
+        )
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        run = [sys.executable, "-c", code, str(tmp_path / "fuzz3.trace")]
+        out = subprocess.run(run, env=env, capture_output=True, text=True, check=True).stdout
+        assert out == "[0, 0] False True\n"
+
 
 class TestReadme:
     """The README's YAML blocks name exactly the keys of the schema tables."""
@@ -494,6 +523,38 @@ class TestScenarioIsAValue:
         with pytest.raises(FrozenInstanceError):
             scenario.max_ticks = 0
         assert scenario.max_ticks == load_bundled("fwA").max_ticks
+
+    def test_mappings_are_read_only(self):
+        scenario, fuzz = load_bundled("fwA"), random_scenario(3)
+        writes = [
+            (scenario.transform_strength, "c0", 9),
+            (scenario.task_leases, "a1", (5, 1)),
+            (scenario.agents[0].compliance, InjectionPosition.SYSTEM_PROMPT, ALWAYS),
+            (fuzz.transform_strength, "ch1", 9),
+            (replace(fuzz.agents[0]).compliance, InjectionPosition.USER_PROMPT, ALWAYS),
+        ]
+        for mapping, key, value in writes:
+            with pytest.raises(TypeError):
+                mapping[key] = value
+            with pytest.raises(TypeError):
+                del mapping[key]
+        assert scenario == load_bundled("fwA")
+
+    def test_a_mapping_given_in_code_is_copied(self):
+        strengths, leases = {"c0": 4}, {"a1": (0, 2)}
+        scenario = replace(scenario_from_dict(minimal()), transform_strength=strengths, task_leases=leases)
+        strengths["c0"], leases["a1"] = 9, (5, 1)
+        assert (scenario.transform_strength, scenario.task_leases) == ({"c0": 4}, {"a1": (0, 2)})
+
+    def test_replace_and_the_loader_give_equal_scenarios(self):
+        data = minimal() | {"transform_strength": {"c0": 4}, "task_leases": {"a1": [0, 3]}}
+        data["agents"][0]["compliance"] = {"user_prompt": {"bernoulli": 0.5}}
+        scenarios = [load_bundled(n) for n in BUNDLED] + [scenario_from_dict(data)] + [random_scenario(s) for s in range(20)]
+        for scenario in scenarios:
+            assert replace(scenario) == scenario
+            assert replace(scenario, agents=tuple(replace(a) for a in scenario.agents)) == scenario
+        assert scenario_from_dict(data) == scenarios[len(BUNDLED)]
+        assert scenarios[len(BUNDLED)].task_leases == {"a1": (0, 3)}
 
     def test_sequences_are_tuples(self):
         steps = {"resets": [["a1", 2]], "declassify": [["a1", 3]], "heartbeat_logs": ["c0"]}
