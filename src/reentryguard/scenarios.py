@@ -151,6 +151,7 @@ class AgentProfile:
     capabilities: frozenset[str] = Capability.ALL
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "channels", tuple(self.channels))
         object.__setattr__(self, "compliance", MappingProxyType(dict(self.compliance)))
 
     def complies(self, position: InjectionPosition, rng: random.Random) -> bool:
@@ -197,6 +198,8 @@ class Scenario:
 
     def __post_init__(self) -> None:
         # read-only copies, so that no edit after construction escapes validate()
+        for name in ("agents", "channels", "resets", "declassify", "seeded", "heartbeat_logs"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         for name in ("transform_strength", "task_leases"):
             object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
         self.validate()

@@ -28,13 +28,18 @@ enum members bound at module level, the model's 16 FACET_VALUES (the only
 facets there are: transform_payload looks them up in a table, and a union
 is one of them too) and the 12 DECISIONS that mediate() returns. Whether a
 decision takes effect is one lookup in the run's set of effective
-decisions, model.EFFECTIVE for its guard mode.
+decisions, model.EFFECTIVE for its guard mode. Header records are values,
+so an agent's carriers, and a channel's feed and log, are built once per
+process and shared by every run whose agent (id, framework, first carrier
+id, seeded slots) or channel (name, first id, heartbeat log) is the same;
+a run fills in only its own labels, contents and agent plans.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
+from typing import Any, Callable, NamedTuple
 
 from . import verifier as verifier_mod
 from .memgate import AUTHORITY_MAX, TTL_MAX, MemoryCandidate
@@ -62,7 +67,7 @@ from .model import (
     TaintLabel,
 )
 from .policy import MediationContext, mediate
-from .scenarios import AGENT_CARRIERS, FRAMEWORKS, AgentProfile, Capability, Injection, Scenario, SeededCarrier
+from .scenarios import AGENT_CARRIERS, FRAMEWORKS, SEEDED_SLOTS, AgentProfile, Capability, Injection, Scenario
 from .taint import (
     AgentDecisionState,
     content_label,
@@ -130,19 +135,93 @@ def transform_payload(facets: PayloadFacets, strength: int) -> PayloadFacets:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+# The process-wide memo of carrier blocks (see the module docstring). A memo
+# that holds _MEMO_BOUND blocks is emptied before its next insert.
+_MEMO_BOUND = 4096
+_BLOCKS: dict[tuple[Any, ...], Any] = {}  # (maker, its arguments) -> the block it made
+
+_NOTES = len(AGENT_CARRIERS) - 1  # the layout row repeated as notes0, notes1, ...
+# seeded slot -> the index of its carrier in an agent's block
+_SLOT_INDEX = {row.slot: i for i, row in enumerate(AGENT_CARRIERS) if row.slot is not None}
+
+
+def _shared(make: Callable[..., Any], *key: Any) -> Any:
+    """make(*key), from the memo when a run made it before."""
+    block = _BLOCKS.get((make, key))
+    if block is None:
+        if len(_BLOCKS) >= _MEMO_BOUND:
+            _BLOCKS.clear()
+        block = _BLOCKS[make, key] = make(*key)
+    return block
+
+
+class _AgentBlock(NamedTuple):
+    carriers: tuple[Carrier, ...]  # in carrier id order
+    session_reads: tuple[Carrier, ...]
+    heartbeat_reads: tuple[Carrier, ...]  # the agent's own; a run adds its heartbeat logs
+
+
+def _agent_block(agent_id: str, framework: str, first: int, slots: tuple[str, ...]) -> _AgentBlock:
+    """An agent's own carriers from id first: one per layout row, the last
+    row repeated as notes0, notes1, ... up to the framework's count. The
+    first system_carriers go into the system prompt, and a seeded slot
+    starts as external content."""
+    fw = FRAMEWORKS[framework]
+    carriers = []
+    for i in range(fw.system_carriers + fw.user_carriers):
+        row = AGENT_CARRIERS[min(i, _NOTES)]
+        carriers.append(
+            Carrier(
+                first + i,
+                f"{agent_id}.{row.name}" if i < _NOTES else f"{agent_id}.{row.name}{i - _NOTES}",
+                row.cls,
+                agent_id,
+                _SYSTEM_PROMPT if i < fw.system_carriers else _USER_PROMPT,
+                row.autoload,
+                CarrierScope.AGENT_LOCAL,
+                TaintLabel.EXTERNAL if i <= _NOTES and row.slot in slots else _CLEAN,
+            )
+        )
+    return _AgentBlock(
+        tuple(carriers),
+        tuple(c for c in carriers if c.autoload is AutoloadPolicy.SESSION_START),
+        tuple(c for c in carriers if c.autoload is AutoloadPolicy.HEARTBEAT),
+    )
+
+
+def _channel_pair(channel: str, first: int, heartbeat_log: bool) -> tuple[Carrier, Carrier]:
+    """A channel's external feed at id first, and its shared log after it."""
+    shared = CarrierScope.SHARED_CROSS_AGENT
+    return (
+        Carrier(
+            first, f"{channel}.feed", CarrierClass.EXTERNAL_SOURCE, None, _USER_PROMPT, AutoloadPolicy.NEVER,
+            shared, TaintLabel.EXTERNAL,
+        ),
+        Carrier(
+            first + 1, f"{channel}.log", CarrierClass.SHARED_CHANNEL_LOG, None, _USER_PROMPT,
+            AutoloadPolicy.HEARTBEAT if heartbeat_log else AutoloadPolicy.NEVER, shared,
+        ),
+    )
+
+
+@dataclass(frozen=True, slots=True)
 class AgentCarrierSet:
-    """The carriers an agent's turns act on, what it reads when, and the
-    order it sends in. Autoload is fixed at construction, so the read lists
-    are too."""
+    """An agent's plan, fixed at construction: the carriers its turns act
+    on, what it reads when, the order it sends in, and what its capabilities
+    and privilege let a turn propose."""
 
     config: Carrier
     memory: Carrier
     heartbeat: Carrier
     task: Carrier
-    session_reads: list[Carrier]
-    heartbeat_reads: list[Carrier]  # in carrier id order
-    channels: list[str]  # sorted
+    session_reads: tuple[Carrier, ...]
+    heartbeat_reads: tuple[Carrier, ...]  # in carrier id order
+    channels: tuple[str, ...]  # sorted
+    can_write: bool
+    can_send: bool
+    high: bool  # high privilege
+    shell: bool  # shell at high privilege
+    exfil: str | None  # the exfiltration channel, when the agent is on it and can send
 
 
 class Ecosystem:
@@ -162,9 +241,9 @@ class Ecosystem:
         self.labels: dict[int, TaintLabel] = {}
         self.contents: dict[int, PayloadFacets] = {}
         self.carrier_sets: dict[str, AgentCarrierSet] = {}
-        # channel -> its external feed, and its shared log
+        # channel -> its external feed, and its shared log's id
         self.feeds: dict[str, Carrier] = {}
-        self.logs: dict[str, Carrier] = {}
+        self.log_ids: dict[str, int] = {}
         # channel -> the agents on it, in id order
         self.members: dict[str, list[str]] = {ch: [] for ch in scenario.channels}
         # task carrier id -> the scenario's lease window for its owner
@@ -196,90 +275,60 @@ class Ecosystem:
 
     # -- construction -------------------------------------------------------
 
-    def _carrier(
-        self,
-        name: str,
-        cls: CarrierClass,
-        autoload: AutoloadPolicy,
-        owner: str | None,
-        seed: SeededCarrier | None = None,
-        injection: InjectionPosition = InjectionPosition.USER_PROMPT,
-        scope: CarrierScope = CarrierScope.AGENT_LOCAL,
-        label: TaintLabel = TaintLabel.CLEAN,
-    ) -> Carrier:
-        """Register a carrier under the next id. A seeded slot starts as
-        external content carrying the seed's facets."""
-        cid = len(self.carriers) + 1
-        label = TaintLabel.EXTERNAL if seed else label
-        carrier = self.carriers[cid] = Carrier(cid, name, cls, owner, injection, autoload, scope, label)
-        self.labels[cid] = label
-        if seed:
-            self.contents[cid] = seed.facets
-        return carrier
-
     def _build(self) -> None:
-        seeded = {(sc.agent, sc.slot): sc for sc in self.scenario.seeded}
-        notes = len(AGENT_CARRIERS) - 1
+        """Lay out the shared carrier blocks in id order, then fill in this
+        run's own state: labels, seeded contents and each agent's plan."""
+        scenario = self.scenario
+        seeded = {(sc.agent, sc.slot): sc.facets for sc in scenario.seeded}
+        header: list[Carrier] = []
+        blocks: dict[str, _AgentBlock] = {}
         for agent_id, profile in self.agents.items():
-            fw = FRAMEWORKS[profile.framework]
-            # one carrier per layout row, the last row repeated as notes0,
-            # notes1, ... up to the framework's count; the first
-            # system_carriers go into the system prompt
-            carriers = []
-            for i in range(fw.system_carriers + fw.user_carriers):
-                row = AGENT_CARRIERS[min(i, notes)]
-                carriers.append(
-                    self._carrier(
-                        f"{agent_id}.{row.name}" if i < notes else f"{agent_id}.{row.name}{i - notes}",
-                        row.cls,
-                        row.autoload,
-                        agent_id,
-                        seeded.get((agent_id, row.slot)) if i <= notes else None,
-                        _SYSTEM_PROMPT if i < fw.system_carriers else _USER_PROMPT,
-                    )
-                )
+            slots = tuple(slot for slot in SEEDED_SLOTS if (agent_id, slot) in seeded)
+            block = blocks[agent_id] = _shared(_agent_block, agent_id, profile.framework, len(header) + 1, slots)
+            header += block.carriers
+            for slot in slots:
+                self.contents[block.carriers[_SLOT_INDEX[slot]].id] = seeded[agent_id, slot]
+        # the logs come after every agent's own carriers, in channel order,
+        # so each heartbeat read list stays in carrier id order
+        heartbeat_logs: dict[str, Carrier] = {}
+        for ch in scenario.channels:
+            feed, log = _shared(_channel_pair, ch, len(header) + 1, ch in scenario.heartbeat_logs)
+            header += (feed, log)
+            self.feeds[ch] = feed
+            self.log_ids[ch] = log.id
+            if log.autoload is AutoloadPolicy.HEARTBEAT:
+                heartbeat_logs[ch] = log
+        for carrier in header:
+            self.carriers[carrier.id] = carrier
+            self.labels[carrier.id] = carrier.label0
+
+        exfil = scenario.exfil_channel
+        for agent_id, profile in self.agents.items():
+            block = blocks[agent_id]
+            caps = profile.capabilities
+            high = profile.privilege is Privilege.HIGH
+            can_send = Capability.MESSAGING in caps
             # the functional rows, in AgentCarrierSet's field order
             cset = self.carrier_sets[agent_id] = AgentCarrierSet(
-                *carriers[:notes],
-                session_reads=[c for c in carriers if c.autoload is AutoloadPolicy.SESSION_START],
-                heartbeat_reads=[c for c in carriers if c.autoload is AutoloadPolicy.HEARTBEAT],
-                channels=sorted(profile.channels),
+                *block.carriers[:_NOTES],
+                session_reads=block.session_reads,
+                heartbeat_reads=block.heartbeat_reads
+                + tuple(log for ch, log in heartbeat_logs.items() if ch in profile.channels),
+                channels=tuple(sorted(profile.channels)),
+                can_write=Capability.FILE_WRITE in caps,
+                can_send=can_send,
+                high=high,
+                shell=high and Capability.SHELL in caps,
+                exfil=exfil if can_send and exfil in profile.channels else None,
             )
             for ch in profile.channels:
                 self.members[ch].append(agent_id)
             # file writes and messages are high-risk at any privilege, shell
             # and network only at high privilege
-            high_risk = {Capability.FILE_WRITE, Capability.MESSAGING}
-            if profile.privilege is Privilege.HIGH:
-                high_risk |= {Capability.SHELL, Capability.NETWORK}
-            self.states[agent_id] = AgentDecisionState(capable=not high_risk.isdisjoint(profile.capabilities))
-            if agent_id in self.scenario.task_leases:
-                self.leases[cset.task.id] = self.scenario.task_leases[agent_id]
-
-        for ch in self.scenario.channels:
-            self.feeds[ch] = self._carrier(
-                f"{ch}.feed",
-                CarrierClass.EXTERNAL_SOURCE,
-                AutoloadPolicy.NEVER,
-                None,
-                scope=CarrierScope.SHARED_CROSS_AGENT,
-                label=TaintLabel.EXTERNAL,
-            )
-            self.logs[ch] = self._carrier(
-                f"{ch}.log",
-                CarrierClass.SHARED_CHANNEL_LOG,
-                AutoloadPolicy.HEARTBEAT if ch in self.scenario.heartbeat_logs else AutoloadPolicy.NEVER,
-                None,
-                scope=CarrierScope.SHARED_CROSS_AGENT,
-            )
-
-        # the logs come after every agent's own carriers, in channel order,
-        # so each heartbeat read list stays in carrier id order
-        for agent_id, cset in self.carrier_sets.items():
-            channels = self.agents[agent_id].channels
-            cset.heartbeat_reads += [
-                log for ch, log in self.logs.items() if ch in channels and log.autoload is AutoloadPolicy.HEARTBEAT
-            ]
+            capable = cset.can_write or can_send or cset.shell or (high and Capability.NETWORK in caps)
+            self.states[agent_id] = AgentDecisionState(capable=capable)
+            if agent_id in scenario.task_leases:
+                self.leases[cset.task.id] = scenario.task_leases[agent_id]
 
     # -- mediation plumbing --------------------------------------------------
 
@@ -324,7 +373,7 @@ class Ecosystem:
         """Queue an effective msg_send or an inject; the channel's log keeps
         its label and facets."""
         self.queued[msg.channel].append(msg)
-        log = self.logs[msg.channel].id
+        log = self.log_ids[msg.channel]
         if msg.label.untrusted and not self.labels[log].untrusted:
             self.labels[log] = msg.label
         if msg.facets.any:
@@ -383,7 +432,7 @@ class Ecosystem:
 
         # routine task bookkeeping under lease; a compromised agent's turn is
         # payload-driven, so only clean agents keep their routine
-        if Capability.FILE_WRITE in profile.capabilities and not self.states[agent].contaminated:
+        if cset.can_write and not self.states[agent].contaminated:
             self._write(tick, agent, cset.task, NO_FACETS, _CLEAN)
 
         facets = NO_FACETS
@@ -410,10 +459,8 @@ class Ecosystem:
     ) -> None:
         if not facets.any:
             return
-        profile = self.agents[agent]
         cset = self.carrier_sets[agent]
-        can_write = Capability.FILE_WRITE in profile.capabilities
-        can_send = Capability.MESSAGING in profile.capabilities
+        can_write = cset.can_write
 
         if facets.persist and was_clean and can_write:
             self._write(tick, agent, cset.heartbeat, facets, origin)
@@ -433,19 +480,18 @@ class Ecosystem:
                 self.contents[cset.memory.id] = facets
                 self.labels[cset.memory.id] = ev.label
 
-        if facets.propagate and can_send:
+        if facets.propagate and cset.can_send:
             for ch in cset.channels:
                 msg = self._propose(tick, agent, _MSG_SEND, origin, facets=facets, channel=ch)
                 if msg is not None:
                     self._queue_message(msg)
 
-        if facets.harm and profile.privilege is Privilege.HIGH:
-            if Capability.SHELL in profile.capabilities:
+        if facets.harm and cset.high:
+            if cset.shell:
                 self._propose(tick, agent, _HIGH_RISK, origin, action=ActionKind.INVOKE_SHELL)
-            exfil_ch = self.scenario.exfil_channel
-            if exfil_ch is not None and exfil_ch in profile.channels and can_send:
+            if cset.exfil is not None:
                 self._exposed_read(tick, agent, cset.config, self.labels[cset.config.id])
-                msg = self._propose(tick, agent, _MSG_SEND, origin, facets=facets, channel=exfil_ch, exfil=True)
+                msg = self._propose(tick, agent, _MSG_SEND, origin, facets=facets, channel=cset.exfil, exfil=True)
                 if msg is not None:
                     self._queue_message(msg)
 

@@ -546,6 +546,20 @@ class TestScenarioIsAValue:
         strengths["c0"], leases["a1"] = 9, (5, 1)
         assert (scenario.transform_strength, scenario.task_leases) == ({"c0": 4}, {"a1": (0, 2)})
 
+    def test_a_sequence_given_in_code_is_a_tuple(self):
+        base = load_bundled("fwA")
+        agent = replace(base.agents[0], channels=list(base.agents[0].channels))
+        fields = {name: list(getattr(base, name)) for name in SEQUENCE_FIELDS}
+        scenario = replace(base, **fields | {"agents": [agent, *base.agents[1:]], "heartbeat_logs": ["c0"]})
+        assert type(agent.channels) is tuple
+        for name in SEQUENCE_FIELDS:
+            assert type(getattr(scenario, name)) is tuple, name
+        with pytest.raises(AttributeError):
+            scenario.heartbeat_logs.append("ghost")
+        with pytest.raises(AttributeError):
+            scenario.agents[0].channels.append("ghost")
+        assert scenario.heartbeat_logs == ("c0",)
+
     def test_replace_and_the_loader_give_equal_scenarios(self):
         data = minimal() | {"transform_strength": {"c0": 4}, "task_leases": {"a1": [0, 3]}}
         data["agents"][0]["compliance"] = {"user_prompt": {"bernoulli": 0.5}}

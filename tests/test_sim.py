@@ -1,14 +1,16 @@
 """Simulator semantics: transformation, scheduling, compliance, determinism."""
 
 from copy import deepcopy
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from reentryguard import cli, sim
 from reentryguard.model import (
     DECISIONS,
+    Carrier,
     FACET_VALUES,
     EventKind,
     GuardMode,
@@ -321,6 +323,86 @@ class TestDeterminism:
         assert eco.meta == built
         assert any(eco.labels[c.id] is not c.label0 for c in built.carriers)
         assert render_trace(trace, eco.meta) == run_scenario(scenario).trace_text
+
+
+def _plan_corpus() -> list[Scenario]:
+    """The bundled scenarios, undefended and fully enforced, and fuzz seeds 0-29."""
+    from reentryguard import load_bundled
+
+    bundled = [
+        replace(load_bundled(name), enforcement=EnforcementConfig.from_names(enforce))
+        for name in bundled_names()
+        for enforce in ("none", "all")
+    ]
+    return bundled + [random_scenario(seed, EnforcementConfig.all_enabled()) for seed in range(30)]
+
+
+def _outputs(scenarios: list[Scenario]) -> list[tuple[str, str]]:
+    """Each run's trace text and machine record."""
+    results = [run_scenario(scenario) for scenario in scenarios]
+    return [(r.trace_text, cli.render_machine("report", cli.report_record(r.report))) for r in results]
+
+
+class TestAgentPlans:
+    """Carrier blocks are built once per process and shared across runs;
+    each run fills in only its own labels, contents and agent plans."""
+
+    def test_cold_equals_warm(self):
+        corpus = _plan_corpus()
+        sim._BLOCKS.clear()
+        cold = _outputs(corpus)
+        assert sim._BLOCKS
+        assert _outputs(corpus) == cold
+
+    def test_small_bound_holds_and_changes_nothing(self, monkeypatch):
+        corpus = _plan_corpus()
+        sim._BLOCKS.clear()
+        expected = _outputs(corpus)
+        monkeypatch.setattr(sim, "_MEMO_BOUND", 2)
+        sim._BLOCKS.clear()
+        for _ in range(2):
+            for scenario, output in zip(corpus, expected):
+                assert _outputs([scenario]) == [output]
+                assert 0 < len(sim._BLOCKS) <= 2
+
+    def test_nothing_leaks_between_runs(self):
+        from reentryguard import load_bundled
+
+        scenario = load_bundled("fwA")
+        run_scenario(scenario)
+        eco = Ecosystem(scenario)
+        assert all(eco.labels[c.id] is c.label0 for c in eco.carriers.values())
+        assert not eco.contents
+        cset = eco.carrier_sets["a1"]
+        with pytest.raises(FrozenInstanceError):
+            cset.can_write = False
+        with pytest.raises(FrozenInstanceError):
+            cset.heartbeat_reads = ()
+        # no run's heartbeat logs or labels reached a shared block
+        for (make, key), block in sim._BLOCKS.items():
+            assert block == make(*key)
+
+    def test_second_build_constructs_no_carrier(self, monkeypatch):
+        """A tripwire that counts: once a run has built a block, another
+        build of the same scenario makes no Carrier at all."""
+        scenarios = [random_scenario(seed, EnforcementConfig.all_enabled()) for seed in range(30)]
+        sim._BLOCKS.clear()
+        for scenario in scenarios:
+            Ecosystem(scenario)
+        made = []
+        post_init = Carrier.__post_init__
+
+        def counted(carrier):
+            made.append(carrier.id)
+            post_init(carrier)
+
+        monkeypatch.setattr(Carrier, "__post_init__", counted)
+        Ecosystem(tiny_scenario(name="fresh", agents=(replace(tiny_scenario().agents[0], id="fresh"),)))
+        assert made, "the counter sees a construction"
+        made.clear()
+        for scenario in scenarios:
+            Ecosystem(scenario)
+        assert made == []
 
 
 class TestMediationSoundness:
