@@ -22,12 +22,17 @@ Invariants that the rest of the package leans on:
   and is frozen, like the tracelog's AgentMeta. What a run changes per
   carrier, its label and content, is the simulator's own state, so the
   simulator, the header and the parser can share one record.
+* Parsed events are values too. The parser yields FrozenEvent, a read-only
+  Event, one object per distinct trace line for the whole process. An Event
+  equals any other Event, plain or frozen, with the same fields. The
+  simulator's own events stay mutable, since it sets their decision.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import FrozenInstanceError, dataclass, fields
 from enum import Enum
+from operator import attrgetter
 from typing import Any
 
 
@@ -461,3 +466,39 @@ class Event:
         if self.tick < 0:
             raise ValueError("event tick must be non-negative")
 
+    def __eq__(self, other: object) -> bool:
+        # field for field across both classes, so a parsed event equals the
+        # simulator's; an event stays unhashable
+        if isinstance(other, Event):
+            return _event_values(self) == _event_values(other)
+        return NotImplemented
+
+
+_event_values = attrgetter(*(f.name for f in fields(Event)))
+
+
+class FrozenEvent(Event):
+    """A read-only event, as the parser yields: one object per distinct
+    trace line, shared by every parse that meets the line. Assignment and
+    deletion raise; a call, copy, pickle and dataclasses.replace each build
+    a new FrozenEvent. The simulator's events stay plain, since it sets
+    ``event.decision`` after mediation."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args: Any, **kwargs: Any) -> "FrozenEvent":
+        event = Event(*args, **kwargs)
+        event.__class__ = cls
+        return event
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:  # __new__ set the fields
+        pass
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple[type, tuple[Any, ...]]:
+        return FrozenEvent, _event_values(self)

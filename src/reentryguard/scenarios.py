@@ -198,8 +198,10 @@ class Scenario:
 
     def __post_init__(self) -> None:
         # read-only copies, so that no edit after construction escapes validate()
-        for name in ("agents", "channels", "resets", "declassify", "seeded", "heartbeat_logs"):
+        for name in ("agents", "channels", "seeded", "heartbeat_logs"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
+        for name in ("resets", "declassify"):  # each (agent, tick) step too
+            object.__setattr__(self, name, tuple(map(tuple, getattr(self, name))))
         for name in ("transform_strength", "task_leases"):
             object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
         self.validate()

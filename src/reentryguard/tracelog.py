@@ -38,9 +38,10 @@ every ``text`` it accepts, ``render_trace(events, meta)`` is ``text`` without
 its comments. Its header grammar is ``HEADER``: the single tags one line
 each and the record tags a run of lines each, ids ascending, in table
 order; then the column row, the event lines, and the final newline. It
-yields ``model.Event`` and ``model.Carrier``, the records the simulator
-writes, and fails closed: anything else raises ``TraceFormatError`` naming
-the line. That covers a missing, repeated or misplaced tag, a record id not
+yields ``model.FrozenEvent``, a read-only ``model.Event``, and
+``model.Carrier``: the records the simulator writes. It fails closed:
+anything else raises ``TraceFormatError`` naming the line.
+That covers a missing, repeated or misplaced tag, a record id not
 above the one before it, an unknown tag, kind, key, enum value or facet
 token, a wrong column, token or detail-field count, a key out of order, a
 blank line, a header line after the column row, a ``#`` line with a ``|``
@@ -56,23 +57,25 @@ header line, or the channel of an event line: ``msg_send:-:1111``,
 ``inject::1111``). Decisions are the model's shared ``DECISIONS`` objects,
 and facets its shared ``FACET_VALUES``.
 
-Most event lines repeat an earlier line but for the tick, and most header
-lines and event tails (the line after the tick) repeat a line of an earlier
-trace, so the line codecs are memoised for the whole process, each in a
+Event lines seldom repeat within a trace but mostly repeat a line of an
+earlier trace, and most event lines repeat an earlier line but for the
+tick, so the line codecs are memoised for the whole process, each in a
 dict of at most ``_MEMO_BOUND`` entries. Render keys its memo on an event's
 fields other than the tick (``SHAPE_FIELDS``; facets and decisions are the
 model's shared values) and stores the tail. Parse keys one memo on the
-exact header line and one on the exact tail, which stores the event's
-``SHAPE_FIELDS``, so a known tail has only its tick parsed and checked.
-Within a call, parse maps each exact event line to its event, so a repeat
-is one lookup and yields that event object again, and parses a tick column
-only when it differs from the last new line's, as render formats a tick
-only when it changes. A line new to the process goes through the strict
-codec (``event_to_line``, ``parse_event_line``, the ``HEADER`` patterns),
-and a line that raises is never memoised. A memo holds immutable values
-only. The header records are frozen (``Carrier``, ``AgentMeta``), so a
-header line's memo holds the record itself and every parse of that line
-returns it. Each ``Event`` is built fresh per call, since the simulator
+exact header line, one on the exact event line and one on the exact tail
+(the line after the tick), which stores the event's ``SHAPE_FIELDS``. An
+event line the process has parsed is one lookup and yields the same
+read-only ``FrozenEvent`` to every parse that meets it. A new event line
+with a known tail has only its tick parsed and checked, and its tick column
+is parsed only when it differs from the previous line's, as render formats
+a tick only when it changes; a memoised previous line's column is not read,
+so no tick can come from a line the parse did not read. A line new to the
+process goes through the strict codec (``event_to_line``,
+``parse_event_line``, the ``HEADER`` patterns), and a line that raises is
+never memoised, nor is a comment. A memo holds immutable values only: the
+header records are frozen (``Carrier``, ``AgentMeta``) and the parsed
+events read-only, while the simulator's own events stay mutable, since it
 sets ``event.decision``. The checks across lines (the tag order, the id
 order, the column row, comments, the tick order) run on every line. So a
 memo cannot change what is read or refused.
@@ -104,6 +107,7 @@ from .model import (
     EnforcementConfig,
     Event,
     EventKind,
+    FrozenEvent,
     GuardMode,
     InjectionPosition,
     PayloadFacets,
@@ -124,12 +128,13 @@ class TraceFormatError(ReentryGuardError):
 
 # The process-wide memos of the line codecs (see the module docstring). A
 # memo that holds _MEMO_BOUND entries is emptied before its next insert.
-_MEMO_BOUND = 4096
+_MEMO_BOUND = 16384
 # header line -> the frozen record it parses to, or its TraceMeta fields
 _HEADER_MEMO: dict[str, Any] = {}
 _PARSE_MEMO: dict[str, tuple[Any, ...]] = {}  # event line after the tick -> SHAPE_FIELDS values
 _RENDER_MEMO: dict[tuple[Any, ...], str] = {}  # SHAPE_FIELDS values -> line after the tick
-_MEMOS = (_HEADER_MEMO, _PARSE_MEMO, _RENDER_MEMO)
+_EVENT_MEMO: dict[str, FrozenEvent] = {}  # exact event line -> its event
+_MEMOS = (_HEADER_MEMO, _PARSE_MEMO, _RENDER_MEMO, _EVENT_MEMO)
 
 
 def _memoise(memo: dict[Any, Any], key: Any, value: Any) -> Any:
@@ -515,19 +520,18 @@ def parse_event_line(line: str, line_no: int = 0) -> Event:
 
 
 def parse_trace(text: str) -> tuple[TraceMeta, list[Event]]:
-    """The header and the events. A line that repeats an earlier one yields
-    the same event object, so a caller must not mutate them."""
+    """The header and the events. Each event is the read-only FrozenEvent
+    that every parse in the process yields for its exact line."""
     lines = text.split("\n")
     if lines[-1]:
         raise TraceFormatError(f"line {len(lines)}: the text does not end with a newline")
     meta, start = _parse_header(lines)
     events: list[Event] = []
-    seen: dict[str, Event] = {}  # exact event line -> its event
-    # the last new line's tick column, and the last line's tick; ticks never
-    # decrease, so a repeat that passes the order check has that tick too
+    # the previous line's tick column if that line was new to the process,
+    # else None, and the previous line's tick
     column, tick = None, 0
     for line_no, line in enumerate(islice(lines, start, len(lines) - 1), start=start + 1):
-        ev = seen.get(line)
+        ev = _EVENT_MEMO.get(line)
         if ev is None:
             if line[:1] == "#" and "|" not in line:
                 # a comment, unless it names a header tag; a # line with a |
@@ -549,7 +553,10 @@ def parse_trace(text: str) -> tuple[TraceMeta, list[Event]]:
                 except ValueError as exc:
                     raise TraceFormatError(f"line {line_no}: {exc} in {line!r}") from exc
             column = head
-            seen[line] = ev
+            ev.__class__ = FrozenEvent
+            _memoise(_EVENT_MEMO, line, ev)
+        else:
+            column = None  # a memoised line's tick column is never read
         if ev.tick < tick:
             raise TraceFormatError(f"line {line_no}: tick {ev.tick} after tick {tick} in {line!r}")
         tick = ev.tick

@@ -560,6 +560,13 @@ class TestScenarioIsAValue:
             scenario.agents[0].channels.append("ghost")
         assert scenario.heartbeat_logs == ("c0",)
 
+    @pytest.mark.parametrize("name", ["resets", "declassify"])
+    def test_a_step_pair_given_as_a_list_is_a_tuple(self, name):
+        base = load_bundled("fwA")
+        listed, paired = replace(base, **{name: [["a1", 2]]}), replace(base, **{name: (("a1", 2),)})
+        assert getattr(listed, name) == (("a1", 2),)
+        assert listed == paired
+
     def test_replace_and_the_loader_give_equal_scenarios(self):
         data = minimal() | {"transform_strength": {"c0": 4}, "task_leases": {"a1": [0, 3]}}
         data["agents"][0]["compliance"] = {"user_prompt": {"bernoulli": 0.5}}

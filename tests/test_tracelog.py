@@ -1,6 +1,8 @@
 """Trace serialization: stable line format, header metadata, round-trips."""
 
+import copy
 import operator
+import pickle
 import random
 from dataclasses import FrozenInstanceError, fields, replace
 from functools import cache
@@ -522,7 +524,7 @@ class TestProcessMemos:
     HEARTBEAT = "3|a1|heartbeat|-|-|-|-"
 
     def test_each_test_starts_with_empty_memos(self):
-        assert _memo_sizes() == [0, 0, 0]
+        assert _memo_sizes() == [0, 0, 0, 0]
 
     @staticmethod
     def _warm_parse_is_the_cold_parse(text: str, other: str, monkeypatch) -> None:
@@ -536,11 +538,11 @@ class TestProcessMemos:
         monkeypatch.setattr(tracelog, "parse_event_line", strict)
         meta, events = parse_trace(text)
         assert meta == cold_meta and events == cold_events
-        # the frozen header records are the earlier call's own objects, and
-        # every event is built fresh
+        # the frozen header records and the read-only events are the earlier
+        # call's own objects
         records = [*meta.agents, *meta.carriers]
         assert all(map(operator.is_, records, [*cold_meta.agents, *cold_meta.carriers]))
-        assert not {id(ev) for ev in cold_events} & {id(ev) for ev in events}
+        assert all(map(operator.is_, events, cold_events))
 
     @pytest.mark.parametrize("enforce", ["none", "all"])
     @pytest.mark.parametrize("name", bundled_names())
@@ -592,7 +594,8 @@ class TestProcessMemos:
     def test_mutating_a_parse_changes_no_later_parse(self, bundled):
         text = bundled("fwA").trace_text
         _, events = parse_trace(text)
-        events[-1].carrier_id = 99
+        with pytest.raises(FrozenInstanceError):
+            events[-1].carrier_id = 99
         assert parse_trace(text) == _cold_parse(text)
 
     def test_parsed_header_records_are_frozen(self, bundled):
@@ -658,6 +661,15 @@ class TestProcessMemos:
         with pytest.raises(TraceFormatError, match=match):
             parse_trace(toy_trace(*lines))
 
+    def test_memoised_line_does_not_lend_its_tick_column(self):
+        """A new line after a memoised one parses its own tick column, even
+        when it equals the column of the last new line before them."""
+        memoised = "4|a1|heartbeat|-|-|-|-"
+        parse_trace(toy_trace(memoised))
+        lines = ["2|a2|heartbeat|-|-|-|-", memoised, "2|a1|heartbeat|-|-|-|-"]
+        with pytest.raises(TraceFormatError, match=rf"^line {FIRST + 2}: tick 2 after tick 4 in "):
+            parse_trace(toy_trace(*lines))
+
     def test_memoised_tail_behind_a_hash_is_refused(self):
         """A # before a known tail makes a tick column that is no integer."""
         comment = "# x|a1|heartbeat|-|-|-|-"
@@ -666,6 +678,62 @@ class TestProcessMemos:
             parse_trace(toy_trace(comment))
         with pytest.raises(TraceFormatError, match=rf"^line {FIRST + 1}: .* in '# x\|"):
             parse_trace(toy_trace(self.HEARTBEAT, comment))
+
+
+class TestParsedEventsAreValues:
+    """parse_trace yields read-only events, one per distinct line for the
+    process, that equal the simulator's field for field."""
+
+    @pytest.fixture
+    def event(self, bundled):
+        _, events = parse_trace(bundled("fwA", "all").trace_text)
+        return next(ev for ev in events if ev.decision is Decision.allow() and ev.facets is not None)
+
+    def test_assignment_and_deletion_raise(self, event):
+        with pytest.raises(FrozenInstanceError):
+            event.decision = None
+        with pytest.raises(FrozenInstanceError):
+            del event.tick
+        with pytest.raises(FrozenInstanceError):
+            event.extra = 1
+
+    def test_copies_are_equal_events(self, event):
+        for copied in (copy.copy(event), copy.deepcopy(event), pickle.loads(pickle.dumps(event))):
+            assert copied == event and copied is not event
+            assert copied.decision is event.decision and copied.facets is event.facets
+            with pytest.raises(FrozenInstanceError):
+                copied.tick = 0
+        denied = Decision.deny(Reason.RTW_RE_ENTRY)
+        changed = replace(event, decision=denied)
+        assert changed.decision is denied and changed != event
+        assert replace(changed, decision=event.decision) == event
+
+    def test_events_are_unhashable(self, event):
+        with pytest.raises(TypeError):
+            hash(event)
+        with pytest.raises(TypeError):
+            hash(Event(0, "a1", EventKind.HEARTBEAT))
+
+    @pytest.mark.parametrize("enforce", ["none", "all"])
+    @pytest.mark.parametrize("name", bundled_names())
+    def test_parsed_and_simulated_events_are_equal_both_ways(self, name, enforce, bundled):
+        result = bundled(name, enforce)
+        _, events = parse_trace(result.trace_text)
+        assert events == result.trace and result.trace == events
+        assert all(type(ev) is Event for ev in result.trace)
+
+    def test_a_warm_parse_builds_no_event(self, monkeypatch):
+        texts = [_fuzz_text(seed) for seed in range(30)]
+        for text in texts:
+            parse_trace(text)
+        built = []
+        check = Event.__post_init__
+        monkeypatch.setattr(Event, "__post_init__", lambda ev: built.append(ev) or check(ev))
+        for text in texts:
+            parse_trace(text)
+        assert built == []
+        parse_trace(toy_trace("5|a9|heartbeat|-|-|-|-"))
+        assert len(built) == 1  # the counter sees a line new to the process
 
 
 @cache
