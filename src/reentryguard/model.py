@@ -10,9 +10,9 @@ Invariants that the rest of the package leans on:
 * Event ticks are non-decreasing within a trace. Verification depends on
   trace order: the simulator emits ticks in order, and parse_trace refuses
   a regression instead of sorting.
-* Decisions compare by identity. The 12 DECISIONS objects are the only
+* Decisions compare by identity. The 8 DECISIONS objects are the only
   decisions: constructing a Decision by any path (a call, allow/deny/guard,
-  dataclasses.replace, copy, pickle) returns one of them, and an inadmissible
+  dataclasses.replace, copy, pickle) returns one of them, and any other
   (verdict, reason) pair raises. So a decision takes effect exactly when it
   is a member of an EFFECTIVE set, however the event holding it was made.
 * Facets compare by identity too. The 16 FACET_VALUES objects are the only
@@ -23,9 +23,10 @@ Invariants that the rest of the package leans on:
   carrier, its label and content, is the simulator's own state, so the
   simulator, the header and the parser can share one record.
 * Parsed events are values too. The parser yields FrozenEvent, a read-only
-  Event, one object per distinct trace line for the whole process. An Event
-  equals any other Event, plain or frozen, with the same fields. The
-  simulator's own events stay mutable, since it sets their decision.
+  Event, one object per distinct trace line for the whole process while
+  its bounded memo has room. An Event equals any other Event, plain or
+  frozen, with the same fields. The simulator's own events stay mutable,
+  since it sets their decision.
 """
 
 from __future__ import annotations
@@ -287,7 +288,7 @@ class GuardMode(str, Enum):
 @dataclass(frozen=True, eq=False, init=False)
 class Decision:
     """A mediation outcome. Decisions compare and hash by identity, like
-    PayloadFacets: every construction returns one of the 12 DECISIONS
+    PayloadFacets: every construction returns one of the 8 DECISIONS
     objects below, so two equal outcomes are one object."""
 
     verdict: Verdict
@@ -302,12 +303,6 @@ class Decision:
 
     def __reduce__(self) -> tuple[type, tuple[Verdict, Reason]]:  # copy and pickle construct, so share too
         return Decision, (self.verdict, self.reason)
-
-    @staticmethod
-    def admits(verdict: Verdict, reason: Reason) -> bool:
-        """A decision is allow exactly when its reason belongs to no layer:
-        deny and guard must blame a layer, allow must not."""
-        return (verdict is Verdict.ALLOW) == (REASON_LAYER[reason] is Layer.NONE)
 
     @property
     def layer(self) -> Layer:
@@ -326,10 +321,15 @@ class Decision:
         return Decision(Verdict.GUARD, reason)
 
 
-# Every admitted (verdict, reason) pair, built once: the 12 decisions, the
-# only Decision objects there are.
+# The decisions the monitor makes, built once: allow for the reasons no
+# layer owns, deny for each layer's reason, and guard only with
+# attenuated-highrisk. The 8 decisions, the only Decision objects there are.
 DECISIONS: dict[tuple[Verdict, Reason], Decision] = {
-    (v, r): _interned(Decision, v, r) for v in Verdict for r in Reason if Decision.admits(v, r)
+    (v, r): _interned(Decision, v, r)
+    for v in Verdict
+    for r in Reason
+    if (v is Verdict.ALLOW) == (REASON_LAYER[r] is Layer.NONE)
+    and (v is not Verdict.GUARD or r is Reason.ATTENUATED_HIGHRISK)
 }
 
 

@@ -26,13 +26,14 @@ The event is the simulator's unit of cost, and a message storm emits tens
 of thousands of them, so each is built positionally from shared values:
 enum members bound at module level, the model's 16 FACET_VALUES (the only
 facets there are: transform_payload looks them up in a table, and a union
-is one of them too) and the 12 DECISIONS that mediate() returns. Whether a
+is one of them too) and the 8 DECISIONS that mediate() returns. Whether a
 decision takes effect is one lookup in the run's set of effective
 decisions, model.EFFECTIVE for its guard mode. Header records are values,
 so an agent's carriers, and a channel's feed and log, are built once per
 process and shared by every run whose agent (id, framework, first carrier
-id, seeded slots) or channel (name, first id, heartbeat log) is the same;
-a run fills in only its own labels, contents and agent plans.
+id, seeded slots) or channel (name, first id, heartbeat log) is the same,
+while the bounded memo has room; a run fills in only its own labels,
+contents and agent plans.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ from .taint import (
     mark_contamination,
     propagate_on_write,
 )
-from .tracelog import AgentMeta, TraceMeta, render_trace
+from .tracelog import AgentMeta, TraceMeta, _memoise, render_trace
 
 # the enum members events are built from, bound once: a module name costs a
 # tenth of a class attribute lookup
@@ -135,9 +136,8 @@ def transform_payload(facets: PayloadFacets, strength: int) -> PayloadFacets:
 # ---------------------------------------------------------------------------
 
 
-# The process-wide memo of carrier blocks (see the module docstring). A memo
-# that holds _MEMO_BOUND blocks is emptied before its next insert.
-_MEMO_BOUND = 4096
+# The process-wide memo of carrier blocks (see the module docstring), bounded
+# as the trace codecs' memos are: by tracelog._memoise.
 _BLOCKS: dict[tuple[Any, ...], Any] = {}  # (maker, its arguments) -> the block it made
 
 _NOTES = len(AGENT_CARRIERS) - 1  # the layout row repeated as notes0, notes1, ...
@@ -149,9 +149,7 @@ def _shared(make: Callable[..., Any], *key: Any) -> Any:
     """make(*key), from the memo when a run made it before."""
     block = _BLOCKS.get((make, key))
     if block is None:
-        if len(_BLOCKS) >= _MEMO_BOUND:
-            _BLOCKS.clear()
-        block = _BLOCKS[make, key] = make(*key)
+        block = _memoise(_BLOCKS, (make, key), make(*key))
     return block
 
 
@@ -401,23 +399,6 @@ class Ecosystem:
             return
         self._act_on_payload(tick, agent, was_clean, delivered, msg.label)
 
-    def _heartbeat_reads(self, tick: int, agent: str) -> list[tuple[Carrier, PayloadFacets, TaintLabel]]:
-        """The carriers the turn read with effect, each with the facets it
-        surfaced and the label its read carried."""
-        sources: list[tuple[Carrier, PayloadFacets, TaintLabel]] = []
-        cset = self.carrier_sets[agent]
-        for carrier in cset.heartbeat_reads:
-            facets = self.contents.get(carrier.id)
-            if facets is None:
-                # trusted memory renders only what a promotion put there
-                if carrier is cset.memory:
-                    continue
-                facets = NO_FACETS
-            label = self.labels[carrier.id]
-            if self._exposed_read(tick, agent, carrier, label):
-                sources.append((carrier, facets, label))
-        return sources
-
     def _heartbeat_turn(self, tick: int, agent: str) -> None:
         profile = self.agents[agent]
         cset = self.carrier_sets[agent]
@@ -427,26 +408,34 @@ class Ecosystem:
         # nothing enters the decision context
         self._mediated(Event(tick, agent, _OPAQUE_READ, cset.config.id, self.labels[cset.config.id]))
 
+        # the autoloaded reads: the facets of each effective read that
+        # surfaces any, under one compliance draw per injection position
         was_clean = not self.states[agent].contaminated
-        sources = self._heartbeat_reads(tick, agent)
+        facets = NO_FACETS
+        origin = _CLEAN
+        decided: dict[InjectionPosition, bool] = {}
+        for carrier in cset.heartbeat_reads:
+            read = self.contents.get(carrier.id)
+            if read is None:
+                # trusted memory renders only what a promotion put there
+                if carrier is cset.memory:
+                    continue
+                read = NO_FACETS
+            label = self.labels[carrier.id]
+            if not self._exposed_read(tick, agent, carrier, label) or not read.any:
+                continue
+            position = carrier.injection
+            if position not in decided:
+                decided[position] = profile.complies(position, self.rng)
+            if decided[position]:
+                facets = facets.union(read)
+                if origin is _CLEAN and label.untrusted:
+                    origin = label
 
         # routine task bookkeeping under lease; a compromised agent's turn is
         # payload-driven, so only clean agents keep their routine
         if cset.can_write and not self.states[agent].contaminated:
             self._write(tick, agent, cset.task, NO_FACETS, _CLEAN)
-
-        facets = NO_FACETS
-        origin = _CLEAN
-        decided: dict[InjectionPosition, bool] = {}
-        for carrier, read, label in sources:
-            if not read.any:
-                continue
-            if carrier.injection not in decided:
-                decided[carrier.injection] = profile.complies(carrier.injection, self.rng)
-            if decided[carrier.injection]:
-                facets = facets.union(read)
-                if origin is _CLEAN and label.untrusted:
-                    origin = label
         self._act_on_payload(tick, agent, was_clean, facets, origin)
 
     def _act_on_payload(

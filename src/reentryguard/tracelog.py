@@ -49,29 +49,33 @@ blank line, a header line after the column row, a ``#`` line with a ``|``
 return, a missing final newline, a negative tick, a ``# ticks`` or agent
 ``period=`` below 1, an integer not written as ``str(int)`` writes it
 (``+3``, `` 4``, ``03``, ``1_0``), a tick lower than the previous event
-line's, a sender without ``from=``, a decision/reason pair that ``Decision``
-does not admit (``allow|rtw-re-entry``, ``deny|ok``), a repeated channel of
-one agent line, a carrier that breaks a ``Carrier`` invariant, and a name
-that ``agent_id``, ``channel_name`` or ``scenario_name`` refuses (in a
-header line, or the channel of an event line: ``msg_send:-:1111``,
-``inject::1111``). Decisions are the model's shared ``DECISIONS`` objects,
-and facets its shared ``FACET_VALUES``.
+line's, a sender without ``from=``, a decision/reason pair that is none of
+the model's ``DECISIONS`` (``allow|rtw-re-entry``, ``deny|ok``,
+``guard|rtw-re-entry``), a repeated channel of one agent line, a carrier
+that breaks a ``Carrier`` invariant, and a name that ``agent_id``,
+``channel_name`` or ``scenario_name`` refuses (in a header line, or the
+channel of an event line: ``msg_send:-:1111``, ``inject::1111``).
+Decisions are the model's shared ``DECISIONS`` objects, and facets its
+shared ``FACET_VALUES``.
 
 Event lines seldom repeat within a trace but mostly repeat a line of an
 earlier trace, and most event lines repeat an earlier line but for the
 tick, so the line codecs are memoised for the whole process, each in a
-dict of at most ``_MEMO_BOUND`` entries. Render keys its memo on an event's
-fields other than the tick (``SHAPE_FIELDS``; facets and decisions are the
-model's shared values) and stores the tail. Parse keys one memo on the
-exact header line, one on the exact event line and one on the exact tail
-(the line after the tick), which stores the event's ``SHAPE_FIELDS``. An
-event line the process has parsed is one lookup and yields the same
-read-only ``FrozenEvent`` to every parse that meets it. A new event line
-with a known tail has only its tick parsed and checked, and its tick column
-is parsed only when it differs from the previous line's, as render formats
-a tick only when it changes; a memoised previous line's column is not read,
-so no tick can come from a line the parse did not read. A line new to the
-process goes through the strict codec (``event_to_line``,
+dict that keeps the first ``_MEMO_BOUND`` keys it meets: a full memo
+stores nothing more and is never emptied, so one trace with more distinct
+lines than the bound cannot evict the lines the other traces share, and a
+key past the bound is built again each time it is met. Render keys its
+memo on an event's fields other than the tick (``SHAPE_FIELDS``; facets
+and decisions are the model's shared values) and stores the tail. Parse
+keys one memo on the exact header line, one on the exact event line and
+one on the exact tail (the line after the tick), which stores the event's
+``SHAPE_FIELDS``. An event line the process has memoised is one lookup and
+yields the same read-only ``FrozenEvent`` to every parse that meets it. A
+new event line with a known tail has only its tick parsed and checked, and
+its tick column is parsed only when it differs from the previous line's, as
+render formats a tick only when it changes; a memoised previous line's
+column is not read, so no tick can come from a line the parse did not read.
+A line new to the process goes through the strict codec (``event_to_line``,
 ``parse_event_line``, the ``HEADER`` patterns), and a line that raises is
 never memoised, nor is a comment. A memo holds immutable values only: the
 header records are frozen (``Carrier``, ``AgentMeta``) and the parsed
@@ -126,8 +130,8 @@ class TraceFormatError(ReentryGuardError):
     """A serialized trace line or header could not be parsed."""
 
 
-# The process-wide memos of the line codecs (see the module docstring). A
-# memo that holds _MEMO_BOUND entries is emptied before its next insert.
+# The process-wide memos of the line codecs (see the module docstring): each
+# keeps its first _MEMO_BOUND keys, as the simulator's carrier blocks do.
 _MEMO_BOUND = 16384
 # header line -> the frozen record it parses to, or its TraceMeta fields
 _HEADER_MEMO: dict[str, Any] = {}
@@ -138,9 +142,8 @@ _MEMOS = (_HEADER_MEMO, _PARSE_MEMO, _RENDER_MEMO, _EVENT_MEMO)
 
 
 def _memoise(memo: dict[Any, Any], key: Any, value: Any) -> Any:
-    if len(memo) >= _MEMO_BOUND:
-        memo.clear()
-    memo[key] = value
+    if len(memo) < _MEMO_BOUND:
+        memo[key] = value
     return value
 
 
@@ -403,7 +406,7 @@ def _sender(token: str) -> str:
 # value tables, built once: token -> model value
 _KINDS = _by_value(EventKind)
 _LABELS = {MISSING: None, **_by_value(TaintLabel)}
-# (verdict, reason) columns -> the shared decision; only the pairs Decision admits
+# (verdict, reason) columns -> the shared decision; only the pairs in DECISIONS
 _DECISIONS = {(MISSING, MISSING): None} | {
     (v.value, r.value): decision for (v, r), decision in DECISIONS.items()
 }
@@ -520,8 +523,8 @@ def parse_event_line(line: str, line_no: int = 0) -> Event:
 
 
 def parse_trace(text: str) -> tuple[TraceMeta, list[Event]]:
-    """The header and the events. Each event is the read-only FrozenEvent
-    that every parse in the process yields for its exact line."""
+    """The header and the events: read-only FrozenEvents, each shared by
+    every parse in the process that meets its line while the memo has room."""
     lines = text.split("\n")
     if lines[-1]:
         raise TraceFormatError(f"line {len(lines)}: the text does not end with a newline")

@@ -184,7 +184,11 @@ class TestDecision:
         assert Decision.allow() is DECISIONS[Verdict.ALLOW, Reason.OK]
         assert Decision.deny(Reason.RTW_RE_ENTRY) is Decision.deny(Reason.RTW_RE_ENTRY)
         assert Decision.guard(Reason.ATTENUATED_HIGHRISK) is DECISIONS[Verdict.GUARD, Reason.ATTENUATED_HIGHRISK]
-        assert set(DECISIONS) == {(v, r) for v in Verdict for r in Reason if Decision.admits(v, r)}
+        assert {f"{v.value}|{r.value}" for v, r in DECISIONS} == {
+            "allow|ok", "allow|not-mediated-lowrisk", "deny|sealed-config", "deny|rtw-re-entry",
+            "deny|lease-expired", "deny|promotion-rejected", "deny|attenuated-highrisk",
+            "guard|attenuated-highrisk",
+        }
 
     @pytest.mark.parametrize(
         "make",
@@ -200,10 +204,10 @@ class TestDecision:
             make()
 
     def test_decisions_compare_by_identity(self):
-        """Decision has no value equality: the 12 shared objects are the
+        """Decision has no value equality: the 8 shared objects are the
         decisions, so constructing one returns the shared object."""
-        assert len(DECISIONS) == 12
-        assert len(set(DECISIONS.values())) == 12
+        assert len(DECISIONS) == 8
+        assert len(set(DECISIONS.values())) == 8
         assert Decision(Verdict.ALLOW, Reason.OK) is Decision.allow()
 
     def test_effective_under_guard_modes(self):
@@ -217,7 +221,7 @@ class TestDecision:
         assert guard in EFFECTIVE[GuardMode.APPROVE_ALL]
 
 
-_INADMISSIBLE = [(v, r) for v in Verdict for r in Reason if not Decision.admits(v, r)]
+_INADMISSIBLE = [(v, r) for v in Verdict for r in Reason if (v, r) not in DECISIONS]
 
 
 def _pair_id(pair: tuple[Verdict, Reason]) -> str:
@@ -225,7 +229,7 @@ def _pair_id(pair: tuple[Verdict, Reason]) -> str:
 
 
 class TestDecisionsAreShared:
-    """Every construction path returns one of the 12 DECISIONS, so whether
+    """Every construction path returns one of the 8 DECISIONS, so whether
     a decision takes effect (membership in an EFFECTIVE set) does not depend
     on how the event holding it was made or copied."""
 

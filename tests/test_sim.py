@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from reentryguard import cli, sim
+from reentryguard import cli, sim, tracelog
 from reentryguard.model import (
     DECISIONS,
     Carrier,
+    Decision,
     FACET_VALUES,
     EventKind,
     GuardMode,
@@ -287,6 +288,29 @@ class TestCompliance:
         texts = {run(s) for s in range(8)}
         assert len(texts) > 1, "p=0.5 must land on both sides across seeds"
 
+    @pytest.mark.parametrize("token, draws", [("0000", False), ("1000", True)])
+    def test_a_read_that_surfaces_no_facets_draws_nothing(self, token, draws, monkeypatch):
+        """A heartbeat draws compliance only for an effective read that
+        surfaces facets: the seeded task file read at each turn draws
+        nothing when it holds 0000, and the counter sees the draws of 1000."""
+        calls = []
+        complies = AgentProfile.complies
+
+        def counted(profile, position, rng):
+            calls.append(position)
+            return complies(profile, position, rng)
+
+        monkeypatch.setattr(AgentProfile, "complies", counted)
+        agent = replace(tiny_scenario().agents[0], period=1, compliance={InjectionPosition.USER_PROMPT: bernoulli(0.5)})
+        scenario = tiny_scenario(
+            agents=(agent,), injection=None, seeded=(SeededCarrier("a1", "heartbeat", PayloadFacets.from_token(token)),)
+        )
+        result = run_scenario(scenario)
+        taskfile = next(c.id for c in Ecosystem(scenario).carriers.values() if c.name == "a1.taskfile")
+        reads = [ev for ev in result.trace if ev.kind is EventKind.EXPOSED_READ and ev.carrier_id == taskfile]
+        assert len(reads) == scenario.max_ticks and all(ev.decision is Decision.allow() for ev in reads)
+        assert bool(calls) is draws
+
 
 class TestDeterminism:
     def test_identical_runs_byte_identical(self):
@@ -358,7 +382,7 @@ class TestAgentPlans:
         corpus = _plan_corpus()
         sim._BLOCKS.clear()
         expected = _outputs(corpus)
-        monkeypatch.setattr(sim, "_MEMO_BOUND", 2)
+        monkeypatch.setattr(tracelog, "_MEMO_BOUND", 2)
         sim._BLOCKS.clear()
         for _ in range(2):
             for scenario, output in zip(corpus, expected):

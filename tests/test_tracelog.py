@@ -285,6 +285,19 @@ def _refused(text: str, tmp_path, match: str) -> None:
     assert main(["--verify-trace", str(path)]) == 2
 
 
+@pytest.mark.parametrize("name", ["fwA", "fwB", "fwC", "cross_framework", "privilege_escalation"])
+def test_guard_on_a_re_entry_is_refused(name, bundled, tmp_path):
+    """Only attenuation guards, so guard|rtw-re-entry is no decision. Read
+    as one, it would take effect under approve-mode guards and turn the
+    run's denied re-entries into chains of a run that was safe."""
+    result = bundled(name, "all", GuardMode.APPROVE_ALL)
+    assert result.report.safe and not result.report.chains
+    forged = result.trace_text.replace("|deny|rtw-re-entry\n", "|guard|rtw-re-entry\n")
+    lines = forged.split("\n")
+    at = next(i for i, line in enumerate(lines, 1) if line.endswith("|guard|rtw-re-entry"))
+    _refused(forged, tmp_path, rf"^line {at}: unknown value \('guard', 'rtw-re-entry'\) in ")
+
+
 class TestHeaderRefusals:
     """Header edits that would change what the audit judges by: each is
     refused, never read with a value filled in or replaced."""
@@ -616,6 +629,24 @@ class TestProcessMemos:
                 assert parse_trace(text) == (meta, events)
                 assert render_trace(events, meta) == text
                 assert 0 < max(_memo_sizes()) <= 8
+
+    def test_a_full_memo_keeps_what_it_holds(self, bundled, monkeypatch):
+        """A trace with more new lines than a memo has room for evicts no
+        line of an earlier trace: fwA parsed again after it builds no event
+        and yields the first parse's own objects."""
+        text = bundled("fwA").trace_text
+        first = parse_trace(text)
+        monkeypatch.setattr(tracelog, "_MEMO_BOUND", max(_memo_sizes()) + 1)
+        larger = run_scenario(random_scenario(1, EnforcementConfig.none())).trace_text
+        assert len(set(larger.split("\n")) - set(text.split("\n"))) > tracelog._MEMO_BOUND
+        parse_trace(larger)
+        built = []
+        check = Event.__post_init__
+        monkeypatch.setattr(Event, "__post_init__", lambda ev: built.append(ev) or check(ev))
+        meta, events = parse_trace(text)
+        assert built == []
+        assert all(map(operator.is_, events, first[1]))
+        assert all(map(operator.is_, meta.carriers, first[0].carriers))
 
     # The checks that depend on the rest of the trace, on memoised lines
 
