@@ -15,9 +15,12 @@ checks that Scenario.validate() runs (a name must read back from the trace
 as itself). A Scenario is a frozen value that runs validate() when it is
 constructed, including by dataclasses.replace, and keeps read-only copies of
 the mappings it is given; the loader checks shapes and types only, so a
-scenario built in code or by replace meets the rules a file does. Every
-failure is a ScenarioError naming its key. README.md shows every key with an
-example value.
+scenario built in code or by replace meets the rules a file does. So does
+an agent's compliance: a CompliancePolicy refuses a bad kind or p when it is
+made, and a position the mapping leaves out keeps its default (user_prompt
+always, system_prompt never), in YAML and in code alike. Every failure is a
+ScenarioError naming its key. README.md shows every key with an example
+value.
 """
 
 from __future__ import annotations
@@ -61,6 +64,10 @@ class CompliancePolicy:
     kind: str  # always | never | bernoulli
     p: float = 0.0
 
+    def __post_init__(self) -> None:
+        if not (self.kind in ("always", "never") or (self.kind == "bernoulli" and 0.0 <= self.p <= 1.0)):
+            raise ValueError(f"{self.kind} p={self.p} is not always, never or bernoulli with 0 <= p <= 1")
+
     def decide(self, rng: random.Random) -> bool:
         if self.kind == "bernoulli":
             return rng.random() < self.p
@@ -75,7 +82,7 @@ def bernoulli(p: float) -> CompliancePolicy:
     return CompliancePolicy("bernoulli", p)
 
 
-# what an agent complies with where its scenario says nothing
+# what an agent complies with at a position its compliance mapping leaves out
 DEFAULT_COMPLIANCE = {InjectionPosition.USER_PROMPT: ALWAYS, InjectionPosition.SYSTEM_PROMPT: NEVER}
 
 
@@ -147,15 +154,16 @@ class AgentProfile:
     privilege: Privilege
     period: int  # heartbeat period in ticks
     channels: tuple[str, ...]
-    compliance: Mapping[InjectionPosition, CompliancePolicy] = field(default_factory=lambda: DEFAULT_COMPLIANCE)
+    compliance: Mapping[InjectionPosition, CompliancePolicy] = field(default_factory=dict)
     capabilities: frozenset[str] = Capability.ALL
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "channels", tuple(self.channels))
-        object.__setattr__(self, "compliance", MappingProxyType(dict(self.compliance)))
+        # a position left out keeps its default, however the profile is made
+        object.__setattr__(self, "compliance", MappingProxyType(DEFAULT_COMPLIANCE | dict(self.compliance)))
 
     def complies(self, position: InjectionPosition, rng: random.Random) -> bool:
-        return self.compliance.get(position, NEVER).decide(rng)
+        return self.compliance[position].decide(rng)
 
 
 @dataclass(frozen=True)
@@ -359,10 +367,6 @@ def _policy(value: Any) -> CompliancePolicy:
     raise ValueError(f"expected always, never or {{bernoulli: p}}, got {value!r}")
 
 
-def _compliance(value: Any) -> dict[InjectionPosition, CompliancePolicy]:
-    return DEFAULT_COMPLIANCE | _mapping(_enum(InjectionPosition), _policy)(value)
-
-
 def _parse_capabilities(value: Any) -> frozenset[str]:
     return capability_preset(value) if isinstance(value, str) else _seq(_str, frozenset)(value)
 
@@ -389,10 +393,6 @@ _slot = _rule(lambda slot, refs: slot in SEEDED_SLOTS, f"{{0!r}} is not one of {
 _at_least_one = _rule(lambda n, refs: n >= 1, "must be at least 1, got {0}")
 _strength = _rule(lambda k, refs: 0 <= k <= PERSIST_DROP_STRENGTH, f"strength {{0}} is outside 0..{PERSIST_DROP_STRENGTH}")
 _distinct = _rule(lambda items, refs: len(set(items)) == len(items), "repeated items in {0}")
-_policy_ok = _rule(
-    lambda policy, refs: policy.kind in ("always", "never") or (policy.kind == "bernoulli" and 0.0 <= policy.p <= 1.0),
-    "{0.kind} p={0.p} is not always, never or bernoulli with 0 <= p <= 1",
-)
 _injection_tick = _rule(lambda t, refs: 0 <= t <= refs.max_ticks, "tick {0} is outside the run, 0..{1.max_ticks}")
 _lease = _rule(lambda window, refs: 0 <= window[0] <= window[1], "window {0} needs 0 <= t0 <= t1")
 # ticks above max_ticks are allowed: shortening a run must keep it valid
@@ -471,7 +471,7 @@ AGENT_KEYS = (
     Key("privilege", _enum(Privilege), "low"),
     Key("period", _int, 1, _at_least_one),
     Key("channels", _seq(_str), [], _all(_distinct, _channels)),
-    Key("compliance", _compliance, {}, _keyed(_policy_ok)),
+    Key("compliance", _mapping(_enum(InjectionPosition), _policy), {}),
     Key("capabilities", _parse_capabilities, "full", _capabilities),
 )
 
@@ -661,7 +661,7 @@ def random_scenario(seed: int, enforcement: EnforcementConfig | None = None) -> 
                 privilege=privileges[i],
                 period=rng.randint(1, 3),
                 channels=tuple(membership[f"n{i}"]),
-                compliance=DEFAULT_COMPLIANCE | lossy,
+                compliance=lossy,
             )
         )
 

@@ -12,9 +12,11 @@ randomness is the seeded draw behind Bernoulli compliance policies.
 Agent behavior is a fixed policy, not a model call. On facet-bearing content
 the agent complies with (per the injection position of where the content
 arrived), it proposes: a write of the facets into its heartbeat carrier while
-still fresh from clean state, and once contaminated, a config overwrite, a
-one-time free-form memory promotion, message sends on its channels, and a
-shell invocation when it holds high privilege. Every proposal goes through
+still fresh from clean state, a config overwrite, a one-time free-form memory
+promotion, message sends on its channels, and a shell invocation when it
+holds high privilege. Facets only ever arrive from an untrusted carrier or
+message, so an agent acts on a payload only once it is contaminated, and
+every proposal it makes is tainted_derived. Every proposal goes through
 _propose(), which labels it by the writer rule and passes it to mediate(); it
 takes effect only when the decision says so.
 
@@ -217,9 +219,8 @@ class AgentCarrierSet:
     channels: tuple[str, ...]  # sorted
     can_write: bool
     can_send: bool
-    high: bool  # high privilege
     shell: bool  # shell at high privilege
-    exfil: str | None  # the exfiltration channel, when the agent is on it and can send
+    exfil: str | None  # the exfiltration channel, when the agent holds high privilege, is on it and can send
 
 
 class Ecosystem:
@@ -315,9 +316,8 @@ class Ecosystem:
                 channels=tuple(sorted(profile.channels)),
                 can_write=Capability.FILE_WRITE in caps,
                 can_send=can_send,
-                high=high,
                 shell=high and Capability.SHELL in caps,
-                exfil=exfil if can_send and exfil in profile.channels else None,
+                exfil=exfil if high and can_send and exfil in profile.channels else None,
             )
             for ch in profile.channels:
                 self.members[ch].append(agent_id)
@@ -397,7 +397,7 @@ class Ecosystem:
             return
         if not self.agents[agent].complies(_USER_PROMPT, self.rng):
             return
-        self._act_on_payload(tick, agent, was_clean, delivered, msg.label)
+        self._act_on_payload(tick, agent, was_clean, delivered)
 
     def _heartbeat_turn(self, tick: int, agent: str) -> None:
         profile = self.agents[agent]
@@ -412,7 +412,6 @@ class Ecosystem:
         # surfaces any, under one compliance draw per injection position
         was_clean = not self.states[agent].contaminated
         facets = NO_FACETS
-        origin = _CLEAN
         decided: dict[InjectionPosition, bool] = {}
         for carrier in cset.heartbeat_reads:
             read = self.contents.get(carrier.id)
@@ -429,58 +428,46 @@ class Ecosystem:
                 decided[position] = profile.complies(position, self.rng)
             if decided[position]:
                 facets = facets.union(read)
-                if origin is _CLEAN and label.untrusted:
-                    origin = label
 
         # routine task bookkeeping under lease; a compromised agent's turn is
         # payload-driven, so only clean agents keep their routine
         if cset.can_write and not self.states[agent].contaminated:
             self._write(tick, agent, cset.task, NO_FACETS, _CLEAN)
-        self._act_on_payload(tick, agent, was_clean, facets, origin)
+        self._act_on_payload(tick, agent, was_clean, facets)
 
-    def _act_on_payload(
-        self,
-        tick: int,
-        agent: str,
-        was_clean: bool,
-        facets: PayloadFacets,
-        origin: TaintLabel,
-    ) -> None:
+    def _act_on_payload(self, tick: int, agent: str, was_clean: bool, facets: PayloadFacets) -> None:
+        """Propose what a payload drives. The agent is contaminated by the
+        read that surfaced the facets, so its payload is tainted content and
+        every label it writes is tainted_derived."""
         if not facets.any:
             return
         cset = self.carrier_sets[agent]
-        can_write = cset.can_write
 
-        if facets.persist and was_clean and can_write:
-            self._write(tick, agent, cset.heartbeat, facets, origin)
-
-        if not self.states[agent].contaminated:
-            return
-
-        if facets.persist and can_write:
-            self._write(tick, agent, cset.config, facets, origin)
-
-        # persistent memory lives in storage too: without the file-write
-        # permission there is nothing to admit into
-        if facets.persist and can_write and agent not in self.candidates:
-            self.candidates[agent] = {_CANDIDATE.id: _CANDIDATE}
-            ev = self._propose(tick, agent, _PROMOTE, origin, _CANDIDATE.id, facets, schema=_CANDIDATE.schema)
-            if ev is not None:
-                self.contents[cset.memory.id] = facets
-                self.labels[cset.memory.id] = ev.label
+        if facets.persist and cset.can_write:
+            if was_clean:
+                self._write(tick, agent, cset.heartbeat, facets, _TAINTED)
+            self._write(tick, agent, cset.config, facets, _TAINTED)
+            # persistent memory lives in storage too: without the file-write
+            # permission there is nothing to admit into
+            if agent not in self.candidates:
+                self.candidates[agent] = {_CANDIDATE.id: _CANDIDATE}
+                ev = self._propose(tick, agent, _PROMOTE, _TAINTED, _CANDIDATE.id, facets, schema=_CANDIDATE.schema)
+                if ev is not None:
+                    self.contents[cset.memory.id] = facets
+                    self.labels[cset.memory.id] = ev.label
 
         if facets.propagate and cset.can_send:
             for ch in cset.channels:
-                msg = self._propose(tick, agent, _MSG_SEND, origin, facets=facets, channel=ch)
+                msg = self._propose(tick, agent, _MSG_SEND, _TAINTED, facets=facets, channel=ch)
                 if msg is not None:
                     self._queue_message(msg)
 
-        if facets.harm and cset.high:
+        if facets.harm:
             if cset.shell:
-                self._propose(tick, agent, _HIGH_RISK, origin, action=ActionKind.INVOKE_SHELL)
+                self._propose(tick, agent, _HIGH_RISK, _TAINTED, action=ActionKind.INVOKE_SHELL)
             if cset.exfil is not None:
                 self._exposed_read(tick, agent, cset.config, self.labels[cset.config.id])
-                msg = self._propose(tick, agent, _MSG_SEND, origin, facets=facets, channel=cset.exfil, exfil=True)
+                msg = self._propose(tick, agent, _MSG_SEND, _TAINTED, facets=facets, channel=cset.exfil, exfil=True)
                 if msg is not None:
                     self._queue_message(msg)
 

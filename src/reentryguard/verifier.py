@@ -123,6 +123,8 @@ def is_effective(ev: Event, meta: TraceMeta) -> bool:
 _CARRIER_KINDS = frozenset(
     {EventKind.WRITE, EventKind.EXPOSED_READ, EventKind.OPAQUE_READ, EventKind.DECLASSIFY}
 )
+# kinds the passes judge by their label
+_LABELLED = frozenset({EventKind.WRITE, EventKind.EXPOSED_READ, EventKind.PROMOTE})
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +229,9 @@ def audit(meta: TraceMeta, events: Iterable[Event]) -> Report:
             raise VerificationError(
                 f"event {i}: {kind.value} by {agent} on {ev.channel}, which its # agent line does not list"
             )
+        if ev.label is None and kind in _LABELLED:
+            raise VerificationError(f"event {i}: {kind.value} carries no label")
         if kind is write:
-            if ev.label is None:
-                raise VerificationError(f"event {i}: write carries no label")
             if not live:
                 continue
             if ev.label is not clean:
@@ -243,8 +245,6 @@ def audit(meta: TraceMeta, events: Iterable[Event]) -> Report:
                 for read in opened.pop(agent):
                     read[2] = (i, ev)
         elif kind is exposed_read:
-            if ev.label is None:
-                raise VerificationError(f"event {i}: exposed_read carries no label")
             if not live or ev.label is clean:
                 continue
             re_entry = re_entry or cid in writes
@@ -274,8 +274,6 @@ def audit(meta: TraceMeta, events: Iterable[Event]) -> Report:
             elif not propagation and ev.facets.any:
                 propagation = True
         elif kind is promote:
-            if ev.label is None:
-                raise VerificationError(f"event {i}: promote carries no label")
             if live and ev.label is not clean and ev.facets.persist:
                 persistence = True
         elif kind is declassify:

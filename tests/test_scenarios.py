@@ -1,6 +1,7 @@
 """Scenario loading, bundled ecosystems, suites, and the fuzz sampler."""
 
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -22,10 +23,13 @@ from reentryguard.scenarios import (
     SEEDED_KEYS,
     SUITE_ENTRY_KEYS,
     SUITE_KEYS,
+    AgentProfile,
     Capability,
+    CompliancePolicy,
     Scenario,
     ScenarioError,
     SeededCarrier,
+    bernoulli,
     bundled_names,
     load_bundled,
     load_scenario,
@@ -124,6 +128,27 @@ class TestDictParsing:
         comp = sc.agents[0].compliance
         assert comp[InjectionPosition.USER_PROMPT].kind == "always"
         assert comp[InjectionPosition.SYSTEM_PROMPT].kind == "never"
+
+    def test_a_position_left_out_keeps_its_default_in_code_too(self):
+        """A profile built in code that names only the system prompt equals
+        its YAML twin, and both keep the user prompt's default: they comply
+        with a user-prompt payload."""
+        data = minimal()
+        data["agents"][0]["compliance"] = {"system_prompt": "always"}
+        loaded = scenario_from_dict(data).agents[0]
+        built = AgentProfile(
+            id="a1", framework="A", privilege=Privilege.LOW, period=1, channels=("c0",),
+            compliance={InjectionPosition.SYSTEM_PROMPT: ALWAYS},
+        )
+        assert built == loaded
+        assert built.complies(InjectionPosition.USER_PROMPT, random.Random(0))
+        assert built.complies(InjectionPosition.SYSTEM_PROMPT, random.Random(0))
+
+    def test_bad_policy_refused_when_made(self):
+        with pytest.raises(ValueError, match=r"^bernoulli p=1\.5 is not always, never or bernoulli"):
+            bernoulli(1.5)
+        with pytest.raises(ValueError, match="^sometimes p=0.0 is not"):
+            CompliancePolicy("sometimes")
 
     def test_bad_compliance_rejected(self):
         for bad in ({"user_prompt": "sometimes"}, {"stdin": "always"}, "always"):
@@ -248,6 +273,7 @@ MALFORMED = {
     "channels-as-a-string": ("channels", {"channels": "ab"}, {"channels": ["a"]}),
     "bernoulli-above-one": ("compliance", {}, {"compliance": {"user_prompt": {"bernoulli": 2.0}}}),
     "bernoulli-below-zero": ("compliance", {}, {"compliance": {"user_prompt": {"bernoulli": -1}}}),
+    "bernoulli-nan": ("compliance", {}, {"compliance": {"user_prompt": {"bernoulli": float("nan")}}}),
     "fractional-period": ("period", {}, {"period": 1.7}),
     "boolean-max-ticks": ("max_ticks", {"max_ticks": True}, {}),
     "slot-seeded-twice": (

@@ -22,6 +22,7 @@ from reentryguard.model import (
 )
 from reentryguard.policy import EnforcementConfig
 from reentryguard.scenarios import (
+    CAPABILITY_PRESETS,
     FRAMEWORKS,
     NEVER,
     SEEDED_SLOTS,
@@ -32,7 +33,9 @@ from reentryguard.scenarios import (
     SeededCarrier,
     bernoulli,
     bundled_names,
+    load_bundled,
     random_scenario,
+    with_capabilities,
 )
 from reentryguard.sim import (
     FACET_DROP_ORDER,
@@ -310,6 +313,44 @@ class TestCompliance:
         reads = [ev for ev in result.trace if ev.kind is EventKind.EXPOSED_READ and ev.carrier_id == taskfile]
         assert len(reads) == scenario.max_ticks and all(ev.decision is Decision.allow() for ev in reads)
         assert bool(calls) is draws
+
+
+class TestPayloadTurn:
+    def test_only_a_contaminated_agent_acts_on_a_payload(self, monkeypatch):
+        """The payload turn proposes everything as tainted content and checks
+        no contamination, because facets only ever arrive from an untrusted
+        carrier or message: the read that surfaced them contaminated the
+        agent. Every call that carries facets comes from a contaminated
+        agent, over the bundled scenarios under each capability preset and
+        fuzz seeds 0-99 capped at 6 ticks, in both guard modes. A clean agent
+        holding facet-bearing content would break this, and with it every
+        label the turn writes: a seeded carrier labelled clean, say, or a
+        typed promotion that admits facets into trusted memory."""
+        calls, clean = 0, []
+        act = Ecosystem._act_on_payload
+
+        def checked(eco, tick, agent, was_clean, facets, *rest):
+            nonlocal calls
+            if facets.any:
+                calls += 1
+                if not eco.states[agent].contaminated:
+                    clean.append((eco.scenario.name, eco.config.names(), tick, agent))
+            return act(eco, tick, agent, was_clean, facets, *rest)
+
+        monkeypatch.setattr(Ecosystem, "_act_on_payload", checked)
+        runs = [
+            (with_capabilities(load_bundled(name), preset), enforce)
+            for name in bundled_names()
+            for preset in CAPABILITY_PRESETS
+            for enforce in ("none", "all")
+        ]
+        fuzz = [replace(s, max_ticks=min(s.max_ticks, 6)) for s in map(random_scenario, range(100))]
+        runs += [(s, enforce) for s in fuzz for enforce in ("none", "all", "rtw,seal")]
+        for scenario, enforce in runs:
+            for guard in GuardMode:
+                Ecosystem(replace(scenario, enforcement=EnforcementConfig.from_names(enforce, guard))).run()
+        assert calls > len(runs)
+        assert not clean, f"{len(clean)} calls from a clean agent, first {clean[:3]}"
 
 
 class TestDeterminism:
