@@ -10,11 +10,11 @@ Invariants that the rest of the package leans on:
 * Event ticks are non-decreasing within a trace. Verification depends on
   trace order: the simulator emits ticks in order, and parse_trace refuses
   a regression instead of sorting.
-* Decisions compare by identity. The 8 DECISIONS objects are the only
-  decisions: constructing a Decision by any path (a call, allow/deny/guard,
-  dataclasses.replace, copy, pickle) returns one of them, and any other
-  (verdict, reason) pair raises. So a decision takes effect exactly when it
-  is a member of an EFFECTIVE set, however the event holding it was made.
+* Decision is an Enum of the monitor's 8 outcomes. Lookup by value
+  (Decision((verdict, reason))), copy and pickle return the member, and any
+  other (verdict, reason) pair raises. So a decision takes effect exactly
+  when it is a member of an EFFECTIVE set, however the event holding it
+  was made.
 * Facets compare by identity too. The 16 FACET_VALUES objects are the only
   facets: constructing a PayloadFacets by any path returns one of them.
 * Header records are values. A Carrier holds what the trace header declares
@@ -285,60 +285,36 @@ class GuardMode(str, Enum):
     APPROVE_ALL = "approve"
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class Decision:
-    """A mediation outcome. Decisions compare and hash by identity, like
-    PayloadFacets: every construction returns one of the 8 DECISIONS
-    objects below, so two equal outcomes are one object."""
+class Decision(Enum):
+    """A mediation outcome: one of the 8 the monitor makes, each valued
+    (verdict, reason). Allow goes with the reasons no layer owns, deny with
+    each layer's reason, and guard only with attenuated-highrisk."""
 
-    verdict: Verdict
-    reason: Reason
+    ALLOW = (Verdict.ALLOW, Reason.OK)
+    NOT_MEDIATED = (Verdict.ALLOW, Reason.NOT_MEDIATED_LOWRISK)
+    DENY_SEALED = (Verdict.DENY, Reason.SEALED_CONFIG)
+    DENY_RE_ENTRY = (Verdict.DENY, Reason.RTW_RE_ENTRY)
+    DENY_LEASE = (Verdict.DENY, Reason.LEASE_EXPIRED)
+    DENY_PROMOTION = (Verdict.DENY, Reason.PROMOTION_REJECTED)
+    DENY_ATTENUATED = (Verdict.DENY, Reason.ATTENUATED_HIGHRISK)
+    GUARD_ATTENUATED = (Verdict.GUARD, Reason.ATTENUATED_HIGHRISK)
 
-    def __new__(cls, verdict: Verdict, reason: Reason) -> "Decision":
-        # no __init__: a shared value's fields are never written again
-        decision = DECISIONS.get((verdict, reason))
-        if decision is None:
-            raise ValueError(f"a {verdict.value} decision cannot give reason {reason.value}")
-        return decision
+    # every mediated event hashes its decision (the effective-set test, the
+    # audit, the render memo key), and Enum's own hash is a Python call
+    __hash__ = object.__hash__
 
-    def __reduce__(self) -> tuple[type, tuple[Verdict, Reason]]:  # copy and pickle construct, so share too
-        return Decision, (self.verdict, self.reason)
-
-    @property
-    def layer(self) -> Layer:
-        return REASON_LAYER[self.reason]
-
-    @staticmethod
-    def allow(reason: Reason = Reason.OK) -> "Decision":
-        return Decision(Verdict.ALLOW, reason)
-
-    @staticmethod
-    def deny(reason: Reason) -> "Decision":
-        return Decision(Verdict.DENY, reason)
-
-    @staticmethod
-    def guard(reason: Reason) -> "Decision":
-        return Decision(Verdict.GUARD, reason)
-
-
-# The decisions the monitor makes, built once: allow for the reasons no
-# layer owns, deny for each layer's reason, and guard only with
-# attenuated-highrisk. The 8 decisions, the only Decision objects there are.
-DECISIONS: dict[tuple[Verdict, Reason], Decision] = {
-    (v, r): _interned(Decision, v, r)
-    for v in Verdict
-    for r in Reason
-    if (v is Verdict.ALLOW) == (REASON_LAYER[r] is Layer.NONE)
-    and (v is not Verdict.GUARD or r is Reason.ATTENUATED_HIGHRISK)
-}
+    def __init__(self, verdict: Verdict, reason: Reason) -> None:
+        self.verdict = verdict
+        self.reason = reason
+        self.layer = REASON_LAYER[reason]
 
 
 # guard mode -> the decisions under which a mediated event takes effect: an
 # allow always, a guard only under approve-mode guards, which give the
 # approval it asks for. The simulator and the auditor both test membership.
 EFFECTIVE: dict[GuardMode, frozenset[Decision]] = {
-    GuardMode.DENY_ALL: frozenset(d for d in DECISIONS.values() if d.verdict is Verdict.ALLOW),
-    GuardMode.APPROVE_ALL: frozenset(d for d in DECISIONS.values() if d.verdict is not Verdict.DENY),
+    GuardMode.DENY_ALL: frozenset(d for d in Decision if d.verdict is Verdict.ALLOW),
+    GuardMode.APPROVE_ALL: frozenset(d for d in Decision if d.verdict is not Verdict.DENY),
 }
 
 

@@ -37,7 +37,6 @@ from .model import (
     Event,
     EventKind,
     GuardMode,
-    Reason,
     ReentryGuardError,
 )
 from .rtw import enforce_exposed_read
@@ -54,13 +53,13 @@ class MediationError(ReentryGuardError):
 
 # the shared decisions the rules return, and the enum members they test,
 # bound once
-_ALLOW = Decision.allow()
-_DENY_SEALED = Decision.deny(Reason.SEALED_CONFIG)
-_DENY_LEASE = Decision.deny(Reason.LEASE_EXPIRED)
-_DENY_PROMOTION = Decision.deny(Reason.PROMOTION_REJECTED)
-_DENY_ATTENUATED = Decision.deny(Reason.ATTENUATED_HIGHRISK)
-_GUARD_ATTENUATED = Decision.guard(Reason.ATTENUATED_HIGHRISK)
-_NOT_MEDIATED = Decision.allow(Reason.NOT_MEDIATED_LOWRISK)
+_ALLOW = Decision.ALLOW
+_DENY_SEALED = Decision.DENY_SEALED
+_DENY_LEASE = Decision.DENY_LEASE
+_DENY_PROMOTION = Decision.DENY_PROMOTION
+_DENY_ATTENUATED = Decision.DENY_ATTENUATED
+_GUARD_ATTENUATED = Decision.GUARD_ATTENUATED
+_NOT_MEDIATED = Decision.NOT_MEDIATED
 _APPROVE_ALL = GuardMode.APPROVE_ALL
 _STATIC_CONFIG = CarrierClass.STATIC_CONFIG
 _TASK_LOCAL_STATE = CarrierClass.TASK_LOCAL_STATE

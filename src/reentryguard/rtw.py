@@ -17,14 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .model import Decision, Reason, TaintLabel
+from .model import Decision, TaintLabel
 
 WRITE_SYM = "W"
 READ_SYM = "R"
 
 # the shared decisions the read rule returns
-_ALLOW = Decision.allow()
-_DENY_RE_ENTRY = Decision.deny(Reason.RTW_RE_ENTRY)
+_ALLOW = Decision.ALLOW
+_DENY_RE_ENTRY = Decision.DENY_RE_ENTRY
 
 
 @dataclass(frozen=True)

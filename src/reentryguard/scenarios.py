@@ -17,10 +17,11 @@ constructed, including by dataclasses.replace, and keeps read-only copies of
 the mappings it is given; the loader checks shapes and types only, so a
 scenario built in code or by replace meets the rules a file does. So does
 an agent's compliance: a CompliancePolicy refuses a bad kind or p when it is
-made, and a position the mapping leaves out keeps its default (user_prompt
-always, system_prompt never), in YAML and in code alike. Every failure is a
-ScenarioError naming its key. README.md shows every key with an example
-value.
+made, validate() refuses a key that is no InjectionPosition and a value that
+is no CompliancePolicy, and a position the mapping leaves out keeps its
+default (user_prompt always, system_prompt never), in YAML and in code
+alike. Every failure is a ScenarioError naming its key. README.md shows
+every key with an example value.
 """
 
 from __future__ import annotations
@@ -397,6 +398,9 @@ _injection_tick = _rule(lambda t, refs: 0 <= t <= refs.max_ticks, "tick {0} is o
 _lease = _rule(lambda window, refs: 0 <= window[0] <= window[1], "window {0} needs 0 <= t0 <= t1")
 # ticks above max_ticks are allowed: shortening a run must keep it valid
 _step_tick = _rule(lambda tick, refs: tick >= 1, "tick {0} never runs: ticks start at 1")
+# a mapping built in code meets the types the loader's parse gives
+_position = _rule(lambda k, refs: isinstance(k, InjectionPosition), f"{{0!r}} is not one of {', '.join(p.value for p in InjectionPosition)}")
+_compliance = _rule(lambda policy, refs: isinstance(policy, CompliancePolicy), "{0!r} is not a CompliancePolicy")
 
 
 def _known(universe: Callable[[_Refs], Any], what: str) -> Callable[[Any, _Refs], None]:
@@ -471,7 +475,7 @@ AGENT_KEYS = (
     Key("privilege", _enum(Privilege), "low"),
     Key("period", _int, 1, _at_least_one),
     Key("channels", _seq(_str), [], _all(_distinct, _channels)),
-    Key("compliance", _mapping(_enum(InjectionPosition), _policy), {}),
+    Key("compliance", _mapping(_enum(InjectionPosition), _policy), {}, _keyed(_compliance, _position)),
     Key("capabilities", _parse_capabilities, "full", _capabilities),
 )
 

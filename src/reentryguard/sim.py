@@ -28,13 +28,13 @@ The event is the simulator's unit of cost, and a message storm emits tens
 of thousands of them, so each is built positionally from shared values:
 enum members bound at module level, the model's 16 FACET_VALUES (the only
 facets there are: transform_payload looks them up in a table, and a union
-is one of them too) and the 8 DECISIONS that mediate() returns. Whether a
-decision takes effect is one lookup in the run's set of effective
-decisions, model.EFFECTIVE for its guard mode. Header records are values,
-so an agent's carriers, and a channel's feed and log, are built once per
-process and shared by every run whose agent (id, framework, first carrier
-id, seeded slots) or channel (name, first id, heartbeat log) is the same,
-while the bounded memo has room; a run fills in only its own labels,
+is one of them too) and the 8 Decision members that mediate() returns.
+Whether a decision takes effect is one lookup in the run's set of
+effective decisions, model.EFFECTIVE for its guard mode. Header records
+are values, so an agent's carriers, and a channel's feed and log, are built
+once per process and shared by every run whose agent (id, framework, first
+carrier id, seeded slots) or channel (name, first id, heartbeat log) is the
+same, while the bounded memo has room; a run fills in only its own labels,
 contents and agent plans.
 """
 

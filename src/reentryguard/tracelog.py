@@ -50,13 +50,13 @@ return, a missing final newline, a negative tick, a ``# ticks`` or agent
 ``period=`` below 1, an integer not written as ``str(int)`` writes it
 (``+3``, `` 4``, ``03``, ``1_0``), a tick lower than the previous event
 line's, a sender without ``from=``, a decision/reason pair that is none of
-the model's ``DECISIONS`` (``allow|rtw-re-entry``, ``deny|ok``,
-``guard|rtw-re-entry``), a repeated channel of one agent line, a carrier
-that breaks a ``Carrier`` invariant, and a name that ``agent_id``,
-``channel_name`` or ``scenario_name`` refuses (in a header line, or the
-channel of an event line: ``msg_send:-:1111``, ``inject::1111``).
-Decisions are the model's shared ``DECISIONS`` objects, and facets its
-shared ``FACET_VALUES``.
+the 8 members of the model's ``Decision`` (``allow|rtw-re-entry``,
+``deny|ok``, ``guard|rtw-re-entry``), a repeated channel of one agent
+line, a carrier that breaks a ``Carrier`` invariant, and a name that
+``agent_id``, ``channel_name`` or ``scenario_name`` refuses (in a header
+line, or the channel of an event line: ``msg_send:-:1111``,
+``inject::1111``). Decisions are the members of the model's ``Decision``
+enum, and facets its shared ``FACET_VALUES``.
 
 Event lines seldom repeat within a trace but mostly repeat a line of an
 earlier trace, and most event lines repeat an earlier line but for the
@@ -98,7 +98,6 @@ from operator import attrgetter
 from typing import Any, Callable, NamedTuple
 
 from .model import (
-    DECISIONS,
     FACET_VALUES,
     LAYER_NAMES,
     ActionKind,
@@ -107,6 +106,7 @@ from .model import (
     CarrierClass,
     CarrierInvariantError,
     CarrierScope,
+    Decision,
     DeclassProcedure,
     EnforcementConfig,
     Event,
@@ -406,10 +406,8 @@ def _sender(token: str) -> str:
 # value tables, built once: token -> model value
 _KINDS = _by_value(EventKind)
 _LABELS = {MISSING: None, **_by_value(TaintLabel)}
-# (verdict, reason) columns -> the shared decision; only the pairs in DECISIONS
-_DECISIONS = {(MISSING, MISSING): None} | {
-    (v.value, r.value): decision for (v, r), decision in DECISIONS.items()
-}
+# (verdict, reason) columns -> the decision; only the 8 members' pairs
+_DECISIONS = {(MISSING, MISSING): None} | {(d.verdict.value, d.reason.value): d for d in Decision}
 
 _REQUIRED = object()
 # field -> (render, parse, value when the token leaves the field out);

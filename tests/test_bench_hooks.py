@@ -17,7 +17,7 @@ import pytest
 
 import reentryguard
 from reentryguard import load_bundled
-from reentryguard.model import DECISIONS, LAYER_NAMES
+from reentryguard.model import LAYER_NAMES, Decision
 from reentryguard.policy import EnforcementConfig
 from reentryguard.scenarios import SuiteEntry, random_scenario
 
@@ -87,7 +87,7 @@ def test_duck_typed_reads_resolve():
     """What bench/run.py reads off values the scan cannot follow: the layer
     name of every non-allow decision, which names a policy.denials.* count,
     and the fields of a suite entry."""
-    for decision in DECISIONS.values():
+    for decision in Decision:
         if decision.verdict != "allow":
             assert decision.layer.value in LAYER_NAMES
     assert {"scenario", "enforce", "guard", "seeds"} <= {f.name for f in fields(SuiteEntry)}

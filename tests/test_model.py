@@ -9,7 +9,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from reentryguard.model import (
-    DECISIONS,
     EFFECTIVE,
     FACET_VALUES,
     NO_FACETS,
@@ -155,65 +154,70 @@ class TestFacetsAreShared:
 class TestDecision:
     def test_deny_requires_non_ok_reason(self):
         with pytest.raises(ValueError):
-            Decision(Verdict.DENY, Reason.OK)
+            Decision((Verdict.DENY, Reason.OK))
 
     def test_guard_requires_non_ok_reason(self):
         with pytest.raises(ValueError):
-            Decision(Verdict.GUARD, Reason.OK)
+            Decision((Verdict.GUARD, Reason.OK))
 
     def test_allow_blames_no_layer(self):
         for reason in Reason:
             if REASON_LAYER[reason] is Layer.NONE:
-                assert Decision(Verdict.ALLOW, reason).layer is Layer.NONE
+                assert Decision((Verdict.ALLOW, reason)).layer is Layer.NONE
             else:
                 with pytest.raises(ValueError):
-                    Decision(Verdict.ALLOW, reason)
+                    Decision((Verdict.ALLOW, reason))
 
     def test_constructors_pick_owning_layer(self):
-        assert Decision.deny(Reason.RTW_RE_ENTRY).layer is Layer.RTW
-        assert Decision.deny(Reason.SEALED_CONFIG).layer is Layer.SEAL
-        assert Decision.deny(Reason.LEASE_EXPIRED).layer is Layer.MEMGATE
-        assert Decision.deny(Reason.PROMOTION_REJECTED).layer is Layer.MEMGATE
-        assert Decision.guard(Reason.ATTENUATED_HIGHRISK).layer is Layer.ATTENUATION
+        assert Decision.DENY_RE_ENTRY.layer is Layer.RTW
+        assert Decision.DENY_SEALED.layer is Layer.SEAL
+        assert Decision.DENY_LEASE.layer is Layer.MEMGATE
+        assert Decision.DENY_PROMOTION.layer is Layer.MEMGATE
+        assert Decision.GUARD_ATTENUATED.layer is Layer.ATTENUATION
 
     def test_every_reason_has_exactly_one_layer(self):
         assert set(REASON_LAYER) == set(Reason)
 
     def test_constructors_share_one_object_per_pair(self):
-        assert Decision.allow() is Decision.allow()
-        assert Decision.allow() is DECISIONS[Verdict.ALLOW, Reason.OK]
-        assert Decision.deny(Reason.RTW_RE_ENTRY) is Decision.deny(Reason.RTW_RE_ENTRY)
-        assert Decision.guard(Reason.ATTENUATED_HIGHRISK) is DECISIONS[Verdict.GUARD, Reason.ATTENUATED_HIGHRISK]
-        assert {f"{v.value}|{r.value}" for v, r in DECISIONS} == {
+        assert Decision((Verdict.ALLOW, Reason.OK)) is Decision.ALLOW
+        assert Decision((Verdict.DENY, Reason.RTW_RE_ENTRY)) is Decision.DENY_RE_ENTRY
+        assert Decision((Verdict.GUARD, Reason.ATTENUATED_HIGHRISK)) is Decision.GUARD_ATTENUATED
+        assert {f"{d.verdict.value}|{d.reason.value}" for d in Decision} == {
             "allow|ok", "allow|not-mediated-lowrisk", "deny|sealed-config", "deny|rtw-re-entry",
             "deny|lease-expired", "deny|promotion-rejected", "deny|attenuated-highrisk",
             "guard|attenuated-highrisk",
         }
 
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda: Decision.allow(Reason.RTW_RE_ENTRY),
-            lambda: Decision.deny(Reason.OK),
-            lambda: Decision.guard(Reason.NOT_MEDIATED_LOWRISK),
-        ],
-        ids=["allow-layer-reason", "deny-ok", "guard-lowrisk"],
-    )
-    def test_constructors_refuse_inadmissible_pairs(self, make):
-        with pytest.raises(ValueError):
-            make()
+    def test_members_are_the_pairs_the_rule_admits(self):
+        """Allow exactly when the reason has no layer, and guard only with
+        attenuated-highrisk: the members are all the pairs this admits."""
+        admitted = {
+            (v, r)
+            for v in Verdict
+            for r in Reason
+            if (v is Verdict.ALLOW) == (REASON_LAYER[r] is Layer.NONE)
+            and (v is not Verdict.GUARD or r is Reason.ATTENUATED_HIGHRISK)
+        }
+        assert {(d.verdict, d.reason) for d in Decision} == admitted
+        for decision in Decision:
+            assert decision.value == (decision.verdict, decision.reason)
+            assert decision.layer is REASON_LAYER[decision.reason]
 
     def test_decisions_compare_by_identity(self):
-        """Decision has no value equality: the 8 shared objects are the
-        decisions, so constructing one returns the shared object."""
-        assert len(DECISIONS) == 8
-        assert len(set(DECISIONS.values())) == 8
-        assert Decision(Verdict.ALLOW, Reason.OK) is Decision.allow()
+        """Decision has no value equality: the 8 members are the decisions,
+        so looking one up returns the member."""
+        assert len(Decision) == 8
+        assert len(set(Decision)) == 8
+        assert Decision((Verdict.ALLOW, Reason.OK)) is Decision.ALLOW
+
+    def test_decisions_hash_by_identity(self):
+        for decision in Decision:
+            assert hash(decision) == object.__hash__(decision)
 
     def test_effective_under_guard_modes(self):
-        allow = Decision.allow()
-        deny = Decision.deny(Reason.SEALED_CONFIG)
-        guard = Decision.guard(Reason.ATTENUATED_HIGHRISK)
+        allow = Decision.ALLOW
+        deny = Decision.DENY_SEALED
+        guard = Decision.GUARD_ATTENUATED
         assert allow in EFFECTIVE[GuardMode.DENY_ALL]
         assert allow in EFFECTIVE[GuardMode.APPROVE_ALL]
         assert deny not in EFFECTIVE[GuardMode.APPROVE_ALL]
@@ -221,7 +225,8 @@ class TestDecision:
         assert guard in EFFECTIVE[GuardMode.APPROVE_ALL]
 
 
-_INADMISSIBLE = [(v, r) for v in Verdict for r in Reason if (v, r) not in DECISIONS]
+_PAIRS = [d.value for d in Decision]
+_INADMISSIBLE = [(v, r) for v in Verdict for r in Reason if (v, r) not in _PAIRS]
 
 
 def _pair_id(pair: tuple[Verdict, Reason]) -> str:
@@ -229,31 +234,22 @@ def _pair_id(pair: tuple[Verdict, Reason]) -> str:
 
 
 class TestDecisionsAreShared:
-    """Every construction path returns one of the 8 DECISIONS, so whether
-    a decision takes effect (membership in an EFFECTIVE set) does not depend
-    on how the event holding it was made or copied."""
+    """Every lookup, copy and pickle returns one of the 8 members, so
+    whether a decision takes effect (membership in an EFFECTIVE set) does
+    not depend on how the event holding it was made or copied."""
 
-    @pytest.mark.parametrize("pair", list(DECISIONS), ids=_pair_id)
+    @pytest.mark.parametrize("pair", _PAIRS, ids=_pair_id)
     def test_every_construction_is_the_shared_decision(self, pair):
-        shared = DECISIONS[pair]
-        verdict, reason = pair
-        assert Decision(verdict, reason) is shared
-        assert Decision(verdict=verdict, reason=reason) is shared
+        shared = Decision(pair)
+        assert shared.value == pair
         assert copy.copy(shared) is shared
         assert copy.deepcopy(shared) is shared
         assert pickle.loads(pickle.dumps(shared)) is shared
-        assert replace(shared) is shared
-        for other in DECISIONS.values():
-            assert replace(other, verdict=verdict, reason=reason) is shared
 
     @pytest.mark.parametrize("pair", _INADMISSIBLE, ids=_pair_id)
     def test_inadmissible_pair_raises(self, pair):
-        verdict, reason = pair
-        message = f"a {verdict.value} decision cannot give reason {reason.value}"
-        with pytest.raises(ValueError, match=message):
-            Decision(verdict, reason)
-        with pytest.raises(ValueError, match=message):
-            replace(Decision.allow(), verdict=verdict, reason=reason)
+        with pytest.raises(ValueError, match="is not a valid Decision"):
+            Decision(pair)
 
 
 class TestCarrierInvariants:

@@ -150,6 +150,22 @@ class TestDictParsing:
         with pytest.raises(ValueError, match="^sometimes p=0.0 is not"):
             CompliancePolicy("sometimes")
 
+    def test_a_stray_position_built_in_code_is_refused(self):
+        """A compliance key that is no injection position is refused in code
+        as in YAML, naming compliance:, instead of being silently unread."""
+        sc = load_bundled("fwA")
+        agent = replace(sc.agents[0], compliance={"stdin": ALWAYS})
+        with pytest.raises(ScenarioError, match=r"compliance: 'stdin' is not one of system_prompt, user_prompt"):
+            replace(sc, agents=(agent, *sc.agents[1:]))
+
+    def test_a_policy_built_in_code_must_be_a_policy(self):
+        """A compliance value that is no CompliancePolicy is refused when the
+        scenario is made, naming compliance:, not when the run reaches it."""
+        sc = load_bundled("fwA")
+        agent = replace(sc.agents[0], compliance={InjectionPosition.USER_PROMPT: "always"})
+        with pytest.raises(ScenarioError, match=r"compliance: user_prompt: 'always' is not a CompliancePolicy"):
+            replace(sc, agents=(agent, *sc.agents[1:]))
+
     def test_bad_compliance_rejected(self):
         for bad in ({"user_prompt": "sometimes"}, {"stdin": "always"}, "always"):
             data = minimal()

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from reentryguard import cli, sim, tracelog
 from reentryguard.model import (
-    DECISIONS,
     Carrier,
     Decision,
     FACET_VALUES,
@@ -149,9 +148,9 @@ class TestTransformPayload:
 
 class TestSharedDecisions:
     def test_decisions_are_the_shared_objects(self, bundled):
-        """The simulator and the parser give every event one of the 12
-        DECISIONS objects; Decision compares by identity."""
-        shared = {id(d) for d in DECISIONS.values()}
+        """The simulator and the parser give every event one of the 8
+        Decision members; a decision compares by identity."""
+        shared = {id(d) for d in Decision}
         seen = set()
         results = [
             bundled(name, enforce, guard)
@@ -311,7 +310,7 @@ class TestCompliance:
         result = run_scenario(scenario)
         taskfile = next(c.id for c in Ecosystem(scenario).carriers.values() if c.name == "a1.taskfile")
         reads = [ev for ev in result.trace if ev.kind is EventKind.EXPOSED_READ and ev.carrier_id == taskfile]
-        assert len(reads) == scenario.max_ticks and all(ev.decision is Decision.allow() for ev in reads)
+        assert len(reads) == scenario.max_ticks and all(ev.decision is Decision.ALLOW for ev in reads)
         assert bool(calls) is draws
 
 

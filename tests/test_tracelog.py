@@ -14,7 +14,6 @@ import pytest
 from reentryguard import tracelog
 from reentryguard.cli import main
 from reentryguard.model import (
-    DECISIONS,
     LAYER_NAMES,
     ActionKind,
     DeclassProcedure,
@@ -23,7 +22,6 @@ from reentryguard.model import (
     EventKind,
     GuardMode,
     PayloadFacets,
-    Reason,
     ReentryGuardError,
     SchemaKind,
     TaintLabel,
@@ -88,24 +86,24 @@ def in_place(text: str, bad: str) -> tuple[str, int]:
 
 ONE_PER_KIND = [
     Event(tick=1, agent="a1", kind=EventKind.WRITE, carrier_id=2, label=TaintLabel.CLEAN,
-          facets=PayloadFacets.none(), decision=Decision.allow()),
+          facets=PayloadFacets.none(), decision=Decision.ALLOW),
     Event(tick=1, agent="a1", kind=EventKind.EXPOSED_READ, carrier_id=3,
-          label=TaintLabel.TAINTED, decision=Decision.deny(Reason.RTW_RE_ENTRY)),
+          label=TaintLabel.TAINTED, decision=Decision.DENY_RE_ENTRY),
     Event(tick=1, agent="a1", kind=EventKind.OPAQUE_READ, carrier_id=3,
-          label=TaintLabel.EXTERNAL, decision=Decision.allow(Reason.NOT_MEDIATED_LOWRISK)),
+          label=TaintLabel.EXTERNAL, decision=Decision.NOT_MEDIATED),
     Event(tick=1, agent="a1", kind=EventKind.HIGH_RISK, action=ActionKind.INVOKE_SHELL,
-          decision=Decision.deny(Reason.ATTENUATED_HIGHRISK)),
+          decision=Decision.DENY_ATTENUATED),
     Event(tick=2, agent="a1", kind=EventKind.MSG_SEND, channel="c1", label=TaintLabel.TAINTED_DERIVED,
-          facets=PayloadFacets.from_token("0110"), decision=Decision.allow()),
+          facets=PayloadFacets.from_token("0110"), decision=Decision.ALLOW),
     Event(tick=2, agent="a1", kind=EventKind.MSG_SEND, channel="c1", label=TaintLabel.TAINTED_DERIVED,
-          facets=PayloadFacets.full(), exfil=True, decision=Decision.guard(Reason.ATTENUATED_HIGHRISK)),
+          facets=PayloadFacets.full(), exfil=True, decision=Decision.GUARD_ATTENUATED),
     Event(tick=2, agent="a1", kind=EventKind.MSG_RECV, channel="c1", label=TaintLabel.TAINTED,
           facets=PayloadFacets.full(), sender="a2"),
     Event(tick=2, agent="a1", kind=EventKind.PROMOTE, carrier_id=4, label=TaintLabel.TAINTED,
           schema=SchemaKind.TYPED_FACT, facets=PayloadFacets.none(),
-          decision=Decision.deny(Reason.PROMOTION_REJECTED)),
+          decision=Decision.DENY_PROMOTION),
     Event(tick=3, agent="a1", kind=EventKind.DECLASSIFY, carrier_id=5, label=TaintLabel.TAINTED,
-          procedure=DeclassProcedure.DETERMINISTIC_VALIDATION, decision=Decision.allow()),
+          procedure=DeclassProcedure.DETERMINISTIC_VALIDATION, decision=Decision.ALLOW),
     Event(tick=3, agent="a1", kind=EventKind.CONTEXT_RESET),
     Event(tick=3, agent="a1", kind=EventKind.HEARTBEAT),
     Event(tick=0, agent="attacker", kind=EventKind.INJECT, channel="c0", label=TaintLabel.TAINTED,
@@ -126,7 +124,7 @@ class TestEventLines:
             carrier_id=7,
             label=TaintLabel.TAINTED,
             facets=PayloadFacets.full(),
-            decision=Decision.allow(),
+            decision=Decision.ALLOW,
         )
         assert event_to_line(event) == "3|a1|write:1111|7|tainted|allow|ok"
 
@@ -142,7 +140,7 @@ class TestEventLines:
             channel="c0",
             facets=PayloadFacets.from_token("0110"),
             exfil=True,
-            decision=Decision.deny(Reason.ATTENUATED_HIGHRISK),
+            decision=Decision.DENY_ATTENUATED,
         )
         line = event_to_line(event)
         assert "msg_send:c0:0110:exfil" in line
@@ -158,7 +156,7 @@ class TestEventLines:
     def test_detail_field_is_required_to_render(self):
         # a line that would not parse back to the same event is never written
         with pytest.raises(TraceFormatError, match="write event without facets"):
-            event_to_line(Event(tick=1, agent="a1", kind=EventKind.WRITE, decision=Decision.allow()))
+            event_to_line(Event(tick=1, agent="a1", kind=EventKind.WRITE, decision=Decision.ALLOW))
 
 
 class TestParseErrors:
@@ -718,7 +716,7 @@ class TestParsedEventsAreValues:
     @pytest.fixture
     def event(self, bundled):
         _, events = parse_trace(bundled("fwA", "all").trace_text)
-        return next(ev for ev in events if ev.decision is Decision.allow() and ev.facets is not None)
+        return next(ev for ev in events if ev.decision is Decision.ALLOW and ev.facets is not None)
 
     def test_assignment_and_deletion_raise(self, event):
         with pytest.raises(FrozenInstanceError):
@@ -734,7 +732,7 @@ class TestParsedEventsAreValues:
             assert copied.decision is event.decision and copied.facets is event.facets
             with pytest.raises(FrozenInstanceError):
                 copied.tick = 0
-        denied = Decision.deny(Reason.RTW_RE_ENTRY)
+        denied = Decision.DENY_RE_ENTRY
         changed = replace(event, decision=denied)
         assert changed.decision is denied and changed != event
         assert replace(changed, decision=event.decision) == event
@@ -907,7 +905,7 @@ class TestTraceRoundTrip:
             Event(tick=0, agent="attacker", kind=EventKind.INJECT, channel="c0", facets=PayloadFacets.full()),
             Event(tick=1, agent="a1", kind=EventKind.WRITE, carrier_id=1,
                   label=TaintLabel.TAINTED_DERIVED, facets=PayloadFacets.full(),
-                  decision=Decision.allow()),
+                  decision=Decision.ALLOW),
         ]
         text = render_trace(trace, minimal_meta())
         meta, events = parse_trace(text)
@@ -935,7 +933,7 @@ class TestTraceRoundTrip:
     def test_parser_and_mediate_share_decisions(self, bundled):
         result = bundled("fwA", enforce="all")
         _, events = parse_trace(result.trace_text)
-        shared = {id(d) for d in DECISIONS.values()}
+        shared = {id(d) for d in Decision}
         decided = [ev for ev in result.trace if ev.decision is not None]
         assert decided
         assert all(id(ev.decision) in shared for ev in decided)

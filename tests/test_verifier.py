@@ -32,7 +32,6 @@ from reentryguard.model import (
     InjectionPosition,
     PayloadFacets,
     Privilege,
-    Reason,
     SchemaKind,
     TaintLabel,
 )
@@ -51,8 +50,8 @@ from reentryguard.verifier import (
     rtw_violations_in,
 )
 
-ALLOW = Decision.allow()
-DENY = Decision.deny(Reason.ATTENUATED_HIGHRISK)
+ALLOW = Decision.ALLOW
+DENY = Decision.DENY_ATTENUATED
 
 
 def toy_meta(carrier_owner: str = "a1", enforcement: EnforcementConfig | None = None) -> TraceMeta:
@@ -167,7 +166,7 @@ class TestFindChainsFixtures:
         assert find_chains(render([W(1), A(2), R(3)])) == []
 
     def test_guard_effective_only_under_approve(self):
-        guarded = Decision.guard(Reason.ATTENUATED_HIGHRISK)
+        guarded = Decision.GUARD_ATTENUATED
         events = [W(1), R(2), A(3, decision=guarded)]
         assert find_chains(render(events)) == []
         approve_meta = toy_meta(enforcement=EnforcementConfig(guard_mode=GuardMode.APPROVE_ALL))
@@ -221,7 +220,7 @@ class TestFindChainsFixtures:
     def test_decision_on_unmediated_event_rejected(self, event):
         """Nothing mediates these kinds, so a decision on one is refused, not
         counted as an intervention."""
-        bad = replace(event, decision=Decision.deny(Reason.SEALED_CONFIG))
+        bad = replace(event, decision=Decision.DENY_SEALED)
         match = f"^event 1: {event.kind.value} is not mediated, yet carries a decision$"
         with pytest.raises(VerificationError, match=match):
             build_report(render([W(0), bad]))
@@ -232,7 +231,7 @@ class TestFindChainsFixtures:
             W(1, cid=999),
             R(1, cid=999),
             Event(tick=1, agent="a1", kind=EventKind.OPAQUE_READ, carrier_id=999,
-                  label=TaintLabel.CLEAN, decision=Decision.allow(Reason.NOT_MEDIATED_LOWRISK)),
+                  label=TaintLabel.CLEAN, decision=Decision.NOT_MEDIATED),
             DECL(1, cid=999),
             R(1, cid=None),
         ],
