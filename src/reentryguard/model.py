@@ -106,11 +106,10 @@ class Privilege(str, Enum):
 
 
 class ActionKind(str, Enum):
-    """The tool a high_risk event invokes. Writes and sends are high-risk
-    too, but they are events of their own kinds."""
+    """The tool a high_risk event invokes: only the shell. Writes and sends
+    are high-risk too, but they are events of their own kinds."""
 
     INVOKE_SHELL = "invoke_shell"
-    INVOKE_NETWORK = "invoke_network"
 
 
 class DeclassProcedure(str, Enum):
@@ -163,7 +162,8 @@ class PayloadFacets:
     Facets compare and hash by identity, like Decision: every construction
     (a call, dataclasses.replace, union) returns one of the 16 FACET_VALUES
     objects, so two equal facets are one object. A flag is read by its
-    truth value.
+    truth value. A value is named by its token, FACET_VALUES[token]
+    (NO_FACETS for "0000"); nothing else decodes a token.
     """
 
     persist: bool = False
@@ -180,14 +180,6 @@ class PayloadFacets:
     def __reduce__(self) -> tuple[type, tuple[bool, ...]]:  # copy and pickle construct, so share too
         return PayloadFacets, (self.persist, self.propagate, self.harm, self.verbatim)
 
-    @classmethod
-    def none(cls) -> "PayloadFacets":
-        return NO_FACETS
-
-    @classmethod
-    def full(cls) -> "PayloadFacets":
-        return FACET_VALUES["1111"]
-
     @property
     def any(self) -> bool:
         return self is not NO_FACETS
@@ -201,14 +193,6 @@ class PayloadFacets:
         """Four-char bit string, order: persist, propagate, harm, verbatim."""
         bits = (self.persist, self.propagate, self.harm, self.verbatim)
         return "".join("1" if b else "0" for b in bits)
-
-    @classmethod
-    def from_token(cls, token: str) -> "PayloadFacets":
-        """The shared value a token() names."""
-        facets = FACET_VALUES.get(token)
-        if facets is None:
-            raise ValueError(f"bad facet token: {token!r}")
-        return facets
 
 
 def _interned(cls: type, *values: object) -> Any:

@@ -36,6 +36,7 @@ from typing import Any, Callable, NamedTuple
 
 from .model import (
     ATTACKER,
+    FACET_VALUES,
     PERSIST_DROP_STRENGTH,
     AutoloadPolicy,
     CarrierClass,
@@ -355,7 +356,10 @@ def _enum(cls: Any) -> Callable[[Any], Any]:
 
 
 def _facets(value: Any) -> PayloadFacets:
-    return PayloadFacets.from_token(_str(value))
+    facets = FACET_VALUES.get(token := _str(value))
+    if facets is None:
+        raise ValueError(f"bad facet token: {token!r}")
+    return facets
 
 
 def _policy(value: Any) -> CompliancePolicy:
@@ -507,7 +511,7 @@ SCENARIO_KEYS = (
     Key("resets", _seq(_pair(_str, _int)), [], _all(_keyed(_step_tick, _agent), _distinct)),
     Key("declassify", _seq(_pair(_str, _int)), [], _all(_keyed(_step_tick, _agent), _distinct)),
     Key("seeded", _seq(_record(SEEDED_KEYS, SeededCarrier)), [], _seeded),
-    Key("heartbeat_logs", _seq(_str), [], _channels),
+    Key("heartbeat_logs", _seq(_str), [], _all(_distinct, _channels)),
 )
 
 _parse_scenario = _record(
@@ -681,7 +685,7 @@ def random_scenario(seed: int, enforcement: EnforcementConfig | None = None) -> 
             SeededCarrier(
                 agent=f"n{rng.randrange(n)}",
                 slot=rng.choice(SEEDED_SLOTS),
-                facets=PayloadFacets.from_token(rng.choice(["1111", "1110", "1010", "0110"])),
+                facets=FACET_VALUES[rng.choice(["1111", "1110", "1010", "0110"])],
             ),
         )
 
@@ -702,7 +706,7 @@ def random_scenario(seed: int, enforcement: EnforcementConfig | None = None) -> 
         enforcement=enforcement if enforcement is not None else EnforcementConfig.none(),
         agents=tuple(agents),
         channels=tuple(channels),
-        injection=Injection(channel="ch0", tick=rng.randint(0, 2), facets=PayloadFacets.from_token(facet_token)),
+        injection=Injection(channel="ch0", tick=rng.randint(0, 2), facets=FACET_VALUES[facet_token]),
         transform_default=rng.choice([0, 0, 1, 2]),
         transform_strength=strengths,
         task_leases=leases,

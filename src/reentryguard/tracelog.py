@@ -66,23 +66,23 @@ stores nothing more and is never emptied, so one trace with more distinct
 lines than the bound cannot evict the lines the other traces share, and a
 key past the bound is built again each time it is met. Render keys its
 memo on an event's fields other than the tick (``SHAPE_FIELDS``; facets
-and decisions are the model's shared values) and stores the tail. Parse
-keys one memo on the exact header line, one on the exact event line and
-one on the exact tail (the line after the tick), which stores the event's
-``SHAPE_FIELDS``. An event line the process has memoised is one lookup and
-yields the same read-only ``FrozenEvent`` to every parse that meets it. A
-new event line with a known tail has only its tick parsed and checked, and
-its tick column is parsed only when it differs from the previous line's, as
-render formats a tick only when it changes; a memoised previous line's
-column is not read, so no tick can come from a line the parse did not read.
-A line new to the process goes through the strict codec (``event_to_line``,
-``parse_event_line``, the ``HEADER`` patterns), and a line that raises is
-never memoised, nor is a comment. A memo holds immutable values only: the
-header records are frozen (``Carrier``, ``AgentMeta``) and the parsed
-events read-only, while the simulator's own events stay mutable, since it
-sets ``event.decision``. The checks across lines (the tag order, the id
-order, the column row, comments, the tick order) run on every line. So a
-memo cannot change what is read or refused.
+and decisions are the model's shared values) and stores the tail; it
+formats a tick column only when the tick changes, since a tick holds many
+events. Parse keys one memo on the exact header line, one on the exact
+event line and one on the exact tail (the line after the tick), which
+stores the event's ``SHAPE_FIELDS``. An event line the process has
+memoised is one lookup and yields the same read-only ``FrozenEvent`` to
+every parse that meets it. A new event line with a known tail has only
+its tick parsed and checked. No line reads another line's columns, so a
+line's event is a function of its text alone. A line new to the process
+goes through the strict codec (``event_to_line``, ``parse_event_line``,
+the ``HEADER`` patterns), and a line that raises is never memoised, nor is
+a comment. A memo holds immutable values only: the header records are
+frozen (``Carrier``, ``AgentMeta``) and the parsed events read-only, while
+the simulator's own events stay mutable, since it sets
+``event.decision``. The checks across lines (the tag order, the id order,
+the column row, comments, the tick order) run on every line. So a memo
+cannot change what is read or refused.
 
 Identical runs must serialize byte-identically; nothing here may read the
 clock, the environment, or unordered containers.
@@ -528,9 +528,7 @@ def parse_trace(text: str) -> tuple[TraceMeta, list[Event]]:
         raise TraceFormatError(f"line {len(lines)}: the text does not end with a newline")
     meta, start = _parse_header(lines)
     events: list[Event] = []
-    # the previous line's tick column if that line was new to the process,
-    # else None, and the previous line's tick
-    column, tick = None, 0
+    tick = 0  # the previous event line's tick
     for line_no, line in enumerate(islice(lines, start, len(lines) - 1), start=start + 1):
         ev = _EVENT_MEMO.get(line)
         if ev is None:
@@ -546,18 +544,13 @@ def parse_trace(text: str) -> tuple[TraceMeta, list[Event]]:
             if shape is None:
                 ev = parse_event_line(line, line_no)
                 _memoise(_PARSE_MEMO, tail, _shape(ev))
-            elif head == column:
-                ev = Event(tick, *shape)
             else:
                 try:
                     ev = Event(_count(head), *shape)
                 except ValueError as exc:
                     raise TraceFormatError(f"line {line_no}: {exc} in {line!r}") from exc
-            column = head
             ev.__class__ = FrozenEvent
             _memoise(_EVENT_MEMO, line, ev)
-        else:
-            column = None  # a memoised line's tick column is never read
         if ev.tick < tick:
             raise TraceFormatError(f"line {line_no}: tick {ev.tick} after tick {tick} in {line!r}")
         tick = ev.tick

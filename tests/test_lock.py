@@ -13,7 +13,10 @@ groups:
 * fuzz seeds 0-39 capped at 6 ticks under each single layer and each "all
   but one", in both guard modes, so every layer's rule is pinned both alone
   and with the others (the RTW gate reads the capability state only with
-  ``rtw`` on, and guard mode matters only where something is denied).
+  ``rtw`` on, and guard mode matters only where something is denied);
+* the bundled scenarios under each capability preset, each of the 16
+  subsets of the layers and each guard mode, so a deployment that grants
+  less than ``full`` is pinned wherever its rule can matter.
 
 The fuzz seeds matter because no bundled scenario uses seeded carriers,
 resets or heartbeat logs. A refactor must leave every pin unchanged. After an
@@ -37,6 +40,7 @@ from collections.abc import Iterator
 from contextlib import redirect_stdout
 from dataclasses import replace
 from functools import cache
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -44,7 +48,14 @@ import pytest
 from reentryguard.cli import main, render_machine, report_record
 from reentryguard.model import LAYER_NAMES, GuardMode
 from reentryguard.policy import EnforcementConfig
-from reentryguard.scenarios import Scenario, bundled_names, load_bundled, random_scenario
+from reentryguard.scenarios import (
+    CAPABILITY_PRESETS,
+    Scenario,
+    bundled_names,
+    load_bundled,
+    random_scenario,
+    with_capabilities,
+)
 from reentryguard.sim import run_scenario
 
 LOCK_FILE = Path(__file__).parent / "data" / "behaviour_lock.json"
@@ -55,6 +66,8 @@ FUZZ_UNDEFENDED_TICKS = 6
 FUZZ_ABLATED_SEEDS = range(40)
 # each layer alone, then every layer but one
 ABLATIONS = LAYER_NAMES + tuple(",".join(n for n in LAYER_NAMES if n != out) for out in LAYER_NAMES)
+# every subset of the layers, as the spec EnforcementConfig.from_names reads
+LAYER_SUBSETS = tuple(",".join(c) or "none" for k in range(len(LAYER_NAMES) + 1) for c in combinations(LAYER_NAMES, k))
 SHOWN_KEYS = 20  # moved keys printed per group when the lock is regenerated
 
 
@@ -104,11 +117,23 @@ def _fuzz_ablated() -> Iterator[tuple[str, Scenario]]:
                 yield f"{spec}:{guard.value}:{seed}", replace(scenario, max_ticks=FUZZ_UNDEFENDED_TICKS)
 
 
+def _capabilities() -> Iterator[tuple[str, Scenario]]:
+    for preset in CAPABILITY_PRESETS:
+        for spec in LAYER_SUBSETS:
+            for guard in GuardMode:
+                for name in bundled_names():
+                    scenario = with_capabilities(load_bundled(name), preset)
+                    yield f"{preset}:{spec}:{guard.value}:{name}", replace(
+                        scenario, enforcement=EnforcementConfig.from_names(spec, guard)
+                    )
+
+
 GROUPS = {
     "bundled": _bundled,
     "fuzz_enforced": _fuzz_enforced,
     "fuzz_undefended": _fuzz_undefended,
     "fuzz_ablated": _fuzz_ablated,
+    "capabilities": _capabilities,
 }
 PINS = ("traces", "reports")
 

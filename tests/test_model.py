@@ -58,37 +58,30 @@ class TestPayloadFacets:
     def test_token_round_trip_all_sixteen(self):
         for bits in range(16):
             token = format(bits, "04b")
-            assert PayloadFacets.from_token(token).token() == token
+            assert FACET_VALUES[token].token() == token
 
     def test_none_and_full(self):
-        assert not PayloadFacets.none().any
-        assert PayloadFacets.full().token() == "1111"
+        assert not NO_FACETS.any
+        assert FACET_VALUES["1111"].token() == "1111"
 
     def test_union(self):
-        a = PayloadFacets.from_token("1010")
-        b = PayloadFacets.from_token("0110")
+        a = FACET_VALUES["1010"]
+        b = FACET_VALUES["0110"]
         assert a.union(b).token() == "1110"
 
     def test_issubset(self):
-        small = PayloadFacets.from_token("0010")
-        big = PayloadFacets.from_token("1010")
+        small = FACET_VALUES["0010"]
+        big = FACET_VALUES["1010"]
         # union returns an operand that holds the other
         assert small.union(big) is big
         assert big.union(small) is not small
 
-    def test_bad_token_rejected(self):
-        with pytest.raises(ValueError):
-            PayloadFacets.from_token("11")
-        with pytest.raises(ValueError):
-            PayloadFacets.from_token("10x1")
-
     def test_shared_values(self):
-        """none(), full() and from_token hand out the 16 FACET_VALUES."""
-        assert PayloadFacets.none() is PayloadFacets.none() is NO_FACETS
-        assert PayloadFacets.full() is FACET_VALUES["1111"]
+        """NO_FACETS is the "0000" value, and each of the 16 FACET_VALUES is
+        keyed by its own token."""
+        assert NO_FACETS is FACET_VALUES["0000"]
         assert len(FACET_VALUES) == 16
         for token, facets in FACET_VALUES.items():
-            assert PayloadFacets.from_token(token) is facets
             assert facets.token() == token
 
     def test_union_returns_an_operand_it_equals(self):

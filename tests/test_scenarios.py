@@ -12,7 +12,7 @@ import pytest
 import yaml
 
 from reentryguard import cli
-from reentryguard.model import GuardMode, InjectionPosition, PayloadFacets, Privilege
+from reentryguard.model import FACET_VALUES, GuardMode, InjectionPosition, Privilege
 from reentryguard.policy import EnforcementConfig
 from reentryguard.scenarios import (
     AGENT_KEYS,
@@ -236,7 +236,7 @@ class TestDictParsing:
         # a scenario built in code is held to the same rule
         scenario = scenario_from_dict(minimal())
         with pytest.raises(ScenarioError, match="hearbeat"):
-            replace(scenario, seeded=(SeededCarrier("a1", "hearbeat", PayloadFacets.full()),))
+            replace(scenario, seeded=(SeededCarrier("a1", "hearbeat", FACET_VALUES["1111"]),))
 
     def test_declassify_for_unknown_agent_rejected(self):
         with pytest.raises(ScenarioError, match="ghost"):
@@ -305,6 +305,9 @@ MALFORMED = {
     "agent-channel-repeated": ("channels", {"channels": ["c0", "c1"]}, {"channels": ["c0", "c1", "c1"]}),
     "resets-repeated": ("resets", {"resets": [["a1", 2], ["a1", 2]]}, {}),
     "declassify-repeated": ("declassify", {"declassify": [["a1", 2], ["a1", 2]]}, {}),
+    "heartbeat-log-repeated": ("heartbeat_logs", {"heartbeat_logs": ["c0", "c0"]}, {}),
+    # a key path and the start of the message: the facet decoder says why
+    "injection-facet-token": ("injection: facets: bad facet token", {"injection": {"channel": "c0", "facets": "11"}}, {}),
     # names the trace or the machine record cannot carry: "-" reads back as a
     # missing value (an owner of "-" is no owner, so hops drop), "|" splits
     # the event columns and the record's fields, ":" the kind token, "," an

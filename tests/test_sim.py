@@ -58,7 +58,7 @@ def tiny_scenario(**kw) -> Scenario:
                          period=2, channels=("c0",)),
         ),
         channels=("c0",),
-        injection=Injection(channel="c0", tick=0, facets=PayloadFacets.full()),
+        injection=Injection(channel="c0", tick=0, facets=FACET_VALUES["1111"]),
     )
     defaults.update(kw)
     return Scenario(**defaults)
@@ -98,32 +98,32 @@ class TestAgentLayout:
         "slot, name", [("heartbeat", "a1.taskfile"), ("task", "a1.taskstate"), ("ondemand", "a1.notes0")]
     )
     def test_seeded_slot_seeds_its_layout_row(self, slot, name):
-        eco = Ecosystem(tiny_scenario(seeded=[SeededCarrier("a1", slot, PayloadFacets.full())]))
+        eco = Ecosystem(tiny_scenario(seeded=[SeededCarrier("a1", slot, FACET_VALUES["1111"])]))
         external = [c.name for c in eco.carriers.values() if c.owner == "a1" and c.label0 is TaintLabel.EXTERNAL]
         assert external == [name]
 
 
 class TestTransformPayload:
     def test_strength_zero_is_identity(self):
-        facets = PayloadFacets.full()
+        facets = FACET_VALUES["1111"]
         assert transform_payload(facets, 0) == facets
 
     def test_strength_one_drops_verbatim_only(self):
-        out = transform_payload(PayloadFacets.full(), 1)
+        out = transform_payload(FACET_VALUES["1111"], 1)
         assert out.token() == "1110"
 
     def test_drop_order_is_verbatim_harm_propagate_persist(self):
         assert FACET_DROP_ORDER == ("verbatim", "harm", "propagate", "persist")
         # token char order is persist,propagate,harm,verbatim
-        tokens = [transform_payload(PayloadFacets.full(), k).token() for k in range(5)]
+        tokens = [transform_payload(FACET_VALUES["1111"], k).token() for k in range(5)]
         assert tokens == ["1111", "1110", "1100", "1000", "0000"]
 
     def test_persist_threshold_kills_everything(self):
-        assert not transform_payload(PayloadFacets.full(), PERSIST_DROP_STRENGTH).any
+        assert not transform_payload(FACET_VALUES["1111"], PERSIST_DROP_STRENGTH).any
 
     def test_negative_strength_rejected(self):
         with pytest.raises(ValueError):
-            transform_payload(PayloadFacets.full(), -1)
+            transform_payload(FACET_VALUES["1111"], -1)
 
     @given(facet_strategy, st.integers(min_value=0, max_value=6))
     def test_output_is_subset_of_input(self, facets, strength):
@@ -177,7 +177,7 @@ class TestScenarioValidation:
 
     def test_unknown_injection_channel(self):
         with pytest.raises(ScenarioError):
-            tiny_scenario(injection=Injection(channel="nope", tick=0, facets=PayloadFacets.full()))
+            tiny_scenario(injection=Injection(channel="nope", tick=0, facets=FACET_VALUES["1111"]))
 
     def test_unknown_agent_channel(self):
         agents = [
@@ -305,7 +305,7 @@ class TestCompliance:
         monkeypatch.setattr(AgentProfile, "complies", counted)
         agent = replace(tiny_scenario().agents[0], period=1, compliance={InjectionPosition.USER_PROMPT: bernoulli(0.5)})
         scenario = tiny_scenario(
-            agents=(agent,), injection=None, seeded=(SeededCarrier("a1", "heartbeat", PayloadFacets.from_token(token)),)
+            agents=(agent,), injection=None, seeded=(SeededCarrier("a1", "heartbeat", FACET_VALUES[token]),)
         )
         result = run_scenario(scenario)
         taskfile = next(c.id for c in Ecosystem(scenario).carriers.values() if c.name == "a1.taskfile")

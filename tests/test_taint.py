@@ -7,9 +7,9 @@ import pytest
 
 from reentryguard import load_bundled
 from reentryguard.model import (
+    FACET_VALUES,
     CarrierClass,
     EventKind,
-    PayloadFacets,
     Privilege,
     TaintLabel,
 )
@@ -57,7 +57,7 @@ class TestInitialLabel:
         eco = ecosystem(seeded=[{"agent": "lo", "slot": "task", "facets": "1110"}])
         task = eco.carrier_sets["lo"].task
         assert task.label0 is eco.labels[task.id] is TaintLabel.EXTERNAL
-        assert eco.contents == {task.id: PayloadFacets.from_token("1110")}
+        assert eco.contents == {task.id: FACET_VALUES["1110"]}
 
     def test_agent_written_tracks_writer_state(self):
         assert content_label(clean_state(), TaintLabel.CLEAN) is TaintLabel.CLEAN

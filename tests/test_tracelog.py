@@ -14,14 +14,15 @@ import pytest
 from reentryguard import tracelog
 from reentryguard.cli import main
 from reentryguard.model import (
+    FACET_VALUES,
     LAYER_NAMES,
+    NO_FACETS,
     ActionKind,
     DeclassProcedure,
     Decision,
     Event,
     EventKind,
     GuardMode,
-    PayloadFacets,
     ReentryGuardError,
     SchemaKind,
     TaintLabel,
@@ -86,7 +87,7 @@ def in_place(text: str, bad: str) -> tuple[str, int]:
 
 ONE_PER_KIND = [
     Event(tick=1, agent="a1", kind=EventKind.WRITE, carrier_id=2, label=TaintLabel.CLEAN,
-          facets=PayloadFacets.none(), decision=Decision.ALLOW),
+          facets=NO_FACETS, decision=Decision.ALLOW),
     Event(tick=1, agent="a1", kind=EventKind.EXPOSED_READ, carrier_id=3,
           label=TaintLabel.TAINTED, decision=Decision.DENY_RE_ENTRY),
     Event(tick=1, agent="a1", kind=EventKind.OPAQUE_READ, carrier_id=3,
@@ -94,20 +95,20 @@ ONE_PER_KIND = [
     Event(tick=1, agent="a1", kind=EventKind.HIGH_RISK, action=ActionKind.INVOKE_SHELL,
           decision=Decision.DENY_ATTENUATED),
     Event(tick=2, agent="a1", kind=EventKind.MSG_SEND, channel="c1", label=TaintLabel.TAINTED_DERIVED,
-          facets=PayloadFacets.from_token("0110"), decision=Decision.ALLOW),
+          facets=FACET_VALUES["0110"], decision=Decision.ALLOW),
     Event(tick=2, agent="a1", kind=EventKind.MSG_SEND, channel="c1", label=TaintLabel.TAINTED_DERIVED,
-          facets=PayloadFacets.full(), exfil=True, decision=Decision.GUARD_ATTENUATED),
+          facets=FACET_VALUES["1111"], exfil=True, decision=Decision.GUARD_ATTENUATED),
     Event(tick=2, agent="a1", kind=EventKind.MSG_RECV, channel="c1", label=TaintLabel.TAINTED,
-          facets=PayloadFacets.full(), sender="a2"),
+          facets=FACET_VALUES["1111"], sender="a2"),
     Event(tick=2, agent="a1", kind=EventKind.PROMOTE, carrier_id=4, label=TaintLabel.TAINTED,
-          schema=SchemaKind.TYPED_FACT, facets=PayloadFacets.none(),
+          schema=SchemaKind.TYPED_FACT, facets=NO_FACETS,
           decision=Decision.DENY_PROMOTION),
     Event(tick=3, agent="a1", kind=EventKind.DECLASSIFY, carrier_id=5, label=TaintLabel.TAINTED,
           procedure=DeclassProcedure.DETERMINISTIC_VALIDATION, decision=Decision.ALLOW),
     Event(tick=3, agent="a1", kind=EventKind.CONTEXT_RESET),
     Event(tick=3, agent="a1", kind=EventKind.HEARTBEAT),
     Event(tick=0, agent="attacker", kind=EventKind.INJECT, channel="c0", label=TaintLabel.TAINTED,
-          facets=PayloadFacets.full()),
+          facets=FACET_VALUES["1111"]),
 ]
 
 
@@ -123,7 +124,7 @@ class TestEventLines:
             kind=EventKind.WRITE,
             carrier_id=7,
             label=TaintLabel.TAINTED,
-            facets=PayloadFacets.full(),
+            facets=FACET_VALUES["1111"],
             decision=Decision.ALLOW,
         )
         assert event_to_line(event) == "3|a1|write:1111|7|tainted|allow|ok"
@@ -138,7 +139,7 @@ class TestEventLines:
             agent="a1",
             kind=EventKind.MSG_SEND,
             channel="c0",
-            facets=PayloadFacets.from_token("0110"),
+            facets=FACET_VALUES["0110"],
             exfil=True,
             decision=Decision.DENY_ATTENUATED,
         )
@@ -281,6 +282,19 @@ def _refused(text: str, tmp_path, match: str) -> None:
     path = tmp_path / "bad.trace"
     path.write_text(text)
     assert main(["--verify-trace", str(path)]) == 2
+
+
+def test_network_action_is_refused(bundled, tmp_path):
+    """The shell is the one action an agent proposes, so undefended fwA with
+    each of its 36 shell actions named invoke_network is refused at its
+    first high_risk line, not audited as 3 chains."""
+    shell = "|high_risk:invoke_shell|"
+    text = bundled("fwA").trace_text
+    assert text.count(shell) == 36
+    network = text.replace(shell, "|high_risk:invoke_network|")
+    at = next(no for no, line in enumerate(network.split("\n"), 1) if "invoke_network" in line)
+    assert at == 110
+    _refused(network, tmp_path, rf"^line {at}: unknown value 'invoke_network'")
 
 
 @pytest.mark.parametrize("name", ["fwA", "fwB", "fwC", "cross_framework", "privilege_escalation"])
@@ -902,9 +916,9 @@ class TestParseDifferential:
 class TestTraceRoundTrip:
     def test_synthetic_trace(self):
         trace = [
-            Event(tick=0, agent="attacker", kind=EventKind.INJECT, channel="c0", facets=PayloadFacets.full()),
+            Event(tick=0, agent="attacker", kind=EventKind.INJECT, channel="c0", facets=FACET_VALUES["1111"]),
             Event(tick=1, agent="a1", kind=EventKind.WRITE, carrier_id=1,
-                  label=TaintLabel.TAINTED_DERIVED, facets=PayloadFacets.full(),
+                  label=TaintLabel.TAINTED_DERIVED, facets=FACET_VALUES["1111"],
                   decision=Decision.ALLOW),
         ]
         text = render_trace(trace, minimal_meta())

@@ -19,6 +19,8 @@ import pytest
 import reentryguard
 from reentryguard.cli import main
 from reentryguard.model import (
+    FACET_VALUES,
+    NO_FACETS,
     ActionKind,
     AutoloadPolicy,
     Carrier,
@@ -30,7 +32,6 @@ from reentryguard.model import (
     EventKind,
     GuardMode,
     InjectionPosition,
-    PayloadFacets,
     Privilege,
     SchemaKind,
     TaintLabel,
@@ -96,7 +97,7 @@ def render(events: list[Event], meta: TraceMeta | None = None) -> str:
 
 def W(tick, agent="a1", label=TaintLabel.TAINTED, decision=ALLOW, cid=1):
     return Event(tick=tick, agent=agent, kind=EventKind.WRITE, carrier_id=cid,
-                 label=label, facets=PayloadFacets.full(), decision=decision)
+                 label=label, facets=FACET_VALUES["1111"], decision=decision)
 
 
 def R(tick, agent="a2", label=TaintLabel.TAINTED, decision=ALLOW, cid=1):
@@ -120,7 +121,7 @@ def DECL(tick, agent="a2", cid=1):
 
 def INJECT(tick, channel="c0"):
     return Event(tick=tick, agent="attacker", kind=EventKind.INJECT, channel=channel,
-                 facets=PayloadFacets.full())
+                 facets=FACET_VALUES["1111"])
 
 
 class TestFindChainsFixtures:
@@ -202,7 +203,7 @@ class TestFindChainsFixtures:
 
     def test_decisionless_effectful_event_rejected(self):
         bad = Event(tick=1, agent="a1", kind=EventKind.WRITE, carrier_id=1,
-                    label=TaintLabel.TAINTED, facets=PayloadFacets.full())
+                    label=TaintLabel.TAINTED, facets=FACET_VALUES["1111"])
         with pytest.raises(VerificationError):
             find_chains(render([bad]))
 
@@ -211,7 +212,7 @@ class TestFindChainsFixtures:
         [
             Event(tick=1, agent="a1", kind=EventKind.HEARTBEAT),
             Event(tick=1, agent="a2", kind=EventKind.MSG_RECV, channel="c0",
-                  facets=PayloadFacets.full(), sender="a1"),
+                  facets=FACET_VALUES["1111"], sender="a1"),
             INJECT(1),
             RESET(1),
         ],
@@ -244,7 +245,7 @@ class TestFindChainsFixtures:
     def test_promote_column_holds_a_candidate_id(self):
         promote = Event(tick=1, agent="a1", kind=EventKind.PROMOTE, carrier_id=999,
                         label=TaintLabel.TAINTED, schema=SchemaKind.FREE_FORM_INSTRUCTION,
-                        facets=PayloadFacets.full(), decision=ALLOW)
+                        facets=FACET_VALUES["1111"], decision=ALLOW)
         assert build_report(render([promote])).event_count == 1
 
     def test_trace_without_carrier_lines_rejected(self, bundled, tmp_path):
@@ -604,7 +605,7 @@ class TestReportOutcomes:
     def test_persistence_requires_persist_facet(self):
         no_persist = Event(
             tick=1, agent="a1", kind=EventKind.WRITE, carrier_id=1,
-            label=TaintLabel.TAINTED, facets=PayloadFacets.from_token("0111"),
+            label=TaintLabel.TAINTED, facets=FACET_VALUES["0111"],
             decision=ALLOW,
         )
         report = build_report(render([no_persist]))
@@ -618,25 +619,22 @@ class TestReportOutcomes:
 
     def test_propagation_is_agent_to_agent_delivery(self):
         recv = Event(tick=2, agent="a2", kind=EventKind.MSG_RECV, channel="c0",
-                     facets=PayloadFacets.full(), sender="a1")
+                     facets=FACET_VALUES["1111"], sender="a1")
         assert build_report(render([recv])).propagation
         from_attacker = Event(tick=2, agent="a1", kind=EventKind.MSG_RECV, channel="c0",
-                              facets=PayloadFacets.full(), sender="attacker")
+                              facets=FACET_VALUES["1111"], sender="attacker")
         assert not build_report(render([from_attacker])).propagation
 
-    def test_escalation_is_shell_or_network(self):
+    def test_escalation_is_an_effective_shell_action(self):
         assert build_report(render([A(1)])).privilege_escalation
-        network = Event(tick=1, agent="a1", kind=EventKind.HIGH_RISK,
-                        action=ActionKind.INVOKE_NETWORK, decision=ALLOW)
-        assert build_report(render([network])).privilege_escalation
         assert not build_report(render([A(1, decision=DENY)])).privilege_escalation
 
     def test_exfiltration_is_effective_exfil_send(self):
         send = Event(tick=1, agent="a1", kind=EventKind.MSG_SEND, channel="c0",
-                     facets=PayloadFacets.none(), exfil=True, decision=ALLOW)
+                     facets=NO_FACETS, exfil=True, decision=ALLOW)
         assert build_report(render([send])).exfiltration
         blocked = Event(tick=1, agent="a1", kind=EventKind.MSG_SEND, channel="c0",
-                        facets=PayloadFacets.none(), exfil=True, decision=DENY)
+                        facets=NO_FACETS, exfil=True, decision=DENY)
         assert not build_report(render([blocked])).exfiltration
 
     def test_intervention_counts_by_reason_and_layer(self, bundled):
