@@ -405,6 +405,7 @@ _step_tick = _rule(lambda tick, refs: tick >= 1, "tick {0} never runs: ticks sta
 # a mapping built in code meets the types the loader's parse gives
 _position = _rule(lambda k, refs: isinstance(k, InjectionPosition), f"{{0!r}} is not one of {', '.join(p.value for p in InjectionPosition)}")
 _compliance = _rule(lambda policy, refs: isinstance(policy, CompliancePolicy), "{0!r} is not a CompliancePolicy")
+_facet = _rule(lambda facets, refs: isinstance(facets, PayloadFacets), "{0!r} is not a PayloadFacets")
 
 
 def _known(universe: Callable[[_Refs], Any], what: str) -> Callable[[Any, _Refs], None]:
@@ -486,13 +487,13 @@ AGENT_KEYS = (
 INJECTION_KEYS = (
     Key("channel", _str, check=_all(_channel, _joined)),
     Key("tick", _int, 0, _injection_tick),
-    Key("facets", _facets, "1111"),
+    Key("facets", _facets, "1111", _facet),
 )
 
 SEEDED_KEYS = (
     Key("agent", _str, check=_agent),
     Key("slot", _str, check=_slot),
-    Key("facets", _facets, "1111"),
+    Key("facets", _facets, "1111", _facet),
 )
 
 SCENARIO_KEYS = (

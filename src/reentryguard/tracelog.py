@@ -65,11 +65,12 @@ dict that keeps the first ``_MEMO_BOUND`` keys it meets: a full memo
 stores nothing more and is never emptied, so one trace with more distinct
 lines than the bound cannot evict the lines the other traces share, and a
 key past the bound is built again each time it is met. Render keys its
-memo on an event's fields other than the tick (``SHAPE_FIELDS``; facets
-and decisions are the model's shared values) and stores the tail; it
-formats a tick column only when the tick changes, since a tick holds many
-events. Parse keys one memo on the exact header line, one on the exact
-event line and one on the exact tail (the line after the tick), which
+memo on the fields the event's line holds after the tick (``_RENDER_KEYS``:
+kind, agent, carrier id, label, decision, then the kind's ``KIND_FIELDS``;
+facets and decisions are the model's shared values) and stores the tail;
+it formats a tick column only when the tick changes, since a tick holds
+many events. Parse keys on the exact text: one memo on the header line,
+one on the event line and one on the tail (the line after the tick), which
 stores the event's ``SHAPE_FIELDS``. An event line the process has
 memoised is one lookup and yields the same read-only ``FrozenEvent`` to
 every parse that meets it. A new event line with a known tail has only
@@ -136,7 +137,7 @@ _MEMO_BOUND = 16384
 # header line -> the frozen record it parses to, or its TraceMeta fields
 _HEADER_MEMO: dict[str, Any] = {}
 _PARSE_MEMO: dict[str, tuple[Any, ...]] = {}  # event line after the tick -> SHAPE_FIELDS values
-_RENDER_MEMO: dict[tuple[Any, ...], str] = {}  # SHAPE_FIELDS values -> line after the tick
+_RENDER_MEMO: dict[tuple[Any, ...], str] = {}  # _RENDER_KEYS values -> line after the tick
 _EVENT_MEMO: dict[str, FrozenEvent] = {}  # exact event line -> its event
 _MEMOS = (_HEADER_MEMO, _PARSE_MEMO, _RENDER_MEMO, _EVENT_MEMO)
 
@@ -458,11 +459,15 @@ def _kind_detail(token: str) -> tuple[EventKind, dict[str, Any]]:
 # ---------------------------------------------------------------------------
 
 
-# Every Event field but the tick, in declaration order: render_trace keys
-# its cache on these values and parse_trace rebuilds events from them, so a
-# new Event field is part of both keys without further edits.
+# Every Event field but the tick, in declaration order: parse_trace's tail
+# memo stores these values and rebuilds events from them, so a new Event
+# field is part of it without further edits.
 SHAPE_FIELDS = tuple(f.name for f in fields(Event) if f.name != "tick")
 _shape = attrgetter(*SHAPE_FIELDS)
+# kind -> render_trace's memo key: the fields _line_tail reads, kind first
+_RENDER_KEYS = {
+    kind: attrgetter("kind", "agent", "carrier_id", "label", "decision", *names) for kind, names in KIND_FIELDS.items()
+}
 
 
 def _line_tail(ev: Event) -> str:
@@ -487,7 +492,7 @@ def render_trace(events: list[Event], meta: TraceMeta) -> str:
     # the tick column of the last event, formatted when the tick changes
     tick, column = None, ""
     for ev in events:
-        key = _shape(ev)
+        key = _RENDER_KEYS[ev.kind](ev)
         tail = _RENDER_MEMO.get(key)
         if tail is None:
             tail = _memoise(_RENDER_MEMO, key, _line_tail(ev))

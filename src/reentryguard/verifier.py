@@ -23,7 +23,9 @@ context reset or an effective declassification by the reader comes first.
 After the scan, one index-ordered merge per carrier gives each write its
 witness: the first read after it that took an action, with that action. So
 each offending write gets one minimal witness, the earliest qualifying read
-after it with that read's earliest action.
+after it with that read's earliest action. Whether a write is an action, by
+its carrier's class, autoload and scope, is decided per carrier when a
+write by an agent with an open read first needs it.
 
 The entry points are build_report, which parses a trace and audits it, and
 find_chains, which returns the chain witnesses alone. chains_in,
@@ -45,6 +47,7 @@ from .model import (
     EFFECTFUL_KINDS,
     EFFECTIVE,
     REASON_LAYER,
+    Carrier,
     CarrierClass,
     CarrierScope,
     Event,
@@ -127,6 +130,16 @@ _CARRIER_KINDS = frozenset(
 _LABELLED = frozenset({EventKind.WRITE, EventKind.EXPOSED_READ, EventKind.PROMOTE})
 
 
+# a write to a carrier that feeds future contexts or crosses agents is a
+# high-risk action; ordinary on-demand local files are below the bar
+def _risky(c: Carrier) -> bool:
+    return (
+        c.cls in (CarrierClass.STATIC_CONFIG, CarrierClass.TRUSTED_MEMORY)
+        or c.autoloaded
+        or c.scope is CarrierScope.SHARED_CROSS_AGENT
+    )
+
+
 # ---------------------------------------------------------------------------
 # the audit
 # ---------------------------------------------------------------------------
@@ -156,19 +169,11 @@ def audit(meta: TraceMeta, events: Iterable[Event]) -> Report:
     listed = {ch for a in meta.agents for ch in a.channels}
     if attacker in agents:
         raise VerificationError(f"the attacker {attacker} is also a declared agent")
-    owners = {c.id: c.owner for c in meta.carriers}
+    carriers = {c.id: c for c in meta.carriers}
     for c in meta.carriers:
         if c.owner is not None and c.owner not in agents:
             raise VerificationError(f"carrier {c.id} is owned by {c.owner}, which the header does not declare")
-    # carriers a write to which is a high-risk action: those that feed future
-    # contexts or cross agents; ordinary on-demand local files are below the bar
-    risky = {
-        c.id
-        for c in meta.carriers
-        if c.cls in (CarrierClass.STATIC_CONFIG, CarrierClass.TRUSTED_MEMORY)
-        or c.autoloaded
-        or c.scope is CarrierScope.SHARED_CROSS_AGENT
-    }
+    risky: dict[int, bool] = {}  # carrier id -> _risky(its carrier), once a write asks
     # members as locals: looking one up on its Enum class costs more than the test
     allow, clean = Verdict.ALLOW, TaintLabel.CLEAN
     write, exposed_read, high_risk, msg_send, msg_recv = (
@@ -210,7 +215,7 @@ def audit(meta: TraceMeta, events: Iterable[Event]) -> Report:
             if decision.verdict is not allow:
                 denied[decision.reason] = denied.get(decision.reason, 0) + 1
             live = decision in effective
-        if kind in _CARRIER_KINDS and cid not in owners:
+        if kind in _CARRIER_KINDS and cid not in carriers:
             raise VerificationError(
                 f"event {i}: {kind.value} of carrier {cid}, which the header does not declare"
             )
@@ -236,14 +241,17 @@ def audit(meta: TraceMeta, events: Iterable[Event]) -> Report:
                 continue
             if ev.label is not clean:
                 persistence = persistence or ev.facets.persist
-                if owners[cid] == agent and agent not in infections:
+                if carriers[cid].owner == agent and agent not in infections:
                     infections[agent] = ev.tick
                 if cid not in last_write:
                     last_write[cid] = i
                 writes.setdefault(cid, []).append((i, ev))
-            if cid in risky and agent in opened:
-                for read in opened.pop(agent):
-                    read[2] = (i, ev)
+            if agent in opened:
+                if cid not in risky:
+                    risky[cid] = _risky(carriers[cid])
+                if risky[cid]:
+                    for read in opened.pop(agent):
+                        read[2] = (i, ev)
         elif kind is exposed_read:
             if not live or ev.label is clean:
                 continue

@@ -166,6 +166,18 @@ class TestDictParsing:
         with pytest.raises(ScenarioError, match=r"compliance: user_prompt: 'always' is not a CompliancePolicy"):
             replace(sc, agents=(agent, *sc.agents[1:]))
 
+    def test_injection_facets_built_in_code_must_be_facets(self):
+        """An injection's facets given as a token in code is refused when the
+        scenario is made, naming injection: facets:, not when the run reads it."""
+        sc = load_bundled("fwA")
+        with pytest.raises(ScenarioError, match=r"^injection: facets: '1111' is not a PayloadFacets"):
+            replace(sc, injection=replace(sc.injection, facets="1111"))
+
+    def test_seeded_facets_built_in_code_must_be_facets(self):
+        sc = load_bundled("fwA")
+        with pytest.raises(ScenarioError, match=r"^seeded: facets: '1110' is not a PayloadFacets"):
+            replace(sc, seeded=(SeededCarrier("a1", "task", "1110"),))
+
     def test_bad_compliance_rejected(self):
         for bad in ({"user_prompt": "sometimes"}, {"stdin": "always"}, "always"):
             data = minimal()

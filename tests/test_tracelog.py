@@ -723,6 +723,88 @@ class TestProcessMemos:
             parse_trace(toy_trace(self.HEARTBEAT, comment))
 
 
+# per field, values an event may hold instead; None leaves a detail field out
+ALTERNATES: dict[str, list[Any]] = {
+    "kind": list(EventKind),
+    "agent": ["a2"],
+    "carrier_id": [None, 2, 9],
+    "label": [None, *TaintLabel],
+    "facets": [None, NO_FACETS, FACET_VALUES["1111"], FACET_VALUES["0110"]],
+    "channel": [None, "c0", "c9"],
+    "action": [None, *ActionKind],
+    "schema": [None, *SchemaKind],
+    "procedure": [None, *DeclassProcedure],
+    "sender": [None, "a2", "a9"],
+    "exfil": [False, True],
+    "decision": [None, *Decision],
+}
+
+
+def _one_field_changed(event: Event) -> list[Event]:
+    """The event with one field changed at a time, each variant renderable."""
+    variants = []
+    for name in SHAPE_FIELDS:
+        for value in ALTERNATES[name]:
+            if value == getattr(event, name):
+                continue
+            variant = replace(event, **{name: value})
+            try:
+                event_to_line(variant)
+            except TraceFormatError:  # a detail field its kind needs is gone
+                continue
+            variants.append(variant)
+    return variants
+
+
+def _warm_render_is_the_strict_render(events: list[Event], meta: TraceMeta) -> None:
+    lines = render_trace(events, meta).splitlines()
+    start = lines.index(COLUMN_ROW) + 1
+    assert lines[start:] == [event_to_line(ev) for ev in events]
+
+
+class TestRenderKeys:
+    """render_trace keys its memo on the fields a kind's line holds: an event
+    that differs in one of them renders its own line, and one that differs
+    only in a field its line leaves out renders the same line."""
+
+    def test_every_kind_has_a_render_key(self):
+        assert set(tracelog._RENDER_KEYS) == set(EventKind)
+
+    def test_alternates_cover_every_field(self):
+        assert set(ALTERNATES) == set(SHAPE_FIELDS)
+
+    @pytest.mark.parametrize("event", ONE_PER_KIND, ids=_kind_id)
+    def test_one_field_changed_renders_its_own_line(self, event):
+        variants = _one_field_changed(event)
+        changed = {name for name in SHAPE_FIELDS if any(getattr(v, name) != getattr(event, name) for v in variants)}
+        # a detail field the line needs cannot change when its enum has one member
+        fixed = {
+            name for name in tracelog.KIND_FIELDS[event.kind] if len(ALTERNATES[name]) == 2 and None in ALTERNATES[name]
+        }
+        assert changed == set(SHAPE_FIELDS) - fixed
+        for variant in variants:
+            render_trace([event], minimal_meta())  # the memo holds the event's tail
+            _warm_render_is_the_strict_render([variant], minimal_meta())
+        # and once every variant's tail is held too
+        _warm_render_is_the_strict_render([event, *variants], minimal_meta())
+
+    @pytest.mark.parametrize("enforce", ["none", "all"])
+    @pytest.mark.parametrize("name", bundled_names())
+    def test_warm_render_is_the_strict_render_bundled(self, name, enforce, bundled):
+        result = bundled(name, enforce)
+        meta, _ = parse_trace(result.trace_text)
+        render_trace(bundled(name, "all" if enforce == "none" else "none").trace, meta)
+        for _ in range(2):
+            _warm_render_is_the_strict_render(result.trace, meta)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_warm_render_is_the_strict_render_fuzz(self, seed):
+        meta, events = parse_trace(_fuzz_text(seed))
+        render_trace(parse_trace(_fuzz_text((seed + 1) % 30))[1], meta)
+        for _ in range(2):
+            _warm_render_is_the_strict_render(events, meta)
+
+
 class TestParsedEventsAreValues:
     """parse_trace yields read-only events, one per distinct line for the
     process, that equal the simulator's field for field."""

@@ -39,7 +39,7 @@ from reentryguard.model import (
 from reentryguard.policy import EnforcementConfig
 from reentryguard.rtw import is_rtw_safe
 from reentryguard.scenarios import bundled_names, random_scenario
-from reentryguard.sim import Ecosystem
+from reentryguard.sim import Ecosystem, run_scenario
 from reentryguard.tracelog import AgentMeta, TraceFormatError, TraceMeta, parse_trace, render_trace
 from reentryguard.verifier import (
     RtwViolation,
@@ -343,6 +343,43 @@ def assert_matches_oracle(witnesses: list, oracle: set[tuple[int, int, int]]) ->
     for w in witnesses:
         candidate_pairs = sorted((j, k) for i, j, k in oracle if i == w.write_index)
         assert (w.read_index, w.action_index) == candidate_pairs[0]
+
+
+class TestRiskyCarrierRule:
+    """A tripwire that counts: audit decides whether a write to a carrier is
+    an action only when a write by an agent with an open read asks, and then
+    once per carrier."""
+
+    @pytest.fixture
+    def asked(self, monkeypatch):
+        """The ids of the carriers whose Carrier.autoloaded is read, in order."""
+        ids = []
+        autoloaded = Carrier.autoloaded.fget
+        monkeypatch.setattr(Carrier, "autoloaded", property(lambda c: ids.append(c.id) or autoloaded(c)))
+        return ids
+
+    def test_an_audit_with_no_open_read_asks_nothing(self, asked):
+        # a read before any write keeps no read open; writes by a reader with none ask nothing
+        report = audit(toy_meta(), [R(1), W(2), W(3, cid=2), W(4, agent="a2", cid=2), A(5)])
+        assert report.safe and report.infected == ["a1", "a2"]
+        assert asked == []
+
+    def test_enforced_fuzz_audits_ask_nothing(self, asked):
+        """Enforced fuzz runs keep no read open, so their audits read no
+        carrier's autoload policy, however many carriers their headers hold."""
+        scenarios = [random_scenario(seed, EnforcementConfig.all_enabled()) for seed in range(30)]
+        traces = [parse_trace(run_scenario(scenario).trace_text) for scenario in scenarios]
+        asked.clear()
+        assert sum(len(meta.carriers) for meta, _ in traces) > 0
+        for meta, events in traces:
+            audit(meta, events)
+        assert asked == []
+
+    def test_each_carrier_is_asked_once(self, asked):
+        events = [W(1), R(2), W(3, agent="a2", cid=2), W(4, agent="a2", cid=2), W(5, agent="a2"), W(6, agent="a2")]
+        (w,) = audit(toy_meta(), events).chains
+        assert (w.read_index, w.action_index, w.action) == (1, 4, "write")
+        assert asked == [2, 1]
 
 
 class TestFindChainsAgainstNaiveScan:
