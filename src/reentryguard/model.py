@@ -26,7 +26,8 @@ Invariants that the rest of the package leans on:
   Event, one object per distinct trace line for the whole process while
   its bounded memo has room. An Event equals any other Event, plain or
   frozen, with the same fields. The simulator's own events stay mutable,
-  since it sets their decision.
+  since it sets their decision, but for a kept message turn's: replays
+  share those, and run_scenario freezes them once the trace is rendered.
 """
 
 from __future__ import annotations
@@ -442,7 +443,8 @@ class FrozenEvent(Event):
     trace line, shared by every parse that meets the line. Assignment and
     deletion raise; a call, copy, pickle and dataclasses.replace each build
     a new FrozenEvent. The simulator's events stay plain, since it sets
-    ``event.decision`` after mediation."""
+    ``event.decision`` after mediation, but for a kept message turn's, which
+    its replays share and run_scenario freezes once it has rendered them."""
 
     __slots__ = ()
 

@@ -288,13 +288,20 @@ def _record(keys: tuple[Key, ...], build: Callable[..., Any]) -> Callable[[Any],
     return parse
 
 
+_NO_FIELD = object()  # a key the record holds in another field: the scenario's guard
+
+
 def _check(record: Any, keys: tuple[Key, ...], refs: _Refs) -> None:
+    """Each key's check on the record's field of its name. None is the value
+    of an absent optional key, so only a key whose default is None takes it."""
     try:
         for key in keys:
-            if key.check is not None:
-                value = getattr(record, key.name)
-                if value is not None:
-                    key.check(value, refs)
+            value = getattr(record, key.name, _NO_FIELD)
+            if value is None:
+                if key.default is not None:
+                    raise ValueError("required, got None")
+            elif key.check is not None and value is not _NO_FIELD:
+                key.check(value, refs)
     except ValueError as exc:
         raise ScenarioError(f"{key.name}: {exc}") from exc
 

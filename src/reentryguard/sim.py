@@ -36,6 +36,29 @@ once per process and shared by every run whose agent (id, framework, first
 carrier id, seeded slots) or channel (name, first id, heartbeat log) is the
 same, while the bounded memo has room; a run fills in only its own labels,
 contents and agent plans.
+
+In a storm most message turns repeat an earlier turn of their tick, so each
+tick's message turns are memoised, keyed on (receiver, sender, channel,
+label, delivered facets). Of the run's state a message turn reads only its
+receiver's turn state: whether it is contaminated, whether it has submitted
+its candidate, and the label and content of its config, heartbeat and memory
+carriers. Every label it emits and every decision mediate() makes for it is
+a function of that state, the key and the tick. A turn that leaves the state
+as it found it is a fixed point, and its events are kept; a later turn with
+the same key from the same state replays them, emitting the same event
+objects again, which is what the live turn would emit and do. run_scenario
+makes the kept events read-only once it has rendered the trace. A replay
+still calls mediate() once per decision-carrying event and raises if the
+decision is not the kept one. It draws compliance live where a live turn
+does, after the feed read took effect, so a Bernoulli receiver consumes the
+seeded draws exactly as before; when the kept turn did not comply, a replay
+that does runs the payload live, and keeps it if the state holds. A replay
+queues each effective msg_send again but leaves the channel's log alone:
+the log's relabel and facet union ran when the kept turn queued the same
+message this tick, and both are idempotent (within a tick a log's label
+only goes from trusted to untrusted, and a union with the same facets adds
+nothing). The memo is emptied at each delivery, since events carry their
+tick and a lease window reads it.
 """
 
 from __future__ import annotations
@@ -63,6 +86,7 @@ from .model import (
     DeclassProcedure,
     Event,
     EventKind,
+    FrozenEvent,
     InjectionPosition,
     PayloadFacets,
     Privilege,
@@ -251,6 +275,12 @@ class Ecosystem:
         self.queued: dict[str, list[Event]] = {ch: [] for ch in scenario.channels}
         # the decisions under which a mediated event takes effect
         self.effective = EFFECTIVE[self.config.guard_mode]
+        # this tick's kept message turns (the module docstring): key ->
+        # [turn state, its msg_recv and feed read, its payload events once a
+        # turn from that state has complied, else None]
+        self._turns: dict[tuple[Any, ...], list[Any]] = {}
+        # every kept turn's events, which replays share: see _freeze_kept
+        self._kept: list[tuple[Event, ...]] = []
         self._build()
         # one context for the whole run: mediate() sees every later change
         # because the simulator mutates these containers in place
@@ -388,16 +418,87 @@ class Ecosystem:
             self.states[agent] = mark_contamination(state)
         return True
 
+    def _turn_state(self, agent: str) -> tuple[Any, ...]:
+        """What a message turn reads of the run's state: the agent's
+        contamination, whether it submitted its candidate, and its config,
+        heartbeat and memory carriers' labels and contents."""
+        cset = self.carrier_sets[agent]
+        labels, contents = self.labels, self.contents
+        config, heartbeat, memory = cset.config.id, cset.heartbeat.id, cset.memory.id
+        return (
+            self.states[agent].contaminated, agent in self.candidates, labels[config], contents.get(config),
+            labels[heartbeat], contents.get(heartbeat), labels[memory], contents.get(memory),
+        )
+
     def _message_turn(self, tick: int, agent: str, msg: Event, delivered: PayloadFacets) -> None:
+        """Receive a message and read it from the channel's feed; when the
+        read takes effect and the agent complies, act on its payload. A
+        repeat of a kept turn from the same state is replayed (the module
+        docstring)."""
+        key = (agent, msg.agent, msg.channel, msg.label, delivered)
+        state = self._turn_state(agent)
+        kept = self._turns.get(key)
+        if kept is not None and kept[0] == state:
+            head = kept[1]
+            self._replay(head)
+            if head[1].decision in self.effective and self.agents[agent].complies(_USER_PROMPT, self.rng):
+                if kept[2] is None:
+                    kept[2] = self._act_and_keep(tick, agent, state, delivered)
+                else:
+                    self._replay(kept[2])
+            return
+        start = len(self.trace)
         # carrier_id, label, facets, channel, action, schema, procedure, sender
         recv = Event(tick, agent, _MSG_RECV, None, msg.label, delivered, msg.channel, None, None, None, msg.agent)
         self.trace.append(recv)
-        was_clean = not self.states[agent].contaminated
-        if not self._exposed_read(tick, agent, self.feeds[msg.channel], msg.label):
-            return
-        if not self.agents[agent].complies(_USER_PROMPT, self.rng):
-            return
-        self._act_on_payload(tick, agent, was_clean, delivered)
+        read = self._exposed_read(tick, agent, self.feeds[msg.channel], msg.label)
+        if read and self.agents[agent].complies(_USER_PROMPT, self.rng):
+            payload = self._act_and_keep(tick, agent, state, delivered)
+            fixed = payload is not None
+        else:
+            payload, fixed = None, self._turn_state(agent) == state
+        if fixed:
+            self._turns[key] = [state, self._keep(start, start + 2), payload]
+
+    def _act_and_keep(
+        self, tick: int, agent: str, state: tuple[Any, ...], facets: PayloadFacets
+    ) -> tuple[Event, ...] | None:
+        """Act on a message's payload in a turn that began in state: the
+        events, kept, when the turn leaves the state as it found it."""
+        start = len(self.trace)
+        self._act_on_payload(tick, agent, not state[0], facets)
+        return self._keep(start) if self._turn_state(agent) == state else None
+
+    def _keep(self, start: int, end: int | None = None) -> tuple[Event, ...]:
+        """The trace's events from start to end, kept for replay."""
+        events = tuple(self.trace[start:end])
+        self._kept.append(events)
+        return events
+
+    def _freeze_kept(self) -> None:
+        """Make the kept events, which replays put at more than one trace
+        position, read-only. run_scenario does it once the trace is rendered
+        rather than when a turn is kept: CPython specialises an attribute
+        read for the one class it meets, so a render loop or mediate() that
+        meets both event classes slows every later run in the process."""
+        for events in self._kept:
+            for ev in events:
+                ev.__class__ = FrozenEvent
+        self._kept.clear()
+
+    def _replay(self, events: tuple[Event, ...]) -> None:
+        """Emit a kept turn's events again, each decision mediated again and
+        each effective msg_send queued again."""
+        for ev in events:
+            decision = ev.decision
+            if decision is not None:
+                again = mediate(ev, self.ctx, self.config)
+                if again is not decision:
+                    where = f"tick {ev.tick} {ev.agent} {ev.kind.value}"
+                    raise RuntimeError(f"replay of {where}: mediate() decided {again.name}, the kept turn {decision.name}")
+                if ev.kind is _MSG_SEND and decision in self.effective:
+                    self.queued[ev.channel].append(ev)
+        self.trace += events
 
     def _heartbeat_turn(self, tick: int, agent: str) -> None:
         profile = self.agents[agent]
@@ -480,6 +581,7 @@ class Ecosystem:
         self._queue_message(ev)
 
     def _deliver(self, tick: int) -> None:
+        self._turns.clear()
         to_deliver = {ch: msgs for ch, msgs in self.queued.items() if msgs}
         self.queued = {ch: [] for ch in self.scenario.channels}
         for ch in sorted(to_deliver):
@@ -507,7 +609,9 @@ class Ecosystem:
                     self.contents.pop(cid, None)
 
     def run(self) -> list[Event]:
-        """Run ticks 0..max_ticks in the order the module docstring gives."""
+        """Run ticks 0..max_ticks in the order the module docstring gives.
+        A replayed turn's events sit at more than one position of the
+        returned trace; run_scenario freezes them once rendered."""
         injection = self.scenario.injection
         for tick in range(self.scenario.max_ticks + 1):
             if tick == 0:
@@ -544,5 +648,6 @@ def run_scenario(scenario: Scenario) -> RunResult:
     eco = Ecosystem(scenario)
     trace = eco.run()
     text = render_trace(trace, eco.meta)
+    eco._freeze_kept()
     report = verifier_mod.build_report(text)
     return RunResult(trace=trace, trace_text=text, report=report)

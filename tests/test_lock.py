@@ -1,7 +1,7 @@
 """Behaviour lock: machine records, trace bytes and reports pinned against a data file.
 
 Pins the ``--suite tables`` and ``--suite ablation`` machine records, and for
-every run in four groups two SHA-256 digests: of its trace text, and of its
+every run in six groups two SHA-256 digests: of its trace text, and of its
 machine record line followed by each chain witness's write, read and action
 indices (so a moved witness moves a pin even where the counts stay). The
 groups:
@@ -16,7 +16,12 @@ groups:
   ``rtw`` on, and guard mode matters only where something is denied);
 * the bundled scenarios under each capability preset, each of the 16
   subsets of the layers and each guard mode, so a deployment that grants
-  less than ``full`` is pinned wherever its rule can matter.
+  less than ``full`` is pinned wherever its rule can matter;
+* the message storm: fuzz seeds 0-199 undefended and seeds 0-39 under each
+  single layer in both guard modes, all at the storm benchmark's 8-tick cap,
+  and fuzz seed 21 under ``rtw`` at 12 ticks (11,733 events). Within a tick
+  of these runs most message turns repeat an earlier one, which 6 ticks
+  rarely reach.
 
 The fuzz seeds matter because no bundled scenario uses seeded carriers,
 resets or heartbeat logs. A refactor must leave every pin unchanged. After an
@@ -64,6 +69,9 @@ FUZZ_ENFORCED_SEEDS = range(200)
 FUZZ_UNDEFENDED_SEEDS = range(100)
 FUZZ_UNDEFENDED_TICKS = 6
 FUZZ_ABLATED_SEEDS = range(40)
+STORM_TICKS = 8  # bench/run.py's STORM_TICK_CAP; random_scenario draws 8 or more
+STORM_SEEDS = range(200)
+STORM_LAYER_SEEDS = range(40)
 # each layer alone, then every layer but one
 ABLATIONS = LAYER_NAMES + tuple(",".join(n for n in LAYER_NAMES if n != out) for out in LAYER_NAMES)
 # every subset of the layers, as the spec EnforcementConfig.from_names reads
@@ -128,12 +136,24 @@ def _capabilities() -> Iterator[tuple[str, Scenario]]:
                     )
 
 
+def _storm() -> Iterator[tuple[str, Scenario]]:
+    for seed in STORM_SEEDS:
+        yield f"none:{seed}", replace(random_scenario(seed, EnforcementConfig.none()), max_ticks=STORM_TICKS)
+    for layer in LAYER_NAMES:
+        for guard in GuardMode:
+            for seed in STORM_LAYER_SEEDS:
+                scenario = random_scenario(seed, EnforcementConfig.from_names(layer, guard))
+                yield f"{layer}:{guard.value}:{seed}", replace(scenario, max_ticks=STORM_TICKS)
+    yield "rtw:12-ticks:21", replace(random_scenario(21, EnforcementConfig.from_names("rtw")), max_ticks=12)
+
+
 GROUPS = {
     "bundled": _bundled,
     "fuzz_enforced": _fuzz_enforced,
     "fuzz_undefended": _fuzz_undefended,
     "fuzz_ablated": _fuzz_ablated,
     "capabilities": _capabilities,
+    "storm": _storm,
 }
 PINS = ("traces", "reports")
 

@@ -173,6 +173,22 @@ class TestDictParsing:
         with pytest.raises(ScenarioError, match=r"^injection: facets: '1111' is not a PayloadFacets"):
             replace(sc, injection=replace(sc.injection, facets="1111"))
 
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda sc: replace(sc, injection=replace(sc.injection, facets=None)), "injection: facets"),
+            (lambda sc: replace(sc, injection=replace(sc.injection, channel=None)), "injection: channel"),
+            (lambda sc: replace(sc, seed=None), "seed"),
+        ],
+        ids=["facets", "channel", "seed"],
+    )
+    def test_none_for_a_key_with_a_default_is_refused(self, edit, match):
+        """None stands for an absent optional key only: built in code for a
+        required key or one with a default, it is refused when the scenario
+        is made, whether or not the key has a check of its own."""
+        with pytest.raises(ScenarioError, match=rf"^{match}: required, got None"):
+            edit(load_bundled("fwA"))
+
     def test_seeded_facets_built_in_code_must_be_facets(self):
         sc = load_bundled("fwA")
         with pytest.raises(ScenarioError, match=r"^seeded: facets: '1110' is not a PayloadFacets"):

@@ -1,5 +1,6 @@
 """Simulator semantics: transformation, scheduling, compliance, determinism."""
 
+from collections import Counter
 from copy import deepcopy
 from dataclasses import FrozenInstanceError, replace
 
@@ -13,6 +14,7 @@ from reentryguard.model import (
     Decision,
     FACET_VALUES,
     EventKind,
+    FrozenEvent,
     GuardMode,
     PayloadFacets,
     Privilege,
@@ -350,6 +352,87 @@ class TestPayloadTurn:
                 Ecosystem(replace(scenario, enforcement=EnforcementConfig.from_names(enforce, guard))).run()
         assert calls > len(runs)
         assert not clean, f"{len(clean)} calls from a clean agent, first {clean[:3]}"
+
+
+class TestMessageTurnReplay:
+    """A message turn that repeats a kept fixed-point turn of its tick is
+    replayed (sim's module docstring); the lock pins that the trace bytes
+    are the live turn's."""
+
+    def test_replay_draws_compliance_like_a_live_turn(self, monkeypatch):
+        """Each message turn draws compliance once, after an effective feed
+        read, whether it runs live or is replayed: over undefended fuzz
+        seeds 0-99 that have a Bernoulli receiver, at the storm benchmark's
+        8 ticks, the draws inside _message_turn equal the effective
+        exposed_reads that directly follow a msg_recv, and some of those
+        receivers' turns are replayed."""
+        inside, draws, replays = [False], [0], [0]
+        complies, turn, replay = AgentProfile.complies, Ecosystem._message_turn, Ecosystem._replay
+
+        def lossy(profile):
+            return profile.compliance[InjectionPosition.USER_PROMPT].kind == "bernoulli"
+
+        def counted(profile, position, rng):
+            draws[0] += inside[0]
+            return complies(profile, position, rng)
+
+        def in_turn(eco, *args):
+            inside[0] = True
+            try:
+                turn(eco, *args)
+            finally:
+                inside[0] = False
+
+        def counted_replay(eco, events):
+            # a kept turn's first events are its msg_recv and feed read
+            replays[0] += bool(events) and events[0].kind is EventKind.MSG_RECV and lossy(eco.agents[events[0].agent])
+            replay(eco, events)
+
+        monkeypatch.setattr(AgentProfile, "complies", counted)
+        monkeypatch.setattr(Ecosystem, "_message_turn", in_turn)
+        monkeypatch.setattr(Ecosystem, "_replay", counted_replay)
+        scenarios = [replace(random_scenario(seed), max_ticks=8) for seed in range(100)]
+        scenarios = [s for s in scenarios if any(map(lossy, s.agents))]
+        assert len(scenarios) > 20
+        for scenario in scenarios:
+            draws[0] = 0
+            eco = Ecosystem(scenario)
+            trace = eco.run()
+            reads = sum(
+                ev.kind is EventKind.EXPOSED_READ and prev.kind is EventKind.MSG_RECV and ev.decision in eco.effective
+                for prev, ev in zip(trace, trace[1:])
+            )
+            assert draws[0] == reads, scenario.name
+        assert replays[0] > 0
+
+    def test_replayed_events_are_shared_and_read_only(self):
+        """A replay puts the kept turn's event objects at more than one
+        trace position, so in run_scenario's trace each shared event is a
+        FrozenEvent."""
+        trace = run_scenario(replace(random_scenario(21, EnforcementConfig.from_names("rtw")), max_ticks=8)).trace
+        positions = Counter(map(id, trace))
+        shared = [ev for ev in trace if positions[id(ev)] > 1]
+        assert shared
+        assert all(type(ev) is FrozenEvent for ev in shared)
+        with pytest.raises(FrozenInstanceError):
+            shared[0].decision = None
+        with pytest.raises(FrozenInstanceError):
+            shared[-1].label = TaintLabel.CLEAN
+
+    def test_replay_mediates_each_decision_and_refuses_a_change(self, monkeypatch):
+        """Replay calls mediate() for every decision-carrying event it emits
+        and raises when the decision is not the kept one, rather than emit
+        the kept line. A live event is mediated before it holds a decision,
+        so the patch below changes only replays."""
+        mediate = sim.mediate
+
+        def denying_replays(event, ctx, config):
+            decided = mediate(event, ctx, config)
+            return Decision.DENY_RE_ENTRY if event.decision is not None else decided
+
+        monkeypatch.setattr(sim, "mediate", denying_replays)
+        with pytest.raises(RuntimeError, match="mediate\\(\\) decided DENY_RE_ENTRY, the kept turn ALLOW"):
+            Ecosystem(replace(random_scenario(21), max_ticks=8)).run()
 
 
 class TestDeterminism:
